@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
     cfg.forward.site = channel::site_preset(site);
     cfg.forward.range_m = 5.0;
     cfg.forward.seed = 4242;
-    core::LinkSession session(cfg);
-    const std::vector<double> snr = session.probe_snr();
+    channel::UnderwaterChannel ch(cfg.forward);
+    const std::vector<double> snr = core::probe_snr(ch, cfg.params);
     if (snr.empty()) continue;
     const phy::BandSelection band = phy::select_band(snr);
     std::printf("%-8s per-bin SNR (dB), selected band %.0f-%.0f Hz:\n",

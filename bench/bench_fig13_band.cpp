@@ -19,8 +19,8 @@ int main() {
       cfg.forward.site = channel::site_preset(channel::Site::kLake);
       cfg.forward.range_m = r;
       cfg.forward.seed = 14000 + static_cast<std::uint64_t>(r) * 31 + i;
-      core::LinkSession session(cfg);
-      const std::vector<double> snr = session.probe_snr();
+      channel::UnderwaterChannel ch(cfg.forward);
+      const std::vector<double> snr = core::probe_snr(ch, cfg.params);
       if (snr.empty()) continue;
       const phy::BandSelection band = phy::select_band(snr);
       fb += cfg.params.bin_freq_hz(band.begin_bin);

@@ -26,14 +26,14 @@ int main() {
       cfg.forward.range_m = 10.0;
       cfg.forward.motion = kind;
       cfg.forward.seed = 17000 + static_cast<std::uint64_t>(kind) * 97 + i;
-      core::LinkSession session(cfg);
-      const std::vector<double> first = session.probe_snr();
+      channel::UnderwaterChannel ch(cfg.forward);
+      const std::vector<double> first = core::probe_snr(ch, cfg.params);
       if (first.empty()) continue;
       const phy::BandSelection band = phy::select_band(first);
-      // The feedback exchange takes a few symbols; the session clock
-      // advanced during probe_snr's transmit, so the second probe sees the
-      // channel a realistic interval later.
-      const std::vector<double> second = session.probe_snr();
+      // The feedback exchange takes a few symbols; the channel clock
+      // advanced during the first probe's transmit, so the second probe
+      // sees the channel a realistic interval later.
+      const std::vector<double> second = core::probe_snr(ch, cfg.params);
       if (second.empty()) continue;
       double min_snr = 1e9;
       for (std::size_t k = band.begin_bin; k <= band.end_bin; ++k) {

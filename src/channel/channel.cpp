@@ -69,7 +69,8 @@ UnderwaterChannel::UnderwaterChannel(const LinkConfig& config)
     noise_.emplace(np, config_.sample_rate_hz, mic_noise_seed(config_.seed));
   }
 
-  base_paths_ = paths_at(0.0, /*block_index=*/0);
+  // Block 0 draws no roughness, so the sequence is untouched here.
+  base_paths_ = paths_at(0.0, /*block_index=*/0, roughness_rng_);
   if (base_paths_.empty()) {
     throw std::runtime_error("UnderwaterChannel: no propagation paths");
   }
@@ -77,7 +78,7 @@ UnderwaterChannel::UnderwaterChannel(const LinkConfig& config)
       std::max(base_paths_.front().delay_s - kReferenceMargin_s, 0.0);
 
   // Links whose geometry cannot evolve collapse to one fixed impulse
-  // response; bake its spectrum once so every transmit() reuses it.
+  // response; bake its spectrum once so every stream reuses it.
   const bool static_link = config_.motion == MotionKind::kStatic &&
                            config_.site.surface_roughness <= 0.0 &&
                            config_.site.drift_mps <= 0.0 && !config_.in_air;
@@ -123,11 +124,6 @@ std::vector<Path> UnderwaterChannel::paths_at(double t_s,
   return compute_paths(g, wp);
 }
 
-std::vector<Path> UnderwaterChannel::paths_at(double t_s,
-                                              std::uint64_t block_index) {
-  return paths_at(t_s, block_index, roughness_rng_);
-}
-
 std::vector<double> link_device_fir(const LinkConfig& config, bool speaker) {
   const DeviceProfile& dev = speaker ? config.tx_device : config.rx_device;
   const bool immersed = !config.in_air;
@@ -151,65 +147,47 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
                                                 double lead_in_s,
                                                 double tail_s) {
   const double fs = config_.sample_rate_hz;
-  dsp::Workspace& ws = scratch();
-
-  // 1. Speaker (+ case + static orientation) response, through the cached
-  // overlap-save kernel spectrum.
-  dsp::ScratchReal shaped_s(ws, tx_filter_.output_length(tx.size()));
-  tx_filter_.convolve_into(tx, shaped_s.span(), ws);
-  std::span<const double> shaped = shaped_s.span();
-
-  // 2. Time-varying multipath. Fixed-geometry links collapse to one cached
-  // overlap-save convolution.
-  const std::size_t ref_offset =
-      static_cast<std::size_t>(std::llround(reference_delay_s_ * fs));
-  std::optional<dsp::ScratchReal> propagated_s;
-  if (fixed_ir_filter_) {
-    propagated_s.emplace(ws, fixed_ir_filter_->output_length(shaped.size()));
-    fixed_ir_filter_->convolve_into(shaped, propagated_s->span(), ws);
-  } else {
-    // Block-wise overlap-add with a per-block impulse response. Mobility
-    // moves tap positions between blocks, which is physical Doppler.
-    std::vector<double> ir = paths_to_impulse_response_ref(
-        base_paths_, fs, reference_delay_s_);
-    std::size_t max_ir = ir.size();
-    std::vector<std::pair<std::size_t, std::vector<double>>> blocks;
-    for (std::size_t start = 0; start < shaped.size(); start += kBlockSamples) {
-      const std::size_t len = std::min(kBlockSamples, shaped.size() - start);
-      const double t_mid =
-          time_s_ + (static_cast<double>(start) + 0.5 * static_cast<double>(len)) / fs;
-      std::vector<Path> paths = paths_at(t_mid, start / kBlockSamples + 1);
-      std::vector<double> block_ir = paths_to_impulse_response_ref(
-          paths, fs, reference_delay_s_);
-      max_ir = std::max(max_ir, block_ir.size());
-      std::vector<double> y = dsp::convolve(
-          shaped.subspan(start, len), block_ir);
-      blocks.emplace_back(start, std::move(y));
-    }
-    propagated_s.emplace(ws, shaped.size() + max_ir);
-    std::vector<double>& propagated = **propagated_s;
-    std::fill(propagated.begin(), propagated.end(), 0.0);
-    for (auto& [start, y] : blocks) {
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        if (start + i < propagated.size()) propagated[start + i] += y[i];
-      }
-    }
-  }
-  std::span<const double> propagated = propagated_s->span();
-
-  // 3. Microphone response.
-  dsp::ScratchReal received_s(ws,
-                              rx_filter_.output_length(propagated.size()));
-  rx_filter_.convolve_into(propagated, received_s.span(), ws);
-  std::span<const double> received = received_s.span();
-
-  // 4. Assemble the receiver timeline with noise.
   const std::size_t lead = static_cast<std::size_t>(lead_in_s * fs);
   const std::size_t tail = static_cast<std::size_t>(tail_s * fs);
-  std::vector<double> out(lead + ref_offset + received.size() + tail, 0.0);
-  for (std::size_t i = 0; i < received.size(); ++i) {
-    out[lead + ref_offset + i] = received[i];
-  }
+  const std::size_t ref_offset =
+      static_cast<std::size_t>(std::llround(reference_delay_s_ * fs));
+  const std::size_t shaped = tx_filter_.output_length(tx.size());
+  const std::size_t base_ir =
+      fixed_ir_filter_ ? 0
+                       : paths_to_impulse_response_ref(base_paths_, fs,
+                                                       reference_delay_s_)
+                             .size();
+
+  // Play the waveform, then silence, through this link's own signal path.
+  // The path continues the channel's mobility clock and roughness sequence;
+  // blocks past the speaker output carry no signal, so they draw no
+  // roughness and a later transmit() picks up where this one's signal ended.
+  Stream path(*this, time_s_, 0);
+  path.roughness_rng_ = roughness_rng_;
+  path.silent_from_ = shaped;
+  // Stream latency, bulk delay, the full speaker/propagation/mic response
+  // and the tail. A time-varying link's overlap-add keeps one sample of
+  // headroom past the longest impulse response its blocks rendered, which
+  // is final once the output reaches it.
+  const auto wanted = [&] {
+    const std::size_t propagated =
+        fixed_ir_filter_ ? fixed_ir_filter_->output_length(shaped)
+                         : shaped + std::max(base_ir, path.max_ir_samples_);
+    return lead + path.extra_latency() + ref_offset +
+           rx_filter_.output_length(propagated) + tail;
+  };
+  dsp::Workspace& ws = dsp::thread_local_workspace();
+  std::vector<double> out(lead, 0.0);
+  path.push(tx, out, ws);
+  dsp::ScratchReal silence(ws, kBlockSamples);
+  std::fill(silence->begin(), silence->end(), 0.0);
+  while (out.size() < wanted()) path.push(silence.span(), out, ws);
+  out.resize(wanted());
+  roughness_rng_ = path.roughness_rng_;
+  // The stream's fixed processing latency is not part of the link.
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(lead),
+            out.begin() + static_cast<std::ptrdiff_t>(lead + path.extra_latency()));
+
   if (noise_) {
     std::vector<double> nz = noise_->generate(out.size());
     for (std::size_t i = 0; i < out.size(); ++i) out[i] += nz[i];
@@ -262,6 +240,12 @@ void UnderwaterChannel::Stream::run_multipath(std::span<const double> shaped) {
   std::size_t head = 0;
   while (shaped_pending_.size() - head >= kBlockSamples) {
     const std::uint64_t block_start = mp_blocks_ * kBlockSamples;
+    if (block_start >= silent_from_) {
+      // Known silence: nothing to add to the overlap-add ring.
+      ++mp_blocks_;
+      head += kBlockSamples;
+      continue;
+    }
     const double t_mid =
         time_offset_s_ +
         (static_cast<double>(block_start) + 0.5 * kBlockSamples) / fs;
@@ -269,6 +253,7 @@ void UnderwaterChannel::Stream::run_multipath(std::span<const double> shaped) {
         ch_->paths_at(t_mid, block_offset_ + mp_blocks_ + 1, roughness_rng_);
     const std::vector<double> ir = paths_to_impulse_response_ref(
         paths, fs, ch_->reference_delay_s_);
+    max_ir_samples_ = std::max(max_ir_samples_, ir.size());
     const std::vector<double> y = dsp::convolve(
         std::span<const double>(shaped_pending_).subspan(head, kBlockSamples),
         ir);

@@ -54,7 +54,9 @@ class UnderwaterChannel {
   /// Passes `tx` through the link. The output contains `lead_in_s` seconds
   /// of ambient noise, then the (delayed, distorted) signal, then
   /// `tail_s` seconds of trailing noise. The bulk propagation delay of the
-  /// earliest arrival is included in the output timeline.
+  /// earliest arrival is included in the output timeline. Renders through
+  /// a Stream that continues this channel's clock and surface-roughness
+  /// sequence, so back-to-back calls see the link evolve.
   std::vector<double> transmit(std::span<const double> tx,
                                double lead_in_s = 0.05, double tail_s = 0.05);
 
@@ -75,17 +77,8 @@ class UnderwaterChannel {
 
   const LinkConfig& config() const { return config_; }
 
-  /// Advances the internal clock without transmitting (models the silence
-  /// between protocol phases so mobility keeps evolving).
-  void advance_time(double seconds) { time_s_ += seconds; }
-
   /// Current link time (seconds since construction).
   double time_s() const { return time_s_; }
-
-  /// Leases transmit() scratch from `ws` instead of the calling thread's
-  /// arena (pass nullptr to revert). The caller keeps ownership; `ws` must
-  /// outlive the channel or the next use_workspace() call.
-  void use_workspace(dsp::Workspace* ws) { ws_ = ws; }
 
   /// Streaming signal path through this link: push speaker blocks of any
   /// size and receive exactly as many microphone samples per push, on one
@@ -95,8 +88,10 @@ class UnderwaterChannel {
   /// medium owns one noise process per microphone, not per path.
   ///
   /// A Stream keeps its own clock, mobility time and surface-roughness RNG
-  /// (seeded exactly like the owning channel's), so it neither perturbs nor
-  /// observes the packet-mode transmit() state. The parent channel must
+  /// (seeded exactly like the owning channel's); streams opened by the
+  /// caller neither perturb nor observe the channel's state. transmit()
+  /// renders through a private Stream that starts at the channel's clock
+  /// and continues the channel's roughness RNG. The parent channel must
   /// outlive the stream.
   class Stream {
    public:
@@ -129,6 +124,10 @@ class UnderwaterChannel {
     std::uint64_t mp_emitted_ = 0;    ///< final samples handed to rx_stream_
     std::vector<double> mp_final_;
     std::mt19937_64 roughness_rng_;
+    /// Speaker-filtered samples from here on are known silent (set by
+    /// transmit() for its flush): their blocks are skipped, not rendered.
+    std::uint64_t silent_from_ = UINT64_MAX;
+    std::size_t max_ir_samples_ = 0;  ///< longest block response rendered
     // Output FIFO, primed with the bulk-delay + latency zeros.
     std::vector<double> fifo_;
     std::size_t fifo_head_ = 0;
@@ -153,11 +152,7 @@ class UnderwaterChannel {
   Geometry geometry_at(double t_s) const;
   std::vector<Path> paths_at(double t_s, std::uint64_t block_index,
                              std::mt19937_64& rng) const;
-  std::vector<Path> paths_at(double t_s, std::uint64_t block_index);
   std::vector<double> device_fir(bool speaker) const;
-  dsp::Workspace& scratch() const {
-    return ws_ ? *ws_ : dsp::thread_local_workspace();
-  }
 
   LinkConfig config_;
   MobilityModel mobility_;
@@ -170,8 +165,7 @@ class UnderwaterChannel {
   std::optional<dsp::FftFilter> fixed_ir_filter_;
   double reference_delay_s_ = 0.0;  ///< shared tap-delay origin
   double time_s_ = 0.0;             ///< link clock (advances per transmit)
-  std::mt19937_64 roughness_rng_;
-  dsp::Workspace* ws_ = nullptr;    ///< borrowed; nullptr = thread-local
+  std::mt19937_64 roughness_rng_;   ///< transmit()'s roughness sequence
 };
 
 /// Builds the reverse-direction config (swaps devices/depths and accounts

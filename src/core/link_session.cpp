@@ -6,148 +6,24 @@
 
 namespace aqua::core {
 
-LinkSession::LinkSession(const SessionConfig& config)
-    : config_(config),
-      forward_(config.forward),
-      backward_(channel::reverse_link(config.forward)),
-      preamble_(config.params),
-      feedback_(config.params),
-      modem_(config.params),
-      ofdm_(config.params) {}
+std::vector<double> probe_snr(channel::UnderwaterChannel& ch,
+                              const phy::OfdmParams& params) {
+  dsp::Workspace& ws = dsp::thread_local_workspace();
+  const phy::Preamble preamble(params);
+  const std::vector<double> rx = ch.transmit(preamble.waveform());
+  const auto det = preamble.detect(rx, ws);
+  if (!det) return {};
+  const phy::Ofdm ofdm(params);
+  return phy::estimate_channel(
+             ofdm, std::span<const double>(rx).subspan(det->start_index),
+             preamble.cazac_bins(), ws)
+      .snr_db;
+}
+
+LinkSession::LinkSession(const SessionConfig& config) : config_(config) {}
 
 LinkSession::LinkSession(const SessionConfig& config, dsp::Workspace& ws)
-    : LinkSession(config) {
-  ws_ = &ws;
-  forward_.use_workspace(&ws);
-  backward_.use_workspace(&ws);
-}
-
-std::vector<double> LinkSession::probe_snr() {
-  const std::vector<double>& wave = preamble_.waveform();
-  std::vector<double> rx = forward_.transmit(wave);
-  auto det = preamble_.detect(rx, scratch());
-  if (!det) return {};
-  if (det->start_index + preamble_.core_samples() > rx.size()) return {};
-  phy::ChannelEstimate est = phy::estimate_channel(
-      ofdm_, std::span<const double>(rx).subspan(det->start_index),
-      preamble_.cazac_bins(), scratch());
-  return est.snr_db;
-}
-
-PacketTrace LinkSession::send_packet_oracle(
-    std::span<const std::uint8_t> info_bits) {
-  PacketTrace trace;
-  trace.info_bits = info_bits.size();
-
-  // ---- Phase 1: Alice sends preamble + receiver-ID symbol. ----
-  std::vector<double> phase1 = preamble_.waveform();
-  {
-    std::vector<double> id_sym = feedback_.encode_tone(config_.bob_id);
-    phase1.insert(phase1.end(), id_sym.begin(), id_sym.end());
-  }
-  std::vector<double> rx1 = forward_.transmit(phase1);
-  trace.samples_processed += rx1.size();
-
-  // ---- Phase 2: Bob detects the preamble and checks the ID. ----
-  auto det = preamble_.detect(rx1, scratch());
-  if (!det) return trace;
-  trace.preamble_detected = true;
-  trace.preamble_metric = det->sliding_metric;
-
-  const std::size_t preamble_end = det->start_index + preamble_.core_samples();
-  if (preamble_end >= rx1.size()) return trace;
-  // The ID symbol follows the preamble. Hand the decoder everything from
-  // the end of the preamble onward: the trailing silence gives it clean
-  // noise-estimation windows.
-  {
-    auto id = feedback_.decode_tone(
-        std::span<const double>(rx1).subspan(preamble_end), /*step=*/8,
-        /*min_peak_fraction=*/0.3, scratch());
-    if (!id || id->bin != config_.bob_id) return trace;
-    trace.id_matched = true;
-  }
-
-  // ---- Phase 3: Bob estimates SNR and runs Algorithm 1. ----
-  phy::ChannelEstimate est = phy::estimate_channel(
-      ofdm_, std::span<const double>(rx1).subspan(det->start_index),
-      preamble_.cazac_bins(), scratch());
-  trace.snr_db = est.snr_db;
-  trace.band_selected =
-      config_.fixed_band
-          ? *config_.fixed_band
-          : phy::select_band(est.snr_db, config_.params.snr_threshold_db,
-                             config_.params.lambda);
-
-  // ---- Phase 4: Bob sends the two-tone feedback; Alice decodes it. ----
-  if (config_.fixed_band) {
-    // Fixed-bandwidth baselines skip the adaptation exchange entirely.
-    trace.band_used = *config_.fixed_band;
-    trace.feedback_decoded = true;
-    trace.feedback_exact = true;
-  } else {
-    std::vector<double> fb = feedback_.encode_band(trace.band_selected);
-    std::vector<double> rx2 = backward_.transmit(fb);
-    trace.samples_processed += rx2.size();
-    auto dec = feedback_.decode_band(rx2, /*step=*/8,
-                                     /*min_peak_fraction=*/0.3, scratch());
-    if (!dec) return trace;
-    trace.feedback_decoded = true;
-    trace.band_used = dec->band;
-    trace.feedback_exact =
-        dec->band.begin_bin == trace.band_selected.begin_bin &&
-        dec->band.end_bin == trace.band_selected.end_bin;
-  }
-  trace.selected_bitrate_bps =
-      config_.params.reported_bitrate_bps(trace.band_used.width());
-
-  // ---- Phase 5: Alice sends the data; Bob decodes it. ----
-  // Alice transmits in the band she decoded from the feedback; Bob decodes
-  // in the band he actually selected. A feedback decoding error therefore
-  // costs a packet, exactly as in the real protocol.
-  std::vector<double> data =
-      modem_.encode(info_bits, trace.band_used, config_.decode.use_differential);
-  std::vector<double> rx3 = forward_.transmit(data);
-  trace.samples_processed += rx3.size();
-
-  phy::DecodeOptions opts = config_.decode;
-  const std::size_t rows =
-      modem_.data_symbol_count(info_bits.size(), trace.band_selected.width());
-  const std::size_t region =
-      (rows + 1) * config_.params.symbol_total_samples();
-  opts.search_window = rx3.size() > region ? rx3.size() - region : 0;
-  phy::DataDecodeResult res =
-      modem_.decode(rx3, trace.band_selected, info_bits.size(), opts,
-                    scratch());
-  if (!res.found) return trace;
-  trace.data_found = true;
-  trace.coded_bits = res.coded_hard.size();
-
-  // Compare against the transmitted coded bits for the uncoded-BER metric.
-  {
-    coding::ConvolutionalCodec codec(coding::CodeRate::kRate2_3);
-    std::vector<std::uint8_t> coded_tx = codec.encode(info_bits);
-    for (std::size_t i = 0; i < res.coded_hard.size() && i < coded_tx.size();
-         ++i) {
-      if (res.coded_hard[i] != coded_tx[i]) trace.coded_bit_errors++;
-    }
-  }
-  for (std::size_t i = 0; i < res.info_bits.size(); ++i) {
-    if ((res.info_bits[i] & 1) != (info_bits[i] & 1)) trace.info_bit_errors++;
-  }
-  trace.decoded_bits = res.info_bits;
-  trace.packet_ok = trace.info_bit_errors == 0;
-
-  // ---- Phase 6: Bob ACKs a correct packet on the 1 kHz bin. ----
-  if (config_.send_ack && trace.packet_ok) {
-    std::vector<double> ack = feedback_.encode_tone(phy::FeedbackCodec::kAckBin);
-    std::vector<double> rx4 = backward_.transmit(ack);
-    trace.samples_processed += rx4.size();
-    auto got = feedback_.decode_tone(rx4, /*step=*/8,
-                                     /*min_peak_fraction=*/0.3, scratch());
-    trace.ack_received = got && got->bin == phy::FeedbackCodec::kAckBin;
-  }
-  return trace;
-}
+    : config_(config), ws_(&ws) {}
 
 void LinkSession::set_trace_sink(obs::TraceSink* sink) {
   sink_ = sink;

@@ -2,21 +2,20 @@
 // simulated acoustic link (section 2.2, Fig. 5).
 //
 // One send_packet() call plays out the full sequence:
-//   Alice: preamble + receiver-ID symbol        (forward channel)
+//   Alice: preamble + receiver-ID symbol        (forward direction)
 //   Bob:   detect, check ID, estimate per-bin SNR, run Algorithm 1
-//   Bob:   two-tone feedback symbol             (backward channel)
+//   Bob:   two-tone feedback symbol             (backward direction)
 //   Alice: sliding-FFT feedback decode, encode data in the band
-//   Alice: training symbol + data symbols       (forward channel)
+//   Alice: training symbol + data symbols       (forward direction)
 //   Bob:   locate training, equalize, decode, ACK on success
 // and returns a full trace (band, bitrate, errors) that the benches
 // aggregate into the paper's figures.
 //
-// send_packet() runs the exchange the way the app runs it: two duplex
-// core::Modem endpoints clocked block by block through a full-duplex
+// The exchange runs the way the app runs it: two duplex core::Modem
+// endpoints clocked block by block through a full-duplex
 // channel::AcousticMedium, every sample flowing through the streaming
-// receive front end. send_packet_oracle() keeps the original
-// capture-splicing reference path (each phase transmitted and decoded in
-// isolation with oracle timing); the equivalence tests compare the two.
+// receive front end. The committed .aqt corpus (tests/traces) pins that
+// path bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +30,6 @@
 #include "dsp/workspace.h"
 #include "phy/bandselect.h"
 #include "phy/datamodem.h"
-#include "phy/feedback.h"
-#include "phy/preamble.h"
 
 namespace aqua::core {
 
@@ -88,42 +85,33 @@ struct PacketTrace {
   /// Transmit-machine kTxFailed events during the exchange (feedback never
   /// arrived) — the sweep's retransmission-pressure counter.
   std::size_t tx_failures = 0;
-  /// Microphone samples pushed through the receive DSP chains for this
-  /// packet (both endpoints on the streaming path; the four spliced
-  /// captures on the oracle path) — the benches' samples/s metric.
+  /// Microphone samples pushed through both endpoints' receive DSP chains
+  /// for this packet — the benches' samples/s metric.
   std::size_t samples_processed = 0;
 };
 
-/// Runs the protocol over a forward/backward channel pair.
+/// Drives the streaming duplex exchange: one AcousticMedium carrying the
+/// forward/backward link pair, and a Modem at each end.
 class LinkSession {
  public:
   explicit LinkSession(const SessionConfig& config);
 
-  /// As above, but all DSP scratch (channels, detection, decode) leases
-  /// from `ws`, which must outlive the session. A sweep worker passes its
-  /// own arena so back-to-back sessions reuse the same buffers.
+  /// As above, but all endpoint DSP scratch (detection, decode, medium
+  /// rendering) leases from `ws`, which must outlive the session. A sweep
+  /// worker passes its own arena so back-to-back sessions reuse the same
+  /// buffers.
   LinkSession(const SessionConfig& config, dsp::Workspace& ws);
 
   /// Executes one full packet exchange carrying `info_bits` (0/1 values)
   /// over the streaming duplex pipeline: two Modems on one AcousticMedium,
   /// a continuous shared sample clock, every mic sample through the
   /// overlap-save front end exactly once. The medium and both endpoints
-  /// persist across calls, so back-to-back packets ride one evolving
-  /// timeline (mobility keeps drifting, scanners keep their state).
+  /// are built on the first call and persist, so back-to-back packets ride
+  /// one evolving timeline (mobility keeps drifting, scanners keep their
+  /// state).
   PacketTrace send_packet(std::span<const std::uint8_t> info_bits);
 
-  /// Reference implementation: each phase transmitted through the packet
-  /// channels and decoded from its own spliced capture with oracle timing.
-  /// Kept for the streaming-equivalence tests and A/B benches.
-  PacketTrace send_packet_oracle(std::span<const std::uint8_t> info_bits);
-
-  /// The per-bin SNR Bob would estimate right now (sends a lone preamble).
-  /// Used by the Fig. 16 channel-stability experiment.
-  std::vector<double> probe_snr();
-
   const SessionConfig& config() const { return config_; }
-  channel::UnderwaterChannel& forward_channel() { return forward_; }
-  channel::UnderwaterChannel& backward_channel() { return backward_; }
 
   /// Attaches a capture sink to the streaming pipeline: Alice records as
   /// endpoint 0, Bob as endpoint 1, and the medium reports both mixed mic
@@ -143,18 +131,16 @@ class LinkSession {
   dsp::Workspace* ws_ = nullptr;  ///< borrowed; nullptr = thread-local
   obs::TraceSink* sink_ = nullptr;    ///< borrowed; forwarded on build
   obs::Registry* metrics_ = nullptr;  ///< borrowed; forwarded on build
-  channel::UnderwaterChannel forward_;
-  channel::UnderwaterChannel backward_;
-  phy::Preamble preamble_;
-  phy::FeedbackCodec feedback_;
-  phy::DataModem modem_;
-  phy::Ofdm ofdm_;
-
-  // Streaming path (built on first send_packet call): the shared medium
-  // and the two duplex endpoints.
   std::unique_ptr<channel::AcousticMedium> medium_;
   std::unique_ptr<Modem> alice_;
   std::unique_ptr<Modem> bob_;
 };
+
+/// The per-bin SNR a receiver estimates from a lone preamble sent over
+/// `ch` right now; empty when the preamble is missed. Advances the
+/// channel's clock, so a second probe sees the link a preamble later.
+/// Used by the Fig. 9/13/16 benches.
+std::vector<double> probe_snr(channel::UnderwaterChannel& ch,
+                              const phy::OfdmParams& params);
 
 }  // namespace aqua::core

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <type_traits>
+#include <cmath>
 
 #include "dsp/types.h"
 #include "obs/registry.h"
@@ -74,15 +74,10 @@ std::span<const double> Modem::raw(std::uint64_t from, std::size_t len) const {
 
 std::span<const RxSample> Modem::raw_rx(std::uint64_t from,
                                         std::size_t len) const {
-  const std::span<const double> w = raw(from, len);
-#if defined(AQUA_RX_DOUBLE)
-  return w;  // identity: the A/B build reads the ring directly
-#else
   // lint: alloc-ok(member scratch: capacity persists across calls, so steady state reuses the buffer)
   rx_window_.resize(len);
-  dsp::narrow_samples(w, rx_window_);
+  dsp::narrow_samples(raw(from, len), rx_window_);
   return rx_window_;
-#endif
 }
 
 void Modem::enqueue_tx(std::span<const double> wave) {
@@ -390,6 +385,15 @@ std::vector<ModemEvent> Modem::push(std::span<const double> mic) {
   // lint: alloc-ok(rx ring append; trim_buffer() erases consumed audio and the deque recycles its blocks)
   buffer_.insert(buffer_.end(), mic.begin(), mic.end());
   rx_pos_ += mic.size();
+  // A non-finite sample (a glitching ADC, a corrupt capture) would poison
+  // every correlation, energy sum and decode window it enters: it becomes
+  // silence before any stage reads it. The sink recorded the raw samples,
+  // so replay re-applies exactly this fix.
+  const std::span<double> fresh(buffer_.data() + (buffer_.size() - mic.size()),
+                                mic.size());
+  for (double& v : fresh) {
+    if (!std::isfinite(v)) v = 0.0;
+  }
 
   det_tmp_.clear();
   {
@@ -398,11 +402,7 @@ std::vector<ModemEvent> Modem::push(std::span<const double> mic) {
     // of here (bandpass, correlation, confirmation) runs in RxSample.
     // lint: alloc-ok(member scratch: capacity persists across calls, so steady state reuses the buffer)
     rx_chunk_.resize(mic.size());
-#if defined(AQUA_RX_DOUBLE)
-    std::copy(mic.begin(), mic.end(), rx_chunk_.begin());
-#else
-    dsp::narrow_samples(mic, rx_chunk_);
-#endif
+    dsp::narrow_samples(fresh, rx_chunk_);
     scanner_.scan(rx_chunk_, det_tmp_, scratch());
   }
   // lint: alloc-ok(detections are rare events — at most one per received packet)

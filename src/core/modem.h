@@ -55,14 +55,9 @@ namespace aqua::core {
 /// ID/feedback/ACK tone scans). Microphone samples are narrowed to this
 /// type exactly once at the push() boundary; the estimation machinery
 /// (channel estimate, data decode) always reads the raw double ring, so
-/// payload BER does not depend on the front-end precision. Define
-/// AQUA_RX_DOUBLE (cmake -DAQUA_RX_DOUBLE=ON) to run the historical
-/// all-double front end for A/B comparison.
-#if defined(AQUA_RX_DOUBLE)
-using RxSample = double;
-#else
+/// payload BER does not depend on the front-end precision. test_precision
+/// runs the scanner templates at both precisions side by side.
 using RxSample = float;
-#endif
 
 /// What the modem tells the application.
 struct ModemEvent {
@@ -139,7 +134,7 @@ class Modem {
   Modem(const ModemConfig& config, dsp::Workspace& ws);
 
   /// Feeds a block of microphone samples (any size, zero included) and
-  /// returns the events it triggered.
+  /// returns the events it triggered. NaN/Inf samples are replaced by 0.
   std::vector<ModemEvent> push(std::span<const double> mic);
 
   /// Fills `speaker` with the next transmit samples (silence when the
@@ -196,7 +191,7 @@ class Modem {
   }
   std::span<const double> raw(std::uint64_t from, std::size_t len) const;
   /// Same window as raw(), narrowed into the front-end sample type (the
-  /// sanctioned mic-boundary conversion; identity when RxSample is double).
+  /// sanctioned mic-boundary conversion).
   /// The returned span aliases a member scratch vector — consume it before
   /// the next raw_rx() call.
   std::span<const RxSample> raw_rx(std::uint64_t from, std::size_t len) const;

@@ -45,19 +45,10 @@ Preamble::Preamble(const OfdmParams& params)
                                      params.sample_rate_hz, 129)),
       core_samples_(OfdmParams::kPreambleSymbols * params.symbol_samples()) {}
 
-// lint: hot-alloc-ok(one-time correlator-template materialization under call_once; the result is cached for the life of the Preamble)
 std::vector<double> Preamble::core_template() const {
   return std::vector<double>(
       waveform_.begin() + static_cast<std::ptrdiff_t>(params_.cp_samples()),
       waveform_.end());
-}
-
-const dsp::CrossCorrelator& Preamble::core_corr() const {
-  std::call_once(core_corr_once_, [this] {
-    // lint: alloc-ok(template correlator built once under call_once)
-    core_corr_ = std::make_unique<const dsp::CrossCorrelator>(core_template());
-  });
-  return *core_corr_;
 }
 
 template <typename T>
@@ -66,9 +57,8 @@ double Preamble::sliding_metric_at_t(std::span<const T> signal,
   const std::size_t n = params_.symbol_samples();
   if (start + core_samples_ > signal.size()) return 0.0;
   // Segment correlations and the window energy are contiguous dot products
-  // — the dispatched SIMD kernel of T's precision runs them (batch detect()
-  // and the streaming scanner share this function, so both paths stay
-  // identical). The metric itself accumulates in double for every T.
+  // — the dispatched SIMD kernel of T's precision runs them. The metric
+  // itself accumulates in double for every T.
   const dsp::simd::Kernels& kern = dsp::simd::active();
   double corr_sum = 0.0;
   for (std::size_t s = 0; s + 1 < OfdmParams::kPreambleSymbols; ++s) {
@@ -100,77 +90,27 @@ std::optional<PreambleDetection> Preamble::detect(
 }
 
 std::optional<PreambleDetection> Preamble::detect(
-    std::span<const double> raw_signal, dsp::Workspace& ws) const {
-  const std::size_t n = params_.symbol_samples();
-  if (raw_signal.size() < core_samples_) return std::nullopt;
+    std::span<const double> signal, dsp::Workspace& ws) const {
+  if (signal.size() < core_samples_) return std::nullopt;
+  const std::size_t last_start = signal.size() - core_samples_;
 
-  // Receive bandpass (1-4 kHz): ambient noise is strongest below 1 kHz
-  // (Fig. 4) and would otherwise dominate the energy normalization of both
-  // detection stages. Group-delay compensated, so indices are unchanged.
-  dsp::ScratchReal filtered_s(ws, raw_signal.size());
-  bandpass_.filter_same_into(raw_signal, filtered_s.span(), ws);
-  std::span<const double> signal = filtered_s.span();
-
-  // Stage 1: coarse normalized cross-correlation against the core, through
-  // the cached template spectrum.
-  const dsp::CrossCorrelator& corr = core_corr();
-  const std::size_t coarse_len = corr.output_length(signal.size());
-  if (coarse_len == 0) return std::nullopt;
-  dsp::ScratchReal coarse_s(ws, coarse_len);
-  corr.normalized_into(signal, coarse_s.span(), ws);
-  std::span<const double> coarse = coarse_s.span();
-
-  // Candidate peaks: the best correlation in each half-symbol chunk.
-  struct Candidate { double value; std::size_t index; };
-  // lint: alloc-ok(bounded candidate list; batch detect is the cold acquisition path)
-  std::vector<Candidate> candidates;
-  const std::size_t chunk = std::max<std::size_t>(n / 2, 1);
-  for (std::size_t base = 0; base < coarse.size(); base += chunk) {
-    const std::size_t end = std::min(base + chunk, coarse.size());
-    std::size_t best = base;
-    for (std::size_t i = base + 1; i < end; ++i) {
-      if (coarse[i] > coarse[best]) best = i;
-    }
-    if (coarse[best] > kCoarseThreshold) {
-      candidates.push_back({coarse[best], best});  // lint: alloc-ok(one entry per half-symbol chunk, 16 kept)
-    }
+  // One scanner pass over the capture, then silence until every detection
+  // that could start inside it has been decided — the same front end the
+  // streaming modem runs, applied to a finished recording.
+  PreambleScanner scanner(*this);
+  // lint: alloc-ok(detection list of one capture: a handful of entries at most)
+  std::vector<PreambleDetection> found;
+  scanner.scan(signal, found, ws);
+  dsp::ScratchReal silence(ws, params_.symbol_samples());
+  std::fill(silence->begin(), silence->end(), 0.0);
+  while (scanner.decided_through() <= last_start) {
+    scanner.scan(silence.span(), found, ws);
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.value > b.value;
-            });
-  if (candidates.size() > 16) candidates.resize(16);  // lint: alloc-ok(shrink to the 16 best; never grows)
 
-  // Stage 2: sliding segment correlation around each candidate, step 8,
-  // then a +/-step fine pass at step 1.
   std::optional<PreambleDetection> best;
-  for (const Candidate& c : candidates) {
-    const std::size_t lo = c.index > n ? c.index - n : 0;
-    const std::size_t hi = std::min(c.index + n, signal.size());
-    double best_metric = 0.0;
-    std::size_t best_idx = lo;
-    for (std::size_t i = lo; i < hi; i += kSlidingStep) {
-      const double m = sliding_metric_at(signal, i);
-      if (m > best_metric) {
-        best_metric = m;
-        best_idx = i;
-      }
-    }
-    // Fine pass.
-    const std::size_t flo = best_idx > kSlidingStep ? best_idx - kSlidingStep : 0;
-    const std::size_t fhi = std::min(best_idx + kSlidingStep + 1, signal.size());
-    for (std::size_t i = flo; i < fhi; ++i) {
-      const double m = sliding_metric_at(signal, i);
-      if (m > best_metric) {
-        best_metric = m;
-        best_idx = i;
-      }
-    }
-    if (best_metric >= kSlidingThreshold) {
-      if (!best || best_metric > best->sliding_metric) {
-        best = PreambleDetection{best_idx, best_metric, c.value};
-      }
-    }
+  for (const PreambleDetection& d : found) {
+    if (d.start_index > last_start) continue;
+    if (!best || d.sliding_metric > best->sliding_metric) best = d;
   }
   return best;
 }
@@ -262,7 +202,7 @@ void BasicPreambleScanner<T>::scan(std::span<const T> chunk,
 
   // Bandpass each arriving sample exactly once. Dropping the first
   // group-delay outputs aligns the filtered ring with the raw timeline
-  // (same convention as the batch path's filter_same), so detection
+  // (the filter_same convention), so detection
   // indices are raw-stream indices.
   conv_tmp_.clear();
   band_stream_.push(chunk, conv_tmp_, ws);
@@ -357,8 +297,7 @@ void BasicPreambleScanner<T>::advance(std::vector<PreambleDetection>& out) {
 template <typename T>
 void BasicPreambleScanner<T>::process_window(
     std::uint64_t lo, std::uint64_t hi, std::vector<PreambleDetection>& out) {
-  // Best coarse value in the window (first maximum wins, like the batch
-  // candidate pass).
+  // Best coarse value in the window (first maximum wins).
   std::uint64_t c = lo;
   // Ring offset of the window base; windows are decided in order, so
   // trim_rings() still retains every lag in [lo, hi).
@@ -375,7 +314,7 @@ void BasicPreambleScanner<T>::process_window(
   if (coarse_peak <= Preamble::kCoarseThreshold) return;
 
   // Confirmation: sliding segment correlation around the candidate, step 8,
-  // then a +/-step fine pass — identical to the batch stage 2.
+  // then a +/-step fine pass.
   const std::uint64_t s_lo = c > n_ ? c - n_ : 0;
   const std::uint64_t s_hi = c + n_;
   double best_metric = 0.0;

@@ -6,20 +6,16 @@
 // segment correlation (robust to gain changes and impulsive noise) confirms
 // them and yields sample-accurate timing.
 //
-// The receive bandpass and the correlation template are baked into cached
-// overlap-save engines at construction (kernel spectra computed once), and
-// detect() leases all per-call buffers from a Workspace, so steady-state
-// detection performs no heap allocation and no template transforms.
+// Both stages live in one incremental front end, BasicPreambleScanner,
+// which the streaming modem feeds from the microphone. Preamble::detect()
+// is that scanner run over a finished capture.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "dsp/correlate.h"
 #include "dsp/fft_filter.h"
 #include "dsp/workspace.h"
 #include "phy/ofdm.h"
@@ -49,11 +45,11 @@ class Preamble {
   /// Length of the core preamble (8 symbols, no CP).
   std::size_t core_samples() const { return core_samples_; }
 
-  /// Detects the preamble anywhere in `signal`. Internally applies the
-  /// receive bandpass (1-4 kHz) before both detection stages so sub-kHz
-  /// ambient noise cannot drown the normalization. Returns the confirmed
-  /// detection with the highest sliding metric, or nullopt. Scratch comes
-  /// from `ws`; the 1-argument form uses the calling thread's arena.
+  /// Detects the preamble anywhere in `signal`: one PreambleScanner pass
+  /// (receive bandpass, then both detection stages) followed by silence.
+  /// Returns the confirmed detection with the highest sliding metric whose
+  /// core lies inside `signal`, or nullopt. Scratch comes from `ws`; the
+  /// 1-argument form uses the calling thread's arena.
   std::optional<PreambleDetection> detect(std::span<const double> signal,
                                           dsp::Workspace& ws) const;
   std::optional<PreambleDetection> detect(std::span<const double> signal) const;
@@ -88,20 +84,12 @@ class Preamble {
   template <typename>
   friend class BasicPreambleScanner;
 
-  /// Batch-detect correlator, built on first detect() call: its
-  /// batch-optimal spectrum is large (128k complex bins for the 7680-sample
-  /// template), and streaming endpoints — which construct a Preamble per
-  /// session but never batch-detect — should not pay for it.
-  const dsp::CrossCorrelator& core_corr() const;
-
   OfdmParams params_;
   Ofdm ofdm_;
   std::vector<dsp::cplx> cazac_bins_;
   std::vector<double> one_symbol_;       ///< unsigned CAZAC symbol
   std::vector<double> waveform_;         ///< CP + 8 signed symbols
   dsp::FftFilter bandpass_;              ///< receive bandpass, cached spectrum
-  mutable std::once_flag core_corr_once_;
-  mutable std::unique_ptr<const dsp::CrossCorrelator> core_corr_;
   std::size_t core_samples_ = 0;
 };
 
@@ -113,8 +101,7 @@ class Preamble {
 /// O(chunk · log B) regardless of how much audio the caller retains.
 /// Confirmed detections are emitted exactly once each, with start_index in
 /// absolute stream coordinates; detections closer than one core length are
-/// merged (highest sliding metric wins), which is what the batch detect()'s
-/// global-best selection does for a single capture.
+/// merged (highest sliding metric wins).
 ///
 /// Every decision point (filter blocks, energy re-accumulation, candidate
 /// windows, merge spans) lives on the absolute sample grid, so the emitted

@@ -104,25 +104,19 @@ BatchStats run_packet_range(const core::SessionConfig& base, int begin,
   for (int i = begin; i < end; ++i) {
     core::SessionConfig cfg = base;
     cfg.forward.seed = seed_base + static_cast<std::uint64_t>(i) * 131;
-    // Constructed in place: the modem's template cache makes sessions
-    // non-movable (mutex member).
-    std::optional<core::LinkSession> session;
-    if (ws) {
-      session.emplace(cfg, *ws);
-    } else {
-      session.emplace(cfg);
-    }
+    core::LinkSession session =
+        ws ? core::LinkSession(cfg, *ws) : core::LinkSession(cfg);
     if (hooks.sink && i == hooks.sink_packet) {
-      session->set_trace_sink(hooks.sink);
+      session.set_trace_sink(hooks.sink);
     }
-    session->set_metrics(&stats.pipeline);
+    session.set_metrics(&stats.pipeline);
     // Payload derived from the packet index alone (splitmix-style stir) so
     // chunk boundaries cannot change what packet i carries.
     std::mt19937_64 rng(seed_base * 77 + 5 +
                         static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL);
     std::vector<std::uint8_t> bits(payload_bits);
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
-    const core::PacketTrace t = session->send_packet(bits);
+    const core::PacketTrace t = session.send_packet(bits);
     stats.sent++;
     if (t.preamble_detected) stats.preamble_detected++;
     if (t.feedback_decoded) stats.feedback_ok++;

@@ -2,6 +2,9 @@
 // noise synthesis, mobility, and the composed link simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "channel/absorption.h"
 #include "channel/channel.h"
 #include "channel/device.h"
@@ -360,6 +363,42 @@ TEST(UnderwaterChannel, MobilityMakesOutputTimeVarying) {
   const double mv = envelope_var(moving.transmit(x));
   const double sv = envelope_var(still.transmit(x));
   EXPECT_GT(mv, 5.0 * sv);
+}
+
+TEST(UnderwaterChannel, ConsecutiveTransmitsDrawFreshRoughness) {
+  // Waves decorrelate the surface bounce: the same waveform sent twice
+  // over a rough-surface link must not render the same multipath. The
+  // smooth-surface twin (fixed impulse response) renders it identically,
+  // so the difference is the roughness, not the clock.
+  LinkConfig lc;
+  lc.site = site_preset(Site::kBay);
+  lc.site.drift_mps = 0.0;
+  lc.range_m = 10.0;
+  lc.noise_enabled = false;
+  LinkConfig smooth = lc;
+  smooth.site.surface_roughness = 0.0;
+  const std::vector<double> x = dsp::tone(2000.0, 1.0, 48000.0, 0.1);
+  const auto max_diff = [](const std::vector<double>& a,
+                           const std::vector<double>& b) {
+    double d = 0.0;
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      d = std::max(d, std::abs(a[i] - b[i]));
+    }
+    return d;
+  };
+
+  UnderwaterChannel rough(lc);
+  ASSERT_GT(lc.site.surface_roughness, 0.0);
+  const std::vector<double> r1 = rough.transmit(x);
+  const std::vector<double> r2 = rough.transmit(x);
+  double peak = 0.0;
+  for (double v : r1) peak = std::max(peak, std::abs(v));
+  EXPECT_GT(max_diff(r1, r2), 0.01 * peak);
+
+  UnderwaterChannel still(smooth);
+  const std::vector<double> s1 = still.transmit(x);
+  const std::vector<double> s2 = still.transmit(x);
+  EXPECT_EQ(s1, s2);
 }
 
 TEST(UnderwaterChannel, EmptyTransmitYieldsNoiseOnlyTimeline) {

@@ -251,8 +251,8 @@ TEST(LinkSession, ProbeSnrReturnsPerBinEstimates) {
   cfg.forward.site = channel::site_preset(channel::Site::kBridge);
   cfg.forward.range_m = 5.0;
   cfg.forward.seed = 12;
-  core::LinkSession session(cfg);
-  const std::vector<double> snr = session.probe_snr();
+  channel::UnderwaterChannel ch(cfg.forward);
+  const std::vector<double> snr = core::probe_snr(ch, cfg.params);
   ASSERT_EQ(snr.size(), 60u);
   double avg = 0.0;
   for (double s : snr) avg += s;

@@ -1,13 +1,16 @@
 // Streaming front end and duplex pipeline invariants:
-//   * PreambleScanner matches the batch detector and is chunk-invariant;
+//   * Preamble::detect (a PreambleScanner pass) lands on the answer the
+//     retired batch detector gave, and the scanner is chunk-invariant;
 //   * Modem::push emits byte-identical event sequences for any chunking
 //     of the same microphone timeline (1 / 160 / 4800 samples);
+//   * non-finite mic samples never surface as a metric or a wrong payload;
 //   * the Modem-backed LinkSession is bit-identical for any medium block
-//     size and reproduces the oracle path's aggregates;
+//     size;
 //   * N modems attached to one AcousticMedium run the protocol as a
 //     network (mac::ModemNetwork).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <sstream>
@@ -58,6 +61,12 @@ std::vector<double> phase1_capture(channel::UnderwaterChannel& ch,
   return ch.transmit(wave, 0.05, tail_s);
 }
 
+std::uint64_t bits_of(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
 TEST(PreambleScanner, MatchesBatchDetectorOnOneCapture) {
   const phy::OfdmParams params;
   phy::Preamble preamble(params);
@@ -68,10 +77,16 @@ TEST(PreambleScanner, MatchesBatchDetectorOnOneCapture) {
   channel::UnderwaterChannel ch(lc);
   const std::vector<double> rx = phase1_capture(ch, params, 32, 0.6);
 
+  // Golden answer of the retired batch detector (candidate pass over a
+  // whole-capture normalized cross-correlation, then sliding confirmation)
+  // on this capture. detect() now runs the scanner; it must land on it.
   dsp::Workspace ws;
-  const auto batch = preamble.detect(rx, ws);
-  ASSERT_TRUE(batch.has_value());
+  const auto det = preamble.detect(rx, ws);
+  ASSERT_TRUE(det.has_value());
+  EXPECT_EQ(det->start_index, 3370u);
+  EXPECT_EQ(bits_of(det->sliding_metric), 0x3fe8d1ce921770eaULL);
 
+  // The streaming modem's chunked feed emits that same detection.
   phy::PreambleScanner scanner(preamble);
   std::vector<phy::PreambleDetection> dets;
   for (std::size_t base = 0; base < rx.size(); base += 997) {
@@ -79,10 +94,8 @@ TEST(PreambleScanner, MatchesBatchDetectorOnOneCapture) {
     scanner.scan(std::span<const double>(rx).subspan(base, len), dets, ws);
   }
   ASSERT_EQ(dets.size(), 1u);
-  // Same bandpass, same correlation template, same confirmation pass on
-  // the same absolute grid: the scanner lands on the batch answer.
-  EXPECT_EQ(dets[0].start_index, batch->start_index);
-  EXPECT_DOUBLE_EQ(dets[0].sliding_metric, batch->sliding_metric);
+  EXPECT_EQ(dets[0].start_index, det->start_index);
+  EXPECT_EQ(dets[0].sliding_metric, det->sliding_metric);
 }
 
 TEST(PreambleScanner, ChunkInvariantBitExact) {
@@ -119,65 +132,78 @@ TEST(PreambleScanner, ChunkInvariantBitExact) {
   EXPECT_EQ(d1[0].sliding_metric, d4800[0].sliding_metric);
 }
 
-TEST(Modem, PushGranularityInvariance) {
-  // One continuous microphone timeline containing a full receive-side
-  // exchange: phase 1, a feedback-round-trip gap, then the data portion in
-  // the band the receiver will have selected.
+// One continuous microphone timeline containing a full receive-side
+// exchange for Bob (id 32): phase 1, a feedback-round-trip gap, then the
+// data portion in the band he will have selected.
+struct ReceiveExchange {
+  std::vector<double> timeline;
+  std::vector<std::uint8_t> payload;
+  std::size_t data_begin = 0;  ///< where the data capture starts
+};
+
+ReceiveExchange receive_exchange(const core::ModemConfig& mc) {
   const phy::OfdmParams params;
   channel::LinkConfig lc;
   lc.site = channel::site_preset(channel::Site::kBridge);
   lc.range_m = 5.0;
   lc.seed = 55;
   channel::UnderwaterChannel fwd(lc);
-  std::vector<double> timeline = phase1_capture(fwd, params, 32, 0.45);
+  ReceiveExchange x;
+  x.timeline = phase1_capture(fwd, params, 32, 0.45);
 
-  core::ModemConfig mc;
-  mc.my_id = 32;
   core::Modem probe(mc);
   phy::BandSelection band;
   bool addressed = false;
-  for (const core::ModemEvent& e : probe.push(timeline)) {
+  for (const core::ModemEvent& e : probe.push(x.timeline)) {
     if (e.type == core::ModemEvent::Type::kAddressedToUs) {
       band = e.band;
       addressed = true;
     }
   }
-  ASSERT_TRUE(addressed);
+  EXPECT_TRUE(addressed);
 
   std::mt19937_64 rng(9);
-  std::vector<std::uint8_t> payload(16);
-  for (auto& b : payload) b = static_cast<std::uint8_t>(rng() & 1);
-  {
-    const std::vector<double> gap = fwd.ambient(30000);
-    timeline.insert(timeline.end(), gap.begin(), gap.end());
-    phy::DataModem modem(params);
-    const std::vector<double> rx3 =
-        fwd.transmit(modem.encode(payload, band), 0.05, 1.0);
-    timeline.insert(timeline.end(), rx3.begin(), rx3.end());
-  }
+  x.payload.resize(16);
+  for (auto& b : x.payload) b = static_cast<std::uint8_t>(rng() & 1);
+  const std::vector<double> gap = fwd.ambient(30000);
+  x.timeline.insert(x.timeline.end(), gap.begin(), gap.end());
+  x.data_begin = x.timeline.size();
+  phy::DataModem modem(params);
+  const std::vector<double> rx3 =
+      fwd.transmit(modem.encode(x.payload, band), 0.05, 1.0);
+  x.timeline.insert(x.timeline.end(), rx3.begin(), rx3.end());
+  return x;
+}
 
-  const auto run = [&](std::size_t chunk) {
-    core::Modem m(mc);
-    std::vector<core::ModemEvent> events;
-    for (std::size_t base = 0; base < timeline.size(); base += chunk) {
-      const std::size_t len = std::min(chunk, timeline.size() - base);
-      for (auto& e :
-           m.push(std::span<const double>(timeline).subspan(base, len))) {
-        events.push_back(std::move(e));
-      }
+std::vector<core::ModemEvent> push_chunked(const core::ModemConfig& mc,
+                                           std::span<const double> timeline,
+                                           std::size_t chunk) {
+  core::Modem m(mc);
+  std::vector<core::ModemEvent> events;
+  for (std::size_t base = 0; base < timeline.size(); base += chunk) {
+    const std::size_t len = std::min(chunk, timeline.size() - base);
+    for (auto& e : m.push(timeline.subspan(base, len))) {
+      events.push_back(std::move(e));
     }
-    return events;
-  };
-  const std::vector<core::ModemEvent> e1 = run(1);
-  const std::vector<core::ModemEvent> e160 = run(160);
-  const std::vector<core::ModemEvent> e4800 = run(4800);
+  }
+  return events;
+}
+
+TEST(Modem, PushGranularityInvariance) {
+  core::ModemConfig mc;
+  mc.my_id = 32;
+  const ReceiveExchange x = receive_exchange(mc);
+  const std::vector<core::ModemEvent> e1 = push_chunked(mc, x.timeline, 1);
+  const std::vector<core::ModemEvent> e160 = push_chunked(mc, x.timeline, 160);
+  const std::vector<core::ModemEvent> e4800 =
+      push_chunked(mc, x.timeline, 4800);
 
   // The exchange actually happened...
   bool decoded = false;
   for (const core::ModemEvent& e : e160) {
     if (e.type == core::ModemEvent::Type::kPacketDecoded) {
       decoded = true;
-      EXPECT_EQ(e.payload_bits, payload);
+      EXPECT_EQ(e.payload_bits, x.payload);
     }
   }
   EXPECT_TRUE(decoded);
@@ -185,6 +211,39 @@ TEST(Modem, PushGranularityInvariance) {
   const std::string f = fingerprint(e160);
   EXPECT_EQ(fingerprint(e1), f);
   EXPECT_EQ(fingerprint(e4800), f);
+}
+
+TEST(Modem, NonFiniteMicSamplesNeverSurface) {
+  // A NaN or Inf from the microphone must not reach a metric, and must
+  // never turn into a "decoded" packet carrying the wrong bits.
+  core::ModemConfig mc;
+  mc.my_id = 32;
+  const ReceiveExchange x = receive_exchange(mc);
+  const std::size_t positions[] = {
+      4000,                  // inside the preamble
+      11600,                 // the receiver-ID symbol
+      x.data_begin + 3500,   // training symbol
+      x.data_begin + 4500,   // data symbols
+  };
+  const double values[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  for (std::size_t pos : positions) {
+    for (double v : values) {
+      std::vector<double> hit = x.timeline;
+      hit[pos] = v;
+      bool decoded = false;
+      for (const core::ModemEvent& e : push_chunked(mc, hit, 480)) {
+        EXPECT_TRUE(std::isfinite(e.preamble_metric)) << pos << " " << v;
+        EXPECT_TRUE(std::isfinite(e.training_metric)) << pos << " " << v;
+        for (double snr : e.snr_db) EXPECT_TRUE(std::isfinite(snr));
+        if (e.type == core::ModemEvent::Type::kPacketDecoded) {
+          decoded = true;
+          EXPECT_EQ(e.payload_bits, x.payload) << pos << " " << v;
+        }
+      }
+      // One zeroed sample costs nothing at this SNR.
+      EXPECT_TRUE(decoded) << pos << " " << v;
+    }
+  }
 }
 
 TEST(Modem, ResponderWaveformsAnchoredToTheTimeline) {
@@ -258,46 +317,6 @@ TEST(Modem, LinkSessionInvariantToMediumBlockSize) {
   }
   EXPECT_TRUE(a.preamble_detected);
   EXPECT_TRUE(a.packet_ok);
-}
-
-TEST(Modem, LinkSessionMatchesOracleAggregates) {
-  // The streaming pipeline must land where the oracle path lands on the
-  // default-grid workload: same delivery behavior within noise (different
-  // noise realizations, same physics and protocol).
-  core::SessionConfig cfg;
-  cfg.forward.site = channel::site_preset(channel::Site::kBridge);
-  cfg.forward.range_m = 5.0;
-
-  const int n = 6;
-  int delivered_stream = 0, delivered_oracle = 0;
-  int exact_stream = 0, exact_oracle = 0;
-  double bps_stream = 0.0, bps_oracle = 0.0;
-  for (int i = 0; i < n; ++i) {
-    core::SessionConfig c = cfg;
-    c.forward.seed = 9000 + static_cast<std::uint64_t>(i) * 131;
-    std::mt19937_64 rng(77 + static_cast<std::uint64_t>(i));
-    std::vector<std::uint8_t> bits(16);
-    for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
-
-    core::LinkSession streaming(c);
-    const core::PacketTrace ts = streaming.send_packet(bits);
-    core::LinkSession oracle(c);
-    const core::PacketTrace to = oracle.send_packet_oracle(bits);
-
-    delivered_stream += ts.packet_ok;
-    delivered_oracle += to.packet_ok;
-    exact_stream += ts.feedback_exact;
-    exact_oracle += to.feedback_exact;
-    bps_stream += ts.selected_bitrate_bps;
-    bps_oracle += to.selected_bitrate_bps;
-  }
-  EXPECT_NEAR(delivered_stream, delivered_oracle, 2);
-  EXPECT_NEAR(exact_stream, exact_oracle, 2);
-  ASSERT_GT(delivered_oracle, 0);
-  ASSERT_GT(delivered_stream, 0);
-  // Mean selected bitrate within 30% — band adaptation sees different
-  // noise realizations but the same channel response.
-  EXPECT_NEAR(bps_stream / bps_oracle, 1.0, 0.3);
 }
 
 TEST(ModemNetwork, ThreeNodesOnOneMedium) {

@@ -2,6 +2,7 @@
 // Algorithm-1 band selection, feedback symbols, MMSE equalizer.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "channel/channel.h"
@@ -99,6 +100,11 @@ TEST(Preamble, DetectsItselfCleanly) {
   EXPECT_NEAR(static_cast<double>(det->start_index),
               5000.0 + static_cast<double>(p.cp_samples()), 24.0);
   EXPECT_GT(det->sliding_metric, 0.6);  // paper: clean preamble > 0.6
+  // Golden answer of the retired batch detector on this signal.
+  EXPECT_EQ(det->start_index, 5060u);
+  std::uint64_t bits;
+  std::memcpy(&bits, &det->sliding_metric, sizeof bits);
+  EXPECT_EQ(bits, 0x3febfa0a0834fb00ULL);
 }
 
 TEST(Preamble, NoFalseAlarmOnNoise) {
