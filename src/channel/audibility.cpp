@@ -44,13 +44,25 @@ double frac_interp_l1(std::size_t frac_taps) {
   return worst;
 }
 
-double peak_gain_bound(const LinkConfig& cfg, const MobilityModel& mobility,
-                       double device_l1, double t_s, double horizon_s) {
-  // Closest approach mobility allows anywhere in the window. max_offset_m
-  // bounds |offset| over [0, t_end], which covers [t_s, t_s + horizon_s].
+double closest_range_m(const LinkConfig& cfg, const MobilityModel& mobility,
+                       double t_s, double horizon_s) {
+  // max_offset_m bounds |offset| over [0, t_end], which covers
+  // [t_s, t_s + horizon_s].
   const double excursion =
       mobility.max_offset_m(std::max(t_s, 0.0) + std::max(horizon_s, 0.0));
-  const double range = std::max(0.5, cfg.range_m - excursion);
+  return std::max(0.5, cfg.range_m - excursion);
+}
+
+double peak_gain_bound(const LinkConfig& cfg, const MobilityModel& mobility,
+                       double device_l1, double t_s, double horizon_s) {
+  return peak_gain_bound_at(cfg, device_l1,
+                            closest_range_m(cfg, mobility, t_s, horizon_s));
+}
+
+double peak_gain_bound_at(const LinkConfig& cfg, double device_l1,
+                          double range) {
+  // The interpolation kernel's L1 norm is a constant of the renderer.
+  static const double interp_l1 = frac_interp_l1();
 
   double path_l1 = 0.0;
   if (cfg.in_air) {
@@ -75,7 +87,7 @@ double peak_gain_bound(const LinkConfig& cfg, const MobilityModel& mobility,
       path_l1 += std::abs(p.amplitude);
     }
   }
-  return device_l1 * path_l1 * frac_interp_l1() *
+  return device_l1 * path_l1 * interp_l1 *
          dsp::db_to_amplitude(kGeometryHeadroomDb);
 }
 

@@ -54,6 +54,15 @@ double frac_interp_l1(std::size_t frac_taps = 33);
 double peak_gain_bound(const LinkConfig& cfg, const MobilityModel& mobility,
                        double device_l1, double t_s, double horizon_s);
 
+/// The closest range (>= 0.5 m) mobility lets the link `cfg` reach anywhere
+/// in [t_s, t_s + horizon_s]: the only way peak_gain_bound depends on time.
+double closest_range_m(const LinkConfig& cfg, const MobilityModel& mobility,
+                       double t_s, double horizon_s);
+
+/// peak_gain_bound for a known closest range (see closest_range_m).
+double peak_gain_bound_at(const LinkConfig& cfg, double device_l1,
+                          double range);
+
 /// The cull decision: true when a speaker peak of `tx_peak` through a path
 /// bounded by `gain_bound` stays `margin_db` below `mic_floor_rms`. A
 /// silent medium (floor 0) never culls — there is no noise to hide under.

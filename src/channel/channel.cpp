@@ -165,10 +165,11 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
   Stream path(*this, time_s_, 0);
   path.roughness_rng_ = roughness_rng_;
   path.silent_from_ = shaped;
+  path.track_ir_length_ = true;
   // Stream latency, bulk delay, the full speaker/propagation/mic response
   // and the tail. A time-varying link's overlap-add keeps one sample of
-  // headroom past the longest impulse response its blocks rendered, which
-  // is final once the output reaches it.
+  // headroom past the longest impulse response its blocks solved (silent
+  // blocks included), which is final once the output reaches it.
   const auto wanted = [&] {
     const std::size_t propagated =
         fixed_ir_filter_ ? fixed_ir_filter_->output_length(shaped)
@@ -230,87 +231,102 @@ UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,
   fifo_.assign(ref_offset + pad_, 0.0);
 }
 
-// Renders the time-varying multipath for `shaped` speaker-filtered samples:
-// every absolute 10 ms block gets its own impulse response (tap drift =
-// physical Doppler), overlap-added into mp_ring_; samples no future block
-// can touch are final and flow on into mp_final_.
-void UnderwaterChannel::Stream::run_multipath(std::span<const double> shaped) {
+// Renders the next complete 10 ms block of speaker-filtered samples: the
+// block gets its own impulse response (tap drift = physical Doppler),
+// overlap-added into mp_ring_; its own span is then final (later blocks
+// only add beyond it) and moves on into mp_final_. A block of exact
+// silence would add exact zeros, so it skips the response and the
+// convolution; it still solves its paths, which draws its roughness and
+// keeps max_ir_samples_ what rendering would have made it.
+void UnderwaterChannel::Stream::render_block() {
   const double fs = ch_->config_.sample_rate_hz;
-  shaped_pending_.insert(shaped_pending_.end(), shaped.begin(), shaped.end());
-  std::size_t head = 0;
-  while (shaped_pending_.size() - head >= kBlockSamples) {
-    const std::uint64_t block_start = mp_blocks_ * kBlockSamples;
-    if (block_start >= silent_from_) {
-      // Known silence: nothing to add to the overlap-add ring.
-      ++mp_blocks_;
-      head += kBlockSamples;
-      continue;
-    }
+  const std::uint64_t block_start = mp_blocks_ * kBlockSamples;
+  const std::span<const double> block =
+      std::span<const double>(shaped_pending_).subspan(shaped_head_,
+                                                       kBlockSamples);
+  shaped_head_ += kBlockSamples;
+  if (block_start >= silent_from_) {
+    // Known silence: no roughness draw, nothing to add to the ring.
+    ++silent_blocks_;
+  } else {
     const double t_mid =
         time_offset_s_ +
         (static_cast<double>(block_start) + 0.5 * kBlockSamples) / fs;
     const std::vector<Path> paths =
         ch_->paths_at(t_mid, block_offset_ + mp_blocks_ + 1, roughness_rng_);
-    const std::vector<double> ir = paths_to_impulse_response_ref(
-        paths, fs, ch_->reference_delay_s_);
-    max_ir_samples_ = std::max(max_ir_samples_, ir.size());
-    const std::vector<double> y = dsp::convolve(
-        std::span<const double>(shaped_pending_).subspan(head, kBlockSamples),
-        ir);
-    const std::size_t off = static_cast<std::size_t>(block_start - mp_emitted_);
-    if (mp_ring_.size() < off + y.size()) mp_ring_.resize(off + y.size(), 0.0);
-    for (std::size_t i = 0; i < y.size(); ++i) mp_ring_[off + i] += y[i];
-    ++mp_blocks_;
-    head += kBlockSamples;
+    if (std::all_of(block.begin(), block.end(),
+                    [](double v) { return v == 0.0; })) {
+      max_ir_samples_ = std::max(
+          max_ir_samples_,
+          impulse_response_length(paths, fs, ch_->reference_delay_s_));
+      ++silent_blocks_;
+    } else {
+      const std::vector<double> ir = paths_to_impulse_response_ref(
+          paths, fs, ch_->reference_delay_s_);
+      max_ir_samples_ = std::max(max_ir_samples_, ir.size());
+      const std::vector<double> y = dsp::convolve(block, ir);
+      const std::size_t off =
+          static_cast<std::size_t>(block_start - mp_emitted_);
+      if (mp_ring_.size() < off + y.size()) mp_ring_.resize(off + y.size(), 0.0);
+      for (std::size_t i = 0; i < y.size(); ++i) mp_ring_[off + i] += y[i];
+    }
   }
-  shaped_pending_.erase(
-      shaped_pending_.begin(),
-      shaped_pending_.begin() + static_cast<std::ptrdiff_t>(head));
-  // Positions below the next block's start are final: later blocks only
-  // add at or beyond it.
-  const std::uint64_t final_through = mp_blocks_ * kBlockSamples;
-  const std::size_t n_final =
-      static_cast<std::size_t>(final_through - mp_emitted_);
-  mp_final_.clear();
-  if (n_final > 0) {
-    const std::size_t have = std::min(n_final, mp_ring_.size());
-    mp_final_.assign(mp_ring_.begin(),
-                     mp_ring_.begin() + static_cast<std::ptrdiff_t>(have));
-    mp_final_.resize(n_final, 0.0);  // ring shorter than the block: zeros
-    mp_ring_.erase(mp_ring_.begin(),
+  ++mp_blocks_;
+  const std::size_t have = std::min(kBlockSamples, mp_ring_.size());
+  mp_final_.assign(mp_ring_.begin(),
                    mp_ring_.begin() + static_cast<std::ptrdiff_t>(have));
-    mp_emitted_ = final_through;
-  }
+  mp_final_.resize(kBlockSamples, 0.0);  // ring shorter than the block: zeros
+  mp_ring_.erase(mp_ring_.begin(),
+                 mp_ring_.begin() + static_cast<std::ptrdiff_t>(have));
+  mp_emitted_ += kBlockSamples;
 }
 
 void UnderwaterChannel::Stream::push(std::span<const double> speaker,
                                      std::vector<double>& out,
                                      dsp::Workspace& ws) {
-  tmp_a_.clear();
-  tx_stream_.push(speaker, tmp_a_, ws);
-  std::span<const double> propagated;
+  const std::size_t n = speaker.size();
   if (ir_stream_) {
+    tmp_a_.clear();
+    tx_stream_.push(speaker, tmp_a_, ws);
     tmp_b_.clear();
     ir_stream_->push(tmp_a_, tmp_b_, ws);
-    propagated = tmp_b_;
+    rx_stream_.push(tmp_b_, fifo_, ws);
   } else {
-    run_multipath(tmp_a_);
-    propagated = mp_final_;
+    tx_stream_.push(speaker, shaped_pending_, ws);
+    // The speaker filter hands over whole overlap-save blocks (thousands of
+    // samples) at once. Render them at the pace samples arrive, one 10 ms
+    // block per 10 ms pushed, and ahead of that only while the FIFO could
+    // not cover this push: every block renders the same whenever it runs
+    // (blocks stay in order and the filter stages are chunking-invariant),
+    // so pacing spreads the work without changing a bit of the output.
+    std::size_t paced = track_ir_length_
+                            ? SIZE_MAX
+                            : (n + kBlockSamples - 1) / kBlockSamples;
+    while (shaped_pending_.size() - shaped_head_ >= kBlockSamples &&
+           (paced > 0 || fifo_.size() - fifo_head_ < n)) {
+      render_block();
+      rx_stream_.push(mp_final_, fifo_, ws);
+      if (paced > 0) --paced;
+    }
+    if (shaped_head_ >= shaped_pending_.size() - shaped_head_) {
+      shaped_pending_.erase(
+          shaped_pending_.begin(),
+          shaped_pending_.begin() + static_cast<std::ptrdiff_t>(shaped_head_));
+      shaped_head_ = 0;
+    }
   }
-  tmp_a_.clear();
-  rx_stream_.push(propagated, tmp_a_, ws);
-  fifo_.insert(fifo_.end(), tmp_a_.begin(), tmp_a_.end());
 
   // Emit exactly what we consumed. The FIFO cannot underrun: it was primed
   // with the worst-case hold-back of the chain.
-  const std::size_t n = speaker.size();
   const std::size_t have = fifo_.size() - fifo_head_;
   const std::size_t take = std::min(n, have);
   out.insert(out.end(), fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_),
              fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_ + take));
   if (take < n) out.insert(out.end(), n - take, 0.0);
   fifo_head_ += take;
-  if (fifo_head_ > 1 << 15) {
+  // Drop the consumed prefix once it outgrows what is still queued, so the
+  // FIFO stays within twice its live size.
+  if (fifo_head_ >= fifo_.size() - fifo_head_) {
     fifo_.erase(fifo_.begin(),
                 fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
     fifo_head_ = 0;

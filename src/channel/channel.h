@@ -103,12 +103,17 @@ class UnderwaterChannel {
     /// Fixed processing latency added on top of the physical bulk delay.
     std::size_t extra_latency() const { return pad_; }
 
+    /// 10 ms multipath blocks skipped so far because their speaker-filtered
+    /// samples were exact silence (time-varying links only; a fixed-
+    /// geometry link skips silent overlap-save windows instead).
+    std::uint64_t silent_blocks() const { return silent_blocks_; }
+
    private:
     friend class UnderwaterChannel;
     Stream(const UnderwaterChannel& ch, double start_time_s,
            std::uint64_t start_block);
 
-    void run_multipath(std::span<const double> shaped);
+    void render_block();
 
     const UnderwaterChannel* ch_;
     double time_offset_s_ = 0.0;      ///< medium time at stream start
@@ -119,6 +124,7 @@ class UnderwaterChannel {
     std::size_t pad_ = 0;
     // Time-varying multipath state (absolute 10 ms block grid).
     std::vector<double> shaped_pending_;
+    std::size_t shaped_head_ = 0;     ///< first unrendered pending sample
     std::vector<double> mp_ring_;     ///< overlap-add tail, base mp_emitted_
     std::uint64_t mp_blocks_ = 0;     ///< blocks rendered so far
     std::uint64_t mp_emitted_ = 0;    ///< final samples handed to rx_stream_
@@ -127,7 +133,12 @@ class UnderwaterChannel {
     /// Speaker-filtered samples from here on are known silent (set by
     /// transmit() for its flush): their blocks are skipped, not rendered.
     std::uint64_t silent_from_ = UINT64_MAX;
-    std::size_t max_ir_samples_ = 0;  ///< longest block response rendered
+    std::size_t max_ir_samples_ = 0;  ///< longest block response solved
+    std::uint64_t silent_blocks_ = 0;
+    /// Set by transmit(), whose output length reads max_ir_samples_ after
+    /// every push: every complete block then renders at once. Otherwise
+    /// blocks render at the pace samples arrive.
+    bool track_ir_length_ = false;
     // Output FIFO, primed with the bulk-delay + latency zeros.
     std::vector<double> fifo_;
     std::size_t fifo_head_ = 0;

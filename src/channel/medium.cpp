@@ -75,7 +75,6 @@ void AcousticMedium::connect(int from, int to, const LinkConfig& cfg) {
   auto slot = std::make_unique<PathSlot>(
       from, to, stable_ids_[static_cast<std::size_t>(from)], pc);
   const int idx = static_cast<int>(slots_.size());
-  slot->owner = idx % pool_->workers();
   if (config_.cull_enabled) {
     // Deferred: the first evaluation decides audibility and builds every
     // live stream in parallel across the pool.
@@ -121,6 +120,14 @@ void AcousticMedium::rebuild_mix_order() {
              slots_[static_cast<std::size_t>(b)]->order_key;
     });
   }
+  render_order_.clear();
+  for (const std::vector<int>& order : mix_order_) {
+    for (const int idx : order) {
+      if (slots_[static_cast<std::size_t>(idx)]->audible) {
+        render_order_.push_back(idx);
+      }
+    }
+  }
   mix_order_dirty_ = false;
 }
 
@@ -147,10 +154,15 @@ void AcousticMedium::evaluate_culling(double now_s) {
       const double tx_peak =
           std::max(config_.cull.tx_peak,
                    observed_peak_[static_cast<std::size_t>(slot.from)]);
-      const double bound =
-          peak_gain_bound(slot.cfg, slot.mobility, slot.device_l1, now_s,
-                          config_.cull.horizon_s);
-      want = !pair_inaudible(bound, tx_peak,
+      // The bound moves only with the closest range, so a pair whose
+      // geometry cannot change keeps its first solve.
+      const double range = closest_range_m(slot.cfg, slot.mobility, now_s,
+                                           config_.cull.horizon_s);
+      if (range != slot.bound_range_m) {
+        slot.gain_bound = peak_gain_bound_at(slot.cfg, slot.device_l1, range);
+        slot.bound_range_m = range;
+      }
+      want = !pair_inaudible(slot.gain_bound, tx_peak,
                              mic_floor_[static_cast<std::size_t>(slot.to)],
                              config_.cull.margin_db);
     }
@@ -177,10 +189,11 @@ void AcousticMedium::evaluate_culling(double now_s) {
       }
     });
   }
-  // Rebalance ownership over the currently audible set.
-  int rank = 0;
+  // The audible set changed: rebuild the claim order with the mix order.
+  mix_order_dirty_ = true;
+  std::size_t audible = 0;
   for (const auto& s : slots_) {
-    if (s->audible) s->owner = rank++ % pool_->workers();
+    if (s->audible) ++audible;
   }
   peak_at_last_eval_ = observed_peak_;
   eval_pending_ = false;
@@ -189,28 +202,28 @@ void AcousticMedium::evaluate_culling(double now_s) {
                    std::max(config_.cull.horizon_s, 0.01) * fs_);
   shard_metrics_[0].add("medium.cull_evals");
   shard_metrics_[0].record("medium.audible_pairs",
-                           static_cast<double>(rank));
+                           static_cast<double>(audible));
 }
 
 void AcousticMedium::fill_mic(std::size_t m, std::vector<double>& dst,
                               std::size_t n) {
   if (mics_[m]) {
-    dst = mics_[m]->generate(n);
+    dst.resize(n);
+    mics_[m]->generate(dst);
   } else {
     dst.assign(n, 0.0);
   }
 }
 
-void AcousticMedium::render_slot(PathSlot& slot,
-                                 std::span<const double> tx_block,
-                                 dsp::Workspace& ws, int worker) {
-  slot.scratch.clear();
-  slot.live->stream.push(tx_block, slot.scratch, ws);
-  shard_metrics_[static_cast<std::size_t>(worker)].record(
-      "medium.ring_occupancy", static_cast<double>(slot.ring.available()));
-  slot.ring.push(slot.scratch);
-  shard_metrics_[static_cast<std::size_t>(worker)].add(
-      "medium.rendered_blocks");
+std::uint64_t AcousticMedium::render_slot(PathSlot& slot,
+                                          std::span<const double> tx_block,
+                                          std::vector<double>& out,
+                                          dsp::Workspace& ws) {
+  UnderwaterChannel::Stream& stream = slot.live->stream;
+  const std::uint64_t silent_before = stream.silent_blocks();
+  out.clear();
+  stream.push(tx_block, out, ws);
+  return stream.silent_blocks() - silent_before;
 }
 
 // Canonical accumulation: every microphone starts from its own noise block
@@ -269,29 +282,34 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
         observed_peak_[m] = std::max(observed_peak_[m], block_peak(tx[m]));
       }
     }
+    std::uint64_t silent = 0;
     for (std::size_t m = 0; m < eps; ++m) {
       for (const int idx : mix_order_[m]) {
         PathSlot& slot = *slots_[static_cast<std::size_t>(idx)];
         if (!slot.audible) continue;
-        path_tmp_.clear();
-        slot.live->stream.push(tx[static_cast<std::size_t>(slot.from)],
-                               path_tmp_, ws);
+        silent += render_slot(slot, tx[static_cast<std::size_t>(slot.from)],
+                              path_tmp_, ws);
         std::vector<double>& dst = rx[m];
         for (std::size_t i = 0; i < n; ++i) dst[i] += path_tmp_[i];
       }
     }
     shard_metrics_[0].add("medium.rendered_blocks", audible);
+    shard_metrics_[0].add("medium.silent_blocks", silent);
   } else {
     abort_.store(false, std::memory_order_relaxed);
     for (const auto& s : slots_) {
       if (s->audible) s->ring.ensure_capacity(n);
     }
     const std::uint64_t seq = ++step_seq_;
-    const int workers = pool_->workers();
+    next_mic_.store(0, std::memory_order_relaxed);
+    next_path_.store(0, std::memory_order_relaxed);
+    // Workers claim mics, then paths, one at a time: which worker renders
+    // what never changes a sample (each path's stream and ring are its
+    // own, and mix() reads the rings in canonical order).
     pool_->run([&](int w) {
       try {
-        for (std::size_t m = static_cast<std::size_t>(w); m < eps;
-             m += static_cast<std::size_t>(workers)) {
+        for (std::size_t m = next_mic_.fetch_add(1, std::memory_order_relaxed);
+             m < eps; m = next_mic_.fetch_add(1, std::memory_order_relaxed)) {
           fill_mic(m, rx[m], n);
           if (config_.cull_enabled) {
             observed_peak_[m] =
@@ -300,12 +318,20 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
           noise_ready_[m].store(seq, std::memory_order_release);
         }
         dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
-        for (const auto& s : slots_) {
-          if (s->audible && s->owner == w) {
-            render_slot(*s, tx[static_cast<std::size_t>(s->from)], worker_ws,
-                        w);
-          }
+        std::uint64_t rendered = 0;
+        std::uint64_t silent = 0;
+        for (std::size_t k = next_path_.fetch_add(1, std::memory_order_relaxed);
+             k < render_order_.size();
+             k = next_path_.fetch_add(1, std::memory_order_relaxed)) {
+          PathSlot& s = *slots_[static_cast<std::size_t>(render_order_[k])];
+          silent += render_slot(s, tx[static_cast<std::size_t>(s.from)],
+                                s.scratch, worker_ws);
+          s.ring.push(s.scratch);
+          ++rendered;
         }
+        obs::Registry& shard = shard_metrics_[static_cast<std::size_t>(w)];
+        shard.add("medium.rendered_blocks", rendered);
+        shard.add("medium.silent_blocks", silent);
       } catch (...) {
         // A dead producer would deadlock the mixer's spin; trip the abort
         // flag first, then let the pool rethrow after the barrier.

@@ -10,9 +10,10 @@
 // sample timeline instead of oracle-spliced captures.
 //
 // Scaling model (same discipline as sim::SweepRunner):
-//  - Directed-path streams and per-mic noise are statically partitioned
-//    over a fixed ShardPool; each worker renders into a private SpscRing
-//    per path, and the coordinating thread accumulates every microphone in
+//  - Workers of a fixed ShardPool claim per-mic noise blocks and audible
+//    directed paths from shared counters, so a stalled worker's share
+//    moves to the others; each path renders into its own SpscRing, and
+//    the coordinating thread accumulates every microphone in
 //    one canonical order — ascending (from-endpoint stable id, connect
 //    sequence) after the mic's own noise. Floating-point accumulation
 //    order is therefore fixed, so the mix is bit-identical for any worker
@@ -125,11 +126,13 @@ class AcousticMedium {
   std::size_t connected_paths() const { return slots_.size(); }
   std::size_t audible_paths() const;
 
-  /// Per-shard metrics: counter "medium.rendered_blocks" (convolutions
-  /// actually run, shard-resident) plus, on shard 0, counters
-  /// "medium.culled_convolutions" / "medium.cull_evals" and histograms
-  /// "medium.audible_pairs" (per evaluation) / "medium.ring_occupancy"
-  /// (samples pending at push; timing-dependent, diagnostics only).
+  /// Per-shard metrics: counters "medium.rendered_blocks" (path blocks
+  /// pushed through a live stream) and "medium.silent_blocks" (10 ms
+  /// multipath blocks those streams skipped as exact silence), both
+  /// shard-resident (their split across shards follows which worker
+  /// claimed what; the merged counts are fixed), plus, on shard 0, counters
+  /// "medium.culled_convolutions" / "medium.cull_evals" and histogram
+  /// "medium.audible_pairs" (per evaluation).
   const obs::Registry& shard_metrics(int shard) const {
     return shard_metrics_[static_cast<std::size_t>(shard)];
   }
@@ -153,18 +156,21 @@ class AcousticMedium {
     LinkConfig cfg;
     MobilityModel mobility;   ///< same trajectory the channel would follow
     double device_l1 = 1.0;   ///< ||h_tx||_1 * ||h_rx||_1 (cull bound)
+    double bound_range_m = -1.0;  ///< closest range gain_bound was solved at
+    double gain_bound = 0.0;      ///< peak_gain_bound at bound_range_m
     bool audible = true;
-    int owner = 0;            ///< rendering worker while audible
     std::unique_ptr<LiveStream> live;  ///< null while culled
     SpscRing ring;            ///< rendered samples, worker -> mixer
-    std::vector<double> scratch;       ///< render buffer (owner-only)
+    std::vector<double> scratch;       ///< render buffer (claiming worker)
     PathSlot(int f, int t, int key, const LinkConfig& c);
   };
 
   void evaluate_culling(double now_s);
   void rebuild_mix_order();
-  void render_slot(PathSlot& slot, std::span<const double> tx_block,
-                   dsp::Workspace& ws, int worker);
+  /// Renders one block of a live path into `out` (replacing its
+  /// contents); returns the multipath blocks its stream skipped as silent.
+  std::uint64_t render_slot(PathSlot& slot, std::span<const double> tx_block,
+                            std::vector<double>& out, dsp::Workspace& ws);
   void mix(std::vector<std::vector<double>>& rx, std::size_t n,
            std::uint64_t seq);
   void fill_mic(std::size_t m, std::vector<double>& dst, std::size_t n);
@@ -180,6 +186,9 @@ class AcousticMedium {
   std::vector<double> peak_at_last_eval_;
   std::vector<std::unique_ptr<PathSlot>> slots_;
   std::vector<std::vector<int>> mix_order_;  ///< per mic, canonical order
+  /// Audible slots in mix order: the order workers claim them in, so the
+  /// mixer's next ring is the next one rendered. Rebuilt with mix_order_.
+  std::vector<int> render_order_;
   bool mix_order_dirty_ = false;
   std::uint64_t clock_ = 0;
   std::uint64_t next_eval_clock_ = 0;
@@ -189,6 +198,8 @@ class AcousticMedium {
   /// step sequence number once ready). deque: atomics are not movable.
   std::deque<std::atomic<std::uint64_t>> noise_ready_;
   std::atomic<bool> abort_{false};
+  std::atomic<std::size_t> next_mic_{0};   ///< next mic noise block to claim
+  std::atomic<std::size_t> next_path_{0};  ///< next render_order_ entry
   std::vector<obs::Registry> shard_metrics_;  ///< one per worker
   std::vector<double> path_tmp_;              ///< serial-path scratch
   obs::TraceSink* sink_ = nullptr;  ///< borrowed capture hook; may be null

@@ -99,17 +99,26 @@ std::vector<double> paths_to_impulse_response(const std::vector<Path>& paths,
   return paths_to_impulse_response_ref(paths, sample_rate_hz, t0, frac_taps);
 }
 
+std::size_t impulse_response_length(const std::vector<Path>& paths,
+                                    double sample_rate_hz,
+                                    double reference_delay_s,
+                                    std::size_t frac_taps) {
+  if (paths.empty()) return 0;
+  double max_rel = 0.0;
+  for (const Path& p : paths) {
+    max_rel = std::max(max_rel, p.delay_s - reference_delay_s);
+  }
+  return static_cast<std::size_t>(max_rel * sample_rate_hz) + frac_taps + 1;
+}
+
 std::vector<double> paths_to_impulse_response_ref(
     const std::vector<Path>& paths, double sample_rate_hz,
     double reference_delay_s, std::size_t frac_taps) {
   if (paths.empty()) return {};
   const double t0 = reference_delay_s;
-  double max_rel = 0.0;
-  for (const Path& p : paths) max_rel = std::max(max_rel, p.delay_s - t0);
   const std::size_t half = frac_taps / 2;
-  const std::size_t len =
-      static_cast<std::size_t>(max_rel * sample_rate_hz) + frac_taps + 1;
-  std::vector<double> h(len, 0.0);
+  std::vector<double> h(
+      impulse_response_length(paths, sample_rate_hz, t0, frac_taps), 0.0);
   for (const Path& p : paths) {
     const double tap_center = (p.delay_s - t0) * sample_rate_hz +
                               static_cast<double>(half);

@@ -67,6 +67,13 @@ std::vector<double> paths_to_impulse_response_ref(
     const std::vector<Path>& paths, double sample_rate_hz,
     double reference_delay_s, std::size_t frac_taps = 33);
 
+/// Length of the response paths_to_impulse_response_ref renders for
+/// `paths` (0 when there are none), without rendering it.
+std::size_t impulse_response_length(const std::vector<Path>& paths,
+                                    double sample_rate_hz,
+                                    double reference_delay_s,
+                                    std::size_t frac_taps = 33);
+
 /// Frequency response of a path set at `freq_hz` (sum of delayed phasors).
 dsp::cplx paths_frequency_response(const std::vector<Path>& paths,
                                    double freq_hz);

@@ -40,13 +40,13 @@ NoiseGenerator::NoiseGenerator(const NoiseParams& params,
       sample_rate_hz_(sample_rate_hz),
       rng_(seed),
       burst_rng_(seed * 0x9E3779B97F4A7C15ULL + 0x6A09E667F3BCC909ULL),
-      shaping_(design_shaping_filter(params, sample_rate_hz)),
-      shaping_taps_(design_shaping_filter(params, sample_rate_hz)) {
+      shaping_taps_(design_shaping_filter(params, sample_rate_hz)),
+      shaping_(shaping_taps_) {
   // Calibrate the shaped floor RMS empirically once (deterministic warmup
   // with a private RNG so the stream itself is unaffected).
   std::mt19937_64 warm_rng(seed ^ 0xABCDEF);
   std::normal_distribution<double> g(0.0, 1.0);
-  dsp::StreamingFir warm(design_shaping_filter(params, sample_rate_hz));
+  dsp::StreamingFir warm(shaping_taps_);
   std::vector<double> white(8192);
   for (double& v : white) v = g(warm_rng);
   std::vector<double> shaped = warm.process(white);
@@ -63,14 +63,22 @@ double NoiseGenerator::psd_one_sided(double freq_hz) const {
 }
 
 std::vector<double> NoiseGenerator::generate(std::size_t n) {
-  std::vector<double> white(n);
-  for (double& v : white) v = gauss_(rng_);
-  std::vector<double> out = shaping_.process(white);
+  std::vector<double> out(n);
+  generate(out);
+  return out;
+}
+
+void NoiseGenerator::generate(std::span<double> out) {
+  const std::size_t n = out.size();
+  white_.resize(n);
+  for (double& v : white_) v = gauss_(rng_);
+  shaping_.process(white_, out);
   for (double& v : out) v *= gain_;
 
   const double dt = 1.0 / sample_rate_hz_;
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   const double p_burst = params_.bubble_rate_hz * dt;
+  const double burst_decay = std::exp(-dt / 0.008);  // per-sample envelope
   for (std::size_t i = 0; i < n; ++i) {
     // Impulsive bubble bursts: Poisson arrivals, exponentially decaying
     // envelopes of white noise (spiky, which is what stresses plain
@@ -81,7 +89,7 @@ std::vector<double> NoiseGenerator::generate(std::size_t n) {
     }
     if (burst_remaining_ > 0.0) {
       out[i] += burst_env_ * burst_gauss_(burst_rng_);
-      burst_env_ *= std::exp(-dt / 0.008);
+      burst_env_ *= burst_decay;
       burst_remaining_ -= dt;
     }
     // Boat machinery tones with slow random amplitude wander.
@@ -98,7 +106,6 @@ std::vector<double> NoiseGenerator::generate(std::size_t n) {
     }
     t_ += dt;
   }
-  return out;
 }
 
 }  // namespace aqua::channel

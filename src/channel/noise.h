@@ -47,6 +47,11 @@ class NoiseGenerator {
   /// Produces the next `n` samples of ambient noise.
   std::vector<double> generate(std::size_t n);
 
+  /// Writes the next out.size() samples of ambient noise into `out`
+  /// (same samples as generate(out.size()), without allocating once the
+  /// internal white-noise buffer has grown to the block size).
+  void generate(std::span<double> out);
+
   /// RMS of the shaped noise floor (excluding bursts/tones).
   double floor_rms() const { return floor_rms_; }
 
@@ -63,8 +68,9 @@ class NoiseGenerator {
   std::mt19937_64 burst_rng_;  ///< burst arrivals + burst noise
   std::normal_distribution<double> gauss_{0.0, 1.0};
   std::normal_distribution<double> burst_gauss_{0.0, 1.0};
+  std::vector<double> shaping_taps_;  ///< designed once, at construction
   dsp::StreamingFir shaping_;
-  std::vector<double> shaping_taps_;
+  std::vector<double> white_;         ///< per-call white-noise scratch
   double floor_rms_ = 0.0;
   double gain_ = 1.0;              ///< white->target-RMS scale factor
   double t_ = 0.0;                 ///< running time for tone phases

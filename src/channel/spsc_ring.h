@@ -11,6 +11,7 @@
 // ring (overrun is a programming error and asserts in debug builds).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -54,12 +55,14 @@ class SpscRing {
   void push(std::span<const double> src) {
     assert(free_space() >= src.size());
     const std::size_t cap = buf_.size();
-    std::size_t t = tail_.load(std::memory_order_relaxed);
-    for (const double v : src) {
-      buf_[t] = v;
-      t = (t + 1) % cap;
-    }
-    tail_.store(t, std::memory_order_release);
+    const std::size_t t = tail_.load(std::memory_order_relaxed);
+    // At most two contiguous runs: up to the end of the buffer, then from
+    // its start.
+    const std::size_t first = std::min(src.size(), cap - t);
+    std::copy_n(src.begin(), first, buf_.begin() + static_cast<std::ptrdiff_t>(t));
+    std::copy(src.begin() + static_cast<std::ptrdiff_t>(first), src.end(),
+              buf_.begin());
+    tail_.store((t + src.size()) % cap, std::memory_order_release);
   }
 
   /// Consumer: adds the next `n` samples into `dst[0..n)` and consumes
@@ -67,12 +70,11 @@ class SpscRing {
   void consume_add(std::span<double> dst, std::size_t n) {
     assert(available() >= n && dst.size() >= n);
     const std::size_t cap = buf_.size();
-    std::size_t h = head_.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] += buf_[h];
-      h = (h + 1) % cap;
-    }
-    head_.store(h, std::memory_order_release);
+    const std::size_t h = head_.load(std::memory_order_relaxed);
+    const std::size_t first = std::min(n, cap - h);
+    for (std::size_t i = 0; i < first; ++i) dst[i] += buf_[h + i];
+    for (std::size_t i = first; i < n; ++i) dst[i] += buf_[i - first];
+    head_.store((h + n) % cap, std::memory_order_release);
   }
 
  private:

@@ -200,16 +200,23 @@ std::size_t BasicFftFilter<T>::Stream::push(std::span<const T> x,
   // the absolute input window [b*step - (taps-1), b*step + step) and emits
   // outputs [b*step, (b+1)*step) of the causal convolution. The window is a
   // pure function of the absolute position, which is what makes the output
-  // chunking-invariant.
+  // chunking-invariant. An all-zero window convolves to exact zeros, so it
+  // skips the transforms (emitting +0.0 where the FFT may give -0.0).
   while (pending_.size() - head >= m_) {
-    std::copy_n(pending_.begin() + static_cast<std::ptrdiff_t>(head), m_,
-                seg.begin());
-    plan_->forward(seg, spec, ws);
-    simd::cmul_inplace(simd::active(), spec.data(), kfft.data(), spec.size());
-    plan_->inverse(spec, seg, ws);
-    for (std::size_t j = 0; j < step_; ++j) {
-      out.push_back(seg[taps - 1 + j]);  // lint: alloc-ok(caller-owned output; capacity amortizes across pushes)
+    const auto window = pending_.begin() + static_cast<std::ptrdiff_t>(head);
+    if (std::all_of(window, window + static_cast<std::ptrdiff_t>(m_),
+                    [](T v) { return v == T(0.0); })) {
+      std::fill_n(seg.begin() + static_cast<std::ptrdiff_t>(taps - 1), step_,
+                  T(0.0));
+    } else {
+      std::copy_n(window, m_, seg.begin());
+      plan_->forward(seg, spec, ws);
+      simd::cmul_inplace(simd::active(), spec.data(), kfft.data(),
+                         spec.size());
+      plan_->inverse(spec, seg, ws);
     }
+    const auto valid = seg.begin() + static_cast<std::ptrdiff_t>(taps - 1);
+    out.insert(out.end(), valid, valid + static_cast<std::ptrdiff_t>(step_));  // lint: alloc-ok(caller-owned output; capacity amortizes across pushes)
     emitted += step_;
     head += step_;
   }

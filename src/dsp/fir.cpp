@@ -172,7 +172,19 @@ BasicStreamingFir<T>::BasicStreamingFir(std::vector<T> taps)
 
 template <typename T>
 std::vector<T> BasicStreamingFir<T>::process(std::span<const T> in) {
-  if (in.empty()) return {};
+  // lint: alloc-ok(sim-side streaming API returns its block by value; not on the modem decode path)
+  std::vector<T> out(in.size());
+  process(in, out);
+  return out;
+}
+
+template <typename T>
+void BasicStreamingFir<T>::process(std::span<const T> in, std::span<T> out) {
+  if (out.size() != in.size()) {
+    // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
+    throw std::invalid_argument("StreamingFir: output size mismatch");
+  }
+  if (in.empty()) return;
   const std::size_t t = taps_.size();
   const std::size_t hist = t - 1;  // buf_ holds t-1 samples between calls
   // Materialize [history | block] once (capacity persists across calls):
@@ -184,12 +196,8 @@ std::vector<T> BasicStreamingFir<T>::process(std::span<const T> in) {
   buf_.resize(hist + in.size());
   std::copy(in.begin(), in.end(),
             buf_.begin() + static_cast<std::ptrdiff_t>(hist));
-  // lint: alloc-ok(sim-side streaming API returns its block by value; not on the modem decode path)
-  std::vector<T> out(in.size());
-  const simd::Kernels& kern = simd::active();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = simd::dot(kern, rtaps_.data(), buf_.data() + i, t);
-  }
+  simd::fir(simd::active(), rtaps_.data(), buf_.data(), out.data(), t,
+            in.size());
   // Retain the trailing t-1 samples as the next call's history (memmove:
   // the ranges overlap when the block is shorter than the history).
   if (hist > 0) {
@@ -197,7 +205,6 @@ std::vector<T> BasicStreamingFir<T>::process(std::span<const T> in) {
   }
   // lint: alloc-ok(shrinking resize; never reallocates)
   buf_.resize(hist);
-  return out;
 }
 
 template <typename T>

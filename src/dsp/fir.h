@@ -58,8 +58,9 @@ std::vector<double> filter_same(std::span<const double> x,
 ///
 /// Every output is one contiguous dot product of the reversed taps against
 /// a persistent [history | block] window buffer, computed by the
-/// runtime-dispatched SIMD dot kernel of the filter's precision. Each
-/// output depends only on its own absolute input window, so the stream is
+/// runtime-dispatched SIMD fir kernel of the filter's precision (several
+/// outputs per pass, each bit-identical to a lone dot). Each output
+/// depends only on its own absolute input window, so the stream is
 /// bit-identical for any chunking of the same input. `StreamingFir` is the
 /// double instantiation; `BasicStreamingFir<float>` runs the fp32 kernel at
 /// twice the lanes.
@@ -70,6 +71,9 @@ class BasicStreamingFir {
 
   /// Processes one block; returns the same number of samples as `in`.
   std::vector<T> process(std::span<const T> in);
+
+  /// Processes one block into `out`, which must hold in.size() samples.
+  void process(std::span<const T> in, std::span<T> out);
 
   /// Clears the internal history.
   void reset();

@@ -71,6 +71,18 @@ float scalar_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
+// The FIR reference is the definition itself: one dot per output. The
+// vector targets advance several outputs per pass and must match it.
+void scalar_fir(const double* a, const double* x, double* out, std::size_t t,
+                std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = scalar_dot(a, x + i, t);
+}
+
+void scalar_fir_f(const float* a, const float* x, float* out, std::size_t t,
+                  std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = scalar_dot_f(a, x + i, t);
+}
+
 void scalar_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
                         const std::uint32_t* step, const double* tab_re,
                         const double* tab_im, double d, std::size_t bins,
@@ -130,10 +142,12 @@ void scalar_butterfly_f(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
 constexpr Kernels kScalarKernels{"scalar",
                                  scalar_cmul_inplace,
                                  scalar_dot,
+                                 scalar_fir,
                                  scalar_sdft_update,
                                  scalar_butterfly,
                                  scalar_cmul_inplace_f,
                                  scalar_dot_f,
+                                 scalar_fir_f,
                                  scalar_sdft_update_f,
                                  scalar_butterfly_f};
 

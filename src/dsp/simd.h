@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD kernels for the hot inner loops.
 //
 // The zero-allocation DSP core reduced every hot path to tight
-// span-over-span passes; this header names those passes as four kernel
+// span-over-span passes; this header names those passes as five kernel
 // families and selects the widest implementation the running CPU supports
 // once at startup (AVX-512 or AVX2+FMA on x86-64, NEON on AArch64,
 // portable scalar anywhere):
@@ -9,8 +9,13 @@
 //   * `cmul_inplace` — the overlap-save block multiply-accumulate: the
 //     pointwise spectrum product at the center of every `FftFilter` block
 //     and of every Bluestein transform.
-//   * `dot` — the FIR dot product: `StreamingFir::process`, the preamble
-//     sliding segment metric, and short-template direct correlation.
+//   * `dot` — the FIR dot product: the preamble sliding segment metric
+//     and short-template direct correlation.
+//   * `fir` — a run of FIR outputs, each one `dot` over a window sliding
+//     by one sample: `StreamingFir::process`. Several outputs advance per
+//     pass over the taps, so the per-output FMA chains run side by side
+//     instead of back to back (throughput- rather than latency-bound),
+//     while each output keeps `dot`'s exact tree.
 //   * `sdft_update` — the sliding-DFT bin update: one fused
 //     multiply-accumulate per active bin per sample in
 //     `moving_dft_power`'s running recurrence.
@@ -70,6 +75,12 @@ struct Kernels {
   /// (l0 + l1) + (l2 + l3). Identical tree on every target.
   double (*dot)(const double* a, const double* b, std::size_t n);
 
+  /// FIR run: out[i] = dot(a, x + i, t) for i < n, bit for bit (every
+  /// output keeps dot's lane structure and reduction). Reads
+  /// x[0, n + t - 1).
+  void (*fir)(const double* a, const double* x, double* out, std::size_t t,
+              std::size_t n);
+
   /// Sliding-DFT bin update for `bins` bins: per bin k,
   ///   acc_re[k] = fma(d, tab_re[phase[k]], acc_re[k])
   ///   acc_im[k] = fma(d, tab_im[phase[k]], acc_im[k])
@@ -90,11 +101,13 @@ struct Kernels {
   void (*butterfly)(cplx* a, cplx* b, const cplx* w, std::size_t n,
                     bool conj_w);
 
-  /// Single-precision twins of the four kernels above. Same expression
-  /// trees evaluated in float (std::fma -> fmaf; dot_f uses 8 lanes with
-  /// the ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) reduction).
+  /// Single-precision twins of the five kernels above. Same expression
+  /// trees evaluated in float (std::fma -> fmaf; dot_f and fir_f use 8
+  /// lanes with the ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) reduction).
   void (*cmul_inplace_f)(cplxf* y, const cplxf* x, std::size_t n);
   float (*dot_f)(const float* a, const float* b, std::size_t n);
+  void (*fir_f)(const float* a, const float* x, float* out, std::size_t t,
+                std::size_t n);
   void (*sdft_update_f)(float* acc_re, float* acc_im, std::uint32_t* phase,
                         const std::uint32_t* step, const float* tab_re,
                         const float* tab_im, float d, std::size_t bins,
@@ -139,6 +152,15 @@ inline double dot(const Kernels& k, const double* a, const double* b,
 inline float dot(const Kernels& k, const float* a, const float* b,
                  std::size_t n) {
   return k.dot_f(a, b, n);
+}
+
+inline void fir(const Kernels& k, const double* a, const double* x,
+                double* out, std::size_t t, std::size_t n) {
+  k.fir(a, x, out, t, n);
+}
+inline void fir(const Kernels& k, const float* a, const float* x, float* out,
+                std::size_t t, std::size_t n) {
+  k.fir_f(a, x, out, t, n);
 }
 
 inline void sdft_update(const Kernels& k, double* acc_re, double* acc_im,

@@ -53,6 +53,39 @@ double avx2_dot(const double* a, const double* b, std::size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
+// fir advances kFirRun outputs per pass over the taps. Each output owns one
+// 4-lane accumulator that sees exactly dot's sequence of fused
+// multiply-adds; the tap vector is loaded once per step for all of them,
+// and their independent FMA chains overlap in the pipeline instead of
+// waiting on each other's latency. Leftover outputs fall back to dot.
+constexpr std::size_t kFirRun = 8;
+
+void avx2_fir(const double* a, const double* x, double* out, std::size_t t,
+             std::size_t n) {
+  const std::size_t t4 = t & ~std::size_t{3};
+  std::size_t o = 0;
+  for (; o + kFirRun <= n; o += kFirRun) {
+    __m256d acc[kFirRun];
+    for (std::size_t r = 0; r < kFirRun; ++r) acc[r] = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < t4; i += 4) {
+      const __m256d av = _mm256_loadu_pd(a + i);
+      for (std::size_t r = 0; r < kFirRun; ++r) {
+        acc[r] = _mm256_fmadd_pd(av, _mm256_loadu_pd(x + o + r + i), acc[r]);
+      }
+    }
+    for (std::size_t r = 0; r < kFirRun; ++r) {
+      const double* b = x + o + r;
+      alignas(32) double lane[4];
+      _mm256_store_pd(lane, acc[r]);
+      for (std::size_t i = t4; i < t; ++i) {
+        lane[i & 3] = __builtin_fma(a[i], b[i], lane[i & 3]);
+      }
+      out[o + r] = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+    }
+  }
+  for (; o < n; ++o) out[o] = avx2_dot(a, x + o, t);
+}
+
 void avx2_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
                       const std::uint32_t* step, const double* tab_re,
                       const double* tab_im, double d, std::size_t bins,
@@ -163,6 +196,33 @@ float avx2_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
+void avx2_fir_f(const float* a, const float* x, float* out, std::size_t t,
+               std::size_t n) {
+  const std::size_t t8 = t & ~std::size_t{7};
+  std::size_t o = 0;
+  for (; o + kFirRun <= n; o += kFirRun) {
+    __m256 acc[kFirRun];
+    for (std::size_t r = 0; r < kFirRun; ++r) acc[r] = _mm256_setzero_ps();
+    for (std::size_t i = 0; i < t8; i += 8) {
+      const __m256 av = _mm256_loadu_ps(a + i);
+      for (std::size_t r = 0; r < kFirRun; ++r) {
+        acc[r] = _mm256_fmadd_ps(av, _mm256_loadu_ps(x + o + r + i), acc[r]);
+      }
+    }
+    for (std::size_t r = 0; r < kFirRun; ++r) {
+      const float* b = x + o + r;
+      alignas(32) float lane[8];
+      _mm256_store_ps(lane, acc[r]);
+      for (std::size_t i = t8; i < t; ++i) {
+        lane[i & 7] = __builtin_fmaf(a[i], b[i], lane[i & 7]);
+      }
+      out[o + r] = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                   ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    }
+  }
+  for (; o < n; ++o) out[o] = avx2_dot_f(a, x + o, t);
+}
+
 void avx2_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
                         const std::uint32_t* step, const float* tab_re,
                         const float* tab_im, float d, std::size_t bins,
@@ -232,10 +292,12 @@ void avx2_butterfly_f(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
 constexpr Kernels kAvx2Kernels{"avx2",
                                avx2_cmul_inplace,
                                avx2_dot,
+                               avx2_fir,
                                avx2_sdft_update,
                                avx2_butterfly,
                                avx2_cmul_inplace_f,
                                avx2_dot_f,
+                               avx2_fir_f,
                                avx2_sdft_update_f,
                                avx2_butterfly_f};
 

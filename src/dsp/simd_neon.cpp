@@ -49,6 +49,48 @@ double neon_dot(const double* a, const double* b, std::size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
+// fir advances kFirRun outputs per pass over the taps. Each output owns the
+// two accumulators of dot's 4-lane structure and sees exactly dot's
+// sequence of fused multiply-adds; the tap pair is loaded once per step
+// for all of them, and the independent FMA chains overlap in the pipeline.
+// Leftover outputs fall back to dot.
+constexpr std::size_t kFirRun = 4;
+
+void neon_fir(const double* a, const double* x, double* out, std::size_t t,
+              std::size_t n) {
+  const std::size_t t4 = t & ~std::size_t{3};
+  std::size_t o = 0;
+  for (; o + kFirRun <= n; o += kFirRun) {
+    float64x2_t acc01[kFirRun];
+    float64x2_t acc23[kFirRun];
+    for (std::size_t r = 0; r < kFirRun; ++r) {
+      acc01[r] = vdupq_n_f64(0.0);
+      acc23[r] = vdupq_n_f64(0.0);
+    }
+    for (std::size_t i = 0; i < t4; i += 4) {
+      const float64x2_t a01 = vld1q_f64(a + i);
+      const float64x2_t a23 = vld1q_f64(a + i + 2);
+      for (std::size_t r = 0; r < kFirRun; ++r) {
+        const double* b = x + o + r + i;
+        acc01[r] = vfmaq_f64(acc01[r], a01, vld1q_f64(b));
+        acc23[r] = vfmaq_f64(acc23[r], a23, vld1q_f64(b + 2));
+      }
+    }
+    for (std::size_t r = 0; r < kFirRun; ++r) {
+      const double* b = x + o + r;
+      double lane[4] = {vgetq_lane_f64(acc01[r], 0),
+                        vgetq_lane_f64(acc01[r], 1),
+                        vgetq_lane_f64(acc23[r], 0),
+                        vgetq_lane_f64(acc23[r], 1)};
+      for (std::size_t i = t4; i < t; ++i) {
+        lane[i & 3] = __builtin_fma(a[i], b[i], lane[i & 3]);
+      }
+      out[o + r] = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+    }
+  }
+  for (; o < n; ++o) out[o] = neon_dot(a, x + o, t);
+}
+
 void neon_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
                       const std::uint32_t* step, const double* tab_re,
                       const double* tab_im, double d, std::size_t bins,
@@ -157,6 +199,43 @@ float neon_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
+void neon_fir_f(const float* a, const float* x, float* out, std::size_t t,
+                std::size_t n) {
+  const std::size_t t8 = t & ~std::size_t{7};
+  std::size_t o = 0;
+  for (; o + kFirRun <= n; o += kFirRun) {
+    float32x4_t acc03[kFirRun];
+    float32x4_t acc47[kFirRun];
+    for (std::size_t r = 0; r < kFirRun; ++r) {
+      acc03[r] = vdupq_n_f32(0.0f);
+      acc47[r] = vdupq_n_f32(0.0f);
+    }
+    for (std::size_t i = 0; i < t8; i += 8) {
+      const float32x4_t a03 = vld1q_f32(a + i);
+      const float32x4_t a47 = vld1q_f32(a + i + 4);
+      for (std::size_t r = 0; r < kFirRun; ++r) {
+        const float* b = x + o + r + i;
+        acc03[r] = vfmaq_f32(acc03[r], a03, vld1q_f32(b));
+        acc47[r] = vfmaq_f32(acc47[r], a47, vld1q_f32(b + 4));
+      }
+    }
+    for (std::size_t r = 0; r < kFirRun; ++r) {
+      const float* b = x + o + r;
+      float lane[8] = {
+          vgetq_lane_f32(acc03[r], 0), vgetq_lane_f32(acc03[r], 1),
+          vgetq_lane_f32(acc03[r], 2), vgetq_lane_f32(acc03[r], 3),
+          vgetq_lane_f32(acc47[r], 0), vgetq_lane_f32(acc47[r], 1),
+          vgetq_lane_f32(acc47[r], 2), vgetq_lane_f32(acc47[r], 3)};
+      for (std::size_t i = t8; i < t; ++i) {
+        lane[i & 7] = __builtin_fmaf(a[i], b[i], lane[i & 7]);
+      }
+      out[o + r] = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                   ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    }
+  }
+  for (; o < n; ++o) out[o] = neon_dot_f(a, x + o, t);
+}
+
 void neon_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
                         const std::uint32_t* step, const float* tab_re,
                         const float* tab_im, float d, std::size_t bins,
@@ -226,10 +305,12 @@ void neon_butterfly_f(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
 constexpr Kernels kNeonKernels{"neon",
                                neon_cmul_inplace,
                                neon_dot,
+                               neon_fir,
                                neon_sdft_update,
                                neon_butterfly,
                                neon_cmul_inplace_f,
                                neon_dot_f,
+                               neon_fir_f,
                                neon_sdft_update_f,
                                neon_butterfly_f};
 

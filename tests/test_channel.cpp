@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
 
 #include "channel/absorption.h"
 #include "channel/channel.h"
@@ -14,6 +17,7 @@
 #include "channel/noise.h"
 #include "dsp/chirp.h"
 #include "dsp/spectrum.h"
+#include "dsp/workspace.h"
 
 namespace aqua::channel {
 namespace {
@@ -399,6 +403,112 @@ TEST(UnderwaterChannel, ConsecutiveTransmitsDrawFreshRoughness) {
   const std::vector<double> s1 = still.transmit(x);
   const std::vector<double> s2 = still.transmit(x);
   EXPECT_EQ(s1, s2);
+}
+
+// FNV-1a over the bit patterns of `y`, with -0.0 folded into +0.0: a
+// silent block the stream skips emits +0.0 where a transform may give -0.0.
+std::uint64_t bits_hash(const std::vector<double>& y) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double v : y) {
+    const double c = v == 0.0 ? 0.0 : v;
+    std::uint64_t b = 0;
+    std::memcpy(&b, &c, sizeof b);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (b >> (8 * k)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// Gaussian burst, `gap` zeros, a second burst, then `tail` zeros.
+std::vector<double> burst_gap_burst(std::size_t burst, std::size_t gap,
+                                    std::size_t tail, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<double> g(0.0, 0.3);
+  std::vector<double> x;
+  for (std::size_t i = 0; i < burst; ++i) x.push_back(g(rng));
+  x.insert(x.end(), gap, 0.0);
+  for (std::size_t i = 0; i < burst; ++i) x.push_back(g(rng));
+  x.insert(x.end(), tail, 0.0);
+  return x;
+}
+
+TEST(UnderwaterChannel, SilentBlocksRenderTheSameStreamBitForBit) {
+  // A rough, drifting, moving link: every 10 ms block solves its own
+  // paths and draws its own surface roughness. Blocks of the silent gap
+  // skip the response and the convolution but must still draw, or the
+  // second burst renders through the wrong surface. The golden hash was
+  // recorded before silent blocks were skipped.
+  LinkConfig lc;
+  lc.site = site_preset(Site::kBay);
+  lc.range_m = 8.0;
+  lc.motion = MotionKind::kSlow;
+  lc.noise_enabled = false;
+  lc.seed = 7;
+  UnderwaterChannel ch(lc);
+  UnderwaterChannel::Stream s = ch.stream();
+  const std::vector<double> x = burst_gap_burst(4800, 24000, 14400, 5);
+  std::vector<double> out;
+  dsp::Workspace ws;
+  for (std::size_t b = 0; b < x.size(); b += 1000) {
+    const std::size_t n = std::min<std::size_t>(1000, x.size() - b);
+    s.push(std::span<const double>(x).subspan(b, n), out, ws);
+  }
+  ASSERT_EQ(out.size(), x.size());
+  EXPECT_GT(s.silent_blocks(), 40u);  // the 0.5 s gap and the tail
+  const auto nonzero = std::count_if(out.begin(), out.end(),
+                                     [](double v) { return v != 0.0; });
+  EXPECT_EQ(nonzero, 29239);
+  EXPECT_EQ(bits_hash(out), 0xddd92d07ab54371eULL);
+}
+
+TEST(UnderwaterChannel, PacedRenderingIsChunkingInvariant) {
+  // The same link and burst-gap-burst input as above, pushed in ragged
+  // chunks from one sample to several overlap-save blocks: how many
+  // multipath blocks each push renders changes with the chunking, the
+  // stream's output must not.
+  LinkConfig lc;
+  lc.site = site_preset(Site::kBay);
+  lc.range_m = 8.0;
+  lc.motion = MotionKind::kSlow;
+  lc.noise_enabled = false;
+  lc.seed = 7;
+  UnderwaterChannel ch(lc);
+  UnderwaterChannel::Stream s = ch.stream();
+  const std::vector<double> x = burst_gap_burst(4800, 24000, 14400, 5);
+  const std::size_t sizes[] = {1, 7, 480, 3600, 123, 10000, 479, 481};
+  std::vector<double> out;
+  dsp::Workspace ws;
+  for (std::size_t b = 0, k = 0; b < x.size(); ++k) {
+    const std::size_t n = std::min(sizes[k % std::size(sizes)], x.size() - b);
+    const std::size_t before = out.size();
+    s.push(std::span<const double>(x).subspan(b, n), out, ws);
+    ASSERT_EQ(out.size() - before, n);
+    b += n;
+  }
+  EXPECT_EQ(bits_hash(out), 0xddd92d07ab54371eULL);
+}
+
+TEST(UnderwaterChannel, InternalSilenceKeepsTransmitLengthAndBits) {
+  // transmit() sizes its output by the longest impulse response any block
+  // solved. On this drifting link the longest falls inside the 1 s gap,
+  // so a skipped block that forgot its response length would shorten the
+  // output. Golden lengths and hashes were recorded before the skip.
+  LinkConfig lc;
+  lc.site = site_preset(Site::kLake);
+  lc.range_m = 10.0;
+  lc.motion = MotionKind::kFast;
+  lc.noise_enabled = false;
+  lc.seed = 3;
+  UnderwaterChannel ch(lc);
+  const std::vector<double> x = burst_gap_burst(2400, 48000, 0, 3);
+  const std::vector<double> y1 = ch.transmit(x);
+  const std::vector<double> y2 = ch.transmit(x);
+  EXPECT_EQ(y1.size(), 61299u);
+  EXPECT_EQ(y2.size(), 61302u);
+  EXPECT_EQ(bits_hash(y1), 0xb19bfc04e0e0025cULL);
+  EXPECT_EQ(bits_hash(y2), 0xa8f5eff3944b363cULL);
 }
 
 TEST(UnderwaterChannel, EmptyTransmitYieldsNoiseOnlyTimeline) {

@@ -143,6 +143,41 @@ TEST(FftFilterStream, MatchesBatchCausalConvolution) {
   EXPECT_EQ(stream.produced(), out.size());
 }
 
+TEST(FftFilterStream, ZeroWindowsMatchBatchConvolution) {
+  // Bursts separated by silence several blocks long: the all-zero
+  // overlap-save windows in the gaps skip their transforms and must still
+  // emit exactly what the batch convolution computes (zeros compare equal
+  // whatever their sign).
+  std::mt19937_64 rng(14);
+  std::normal_distribution<double> gauss;
+  std::vector<double> kernel(129);
+  for (double& v : kernel) v = gauss(rng);
+  std::vector<double> x(31000, 0.0);
+  for (std::size_t i = 0; i < 3000; ++i) x[i] = gauss(rng);
+  for (std::size_t i = 23000; i < 26000; ++i) x[i] = gauss(rng);
+  FftFilter filter(kernel);
+  Workspace ws;
+  const std::vector<double> batch = filter.convolve(x, ws);
+
+  FftFilter::Stream stream(filter);
+  ASSERT_LT(2 * stream.fft_size(), 20000u);  // the gap spans whole windows
+  std::vector<double> out;
+  for (std::size_t base = 0; base < x.size(); base += 700) {
+    const std::size_t len = std::min<std::size_t>(700, x.size() - base);
+    stream.push(std::span<const double>(x).subspan(base, len), out, ws);
+  }
+  EXPECT_GE(out.size() + stream.step() - 1, x.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], batch[i]) << "sample " << i;
+  }
+  // A block whose whole window lies in the gap emits exact zeros (blocks
+  // whose window reaches a burst carry the transforms' rounding residue).
+  for (std::size_t i = 3000 + stream.fft_size() + kernel.size();
+       i < 23000 - stream.fft_size(); ++i) {
+    ASSERT_EQ(out[i], 0.0) << "sample " << i;
+  }
+}
+
 TEST(FftFilterStream, ChunkingNeverChangesTheOutput) {
   std::mt19937_64 rng(12);
   std::normal_distribution<double> gauss;

@@ -276,6 +276,8 @@ TEST(MediumScale, CullMetricsCountSkippedWork) {
   EXPECT_GT(m.counter("medium.cull_evals"), 0u);
   EXPECT_GT(m.counter("medium.culled_convolutions"), 0u);
   EXPECT_GT(m.counter("medium.rendered_blocks"), 0u);
+  // Nobody transmits, so every rendered multipath block is exact silence.
+  EXPECT_GT(m.counter("medium.silent_blocks"), 0u);
 }
 
 }  // namespace

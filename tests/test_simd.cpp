@@ -186,10 +186,12 @@ TEST(Simd, ActiveTableIsRunnable) {
   const simd::Kernels& k = simd::active();
   EXPECT_NE(k.name, nullptr);
   EXPECT_NE(k.dot, nullptr);
+  EXPECT_NE(k.fir, nullptr);
   EXPECT_NE(k.cmul_inplace, nullptr);
   EXPECT_NE(k.sdft_update, nullptr);
   EXPECT_NE(k.butterfly, nullptr);
   EXPECT_NE(k.dot_f, nullptr);
+  EXPECT_NE(k.fir_f, nullptr);
   EXPECT_NE(k.cmul_inplace_f, nullptr);
   EXPECT_NE(k.sdft_update_f, nullptr);
   EXPECT_NE(k.butterfly_f, nullptr);
@@ -212,6 +214,29 @@ TEST(Simd, DotBitIdenticalAcrossTargetsAndCorrect) {
     for (const simd::Kernels* k : runnable_targets()) {
       const double got = k->dot(a.data(), b.data(), n);
       EXPECT_EQ(got, ref) << k->name << " n " << n;
+    }
+  }
+}
+
+// Tap counts and output runs around the lane (4 / 8) and per-pass output
+// (4 / 8) boundaries, plus the 512-tap noise-shaping filter.
+const std::size_t kFirTaps[] = {1, 3, 4, 5, 7, 8, 9, 17, 128, 129, 512};
+const std::size_t kFirOutputs[] = {0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 480};
+
+TEST(Simd, FirMatchesDotPerOutputOnEveryTarget) {
+  for (const std::size_t t : kFirTaps) {
+    for (const std::size_t n : kFirOutputs) {
+      const std::vector<double> a = random_real(t, 600 + t);
+      const std::vector<double> x = random_real(n + t - 1, 700 + n);
+      for (const simd::Kernels* k : runnable_targets()) {
+        std::vector<double> got(n + 1, -1.0);  // one guard slot past the end
+        k->fir(a.data(), x.data(), got.data(), t, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], k->dot(a.data(), x.data() + i, t))
+              << k->name << " taps " << t << " outputs " << n << " i " << i;
+        }
+        EXPECT_EQ(got[n], -1.0) << k->name << " wrote past the run";
+      }
     }
   }
 }
@@ -359,6 +384,24 @@ TEST(Simd, DotFloatBitIdenticalAcrossTargetsAndCorrect) {
     for (const simd::Kernels* k : runnable_targets()) {
       const float got = k->dot_f(a.data(), b.data(), n);
       EXPECT_EQ(got, ref) << k->name << " n " << n;
+    }
+  }
+}
+
+TEST(Simd, FirFloatMatchesDotPerOutputOnEveryTarget) {
+  for (const std::size_t t : kFirTaps) {
+    for (const std::size_t n : kFirOutputs) {
+      const std::vector<float> a = random_realf(t, 1600 + t);
+      const std::vector<float> x = random_realf(n + t - 1, 1700 + n);
+      for (const simd::Kernels* k : runnable_targets()) {
+        std::vector<float> got(n + 1, -1.0f);
+        k->fir_f(a.data(), x.data(), got.data(), t, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], k->dot_f(a.data(), x.data() + i, t))
+              << k->name << " taps " << t << " outputs " << n << " i " << i;
+        }
+        EXPECT_EQ(got[n], -1.0f) << k->name << " wrote past the run";
+      }
     }
   }
 }
