@@ -82,36 +82,33 @@ BasicFftPlan<T>::BasicFftPlan(std::size_t n) : n_(n) {
       b[k] = std::conj(chirp_[k]);
       b[m_ - k] = std::conj(chirp_[k]);
     }
-    radix2(b, /*invert=*/false);
+    radix2(b, b, /*invert=*/false);
     chirp_fft_ = std::move(b);
   }
 }
 
 template <typename T>
-void BasicFftPlan<T>::radix2(std::span<C> data, bool invert) const {
-  const std::size_t m = data.size();
+void BasicFftPlan<T>::radix2(std::span<const C> in, std::span<C> out,
+                             bool invert) const {
   // Must fail loudly in release builds too: transforming with a mismatched
   // plan would silently produce garbage spectra.
-  if (m != m_) {
-    // lint: throw-ok(caller-bug guard before the butterfly loop; never fires on well-formed input)
+  if (in.size() != m_ || out.size() != m_) {
+    // lint: throw-ok(caller-bug guard before the butterfly pass; never fires on well-formed input)
     throw std::invalid_argument("FftPlan: radix-2 work size mismatch");
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  // Butterfly stages through the SIMD dispatch: each stage's twiddles are
-  // contiguous in stage_tw_, so the kernel runs one dense half-block pass
-  // per (stage, block) pair. The kernel's unfused multiply tree reproduces
-  // the historical std::complex product bit for bit.
-  const simd::Kernels& kern = simd::active();
-  for (std::size_t half = 1; half < m; half <<= 1) {
-    const C* w = stage_tw_.data() + (half - 1);
-    for (std::size_t start = 0; start < m; start += 2 * half) {
-      simd::butterfly(kern, data.data() + start, data.data() + start + half,
-                      w, half, invert);
+  // Bit-reversal: a gather when out-of-place, pairwise swaps in place.
+  if (in.data() != out.data()) {
+    for (std::size_t i = 0; i < m_; ++i) out[i] = in[bitrev_[i]];
+  } else {
+    for (std::size_t i = 0; i < m_; ++i) {
+      const std::size_t j = bitrev_[i];
+      if (i < j) std::swap(out[i], out[j]);
     }
   }
+  // Every butterfly stage in one SIMD kernel call: each stage's twiddles
+  // are contiguous in stage_tw_, and the kernel's unfused multiply tree
+  // reproduces the historical std::complex product bit for bit.
+  simd::fft_pass(simd::active(), out.data(), m_, stage_tw_.data(), invert);
 }
 
 template <typename T>
@@ -122,9 +119,7 @@ void BasicFftPlan<T>::transform(std::span<const C> in, std::span<C> out,
     throw std::invalid_argument("FftPlan: buffer size mismatch");
   }
   if (pow2_) {
-    // Radix-2 runs in place on `out` (n_ == m_ here).
-    if (in.data() != out.data()) std::copy(in.begin(), in.end(), out.begin());
-    radix2(out, invert);
+    radix2(in, out, invert);  // n_ == m_ here
     return;
   }
   // Bluestein: X[k] = conj-chirp convolution. For the inverse transform we
@@ -136,9 +131,9 @@ void BasicFftPlan<T>::transform(std::span<const C> in, std::span<C> out,
     a[k] = x * chirp_[k];
   }
   std::fill(a.begin() + static_cast<std::ptrdiff_t>(n_), a.end(), C{});
-  radix2(a, /*invert=*/false);
+  radix2(a, a, /*invert=*/false);
   simd::cmul_inplace(simd::active(), a.data(), chirp_fft_.data(), m_);
-  radix2(a, /*invert=*/true);
+  radix2(a, a, /*invert=*/true);
   const T scale = T(1.0) / static_cast<T>(m_);
   for (std::size_t k = 0; k < n_; ++k) {
     C y = a[k] * scale * chirp_[k];
@@ -217,17 +212,20 @@ void BasicRfftPlan<T>::forward(std::span<const T> in, std::span<C> out,
   half_->forward(z, zf, ws);
   // Untwiddle: split Z into the spectra of the even/odd sample streams
   // (E = (Z_k + conj(Z_{h-k}))/2, O = -j (Z_k - conj(Z_{h-k}))/2) and
-  // recombine as X_k = E + W^k O with W = e^{-j 2 pi / n}.
+  // recombine as X_k = E + W^k O with W = e^{-j 2 pi / n}. The products
+  // are spelled in plain real arithmetic: for finite values this is the
+  // exact tree of the inline std::complex product, without its NaN
+  // recovery branch (non-finite mic input is zeroed at Modem::push).
   out[0] = {zf[0].real() + zf[0].imag(), T(0.0)};
   out[h_] = {zf[0].real() - zf[0].imag(), T(0.0)};
   const T half_scale = T(0.5);
   for (std::size_t k = 1; k < h_; ++k) {
-    const C zk = zf[k];
-    const C zc = std::conj(zf[h_ - k]);
-    const C e = half_scale * (zk + zc);
-    const C diff = zk - zc;
-    const C o{half_scale * diff.imag(), -half_scale * diff.real()};
-    out[k] = e + twiddle_[k] * o;
+    const T zr = zf[k].real(), zi = zf[k].imag();
+    const T cr = zf[h_ - k].real(), ci = -zf[h_ - k].imag();  // conj
+    const T er = half_scale * (zr + cr), ei = half_scale * (zi + ci);
+    const T o_re = half_scale * (zi - ci), o_im = -half_scale * (zr - cr);
+    const T wr = twiddle_[k].real(), wi = twiddle_[k].imag();
+    out[k] = {er + (wr * o_re - wi * o_im), ei + (wr * o_im + wi * o_re)};
   }
 }
 
@@ -265,12 +263,13 @@ void BasicRfftPlan<T>::inverse(std::span<const C> in, std::span<T> out,
   std::span<C> zf = zf_s.span();
   const T half_scale = T(0.5);
   for (std::size_t k = 0; k < h_; ++k) {
-    const C xk = in[k];
-    const C xc = std::conj(in[h_ - k]);
-    const C e = half_scale * (xk + xc);
-    const C ow = half_scale * (xk - xc);  // W^k O
-    const C o = std::conj(twiddle_[k]) * ow;
-    zf[k] = {e.real() - o.imag(), e.imag() + o.real()};  // E + j O
+    const T xr = in[k].real(), xi = in[k].imag();
+    const T cr = in[h_ - k].real(), ci = -in[h_ - k].imag();  // conj
+    const T er = half_scale * (xr + cr), ei = half_scale * (xi + ci);
+    const T pr = half_scale * (xr - cr), pi = half_scale * (xi - ci);  // W^k O
+    const T wr = twiddle_[k].real(), wi = -twiddle_[k].imag();  // conj(W^k)
+    const T o_re = wr * pr - wi * pi, o_im = wr * pi + wi * pr;  // O
+    zf[k] = {er - o_im, ei + o_re};  // E + j O
   }
   std::span<C> z = z_s.span();
   half_->inverse(zf, z, ws);

@@ -54,7 +54,9 @@ class BasicFftPlan {
   void inverse(std::span<const C> in, std::span<C> out) const;
 
  private:
-  void radix2(std::span<C> data, bool invert) const;
+  // Bit-reverses `in` into `out` (in place when they alias), then runs
+  // every butterfly stage in one SIMD pass kernel call.
+  void radix2(std::span<const C> in, std::span<C> out, bool invert) const;
   void transform(std::span<const C> in, std::span<C> out, bool invert,
                  Workspace& ws) const;
 
@@ -63,7 +65,7 @@ class BasicFftPlan {
   // Radix-2 machinery (for n_ itself when pow2_, else for bluestein size m_).
   std::size_t m_ = 0;                // power-of-two work size
   std::vector<std::size_t> bitrev_;  // bit-reversal permutation for m_
-  // Per-stage contiguous twiddles for the SIMD butterfly kernel: the stage
+  // Per-stage contiguous twiddles for the SIMD pass kernel: the stage
   // with half-block `h` owns entries [h-1, 2h-1) = w_m^{k * (m/2h)} for
   // k < h; m-1 entries total.
   std::vector<C> stage_tw_;

@@ -1,7 +1,7 @@
 // Scalar reference kernels and the runtime dispatch decision.
 //
 // This translation unit is compiled with -ffp-contract=off (see
-// CMakeLists.txt) so the butterfly kernels' plain mul/add trees cannot be
+// CMakeLists.txt) so the FFT pass kernels' plain mul/add trees cannot be
 // contracted into fused multiply-adds on targets whose baseline has FMA
 // (AArch64); fusion is only ever spelled explicitly via std::fma.
 #include "dsp/simd.h"
@@ -21,8 +21,9 @@ namespace {
 // Scalar reference kernels. These spell out the exact expression tree every
 // vector implementation must reproduce: std::fma where the vector units fuse,
 // fixed-lane accumulation (4 double / 8 float) with a fixed reduction order,
-// and an unfused mul/add tree in the butterfly (the historical std::complex
-// product, kept so double FFT outputs are bit-identical to the scalar era).
+// and an unfused mul/add tree in the FFT butterflies (the historical
+// std::complex product, kept so double FFT outputs are bit-identical to the
+// scalar era; spelled once, in simd_internal.h, as fft_pass_ref).
 // ---------------------------------------------------------------------------
 
 void scalar_cmul_inplace(cplx* y, const cplx* x, std::size_t n) {
@@ -111,45 +112,17 @@ void scalar_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
   }
 }
 
-void scalar_butterfly(cplx* a, cplx* b, const cplx* w, std::size_t n,
-                      bool conj_w) {
-  const double s = conj_w ? -1.0 : 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double wr = w[i].real(), wi = s * w[i].imag();
-    const double br = b[i].real(), bi = b[i].imag();
-    const double vr = br * wr - bi * wi;
-    const double vi = br * wi + bi * wr;
-    const double ur = a[i].real(), ui = a[i].imag();
-    a[i] = {ur + vr, ui + vi};
-    b[i] = {ur - vr, ui - vi};
-  }
-}
-
-void scalar_butterfly_f(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
-                        bool conj_w) {
-  const float s = conj_w ? -1.0f : 1.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float wr = w[i].real(), wi = s * w[i].imag();
-    const float br = b[i].real(), bi = b[i].imag();
-    const float vr = br * wr - bi * wi;
-    const float vi = br * wi + bi * wr;
-    const float ur = a[i].real(), ui = a[i].imag();
-    a[i] = {ur + vr, ui + vi};
-    b[i] = {ur - vr, ui - vi};
-  }
-}
-
 constexpr Kernels kScalarKernels{"scalar",
                                  scalar_cmul_inplace,
                                  scalar_dot,
                                  scalar_fir,
                                  scalar_sdft_update,
-                                 scalar_butterfly,
+                                 fft_pass_ref<double>,
                                  scalar_cmul_inplace_f,
                                  scalar_dot_f,
                                  scalar_fir_f,
                                  scalar_sdft_update_f,
-                                 scalar_butterfly_f};
+                                 fft_pass_ref<float>};
 
 // Widest supported target among those compiled in, in preference order.
 const Kernels* detect() {

@@ -12,16 +12,20 @@
 //   * `dot` — the FIR dot product: the preamble sliding segment metric
 //     and short-template direct correlation.
 //   * `fir` — a run of FIR outputs, each one `dot` over a window sliding
-//     by one sample: `StreamingFir::process`. Several outputs advance per
-//     pass over the taps, so the per-output FMA chains run side by side
-//     instead of back to back (throughput- rather than latency-bound),
-//     while each output keeps `dot`'s exact tree.
+//     by one sample: `StreamingFir::process`. The vector targets run it
+//     lane-major: one register of consecutive outputs per dot lane, each
+//     tap broadcast once for the whole run, so the FMA chains run side by
+//     side (throughput- rather than latency-bound) while each output keeps
+//     `dot`'s exact tree.
 //   * `sdft_update` — the sliding-DFT bin update: one fused
 //     multiply-accumulate per active bin per sample in
 //     `moving_dft_power`'s running recurrence.
-//   * `butterfly` — the radix-2 FFT butterfly stage: twiddle multiply plus
-//     add/sub over one contiguous half-block, the inner loop of every
-//     power-of-two transform.
+//   * `fft_pass` — every radix-2 butterfly stage of one power-of-two
+//     transform over bit-reversed data: twiddle multiply plus add/sub,
+//     one kernel call per transform. Stages narrower than a vector pack
+//     several blocks into one register; wider stages loop over their
+//     blocks inside the kernel, so the dispatch is paid once per
+//     transform rather than once per half-block.
 //
 // Each family has a double entry and a float entry (`*_f`), the float one
 // running twice the lanes at the same vector width — that is the whole
@@ -30,7 +34,7 @@
 // Every implementation of a kernel computes the SAME floating-point
 // expression tree — fixed lane-accumulator structure (4 double / 8 float
 // lanes for dot), fused multiply-adds (`std::fma` in the scalar build)
-// where every target fuses, plain mul/add in the butterfly where the
+// where every target fuses, plain mul/add in the FFT butterflies where the
 // legacy std::complex tree must be preserved, fixed reduction order — so
 // the kernels are bit-identical across dispatch targets, not merely
 // close. That is what lets the streaming invariants (chunking-invariant
@@ -91,15 +95,19 @@ struct Kernels {
                       const double* tab_im, double d, std::size_t bins,
                       std::uint32_t period);
 
-  /// Radix-2 butterfly over one half-block: for i < n, with
-  /// w_i = conj_w ? conj(w[i]) : w[i],
-  ///   v = b[i] * w_i    (plain mul/sub tree: vr = br*wr - bi*wi,
-  ///                      vi = br*wi + bi*wr — NOT fused, matching the
-  ///                      historical std::complex product so double FFT
-  ///                      results are unchanged from the scalar era)
-  ///   u = a[i];  a[i] = u + v;  b[i] = u - v.
-  void (*butterfly)(cplx* a, cplx* b, const cplx* w, std::size_t n,
-                    bool conj_w);
+  /// Whole radix-2 pass over `m` (a power of two) bit-reversed points,
+  /// in place. Stages run in order half = 1, 2, 4, ..., m/2; the stage
+  /// with half-block h reads its twiddles w[k] = stage_tw[h - 1 + k],
+  /// k < h. Each block of 2h points starting at s does, for k < h, with
+  ///   a = data[s + k], b = data[s + h + k],
+  ///   w = conj_w ? conj(w[k]) : w[k],
+  ///   v = b * w   (plain mul/sub tree: vr = br*wr - bi*wi,
+  ///                vi = br*wi + bi*wr — NOT fused, matching the
+  ///                historical std::complex product so double FFT
+  ///                results are unchanged from the scalar era)
+  ///   a' = a + v;  b' = a - v.
+  void (*fft_pass)(cplx* data, std::size_t m, const cplx* stage_tw,
+                   bool conj_w);
 
   /// Single-precision twins of the five kernels above. Same expression
   /// trees evaluated in float (std::fma -> fmaf; dot_f and fir_f use 8
@@ -112,8 +120,8 @@ struct Kernels {
                         const std::uint32_t* step, const float* tab_re,
                         const float* tab_im, float d, std::size_t bins,
                         std::uint32_t period);
-  void (*butterfly_f)(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
-                      bool conj_w);
+  void (*fft_pass_f)(cplxf* data, std::size_t m, const cplxf* stage_tw,
+                     bool conj_w);
 };
 
 /// The kernel table selected for this process: the widest ISA the CPU
@@ -177,13 +185,13 @@ inline void sdft_update(const Kernels& k, float* acc_re, float* acc_im,
                   period);
 }
 
-inline void butterfly(const Kernels& k, cplx* a, cplx* b, const cplx* w,
-                      std::size_t n, bool conj_w) {
-  k.butterfly(a, b, w, n, conj_w);
+inline void fft_pass(const Kernels& k, cplx* data, std::size_t m,
+                     const cplx* stage_tw, bool conj_w) {
+  k.fft_pass(data, m, stage_tw, conj_w);
 }
-inline void butterfly(const Kernels& k, cplxf* a, cplxf* b, const cplxf* w,
-                      std::size_t n, bool conj_w) {
-  k.butterfly_f(a, b, w, n, conj_w);
+inline void fft_pass(const Kernels& k, cplxf* data, std::size_t m,
+                     const cplxf* stage_tw, bool conj_w) {
+  k.fft_pass_f(data, m, stage_tw, conj_w);
 }
 
 }  // namespace aqua::dsp::simd

@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 namespace aqua::dsp::simd {
 
 namespace {
@@ -53,36 +55,48 @@ double avx2_dot(const double* a, const double* b, std::size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-// fir advances kFirRun outputs per pass over the taps. Each output owns one
-// 4-lane accumulator that sees exactly dot's sequence of fused
-// multiply-adds; the tap vector is loaded once per step for all of them,
-// and their independent FMA chains overlap in the pipeline instead of
-// waiting on each other's latency. Leftover outputs fall back to dot.
-constexpr std::size_t kFirRun = 8;
+// fir runs lane-major: a run of 4 * G consecutive outputs keeps one
+// accumulator per (dot lane l, group g), whose element r holds lane l of
+// output o + 4g + r. Tap i adds broadcast(a[i]) * x[o + 4g + r + i] to
+// lane i mod 4 in ascending i, and the lanes reduce as (l0 + l1) +
+// (l2 + l3): dot's exact tree for every output, with each tap broadcast
+// shared by the whole run and 4 * G independent FMA chains in flight.
+template <std::size_t G>
+void avx2_fir_run(const double* a, const double* x, double* out,
+                  std::size_t t) {
+  __m256d acc[4][G];
+  for (std::size_t l = 0; l < 4; ++l) {
+    for (std::size_t g = 0; g < G; ++g) acc[l][g] = _mm256_setzero_pd();
+  }
+  const auto tap = [&](std::size_t l, std::size_t i) {
+    const __m256d av = _mm256_set1_pd(a[i]);
+    for (std::size_t g = 0; g < G; ++g) {
+      acc[l][g] = _mm256_fmadd_pd(av, _mm256_loadu_pd(x + i + 4 * g),
+                                  acc[l][g]);
+    }
+  };
+  const std::size_t t4 = t & ~std::size_t{3};
+  for (std::size_t i = 0; i < t4; i += 4) {
+    tap(0, i);
+    tap(1, i + 1);
+    tap(2, i + 2);
+    tap(3, i + 3);
+  }
+  for (std::size_t l = 0; l < 3; ++l) {
+    if (t4 + l < t) tap(l, t4 + l);
+  }
+  for (std::size_t g = 0; g < G; ++g) {
+    _mm256_storeu_pd(out + 4 * g,
+                     _mm256_add_pd(_mm256_add_pd(acc[0][g], acc[1][g]),
+                                   _mm256_add_pd(acc[2][g], acc[3][g])));
+  }
+}
 
 void avx2_fir(const double* a, const double* x, double* out, std::size_t t,
              std::size_t n) {
-  const std::size_t t4 = t & ~std::size_t{3};
   std::size_t o = 0;
-  for (; o + kFirRun <= n; o += kFirRun) {
-    __m256d acc[kFirRun];
-    for (std::size_t r = 0; r < kFirRun; ++r) acc[r] = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < t4; i += 4) {
-      const __m256d av = _mm256_loadu_pd(a + i);
-      for (std::size_t r = 0; r < kFirRun; ++r) {
-        acc[r] = _mm256_fmadd_pd(av, _mm256_loadu_pd(x + o + r + i), acc[r]);
-      }
-    }
-    for (std::size_t r = 0; r < kFirRun; ++r) {
-      const double* b = x + o + r;
-      alignas(32) double lane[4];
-      _mm256_store_pd(lane, acc[r]);
-      for (std::size_t i = t4; i < t; ++i) {
-        lane[i & 3] = __builtin_fma(a[i], b[i], lane[i & 3]);
-      }
-      out[o + r] = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-    }
-  }
+  for (; o + 8 <= n; o += 8) avx2_fir_run<2>(a, x + o, out + o, t);
+  for (; o + 4 <= n; o += 4) avx2_fir_run<1>(a, x + o, out + o, t);
   for (; o < n; ++o) out[o] = avx2_dot(a, x + o, t);
 }
 
@@ -121,38 +135,66 @@ void avx2_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
   }
 }
 
-void avx2_butterfly(cplx* a, cplx* b, const cplx* w, std::size_t n,
-                    bool conj_w) {
-  auto* ad = reinterpret_cast<double*>(a);
-  auto* bd = reinterpret_cast<double*>(b);
-  const auto* wd = reinterpret_cast<const double*>(w);
+// One butterfly per complex lane: v = b * w with the legacy unfused tree
+// (separate mul then addsub — no contraction; even lanes br*wr - bi*wi,
+// odd lanes bi*wr + br*wi), then a' = a + v, b' = a - v.
+inline void bfly(__m256d& a, __m256d& b, __m256d w) {
+  const __m256d wr = _mm256_movedup_pd(w);          // [wr0 wr0 wr1 wr1]
+  const __m256d wi = _mm256_permute_pd(w, 0b1111);  // [wi0 wi0 wi1 wi1]
+  const __m256d bs = _mm256_permute_pd(b, 0b0101);  // [bi0 br0 bi1 br1]
+  const __m256d v = _mm256_addsub_pd(_mm256_mul_pd(b, wr),
+                                     _mm256_mul_pd(bs, wi));
+  const __m256d u = a;
+  a = _mm256_add_pd(u, v);
+  b = _mm256_sub_pd(u, v);
+}
+
+// permute2f128 selectors: low 128-bit halves of (x, y), high halves.
+constexpr int kLowHalves = 0x20;   // [x.lo y.lo]
+constexpr int kHighHalves = 0x31;  // [x.hi y.hi]
+
+// Two complex doubles per register. The 1-point half-blocks are narrower
+// than a register, so that stage gathers two blocks into each (a, b)
+// register pair and scatters them back; every wider stage runs its blocks
+// straight from memory.
+void avx2_fft_pass(cplx* data, std::size_t m, const cplx* stage_tw,
+                   bool conj_w) {
+  if (m < 4) {
+    fft_pass_ref(data, m, stage_tw, conj_w);
+    return;
+  }
+  auto* d = reinterpret_cast<double*>(data);
+  const auto* tw = reinterpret_cast<const double*>(stage_tw);
   // XOR-ing the imaginary lanes with -0.0 conjugates exactly (sign flip).
   const __m256d conj_mask = conj_w ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
                                    : _mm256_setzero_pd();
-  const std::size_t n2 = n & ~std::size_t{1};  // two complex per vector
-  for (std::size_t i = 0; i < n2; i += 2) {
-    const __m256d wv = _mm256_xor_pd(_mm256_loadu_pd(wd + 2 * i), conj_mask);
-    const __m256d bv = _mm256_loadu_pd(bd + 2 * i);
-    const __m256d wr = _mm256_movedup_pd(wv);          // [wr0 wr0 wr1 wr1]
-    const __m256d wi = _mm256_permute_pd(wv, 0b1111);  // [wi0 wi0 wi1 wi1]
-    const __m256d bs = _mm256_permute_pd(bv, 0b0101);  // [bi0 br0 bi1 br1]
-    const __m256d t = _mm256_mul_pd(bs, wi);           // [bi*wi br*wi ...]
-    // v = b*w with the unfused legacy tree: even lanes br*wr - bi*wi,
-    // odd lanes bi*wr + br*wi (separate mul then addsub — no contraction).
-    const __m256d v = _mm256_addsub_pd(_mm256_mul_pd(bv, wr), t);
-    const __m256d av = _mm256_loadu_pd(ad + 2 * i);
-    _mm256_storeu_pd(ad + 2 * i, _mm256_add_pd(av, v));
-    _mm256_storeu_pd(bd + 2 * i, _mm256_sub_pd(av, v));
+  {
+    const __m128d w1 = _mm_loadu_pd(tw);
+    const __m256d w = _mm256_xor_pd(_mm256_set_m128d(w1, w1), conj_mask);
+    for (std::size_t s = 0; s < m; s += 4) {
+      const __m256d z0 = _mm256_loadu_pd(d + 2 * s);
+      const __m256d z1 = _mm256_loadu_pd(d + 2 * s + 4);
+      __m256d a = _mm256_permute2f128_pd(z0, z1, kLowHalves);
+      __m256d b = _mm256_permute2f128_pd(z0, z1, kHighHalves);
+      bfly(a, b, w);
+      _mm256_storeu_pd(d + 2 * s, _mm256_permute2f128_pd(a, b, kLowHalves));
+      _mm256_storeu_pd(d + 2 * s + 4,
+                       _mm256_permute2f128_pd(a, b, kHighHalves));
+    }
   }
-  if (n2 < n) {
-    const double s = conj_w ? -1.0 : 1.0;
-    const double wr = w[n2].real(), wi = s * w[n2].imag();
-    const double br = b[n2].real(), bi = b[n2].imag();
-    const double vr = br * wr - bi * wi;
-    const double vi = br * wi + bi * wr;
-    const double ur = a[n2].real(), ui = a[n2].imag();
-    a[n2] = {ur + vr, ui + vi};
-    b[n2] = {ur - vr, ui - vi};
+  for (std::size_t half = 2; half < m; half <<= 1) {
+    const double* w = tw + 2 * (half - 1);
+    for (std::size_t s = 0; s < m; s += 2 * half) {
+      double* ad = d + 2 * s;
+      double* bd = ad + 2 * half;
+      for (std::size_t k = 0; k < 2 * half; k += 4) {
+        __m256d a = _mm256_loadu_pd(ad + k);
+        __m256d b = _mm256_loadu_pd(bd + k);
+        bfly(a, b, _mm256_xor_pd(_mm256_loadu_pd(w + k), conj_mask));
+        _mm256_storeu_pd(ad + k, a);
+        _mm256_storeu_pd(bd + k, b);
+      }
+    }
   }
 }
 
@@ -196,29 +238,31 @@ float avx2_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
+// The float fir: the same lane-major run, eight outputs per accumulator
+// and dot_f's 8 lanes: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
 void avx2_fir_f(const float* a, const float* x, float* out, std::size_t t,
                std::size_t n) {
   const std::size_t t8 = t & ~std::size_t{7};
   std::size_t o = 0;
-  for (; o + kFirRun <= n; o += kFirRun) {
-    __m256 acc[kFirRun];
-    for (std::size_t r = 0; r < kFirRun; ++r) acc[r] = _mm256_setzero_ps();
+  for (; o + 8 <= n; o += 8) {
+    const float* xo = x + o;
+    __m256 acc[8];
+    for (std::size_t l = 0; l < 8; ++l) acc[l] = _mm256_setzero_ps();
+    const auto tap = [&](std::size_t l, std::size_t i) {
+      acc[l] = _mm256_fmadd_ps(_mm256_set1_ps(a[i]), _mm256_loadu_ps(xo + i),
+                               acc[l]);
+    };
     for (std::size_t i = 0; i < t8; i += 8) {
-      const __m256 av = _mm256_loadu_ps(a + i);
-      for (std::size_t r = 0; r < kFirRun; ++r) {
-        acc[r] = _mm256_fmadd_ps(av, _mm256_loadu_ps(x + o + r + i), acc[r]);
-      }
+      for (std::size_t l = 0; l < 8; ++l) tap(l, i + l);
     }
-    for (std::size_t r = 0; r < kFirRun; ++r) {
-      const float* b = x + o + r;
-      alignas(32) float lane[8];
-      _mm256_store_ps(lane, acc[r]);
-      for (std::size_t i = t8; i < t; ++i) {
-        lane[i & 7] = __builtin_fmaf(a[i], b[i], lane[i & 7]);
-      }
-      out[o + r] = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-                   ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    for (std::size_t l = 0; l < 7; ++l) {
+      if (t8 + l < t) tap(l, t8 + l);
     }
+    const __m256 lo = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]),
+                                    _mm256_add_ps(acc[2], acc[3]));
+    const __m256 hi = _mm256_add_ps(_mm256_add_ps(acc[4], acc[5]),
+                                    _mm256_add_ps(acc[6], acc[7]));
+    _mm256_storeu_ps(out + o, _mm256_add_ps(lo, hi));
   }
   for (; o < n; ++o) out[o] = avx2_dot_f(a, x + o, t);
 }
@@ -255,37 +299,84 @@ void avx2_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
   }
 }
 
-void avx2_butterfly_f(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
-                      bool conj_w) {
-  auto* af = reinterpret_cast<float*>(a);
-  auto* bf = reinterpret_cast<float*>(b);
-  const auto* wf = reinterpret_cast<const float*>(w);
+inline void bfly(__m256& a, __m256& b, __m256 w) {
+  const __m256 wr = _mm256_moveldup_ps(w);
+  const __m256 wi = _mm256_movehdup_ps(w);
+  const __m256 bs = _mm256_permute_ps(b, 0b10110001);
+  const __m256 v = _mm256_addsub_ps(_mm256_mul_ps(b, wr),
+                                    _mm256_mul_ps(bs, wi));
+  const __m256 u = a;
+  a = _mm256_add_ps(u, v);
+  b = _mm256_sub_ps(u, v);
+}
+
+// Four complex floats per register: the 1- and 2-point half-blocks are
+// narrower than a register. A complex float is one 64-bit unit, so
+// half = 1 pairs 64-bit units (unpacklo/hi_pd) and half = 2 moves 128-bit
+// halves (as double's half = 1).
+void avx2_fft_pass_f(cplxf* data, std::size_t m, const cplxf* stage_tw,
+                     bool conj_w) {
+  if (m < 8) {
+    fft_pass_ref(data, m, stage_tw, conj_w);
+    return;
+  }
+  auto* d = reinterpret_cast<float*>(data);
+  const auto* tw = reinterpret_cast<const float*>(stage_tw);
   const __m256 conj_mask =
       conj_w ? _mm256_set_ps(-0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f,
                              0.0f)
              : _mm256_setzero_ps();
-  const std::size_t n4 = n & ~std::size_t{3};  // four complex per vector
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256 wv = _mm256_xor_ps(_mm256_loadu_ps(wf + 2 * i), conj_mask);
-    const __m256 bv = _mm256_loadu_ps(bf + 2 * i);
-    const __m256 wr = _mm256_moveldup_ps(wv);
-    const __m256 wi = _mm256_movehdup_ps(wv);
-    const __m256 bs = _mm256_permute_ps(bv, 0b10110001);
-    const __m256 t = _mm256_mul_ps(bs, wi);
-    const __m256 v = _mm256_addsub_ps(_mm256_mul_ps(bv, wr), t);
-    const __m256 av = _mm256_loadu_ps(af + 2 * i);
-    _mm256_storeu_ps(af + 2 * i, _mm256_add_ps(av, v));
-    _mm256_storeu_ps(bf + 2 * i, _mm256_sub_ps(av, v));
+  const auto load = [d](std::size_t i) {
+    return _mm256_castps_pd(_mm256_loadu_ps(d + 2 * i));
+  };
+  const auto store = [d](std::size_t i, __m256d v) {
+    _mm256_storeu_ps(d + 2 * i, _mm256_castpd_ps(v));
+  };
+  const auto butterfly = [&](__m256d& a, __m256d& b, __m256 w) {
+    __m256 af = _mm256_castpd_ps(a);
+    __m256 bf = _mm256_castpd_ps(b);
+    bfly(af, bf, _mm256_xor_ps(w, conj_mask));
+    a = _mm256_castps_pd(af);
+    b = _mm256_castps_pd(bf);
+  };
+  {
+    double w0 = 0.0;  // the complex twiddle's 64 bits
+    std::memcpy(&w0, tw, sizeof w0);
+    const __m256 w = _mm256_castpd_ps(_mm256_set1_pd(w0));
+    for (std::size_t s = 0; s < m; s += 8) {
+      const __m256d z0 = load(s), z1 = load(s + 4);
+      __m256d a = _mm256_unpacklo_pd(z0, z1);
+      __m256d b = _mm256_unpackhi_pd(z0, z1);
+      butterfly(a, b, w);
+      store(s, _mm256_unpacklo_pd(a, b));
+      store(s + 4, _mm256_unpackhi_pd(a, b));
+    }
   }
-  const float s = conj_w ? -1.0f : 1.0f;
-  for (std::size_t i = n4; i < n; ++i) {
-    const float wr = w[i].real(), wi = s * w[i].imag();
-    const float br = b[i].real(), bi = b[i].imag();
-    const float vr = br * wr - bi * wi;
-    const float vi = br * wi + bi * wr;
-    const float ur = a[i].real(), ui = a[i].imag();
-    a[i] = {ur + vr, ui + vi};
-    b[i] = {ur - vr, ui - vi};
+  {
+    const __m128 w2 = _mm_loadu_ps(tw + 2);  // stage_tw[1, 3)
+    const __m256 w = _mm256_set_m128(w2, w2);
+    for (std::size_t s = 0; s < m; s += 8) {
+      const __m256d z0 = load(s), z1 = load(s + 4);
+      __m256d a = _mm256_permute2f128_pd(z0, z1, kLowHalves);
+      __m256d b = _mm256_permute2f128_pd(z0, z1, kHighHalves);
+      butterfly(a, b, w);
+      store(s, _mm256_permute2f128_pd(a, b, kLowHalves));
+      store(s + 4, _mm256_permute2f128_pd(a, b, kHighHalves));
+    }
+  }
+  for (std::size_t half = 4; half < m; half <<= 1) {
+    const float* w = tw + 2 * (half - 1);
+    for (std::size_t s = 0; s < m; s += 2 * half) {
+      float* ad = d + 2 * s;
+      float* bd = ad + 2 * half;
+      for (std::size_t k = 0; k < 2 * half; k += 8) {
+        __m256 a = _mm256_loadu_ps(ad + k);
+        __m256 b = _mm256_loadu_ps(bd + k);
+        bfly(a, b, _mm256_xor_ps(_mm256_loadu_ps(w + k), conj_mask));
+        _mm256_storeu_ps(ad + k, a);
+        _mm256_storeu_ps(bd + k, b);
+      }
+    }
   }
 }
 
@@ -294,12 +385,12 @@ constexpr Kernels kAvx2Kernels{"avx2",
                                avx2_dot,
                                avx2_fir,
                                avx2_sdft_update,
-                               avx2_butterfly,
+                               avx2_fft_pass,
                                avx2_cmul_inplace_f,
                                avx2_dot_f,
                                avx2_fir_f,
                                avx2_sdft_update_f,
-                               avx2_butterfly_f};
+                               avx2_fft_pass_f};
 
 }  // namespace
 

@@ -2,9 +2,46 @@
 // translation units. Not part of the public dsp API.
 #pragma once
 
+#include <complex>
+#include <cstddef>
+
 #include "dsp/simd.h"
 
 namespace aqua::dsp::simd {
+
+// Reference radix-2 butterflies over one half-block of n points: the tree
+// every fft_pass reproduces (see Kernels::fft_pass). The vector targets
+// run it for transforms too short for their registers. `static` gives each
+// kernel TU its own copy, compiled under that TU's flags.
+template <typename T>
+static inline void butterfly_ref(std::complex<T>* a, std::complex<T>* b,
+                                 const std::complex<T>* w, std::size_t n,
+                                 bool conj_w) {
+  const T s = conj_w ? T(-1) : T(1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const T wr = w[i].real(), wi = s * w[i].imag();
+    const T br = b[i].real(), bi = b[i].imag();
+    const T vr = br * wr - bi * wi;
+    const T vi = br * wi + bi * wr;
+    const T ur = a[i].real(), ui = a[i].imag();
+    a[i] = {ur + vr, ui + vi};
+    b[i] = {ur - vr, ui - vi};
+  }
+}
+
+// The whole pass, stage by stage and block by block: the scalar table's
+// fft_pass entries.
+template <typename T>
+static inline void fft_pass_ref(std::complex<T>* data, std::size_t m,
+                                const std::complex<T>* stage_tw,
+                                bool conj_w) {
+  for (std::size_t half = 1; half < m; half <<= 1) {
+    for (std::size_t s = 0; s < m; s += 2 * half) {
+      butterfly_ref(data + s, data + s + half, stage_tw + (half - 1), half,
+                    conj_w);
+    }
+  }
+}
 
 // Defined in simd_avx2.cpp / simd_avx512.cpp / simd_neon.cpp when CMake
 // compiles them in (the TU carries the per-arch compile flags; nothing

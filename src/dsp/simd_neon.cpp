@@ -13,6 +13,8 @@
 
 #include <arm_neon.h>
 
+#include <cstring>
+
 namespace aqua::dsp::simd {
 
 namespace {
@@ -123,11 +125,12 @@ void neon_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
   }
 }
 
-void neon_butterfly(cplx* a, cplx* b, const cplx* w, std::size_t n,
-                    bool conj_w) {
-  auto* ad = reinterpret_cast<double*>(a);
-  auto* bd = reinterpret_cast<double*>(b);
-  const auto* wd = reinterpret_cast<const double*>(w);
+// The whole radix-2 pass. One complex double fills a register, so every
+// stage runs its blocks straight from memory, one butterfly per point.
+void neon_fft_pass(cplx* data, std::size_t m, const cplx* stage_tw,
+                   bool conj_w) {
+  auto* d = reinterpret_cast<double*>(data);
+  const auto* tw = reinterpret_cast<const double*>(stage_tw);
   // XOR-ing with -0.0 flips signs exactly: conj_mask negates the imaginary
   // lane of w, neg_even negates the real lane of the cross product so a
   // plain add yields the br*wr - bi*wi / bi*wr + br*wi legacy tree.
@@ -135,20 +138,28 @@ void neon_butterfly(cplx* a, cplx* b, const cplx* w, std::size_t n,
   const uint64x2_t conj_mask =
       conj_w ? vsetq_lane_u64(sign, vdupq_n_u64(0), 1) : vdupq_n_u64(0);
   const uint64x2_t neg_even = vsetq_lane_u64(sign, vdupq_n_u64(0), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float64x2_t wv = vreinterpretq_f64_u64(veorq_u64(
-        vreinterpretq_u64_f64(vld1q_f64(wd + 2 * i)), conj_mask));  // [wr wi]
-    const float64x2_t bv = vld1q_f64(bd + 2 * i);                   // [br bi]
-    const float64x2_t bs = vextq_f64(bv, bv, 1);                    // [bi br]
-    const float64x2_t m1 =
-        vmulq_f64(bv, vdupq_laneq_f64(wv, 0));  // [br*wr bi*wr]
-    float64x2_t m2 = vmulq_f64(bs, vdupq_laneq_f64(wv, 1));  // [bi*wi br*wi]
-    m2 = vreinterpretq_f64_u64(
-        veorq_u64(vreinterpretq_u64_f64(m2), neg_even));
-    const float64x2_t v = vaddq_f64(m1, m2);  // [br*wr-bi*wi bi*wr+br*wi]
-    const float64x2_t av = vld1q_f64(ad + 2 * i);
-    vst1q_f64(ad + 2 * i, vaddq_f64(av, v));
-    vst1q_f64(bd + 2 * i, vsubq_f64(av, v));
+  for (std::size_t half = 1; half < m; half <<= 1) {
+    const double* wd = tw + 2 * (half - 1);
+    for (std::size_t s = 0; s < m; s += 2 * half) {
+      double* ad = d + 2 * s;
+      double* bd = ad + 2 * half;
+      for (std::size_t i = 0; i < half; ++i) {
+        const float64x2_t wv = vreinterpretq_f64_u64(veorq_u64(
+            vreinterpretq_u64_f64(vld1q_f64(wd + 2 * i)), conj_mask));
+        const float64x2_t bv = vld1q_f64(bd + 2 * i);  // [br bi]
+        const float64x2_t bs = vextq_f64(bv, bv, 1);   // [bi br]
+        const float64x2_t m1 =
+            vmulq_f64(bv, vdupq_laneq_f64(wv, 0));  // [br*wr bi*wr]
+        float64x2_t m2 =
+            vmulq_f64(bs, vdupq_laneq_f64(wv, 1));  // [bi*wi br*wi]
+        m2 = vreinterpretq_f64_u64(
+            veorq_u64(vreinterpretq_u64_f64(m2), neg_even));
+        const float64x2_t v = vaddq_f64(m1, m2);  // [br*wr-bi*wi bi*wr+br*wi]
+        const float64x2_t av = vld1q_f64(ad + 2 * i);
+        vst1q_f64(ad + 2 * i, vaddq_f64(av, v));
+        vst1q_f64(bd + 2 * i, vsubq_f64(av, v));
+      }
+    }
   }
 }
 
@@ -263,42 +274,70 @@ void neon_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
   }
 }
 
-void neon_butterfly_f(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
-                      bool conj_w) {
-  auto* af = reinterpret_cast<float*>(a);
-  auto* bf = reinterpret_cast<float*>(b);
-  const auto* wf = reinterpret_cast<const float*>(w);
+// Two butterflies of complex floats per register: v = b * w with the
+// legacy tree, a' = a + v, b' = a - v. `w` arrives already conjugated.
+inline void bfly(float32x4_t& a, float32x4_t& b, float32x4_t w) {
+  const uint32x4_t neg_even = {0x80000000u, 0u, 0x80000000u, 0u};
+  const float32x4_t wr = vtrn1q_f32(w, w);
+  const float32x4_t wi = vtrn2q_f32(w, w);
+  const float32x4_t bs = vrev64q_f32(b);
+  const float32x4_t m1 = vmulq_f32(b, wr);
+  float32x4_t m2 = vmulq_f32(bs, wi);
+  m2 = vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(m2), neg_even));
+  const float32x4_t v = vaddq_f32(m1, m2);
+  const float32x4_t u = a;
+  a = vaddq_f32(u, v);
+  b = vsubq_f32(u, v);
+}
+
+// Two complex floats per register: the 1-point half-blocks are narrower
+// than a register, so that stage pairs two blocks' 64-bit points into each
+// (a, b) register pair (zip1/zip2) and back; wider stages run from memory.
+void neon_fft_pass_f(cplxf* data, std::size_t m, const cplxf* stage_tw,
+                     bool conj_w) {
+  if (m < 4) {
+    fft_pass_ref(data, m, stage_tw, conj_w);
+    return;
+  }
+  auto* d = reinterpret_cast<float*>(data);
+  const auto* tw = reinterpret_cast<const float*>(stage_tw);
   const uint32x4_t conj_mask = conj_w
                                    ? uint32x4_t{0u, 0x80000000u, 0u,
                                                 0x80000000u}
                                    : vdupq_n_u32(0u);
-  const uint32x4_t neg_even = {0x80000000u, 0u, 0x80000000u, 0u};
-  const std::size_t n2 = n & ~std::size_t{1};
-  for (std::size_t i = 0; i < n2; i += 2) {
-    const float32x4_t wv = vreinterpretq_f32_u32(veorq_u32(
-        vreinterpretq_u32_f32(vld1q_f32(wf + 2 * i)), conj_mask));
-    const float32x4_t bv = vld1q_f32(bf + 2 * i);
-    const float32x4_t wr = vtrn1q_f32(wv, wv);
-    const float32x4_t wi = vtrn2q_f32(wv, wv);
-    const float32x4_t bs = vrev64q_f32(bv);
-    const float32x4_t m1 = vmulq_f32(bv, wr);
-    float32x4_t m2 = vmulq_f32(bs, wi);
-    m2 = vreinterpretq_f32_u32(
-        veorq_u32(vreinterpretq_u32_f32(m2), neg_even));
-    const float32x4_t v = vaddq_f32(m1, m2);
-    const float32x4_t av = vld1q_f32(af + 2 * i);
-    vst1q_f32(af + 2 * i, vaddq_f32(av, v));
-    vst1q_f32(bf + 2 * i, vsubq_f32(av, v));
+  const auto conj = [&](float32x4_t w) {
+    return vreinterpretq_f32_u32(
+        veorq_u32(vreinterpretq_u32_f32(w), conj_mask));
+  };
+  {
+    double w0 = 0.0;  // the complex twiddle's 64 bits
+    std::memcpy(&w0, tw, sizeof w0);
+    const float32x4_t w = conj(vreinterpretq_f32_f64(vdupq_n_f64(w0)));
+    for (std::size_t s = 0; s < m; s += 4) {
+      const float64x2_t z0 = vreinterpretq_f64_f32(vld1q_f32(d + 2 * s));
+      const float64x2_t z1 = vreinterpretq_f64_f32(vld1q_f32(d + 2 * s + 4));
+      float32x4_t a = vreinterpretq_f32_f64(vzip1q_f64(z0, z1));
+      float32x4_t b = vreinterpretq_f32_f64(vzip2q_f64(z0, z1));
+      bfly(a, b, w);
+      const float64x2_t a2 = vreinterpretq_f64_f32(a);
+      const float64x2_t b2 = vreinterpretq_f64_f32(b);
+      vst1q_f32(d + 2 * s, vreinterpretq_f32_f64(vzip1q_f64(a2, b2)));
+      vst1q_f32(d + 2 * s + 4, vreinterpretq_f32_f64(vzip2q_f64(a2, b2)));
+    }
   }
-  if (n2 < n) {
-    const float s = conj_w ? -1.0f : 1.0f;
-    const float wr = w[n2].real(), wi = s * w[n2].imag();
-    const float br = b[n2].real(), bi = b[n2].imag();
-    const float vr = br * wr - bi * wi;
-    const float vi = br * wi + bi * wr;
-    const float ur = a[n2].real(), ui = a[n2].imag();
-    a[n2] = {ur + vr, ui + vi};
-    b[n2] = {ur - vr, ui - vi};
+  for (std::size_t half = 2; half < m; half <<= 1) {
+    const float* w = tw + 2 * (half - 1);
+    for (std::size_t s = 0; s < m; s += 2 * half) {
+      float* ad = d + 2 * s;
+      float* bd = ad + 2 * half;
+      for (std::size_t k = 0; k < 2 * half; k += 4) {
+        float32x4_t a = vld1q_f32(ad + k);
+        float32x4_t b = vld1q_f32(bd + k);
+        bfly(a, b, conj(vld1q_f32(w + k)));
+        vst1q_f32(ad + k, a);
+        vst1q_f32(bd + k, b);
+      }
+    }
   }
 }
 
@@ -307,12 +346,12 @@ constexpr Kernels kNeonKernels{"neon",
                                neon_dot,
                                neon_fir,
                                neon_sdft_update,
-                               neon_butterfly,
+                               neon_fft_pass,
                                neon_cmul_inplace_f,
                                neon_dot_f,
                                neon_fir_f,
                                neon_sdft_update_f,
-                               neon_butterfly_f};
+                               neon_fft_pass_f};
 
 }  // namespace
 

@@ -95,15 +95,31 @@ class StageTimer {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start_)
                         .count();
-    registry_->add(std::string(stage_) + ".ns",
-                   static_cast<std::uint64_t>(ns));
-    registry_->add(std::string(stage_) + ".calls", 1);
+    add_suffixed(".ns", static_cast<std::uint64_t>(ns));
+    add_suffixed(".calls", 1);
     registry_ = nullptr;
   }
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
 
  private:
+  // Adds to "<stage><suffix>", composed on the stack (the registry looks
+  // string_views up heterogeneously), so a stop allocates only the first
+  // time a counter appears. Stage names too long for the buffer fall back
+  // to a heap string.
+  void add_suffixed(std::string_view suffix, std::uint64_t v) {
+    char key[64] = {};
+    if (stage_.size() + suffix.size() > sizeof key) {
+      std::string long_key(stage_);
+      long_key += suffix;
+      registry_->add(long_key, v);
+      return;
+    }
+    stage_.copy(key, stage_.size());
+    suffix.copy(key + stage_.size(), suffix.size());
+    registry_->add(std::string_view(key, stage_.size() + suffix.size()), v);
+  }
+
   Registry* registry_;
   std::string_view stage_;
   std::chrono::steady_clock::time_point start_{};

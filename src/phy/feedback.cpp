@@ -209,6 +209,10 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
       }
     }
     if (total <= 1e-18) continue;
+    // peak_sum below is p1 or p1 + p2, never above this bound, so a window
+    // whose bound already misses the fraction fails the test below whatever
+    // `single` decides: skip it before paying for the median.
+    if ((p1 + std::max(p2, 0.0)) / total < min_peak_fraction) continue;
     // A single-bin band (begin == end) puts everything in one bin. The
     // second peak then sits at the noise floor — compare it against the
     // median of the remaining bins rather than against p1, because a wide

@@ -2,7 +2,11 @@
 // Bluestein path used by the 960-point OFDM symbol.
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <cstdint>
+#include <cstring>
 #include <random>
+#include <vector>
 
 #include "dsp/fft.h"
 
@@ -12,7 +16,7 @@ namespace aqua::dsp {
 // (which no public path can violate) still gets a throw test.
 struct FftPlanTestPeer {
   static void radix2(const FftPlan& plan, std::vector<cplx>& data) {
-    plan.radix2(data, /*invert=*/false);
+    plan.radix2(data, data, /*invert=*/false);
   }
 };
 
@@ -164,6 +168,111 @@ TEST(Fft, NextPow2) {
   EXPECT_EQ(next_pow2(3), 4u);
   EXPECT_EQ(next_pow2(960), 1024u);
   EXPECT_EQ(next_pow2(1025), 2048u);
+}
+
+// --- Golden output hashes. -----------------------------------------------
+//
+// Every transform path hashed over its raw output bytes: complex and real,
+// forward and inverse, double and float, power-of-two and Bluestein sizes.
+// Inputs come from the raw mt19937_64 stream (no distribution object, so
+// they are the same on every standard library) and are salted with signed
+// zeros. The expected values were recorded from the per-half-block
+// butterfly implementation with std::complex untwiddles; any change to the
+// transforms' floating-point trees shows up here as a different hash, on
+// every dispatch target (run the suite under AQUA_SIMD=scalar and the
+// widest target to cover both ends of the table).
+
+const std::size_t kGoldenSizes[] = {1,   2,   3,    4,    5,    8,    12,
+                                    15,  16,  17,   32,   64,   100,  128,
+                                    256, 512, 960,  961,  1000, 1024, 2048,
+                                    3000, 4096, 8192, 16384};
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+// Uniform in [-1, 1) from the top 53 bits; every 5th value is -0.0 and
+// every 7th +0.0, so sign-of-zero handling in the trees is pinned too.
+template <typename T>
+std::vector<T> golden_reals(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<T> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = static_cast<double>(rng() >> 11) * 0x1p-53;
+    x[i] = static_cast<T>(2.0 * u - 1.0);
+    if (i % 5 == 3) x[i] = T(-0.0);
+    if (i % 7 == 2) x[i] = T(0.0);
+  }
+  return x;
+}
+
+template <typename T>
+std::vector<std::complex<T>> golden_cplx(std::size_t n, std::uint64_t seed) {
+  const std::vector<T> r = golden_reals<T>(2 * n, seed);
+  std::vector<std::complex<T>> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = {r[2 * i], r[2 * i + 1]};
+  return x;
+}
+
+template <typename T>
+std::uint64_t complex_hash() {
+  std::uint64_t h = kFnvBasis;
+  Workspace ws;
+  for (const std::size_t n : kGoldenSizes) {
+    const BasicFftPlan<T> plan(n);
+    const std::vector<std::complex<T>> x = golden_cplx<T>(n, 900 + n);
+    std::vector<std::complex<T>> y(n);
+    plan.forward(x, y, ws);
+    h = fnv1a(y.data(), n * sizeof(y[0]), h);
+    plan.inverse(x, y, ws);
+    h = fnv1a(y.data(), n * sizeof(y[0]), h);
+  }
+  return h;
+}
+
+template <typename T>
+std::uint64_t real_hash() {
+  std::uint64_t h = kFnvBasis;
+  Workspace ws;
+  for (const std::size_t n : kGoldenSizes) {
+    const BasicRfftPlan<T> plan(n);
+    const std::vector<T> x = golden_reals<T>(n, 700 + n);
+    std::vector<std::complex<T>> spec(plan.spectrum_size());
+    plan.forward(x, spec, ws);
+    h = fnv1a(spec.data(), spec.size() * sizeof(spec[0]), h);
+    // A packed half-spectrum with real DC/Nyquist bins, as the inverse
+    // contract requires.
+    std::vector<std::complex<T>> in = golden_cplx<T>(spec.size(), 800 + n);
+    in[0] = {in[0].real(), T(0.0)};
+    if (n % 2 == 0) in.back() = {in.back().real(), T(0.0)};
+    std::vector<T> back(n);
+    plan.inverse(in, back, ws);
+    h = fnv1a(back.data(), n * sizeof(back[0]), h);
+  }
+  return h;
+}
+
+TEST(FftGolden, ComplexDoubleOutputsUnchanged) {
+  EXPECT_EQ(complex_hash<double>(), 0xf32592bd871d4785ull);
+}
+
+TEST(FftGolden, ComplexFloatOutputsUnchanged) {
+  EXPECT_EQ(complex_hash<float>(), 0x4a407af9d815e7f3ull);
+}
+
+TEST(FftGolden, RealDoubleOutputsUnchanged) {
+  EXPECT_EQ(real_hash<double>(), 0x42a098fe8e1c6711ull);
+}
+
+TEST(FftGolden, RealFloatOutputsUnchanged) {
+  EXPECT_EQ(real_hash<float>(), 0x4c76e9b4938c31aeull);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // BIT-IDENTICAL to the scalar reference — same fused multiply-adds, same
 // lane structure, same reduction order — which is what lets the streaming
 // chunking/thread-count invariants survive vectorization.
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -189,12 +190,12 @@ TEST(Simd, ActiveTableIsRunnable) {
   EXPECT_NE(k.fir, nullptr);
   EXPECT_NE(k.cmul_inplace, nullptr);
   EXPECT_NE(k.sdft_update, nullptr);
-  EXPECT_NE(k.butterfly, nullptr);
+  EXPECT_NE(k.fft_pass, nullptr);
   EXPECT_NE(k.dot_f, nullptr);
   EXPECT_NE(k.fir_f, nullptr);
   EXPECT_NE(k.cmul_inplace_f, nullptr);
   EXPECT_NE(k.sdft_update_f, nullptr);
-  EXPECT_NE(k.butterfly_f, nullptr);
+  EXPECT_NE(k.fft_pass_f, nullptr);
   // The scalar table must always be reachable.
   ASSERT_NE(simd::kernels_for(simd::Isa::kScalar), nullptr);
 }
@@ -219,9 +220,12 @@ TEST(Simd, DotBitIdenticalAcrossTargetsAndCorrect) {
 }
 
 // Tap counts and output runs around the lane (4 / 8) and per-pass output
-// (4 / 8) boundaries, plus the 512-tap noise-shaping filter.
+// (4 / 8 / 16 / 32) boundaries, runs that take every pass width down to
+// the per-output tail (25 = 16 + 8 + 1, 49 = 32 + 16 + 1), plus the
+// 512-tap noise-shaping filter.
 const std::size_t kFirTaps[] = {1, 3, 4, 5, 7, 8, 9, 17, 128, 129, 512};
-const std::size_t kFirOutputs[] = {0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 480};
+const std::size_t kFirOutputs[] = {0,  1,  3,  4,  7,  8,  9,
+                                   15, 16, 17, 25, 49, 480};
 
 TEST(Simd, FirMatchesDotPerOutputOnEveryTarget) {
   for (const std::size_t t : kFirTaps) {
@@ -324,42 +328,6 @@ TEST(Simd, SdftUpdateBitIdenticalAcrossTargetsAndCorrect) {
         EXPECT_EQ(gre[j], ref_re[j]) << k->name << " bin " << j;
         EXPECT_EQ(gim[j], ref_im[j]) << k->name << " bin " << j;
         EXPECT_EQ(gph[j], ref_ph[j]) << k->name << " bin " << j;
-      }
-    }
-  }
-}
-
-TEST(Simd, ButterflyBitIdenticalAcrossTargetsAndCorrect) {
-  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  for (const std::size_t n : kKernelSizes) {
-    const std::vector<cplx> a0 = random_cplx(n, 1100 + n);
-    const std::vector<cplx> b0 = random_cplx(n, 1200 + n);
-    const std::vector<cplx> w = random_cplx(n, 1300 + n);
-    for (const bool conj_w : {false, true}) {
-      std::vector<cplx> ra = a0, rb = b0;
-      scalar->butterfly(ra.data(), rb.data(), w.data(), n, conj_w);
-      // The contract: v = b*w (historical std::complex product tree),
-      // a' = a + v, b' = a - v. Must be EXACT — the double FFT's outputs
-      // are pinned to the scalar era through this tree.
-      for (std::size_t i = 0; i < n; ++i) {
-        const cplx wi = conj_w ? std::conj(w[i]) : w[i];
-        const cplx v(b0[i].real() * wi.real() - b0[i].imag() * wi.imag(),
-                     b0[i].real() * wi.imag() + b0[i].imag() * wi.real());
-        EXPECT_EQ(ra[i].real(), (a0[i] + v).real()) << "element " << i;
-        EXPECT_EQ(ra[i].imag(), (a0[i] + v).imag()) << "element " << i;
-        EXPECT_EQ(rb[i].real(), (a0[i] - v).real()) << "element " << i;
-        EXPECT_EQ(rb[i].imag(), (a0[i] - v).imag()) << "element " << i;
-      }
-      for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<cplx> ga = a0, gb = b0;
-        k->butterfly(ga.data(), gb.data(), w.data(), n, conj_w);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(ga[i].real(), ra[i].real()) << k->name << " elem " << i;
-          EXPECT_EQ(ga[i].imag(), ra[i].imag()) << k->name << " elem " << i;
-          EXPECT_EQ(gb[i].real(), rb[i].real()) << k->name << " elem " << i;
-          EXPECT_EQ(gb[i].imag(), rb[i].imag()) << k->name << " elem " << i;
-        }
       }
     }
   }
@@ -494,37 +462,80 @@ TEST(Simd, SdftUpdateFloatBitIdenticalAcrossTargetsAndCorrect) {
   }
 }
 
-TEST(Simd, ButterflyFloatBitIdenticalAcrossTargetsAndCorrect) {
-  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  for (const std::size_t n : kKernelSizes) {
-    const std::vector<cplxf> a0 = random_cplxf(n, 2100 + n);
-    const std::vector<cplxf> b0 = random_cplxf(n, 2200 + n);
-    const std::vector<cplxf> w = random_cplxf(n, 2300 + n);
-    for (const bool conj_w : {false, true}) {
-      std::vector<cplxf> ra = a0, rb = b0;
-      scalar->butterfly_f(ra.data(), rb.data(), w.data(), n, conj_w);
-      for (std::size_t i = 0; i < n; ++i) {
-        const cplxf wi = conj_w ? std::conj(w[i]) : w[i];
-        const cplxf v(b0[i].real() * wi.real() - b0[i].imag() * wi.imag(),
-                      b0[i].real() * wi.imag() + b0[i].imag() * wi.real());
-        EXPECT_EQ(ra[i].real(), (a0[i] + v).real()) << "element " << i;
-        EXPECT_EQ(ra[i].imag(), (a0[i] + v).imag()) << "element " << i;
-        EXPECT_EQ(rb[i].real(), (a0[i] - v).real()) << "element " << i;
-        EXPECT_EQ(rb[i].imag(), (a0[i] - v).imag()) << "element " << i;
+// --- The whole-transform FFT pass kernel. --------------------------------
+
+// The contract, spelled per element: every stage, every block, every point
+// through the historical std::complex product tree v = b * w (unfused),
+// a' = a + v, b' = a - v. This TU is built with -ffp-contract=off so the
+// reference itself is not fused on FMA-baseline targets.
+template <typename T>
+void fft_pass_reference(std::vector<std::complex<T>>& d,
+                        const std::vector<std::complex<T>>& tw, bool conj_w) {
+  const std::size_t m = d.size();
+  for (std::size_t half = 1; half < m; half <<= 1) {
+    for (std::size_t s = 0; s < m; s += 2 * half) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const std::complex<T> w =
+            conj_w ? std::conj(tw[half - 1 + k]) : tw[half - 1 + k];
+        const std::complex<T> a = d[s + k], b = d[s + half + k];
+        const std::complex<T> v(b.real() * w.real() - b.imag() * w.imag(),
+                                b.real() * w.imag() + b.imag() * w.real());
+        d[s + k] = a + v;
+        d[s + half + k] = a - v;
       }
+    }
+  }
+}
+
+// Random points and twiddles with signed zeros mixed in, so the narrow
+// stages' register shuffles are checked down to the sign bit.
+template <typename T>
+std::vector<std::complex<T>> pass_input(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<T> g(T(0), T(1));
+  std::vector<std::complex<T>> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = {i % 5 == 1 ? T(-0.0) : g(rng), i % 7 == 3 ? T(0.0) : g(rng)};
+  }
+  return x;
+}
+
+template <typename T, typename Pass>
+void expect_fft_pass_matches_reference(Pass pass_of, std::uint64_t seed) {
+  for (std::size_t m = 1; m <= (std::size_t{1} << 14); m <<= 1) {
+    const std::vector<std::complex<T>> x0 = pass_input<T>(m, seed + m);
+    // m - 1 stage twiddles (at least one so .data() is dereferenceable).
+    const std::vector<std::complex<T>> tw =
+        pass_input<T>(std::max<std::size_t>(m - 1, 1), seed + 7 * m);
+    for (const bool conj_w : {false, true}) {
+      std::vector<std::complex<T>> ref = x0;
+      fft_pass_reference(ref, tw, conj_w);
       for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<cplxf> ga = a0, gb = b0;
-        k->butterfly_f(ga.data(), gb.data(), w.data(), n, conj_w);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(ga[i].real(), ra[i].real()) << k->name << " elem " << i;
-          EXPECT_EQ(ga[i].imag(), ra[i].imag()) << k->name << " elem " << i;
-          EXPECT_EQ(gb[i].real(), rb[i].real()) << k->name << " elem " << i;
-          EXPECT_EQ(gb[i].imag(), rb[i].imag()) << k->name << " elem " << i;
+        std::vector<std::complex<T>> got = x0;
+        pass_of(*k)(got.data(), m, tw.data(), conj_w);
+        for (std::size_t i = 0; i < m; ++i) {
+          ASSERT_EQ(std::signbit(got[i].real()), std::signbit(ref[i].real()))
+              << k->name << " m " << m << " conj " << conj_w << " i " << i;
+          ASSERT_EQ(got[i].real(), ref[i].real())
+              << k->name << " m " << m << " conj " << conj_w << " i " << i;
+          ASSERT_EQ(std::signbit(got[i].imag()), std::signbit(ref[i].imag()))
+              << k->name << " m " << m << " conj " << conj_w << " i " << i;
+          ASSERT_EQ(got[i].imag(), ref[i].imag())
+              << k->name << " m " << m << " conj " << conj_w << " i " << i;
         }
       }
     }
   }
+}
+
+TEST(Simd, FftPassBitIdenticalToReferenceOnEveryTarget) {
+  expect_fft_pass_matches_reference<double>(
+      [](const simd::Kernels& k) { return k.fft_pass; }, 1100);
+}
+
+TEST(Simd, FftPassFloatBitIdenticalToReferenceOnEveryTarget) {
+  expect_fft_pass_matches_reference<float>(
+      [](const simd::Kernels& k) { return k.fft_pass_f; }, 2100);
 }
 
 }  // namespace
