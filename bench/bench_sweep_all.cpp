@@ -21,6 +21,7 @@
 // and therefore deterministic: it appears in both stdout and the JSON.
 #include <sys/utsname.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -199,6 +200,31 @@ double last_total_samples_per_s(const std::string& series,
         nullptr);
   }
   return last;
+}
+
+// The distinct machine labels in the series, in first-seen order, quoted
+// and comma-separated ("none" for an empty series).
+std::string series_labels(const std::string& series) {
+  const std::string key = "\"machine\": \"";
+  std::vector<std::string> labels;
+  for (std::size_t pos = series.find(key); pos != std::string::npos;
+       pos = series.find(key, pos)) {
+    pos += key.size();
+    const std::size_t end = series.find('"', pos);
+    if (end == std::string::npos) break;
+    std::string label = series.substr(pos, end - pos);
+    if (std::find(labels.begin(), labels.end(), label) == labels.end()) {
+      labels.push_back(std::move(label));
+    }
+  }
+  std::string out;
+  for (const std::string& label : labels) {
+    if (!out.empty()) out += ", ";
+    out += '"';
+    out += label;
+    out += '"';
+  }
+  return out.empty() ? "none" : out;
 }
 
 // Appends this run to the series file. A missing or empty file starts a
@@ -412,8 +438,9 @@ int main(int argc, char** argv) {
     // turns red instead of quietly recording the regression.
     // $AQUA_BENCH_TOLERANCE overrides the allowed fractional drop (default
     // 0.15); values >= 1 effectively disable the gate for noisy hosts.
-    const double baseline =
-        last_total_samples_per_s(read_file(path), machine_label());
+    const std::string series = read_file(path);
+    const std::string machine = machine_label();
+    const double baseline = last_total_samples_per_s(series, machine);
     write_json(path, n, runner.threads(), timings);
     std::fprintf(stderr, "timing: wrote %s\n", path);
 
@@ -438,6 +465,13 @@ int main(int argc, char** argv) {
                    "timing: gate ok: %.0f samples/s vs previous %.0f "
                    "(tolerance %.0f%%)\n",
                    current, baseline, 100.0 * tolerance);
+    } else {
+      // Nothing to compare against: say so rather than pass in silence.
+      std::fprintf(stderr,
+                   "timing: gate OFF: no entry labelled \"%s\" (series "
+                   "labels: %s; set AQUA_BENCH_MACHINE to compare against "
+                   "one)\n",
+                   machine.c_str(), series_labels(series).c_str());
     }
   }
   return 0;

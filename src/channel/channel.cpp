@@ -50,10 +50,16 @@ LinkConfig reverse_link(const LinkConfig& fwd) {
 }
 
 UnderwaterChannel::UnderwaterChannel(const LinkConfig& config)
+    : UnderwaterChannel(config, link_device_filter(config, /*speaker=*/true),
+                        link_device_filter(config, /*speaker=*/false)) {}
+
+UnderwaterChannel::UnderwaterChannel(
+    const LinkConfig& config, std::shared_ptr<const dsp::FftFilter> tx_filter,
+    std::shared_ptr<const dsp::FftFilter> rx_filter)
     : config_(config),
       mobility_(link_mobility(config)),
-      tx_filter_(device_fir(/*speaker=*/true)),
-      rx_filter_(device_fir(/*speaker=*/false)),
+      tx_filter_(std::move(tx_filter)),
+      rx_filter_(std::move(rx_filter)),
       roughness_rng_(config.seed * 104729 + 7) {
   if (config_.range_m <= 0.0) {
     throw std::invalid_argument("UnderwaterChannel: range must be > 0");
@@ -114,6 +120,11 @@ std::vector<Path> UnderwaterChannel::paths_at(double t_s,
     const double amp = 1.0 / std::max(len, 1.0);
     return {{len / kSoundSpeedAir, amp, 0, 0}};
   }
+  return compute_paths(g, waveguide_at(block_index, rng));
+}
+
+WaveguideParams UnderwaterChannel::waveguide_at(std::uint64_t block_index,
+                                                std::mt19937_64& rng) const {
   WaveguideParams wp = config_.site.waveguide;
   if (config_.site.surface_roughness > 0.0 && block_index > 0) {
     // Waves decorrelate the surface bounce from block to block.
@@ -121,7 +132,7 @@ std::vector<Path> UnderwaterChannel::paths_at(double t_s,
     wp.surface_reflection = std::clamp(
         wp.surface_reflection * (1.0 + gauss(rng)), 0.3, 1.0);
   }
-  return compute_paths(g, wp);
+  return wp;
 }
 
 std::vector<double> link_device_fir(const LinkConfig& config, bool speaker) {
@@ -139,8 +150,21 @@ std::vector<double> link_device_fir(const LinkConfig& config, bool speaker) {
   return dsp::design_from_magnitude(mag, kDeviceFirTaps);
 }
 
-std::vector<double> UnderwaterChannel::device_fir(bool speaker) const {
-  return link_device_fir(config_, speaker);
+// Exactly the fields link_device_fir reads; the two change together.
+bool same_device_response(const LinkConfig& a, const LinkConfig& b,
+                          bool speaker) {
+  if (a.in_air != b.in_air || a.sample_rate_hz != b.sample_rate_hz) {
+    return false;
+  }
+  return speaker ? a.tx_device == b.tx_device &&
+                       a.tx_azimuth_deg == b.tx_azimuth_deg
+                 : a.rx_device == b.rx_device;
+}
+
+std::shared_ptr<const dsp::FftFilter> link_device_filter(
+    const LinkConfig& config, bool speaker) {
+  return std::make_shared<const dsp::FftFilter>(
+      link_device_fir(config, speaker));
 }
 
 std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
@@ -151,7 +175,7 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
   const std::size_t tail = static_cast<std::size_t>(tail_s * fs);
   const std::size_t ref_offset =
       static_cast<std::size_t>(std::llround(reference_delay_s_ * fs));
-  const std::size_t shaped = tx_filter_.output_length(tx.size());
+  const std::size_t shaped = tx_filter_->output_length(tx.size());
   const std::size_t base_ir =
       fixed_ir_filter_ ? 0
                        : paths_to_impulse_response_ref(base_paths_, fs,
@@ -175,7 +199,7 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
         fixed_ir_filter_ ? fixed_ir_filter_->output_length(shaped)
                          : shaped + std::max(base_ir, path.max_ir_samples_);
     return lead + path.extra_latency() + ref_offset +
-           rx_filter_.output_length(propagated) + tail;
+           rx_filter_->output_length(propagated) + tail;
   };
   dsp::Workspace& ws = dsp::thread_local_workspace();
   std::vector<double> out(lead, 0.0);
@@ -209,8 +233,8 @@ UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,
     : ch_(&ch),
       time_offset_s_(start_time_s),
       block_offset_(start_block),
-      tx_stream_(ch.tx_filter_, dsp::kMaxStreamStep),
-      rx_stream_(ch.rx_filter_, dsp::kMaxStreamStep),
+      tx_stream_(*ch.tx_filter_, dsp::kMaxStreamStep),
+      rx_stream_(*ch.rx_filter_, dsp::kMaxStreamStep),
       // Seeded exactly like the channel's own RNG. A stream opened at an
       // offset starts this sequence fresh rather than fast-forwarding it —
       // roughness draws are i.i.d. per block, so the re-opened path sees
@@ -236,8 +260,9 @@ UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,
 // overlap-added into mp_ring_; its own span is then final (later blocks
 // only add beyond it) and moves on into mp_final_. A block of exact
 // silence would add exact zeros, so it skips the response and the
-// convolution; it still solves its paths, which draws its roughness and
-// keeps max_ir_samples_ what rendering would have made it.
+// convolution. It draws its roughness all the same, and solves its paths
+// only when transmit() reads max_ir_samples_ (which must stay what
+// rendering would have made it).
 void UnderwaterChannel::Stream::render_block() {
   const double fs = ch_->config_.sample_rate_hz;
   const std::uint64_t block_start = mp_blocks_ * kBlockSamples;
@@ -245,31 +270,33 @@ void UnderwaterChannel::Stream::render_block() {
       std::span<const double>(shaped_pending_).subspan(shaped_head_,
                                                        kBlockSamples);
   shaped_head_ += kBlockSamples;
+  const std::uint64_t index = block_offset_ + mp_blocks_ + 1;
+  const double t_mid =
+      time_offset_s_ +
+      (static_cast<double>(block_start) + 0.5 * kBlockSamples) / fs;
   if (block_start >= silent_from_) {
     // Known silence: no roughness draw, nothing to add to the ring.
     ++silent_blocks_;
-  } else {
-    const double t_mid =
-        time_offset_s_ +
-        (static_cast<double>(block_start) + 0.5 * kBlockSamples) / fs;
-    const std::vector<Path> paths =
-        ch_->paths_at(t_mid, block_offset_ + mp_blocks_ + 1, roughness_rng_);
-    if (std::all_of(block.begin(), block.end(),
-                    [](double v) { return v == 0.0; })) {
+  } else if (std::all_of(block.begin(), block.end(),
+                         [](double v) { return v == 0.0; })) {
+    if (track_ir_length_) {
       max_ir_samples_ = std::max(
           max_ir_samples_,
-          impulse_response_length(paths, fs, ch_->reference_delay_s_));
-      ++silent_blocks_;
+          impulse_response_length(ch_->paths_at(t_mid, index, roughness_rng_),
+                                  fs, ch_->reference_delay_s_));
     } else {
-      const std::vector<double> ir = paths_to_impulse_response_ref(
-          paths, fs, ch_->reference_delay_s_);
-      max_ir_samples_ = std::max(max_ir_samples_, ir.size());
-      const std::vector<double> y = dsp::convolve(block, ir);
-      const std::size_t off =
-          static_cast<std::size_t>(block_start - mp_emitted_);
-      if (mp_ring_.size() < off + y.size()) mp_ring_.resize(off + y.size(), 0.0);
-      for (std::size_t i = 0; i < y.size(); ++i) mp_ring_[off + i] += y[i];
+      ch_->waveguide_at(index, roughness_rng_);  // the solve's one draw
     }
+    ++silent_blocks_;
+  } else {
+    const std::vector<double> ir = paths_to_impulse_response_ref(
+        ch_->paths_at(t_mid, index, roughness_rng_), fs,
+        ch_->reference_delay_s_);
+    max_ir_samples_ = std::max(max_ir_samples_, ir.size());
+    const std::vector<double> y = dsp::convolve(block, ir);
+    const std::size_t off = static_cast<std::size_t>(block_start - mp_emitted_);
+    if (mp_ring_.size() < off + y.size()) mp_ring_.resize(off + y.size(), 0.0);
+    for (std::size_t i = 0; i < y.size(); ++i) mp_ring_[off + i] += y[i];
   }
   ++mp_blocks_;
   const std::size_t have = std::min(kBlockSamples, mp_ring_.size());
@@ -334,9 +361,9 @@ void UnderwaterChannel::Stream::push(std::span<const double> speaker,
 }
 
 double UnderwaterChannel::frequency_response_mag(double freq_hz) const {
-  const double tx = std::abs(dsp::fir_response(tx_filter_.kernel(), freq_hz,
+  const double tx = std::abs(dsp::fir_response(tx_filter_->kernel(), freq_hz,
                                                config_.sample_rate_hz));
-  const double rx = std::abs(dsp::fir_response(rx_filter_.kernel(), freq_hz,
+  const double rx = std::abs(dsp::fir_response(rx_filter_->kernel(), freq_hz,
                                                config_.sample_rate_hz));
   const double medium = std::abs(paths_frequency_response(base_paths_, freq_hz));
   return tx * medium * rx;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -46,9 +47,12 @@ struct LinkConfig {
   std::uint64_t seed = 1;
 };
 
+class AcousticMedium;
+
 /// Simulates one direction of an acoustic link.
 class UnderwaterChannel {
  public:
+  /// Builds the link with its own speaker and microphone response filters.
   explicit UnderwaterChannel(const LinkConfig& config);
 
   /// Passes `tx` through the link. The output contains `lead_in_s` seconds
@@ -93,6 +97,14 @@ class UnderwaterChannel {
   /// renders through a private Stream that starts at the channel's clock
   /// and continues the channel's roughness RNG. The parent channel must
   /// outlive the stream.
+  ///
+  /// A time-varying link solves its paths per 10 ms block. A block whose
+  /// speaker-filtered samples are exact silence adds nothing to the
+  /// output, so it skips the impulse response and the convolution and,
+  /// unless transmit() needs the longest response length for its output
+  /// size, the path solve too. It still draws the block's surface-
+  /// roughness sample (UnderwaterChannel's one helper for it), so the
+  /// blocks after the silence render through the same surface either way.
   class Stream {
    public:
     /// Consumes `speaker` and appends exactly speaker.size() microphone
@@ -160,16 +172,33 @@ class UnderwaterChannel {
   }
 
  private:
+  /// A medium designs each distinct device response once and hands the
+  /// same immutable filter to every path that uses it.
+  friend class AcousticMedium;
+
+  /// Builds the link over shared response filters. `tx_filter` and
+  /// `rx_filter` must be link_device_filter(c, true / false) of a config
+  /// `c` with same_device_response(c, config, true / false).
+  UnderwaterChannel(const LinkConfig& config,
+                    std::shared_ptr<const dsp::FftFilter> tx_filter,
+                    std::shared_ptr<const dsp::FftFilter> rx_filter);
+
   Geometry geometry_at(double t_s) const;
   std::vector<Path> paths_at(double t_s, std::uint64_t block_index,
                              std::mt19937_64& rng) const;
-  std::vector<double> device_fir(bool speaker) const;
+  /// The waveguide of block `block_index`: the site's, with the block's
+  /// surface-roughness draw applied. The only RNG use of a path solve, so
+  /// a silent block that skips the solve draws through here as well.
+  WaveguideParams waveguide_at(std::uint64_t block_index,
+                               std::mt19937_64& rng) const;
 
   LinkConfig config_;
   MobilityModel mobility_;
   std::optional<NoiseGenerator> noise_;
-  dsp::FftFilter tx_filter_;        ///< speaker + case + static orientation
-  dsp::FftFilter rx_filter_;        ///< microphone + case
+  /// speaker + case + static orientation (possibly shared with other links)
+  std::shared_ptr<const dsp::FftFilter> tx_filter_;
+  /// microphone + case (possibly shared with other links)
+  std::shared_ptr<const dsp::FftFilter> rx_filter_;
   std::vector<Path> base_paths_;    ///< paths for the initial geometry
   /// Impulse-response filter for links whose geometry never changes
   /// (static underwater or in-air), built once at construction.
@@ -205,5 +234,17 @@ MobilityModel link_mobility(const LinkConfig& config);
 /// `config` (device + case + static orientation). The culler uses its L1
 /// norm as a rigorous peak-gain bound for the filter stage.
 std::vector<double> link_device_fir(const LinkConfig& config, bool speaker);
+
+/// Whether link_device_fir(a, speaker) and link_device_fir(b, speaker)
+/// are the same response: same device, immersion (in air or not) and
+/// sample rate, and for the speaker the same azimuth. Links for which it
+/// holds can share one response filter.
+bool same_device_response(const LinkConfig& a, const LinkConfig& b,
+                          bool speaker);
+
+/// link_device_fir as the immutable overlap-save filter a link renders
+/// through.
+std::shared_ptr<const dsp::FftFilter> link_device_filter(
+    const LinkConfig& config, bool speaker);
 
 }  // namespace aqua::channel

@@ -66,7 +66,7 @@ std::vector<Notch> draw_notches(std::mt19937_64& rng, int count,
 
 DeviceProfile::DeviceProfile(DeviceModel model, std::uint64_t unit_seed,
                              CaseType case_type)
-    : model_(model), case_type_(case_type) {
+    : model_(model), unit_seed_(unit_seed), case_type_(case_type) {
   const ModelParams p = params_for(model);
   tx_level_ = p.tx_level;
   lo_edge_hz_ = p.lo_edge;

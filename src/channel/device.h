@@ -74,6 +74,13 @@ class DeviceProfile {
   DeviceModel model() const { return model_; }
   CaseType case_type() const { return case_type_; }
 
+  /// Identity: the profile is a pure function of (model, unit seed, case),
+  /// so two profiles built from the same triple are the same device.
+  friend bool operator==(const DeviceProfile& a, const DeviceProfile& b) {
+    return a.model_ == b.model_ && a.unit_seed_ == b.unit_seed_ &&
+           a.case_type_ == b.case_type_;
+  }
+
   /// Human-readable model name.
   std::string name() const;
 
@@ -88,6 +95,7 @@ class DeviceProfile {
   static double notch_gain(const std::vector<Notch>& notches, double freq_hz);
 
   DeviceModel model_;
+  std::uint64_t unit_seed_;
   CaseType case_type_;
   double tx_level_ = 1.0;
   double speaker_offset_m_ = 0.05;

@@ -19,6 +19,12 @@ LinkConfig path_config(const LinkConfig& cfg) {
   return c;
 }
 
+double l1_norm(const std::vector<double>& fir) {
+  double s = 0.0;
+  for (const double v : fir) s += std::abs(v);
+  return s;
+}
+
 double block_peak(std::span<const double> block) {
   double peak = 0.0;
   for (const double v : block) peak = std::max(peak, std::abs(v));
@@ -27,13 +33,23 @@ double block_peak(std::span<const double> block) {
 
 }  // namespace
 
-AcousticMedium::LiveStream::LiveStream(const LinkConfig& cfg,
+AcousticMedium::LiveStream::LiveStream(const PathSlot& slot,
                                        double start_time_s,
                                        std::uint64_t start_block)
-    : channel(cfg), stream(channel.stream_at(start_time_s, start_block)) {}
+    : channel(slot.cfg, slot.tx_filter, slot.rx_filter),
+      stream(channel.stream_at(start_time_s, start_block)) {}
 
-AcousticMedium::PathSlot::PathSlot(int f, int t, int key, const LinkConfig& c)
-    : from(f), to(t), order_key(key), cfg(c), mobility(link_mobility(c)) {}
+AcousticMedium::PathSlot::PathSlot(int f, int t, int key, const LinkConfig& c,
+                                   std::shared_ptr<const dsp::FftFilter> tx,
+                                   std::shared_ptr<const dsp::FftFilter> rx)
+    : from(f),
+      to(t),
+      order_key(key),
+      cfg(c),
+      mobility(link_mobility(c)),
+      tx_filter(std::move(tx)),
+      rx_filter(std::move(rx)),
+      device_l1(l1_norm(tx_filter->kernel()) * l1_norm(rx_filter->kernel())) {}
 
 AcousticMedium::AcousticMedium(double sample_rate_hz,
                                const MediumConfig& config)
@@ -66,6 +82,18 @@ int AcousticMedium::add_endpoint(const std::optional<NoiseParams>& noise,
   return static_cast<int>(mics_.size()) - 1;
 }
 
+// lint: hot-alloc-ok(setup-rate: runs from connect(), once per path; designs a FIR only for a response no earlier path had)
+std::shared_ptr<const dsp::FftFilter> AcousticMedium::device_filter(
+    const LinkConfig& cfg, bool speaker) {
+  for (const DeviceFilter& d : device_filters_) {
+    if (d.speaker == speaker && same_device_response(d.cfg, cfg, speaker)) {
+      return d.filter;
+    }
+  }
+  device_filters_.push_back({speaker, cfg, link_device_filter(cfg, speaker)});
+  return device_filters_.back().filter;
+}
+
 void AcousticMedium::connect(int from, int to, const LinkConfig& cfg) {
   if (from == to || from < 0 || to < 0 || from >= endpoints() ||
       to >= endpoints()) {
@@ -73,17 +101,18 @@ void AcousticMedium::connect(int from, int to, const LinkConfig& cfg) {
   }
   const LinkConfig pc = path_config(cfg);
   auto slot = std::make_unique<PathSlot>(
-      from, to, stable_ids_[static_cast<std::size_t>(from)], pc);
+      from, to, stable_ids_[static_cast<std::size_t>(from)], pc,
+      device_filter(pc, /*speaker=*/true), device_filter(pc, /*speaker=*/false));
   const int idx = static_cast<int>(slots_.size());
   if (config_.cull_enabled) {
     // Deferred: the first evaluation decides audibility and builds every
     // live stream in parallel across the pool.
     slot->audible = false;
-    slot->device_l1 = 0.0;  // filled by evaluate_culling
     eval_pending_ = true;
   } else {
     slot->live = std::make_unique<LiveStream>(
-        pc, static_cast<double>(clock_) / fs_, clock_ / kMultipathBlockSamples);
+        *slot, static_cast<double>(clock_) / fs_,
+        clock_ / kMultipathBlockSamples);
   }
   slots_.push_back(std::move(slot));
   mix_order_[static_cast<std::size_t>(to)].push_back(idx);
@@ -134,7 +163,7 @@ void AcousticMedium::rebuild_mix_order() {
 // Re-decides which pairs are worth rendering. Every input — geometry,
 // mobility bounds, observed peaks, activity — is deterministic medium
 // state, so the decision sequence is identical for every worker count.
-// lint: hot-alloc-ok(setup-rate: runs once per horizon or on churn/peak growth, never per sample block; designs FIRs and builds streams, both inherently allocating)
+// lint: hot-alloc-ok(setup-rate: runs once per horizon or on churn/peak growth, never per sample block; builds streams, which is inherently allocating)
 void AcousticMedium::evaluate_culling(double now_s) {
   std::vector<int> to_build;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -142,15 +171,6 @@ void AcousticMedium::evaluate_culling(double now_s) {
     bool want = active_[static_cast<std::size_t>(slot.from)] &&
                 active_[static_cast<std::size_t>(slot.to)];
     if (want && config_.cull_enabled) {
-      if (slot.device_l1 <= 0.0) {
-        const auto l1 = [](const std::vector<double>& fir) {
-          double s = 0.0;
-          for (const double v : fir) s += std::abs(v);
-          return s;
-        };
-        slot.device_l1 = l1(link_device_fir(slot.cfg, /*speaker=*/true)) *
-                         l1(link_device_fir(slot.cfg, /*speaker=*/false));
-      }
       const double tx_peak =
           std::max(config_.cull.tx_peak,
                    observed_peak_[static_cast<std::size_t>(slot.from)]);
@@ -174,10 +194,10 @@ void AcousticMedium::evaluate_culling(double now_s) {
     slot.audible = want;
   }
   if (!to_build.empty()) {
-    // Stream construction (FIR design, initial path solve) dominates
-    // large-N setup; build the new lives across the pool. Each worker
-    // touches a disjoint slot subset, so no synchronization is needed
-    // beyond the pool barrier.
+    // Stream construction (initial path solve, overlap-save state)
+    // dominates large-N setup; build the new lives across the pool. Each
+    // worker touches a disjoint slot subset, so no synchronization is
+    // needed beyond the pool barrier.
     const int workers = pool_->workers();
     const double t0 = now_s;
     const std::uint64_t b0 = clock_ / kMultipathBlockSamples;
@@ -185,7 +205,7 @@ void AcousticMedium::evaluate_culling(double now_s) {
       for (std::size_t k = static_cast<std::size_t>(w); k < to_build.size();
            k += static_cast<std::size_t>(workers)) {
         PathSlot& slot = *slots_[static_cast<std::size_t>(to_build[k])];
-        slot.live = std::make_unique<LiveStream>(slot.cfg, t0, b0);
+        slot.live = std::make_unique<LiveStream>(slot, t0, b0);
       }
     });
   }

@@ -126,6 +126,11 @@ class AcousticMedium {
   std::size_t connected_paths() const { return slots_.size(); }
   std::size_t audible_paths() const;
 
+  /// Distinct speaker and microphone response filters designed so far.
+  /// Paths with the same response (same_device_response) share one
+  /// filter, so this counts responses, not paths.
+  std::size_t device_filters() const { return device_filters_.size(); }
+
   /// Per-shard metrics: counters "medium.rendered_blocks" (path blocks
   /// pushed through a live stream) and "medium.silent_blocks" (10 ms
   /// multipath blocks those streams skipped as exact silence), both
@@ -140,12 +145,21 @@ class AcousticMedium {
   obs::Registry metrics() const;
 
  private:
+  struct PathSlot;
+
   /// A path's live DSP state, present only while the path is audible.
   struct LiveStream {
-    UnderwaterChannel channel;         ///< owns filters / path model
+    UnderwaterChannel channel;         ///< path model over shared filters
     UnderwaterChannel::Stream stream;  ///< streaming state over `channel`
-    LiveStream(const LinkConfig& cfg, double start_time_s,
+    LiveStream(const PathSlot& slot, double start_time_s,
                std::uint64_t start_block);
+  };
+
+  /// One designed device response and the config it was designed from.
+  struct DeviceFilter {
+    bool speaker = true;
+    LinkConfig cfg;
+    std::shared_ptr<const dsp::FftFilter> filter;
   };
 
   /// One directed pair, live or culled.
@@ -155,6 +169,8 @@ class AcousticMedium {
     int order_key = 0;    ///< from-endpoint stable id (canonical mix order)
     LinkConfig cfg;
     MobilityModel mobility;   ///< same trajectory the channel would follow
+    std::shared_ptr<const dsp::FftFilter> tx_filter;  ///< shared speaker
+    std::shared_ptr<const dsp::FftFilter> rx_filter;  ///< shared microphone
     double device_l1 = 1.0;   ///< ||h_tx||_1 * ||h_rx||_1 (cull bound)
     double bound_range_m = -1.0;  ///< closest range gain_bound was solved at
     double gain_bound = 0.0;      ///< peak_gain_bound at bound_range_m
@@ -162,8 +178,15 @@ class AcousticMedium {
     std::unique_ptr<LiveStream> live;  ///< null while culled
     SpscRing ring;            ///< rendered samples, worker -> mixer
     std::vector<double> scratch;       ///< render buffer (claiming worker)
-    PathSlot(int f, int t, int key, const LinkConfig& c);
+    PathSlot(int f, int t, int key, const LinkConfig& c,
+             std::shared_ptr<const dsp::FftFilter> tx,
+             std::shared_ptr<const dsp::FftFilter> rx);
   };
+
+  /// The speaker (or microphone) response of `cfg`: designed on first use,
+  /// then shared by every path with the same response.
+  std::shared_ptr<const dsp::FftFilter> device_filter(const LinkConfig& cfg,
+                                                      bool speaker);
 
   void evaluate_culling(double now_s);
   void rebuild_mix_order();
@@ -185,6 +208,7 @@ class AcousticMedium {
   std::vector<double> observed_peak_;      ///< per endpoint, monotone
   std::vector<double> peak_at_last_eval_;
   std::vector<std::unique_ptr<PathSlot>> slots_;
+  std::vector<DeviceFilter> device_filters_;  ///< one per distinct response
   std::vector<std::vector<int>> mix_order_;  ///< per mic, canonical order
   /// Audible slots in mix order: the order workers claim them in, so the
   /// mixer's next ring is the next one rendered. Rebuilt with mix_order_.

@@ -4,6 +4,75 @@
 
 namespace aqua::channel {
 
+NoiseRng::NoiseRng(std::uint64_t seed) {
+  // std::mersenne_twister_engine::seed with mt19937_64's initialization
+  // multiplier.
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateWords; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+// One full twist of the state (libstdc++'s _M_gen_rand with the branch on
+// the low bit spelled as a mask), then every word tempered for hand-out.
+void NoiseRng::refill() {
+  constexpr std::size_t kShift = 156;  // mt19937_64's m
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  constexpr std::uint64_t kLower = ~kUpper;
+  constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+  const auto twist = [](std::uint64_t cur, std::uint64_t next,
+                        std::uint64_t far) {
+    const std::uint64_t y = (cur & kUpper) | (next & kLower);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+  };
+  std::uint64_t* x = state_.data();
+  for (std::size_t k = 0; k < kStateWords - kShift; ++k) {
+    x[k] = twist(x[k], x[k + 1], x[k + kShift]);
+  }
+  for (std::size_t k = kStateWords - kShift; k < kStateWords - 1; ++k) {
+    x[k] = twist(x[k], x[k + 1], x[k + kShift - kStateWords]);
+  }
+  x[kStateWords - 1] =
+      twist(x[kStateWords - 1], x[0], x[kShift - 1]);
+  for (std::size_t k = 0; k < kStateWords; ++k) {
+    std::uint64_t z = x[k];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    words_[k] = z;
+  }
+  pos_ = 0;
+}
+
+double NoiseRng::uniform() {
+  const std::uint64_t w = next();
+  const double hi = static_cast<double>(static_cast<std::uint32_t>(w >> 32));
+  const double lo = static_cast<double>(static_cast<std::uint32_t>(w));
+  const double u = (hi * 0x1p32 + lo) * 0x1p-64;
+  return u >= 1.0 ? std::nextafter(1.0, 0.0) : u;
+}
+
+double NoiseRng::normal() {
+  if (has_saved_normal_) {
+    has_saved_normal_ = false;
+    return saved_normal_;
+  }
+  double x = 0.0;
+  double y = 0.0;
+  double r2 = 0.0;
+  do {
+    x = 2.0 * uniform() - 1.0;
+    y = 2.0 * uniform() - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+  saved_normal_ = x * mult;
+  has_saved_normal_ = true;
+  return y * mult;
+}
+
 double noise_floor_rms(const NoiseParams& p) {
   return p.reference_rms * dsp::db_to_amplitude(p.level_db);
 }
@@ -44,11 +113,10 @@ NoiseGenerator::NoiseGenerator(const NoiseParams& params,
       shaping_(shaping_taps_) {
   // Calibrate the shaped floor RMS empirically once (deterministic warmup
   // with a private RNG so the stream itself is unaffected).
-  std::mt19937_64 warm_rng(seed ^ 0xABCDEF);
-  std::normal_distribution<double> g(0.0, 1.0);
+  NoiseRng warm_rng(seed ^ 0xABCDEF);
   dsp::StreamingFir warm(shaping_taps_);
   std::vector<double> white(8192);
-  for (double& v : white) v = g(warm_rng);
+  for (double& v : white) v = warm_rng.normal();
   std::vector<double> shaped = warm.process(white);
   const double raw_rms = dsp::rms(shaped);
   const double target = noise_floor_rms(params_);
@@ -71,24 +139,23 @@ std::vector<double> NoiseGenerator::generate(std::size_t n) {
 void NoiseGenerator::generate(std::span<double> out) {
   const std::size_t n = out.size();
   white_.resize(n);
-  for (double& v : white_) v = gauss_(rng_);
+  for (double& v : white_) v = rng_.normal();
   shaping_.process(white_, out);
   for (double& v : out) v *= gain_;
 
   const double dt = 1.0 / sample_rate_hz_;
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
   const double p_burst = params_.bubble_rate_hz * dt;
   const double burst_decay = std::exp(-dt / 0.008);  // per-sample envelope
   for (std::size_t i = 0; i < n; ++i) {
     // Impulsive bubble bursts: Poisson arrivals, exponentially decaying
     // envelopes of white noise (spiky, which is what stresses plain
     // cross-correlation detection in the paper).
-    if (params_.bubble_rate_hz > 0.0 && uni(burst_rng_) < p_burst) {
-      burst_remaining_ = 0.02 + 0.03 * uni(burst_rng_);
+    if (params_.bubble_rate_hz > 0.0 && burst_rng_.uniform() < p_burst) {
+      burst_remaining_ = 0.02 + 0.03 * burst_rng_.uniform();
       burst_env_ = params_.bubble_gain * floor_rms_;
     }
     if (burst_remaining_ > 0.0) {
-      out[i] += burst_env_ * burst_gauss_(burst_rng_);
+      out[i] += burst_env_ * burst_rng_.normal();
       burst_env_ *= burst_decay;
       burst_remaining_ -= dt;
     }

@@ -5,8 +5,8 @@
 // sites.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
@@ -33,6 +33,51 @@ struct NoiseParams {
 /// params). The audibility culler compares conservative path-gain bounds
 /// against this value.
 double noise_floor_rms(const NoiseParams& p);
+
+/// The noise generator's random source: the draws of a libstdc++
+/// `std::mt19937_64` seeded `seed`, as seen through one
+/// `std::normal_distribution<double>(0, 1)` and any number of
+/// `std::uniform_real_distribution<double>(0, 1)`, reproduced bit for bit
+/// (the `.aqt` corpus and every figure depend on these exact sequences).
+/// What differs is the cost per draw:
+///  - the engine twists all 312 state words at once, branch-free
+///    (`(0 - (y & 1)) & kMatrixA` instead of a branch on a random bit), and
+///    tempers them into a buffer that draws are handed out from;
+///  - uniform() is libstdc++'s `generate_canonical<double, 53>`, the
+///    64-bit word over 2^64 with the same `>= 1 -> nextafter(1, 0)` guard,
+///    but converts the word as `hi * 2^32 + lo`: that sum is rounded once,
+///    so it equals `static_cast<double>(word)` without the conversion's
+///    branch on the top bit;
+///  - normal() is Marsaglia's polar method exactly as libstdc++ runs it,
+///    keeping the saved second variate (`_M_saved`) for the next call.
+/// noise.cpp builds with -ffp-contract=off so that no target fuses the
+/// polar `x*x + y*y` into an FMA.
+class NoiseRng {
+ public:
+  explicit NoiseRng(std::uint64_t seed);
+
+  /// Next `std::mt19937_64` output.
+  std::uint64_t next() {
+    if (pos_ == kStateWords) refill();
+    return words_[pos_++];
+  }
+
+  /// `std::uniform_real_distribution<double>(0, 1)` on this engine.
+  double uniform();
+
+  /// `std::normal_distribution<double>(0, 1)` on this engine.
+  double normal();
+
+ private:
+  static constexpr std::size_t kStateWords = 312;
+  void refill();
+
+  std::array<std::uint64_t, kStateWords> state_;
+  std::array<std::uint64_t, kStateWords> words_;  ///< tempered state_
+  std::size_t pos_ = kStateWords;
+  double saved_normal_ = 0.0;
+  bool has_saved_normal_ = false;
+};
 
 /// Streaming colored-noise generator. Deterministic for a given seed, and
 /// chunking-invariant: generate(a) followed by generate(b) produces the
@@ -64,10 +109,8 @@ class NoiseGenerator {
  private:
   NoiseParams params_;
   double sample_rate_hz_;
-  std::mt19937_64 rng_;        ///< noise-floor stream (n draws per call)
-  std::mt19937_64 burst_rng_;  ///< burst arrivals + burst noise
-  std::normal_distribution<double> gauss_{0.0, 1.0};
-  std::normal_distribution<double> burst_gauss_{0.0, 1.0};
+  NoiseRng rng_;        ///< noise-floor stream (n normals per call)
+  NoiseRng burst_rng_;  ///< burst arrivals + burst noise
   std::vector<double> shaping_taps_;  ///< designed once, at construction
   dsp::StreamingFir shaping_;
   std::vector<double> white_;         ///< per-call white-noise scratch

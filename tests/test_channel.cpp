@@ -172,6 +172,22 @@ TEST(Device, WatchIsQuieterThanPhone) {
   EXPECT_LT(watch.tx_level(), phone.tx_level());
 }
 
+// FNV-1a over the bit patterns of `y`, with -0.0 folded into +0.0: a
+// silent block the stream skips emits +0.0 where a transform may give -0.0.
+std::uint64_t bits_hash(const std::vector<double>& y) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double v : y) {
+    const double c = v == 0.0 ? 0.0 : v;
+    std::uint64_t b = 0;
+    std::memcpy(&b, &c, sizeof b);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (b >> (8 * k)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
 TEST(Noise, SpectrumIsStrongestBelowOneKilohertz) {
   // Fig. 4: noise amplitude high below 1 kHz, decaying tail to ~4.5 kHz.
   NoiseParams np;
@@ -223,6 +239,65 @@ TEST(Noise, BubbleBurstsAreImpulsive) {
   for (double v : nz) peak = std::max(peak, std::abs(v));
   const double r = dsp::rms(nz);
   EXPECT_GT(peak / r, 6.0);  // crest factor far above Gaussian (~4)
+}
+
+TEST(Noise, EveryPresetMatchesGoldenOverRaggedChunks) {
+  // Each site's ambient process (floor, bubble bursts, boat tones) pushed
+  // in ragged chunks must equal the same second generated in one call:
+  // odd chunks leave a saved normal variate pending across calls. The
+  // hashes were recorded from the std::mt19937_64 +
+  // std::normal_distribution implementation NoiseRng replaced.
+  const std::uint64_t golden[] = {
+      0x18bfc9e9bd457439ULL, 0x0906741ee5261425ULL, 0x4ebd7d5353c0ecacULL,
+      0xe847b8e2257b559bULL, 0xdcef9577a704a018ULL, 0xd4a48b46c432d096ULL};
+  const std::size_t sizes[] = {1, 479, 480, 7, 4096, 333, 2, 960};
+  const std::vector<Site> sites = all_sites();
+  ASSERT_EQ(sites.size(), std::size(golden));
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    const NoiseParams np = site_preset(sites[s]).noise;
+    NoiseGenerator chunked(np, 48000.0, 21);
+    std::vector<double> got;
+    for (std::size_t b = 0, k = 0; b < 48000; ++k) {
+      const std::size_t n = std::min(sizes[k % std::size(sizes)], 48000 - b);
+      const std::vector<double> part = chunked.generate(n);
+      got.insert(got.end(), part.begin(), part.end());
+      b += n;
+    }
+    NoiseGenerator whole(np, 48000.0, 21);
+    EXPECT_EQ(got, whole.generate(48000)) << site_name(sites[s]);
+    EXPECT_EQ(bits_hash(got), golden[s]) << site_name(sites[s]);
+  }
+}
+
+TEST(Noise, RngMatchesLibstdcxxBitForBit) {
+  // NoiseRng is std::mt19937_64 seen through one normal_distribution and
+  // uniform_real_distribution(0, 1). Interleave runs of both, of odd and
+  // even lengths, so a saved normal variate is often pending while
+  // uniforms are drawn, over well past one engine refill.
+  for (const std::uint64_t seed : {0ULL, 0x5EEDULL, ~0ULL}) {
+    NoiseRng fast(seed);
+    std::mt19937_64 ref(seed);
+    std::normal_distribution<double> gauss(0.0, 1.0);
+    std::uniform_real_distribution<double> uni(0.0, 1.0);
+    const auto bits = [](double v) {
+      std::uint64_t b = 0;
+      std::memcpy(&b, &v, sizeof b);
+      return b;
+    };
+    std::uint64_t draws = 0;
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t run = 0; draws < 4'000'000; ++run) {
+      const std::uint64_t len = 1 + (run * 7) % 13;
+      for (std::uint64_t i = 0; i < len; ++i) {
+        const bool same = run % 3 == 2 ? bits(fast.uniform()) == bits(uni(ref))
+                                       : bits(fast.normal()) == bits(gauss(ref));
+        mismatches += same ? 0 : 1;
+      }
+      draws += len;
+    }
+    for (int i = 0; i < 1000; ++i) mismatches += fast.next() == ref() ? 0 : 1;
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
 }
 
 TEST(Mobility, RmsAccelerationMatchesPaperReadings) {
@@ -405,22 +480,6 @@ TEST(UnderwaterChannel, ConsecutiveTransmitsDrawFreshRoughness) {
   EXPECT_EQ(s1, s2);
 }
 
-// FNV-1a over the bit patterns of `y`, with -0.0 folded into +0.0: a
-// silent block the stream skips emits +0.0 where a transform may give -0.0.
-std::uint64_t bits_hash(const std::vector<double>& y) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const double v : y) {
-    const double c = v == 0.0 ? 0.0 : v;
-    std::uint64_t b = 0;
-    std::memcpy(&b, &c, sizeof b);
-    for (int k = 0; k < 8; ++k) {
-      h ^= (b >> (8 * k)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
 // Gaussian burst, `gap` zeros, a second burst, then `tail` zeros.
 std::vector<double> burst_gap_burst(std::size_t burst, std::size_t gap,
                                     std::size_t tail, std::uint64_t seed) {
@@ -437,9 +496,9 @@ std::vector<double> burst_gap_burst(std::size_t burst, std::size_t gap,
 TEST(UnderwaterChannel, SilentBlocksRenderTheSameStreamBitForBit) {
   // A rough, drifting, moving link: every 10 ms block solves its own
   // paths and draws its own surface roughness. Blocks of the silent gap
-  // skip the response and the convolution but must still draw, or the
-  // second burst renders through the wrong surface. The golden hash was
-  // recorded before silent blocks were skipped.
+  // skip the path solve, the response and the convolution but must still
+  // draw, or the second burst renders through the wrong surface. The
+  // golden hash was recorded before silent blocks were skipped.
   LinkConfig lc;
   lc.site = site_preset(Site::kBay);
   lc.range_m = 8.0;

@@ -280,5 +280,66 @@ TEST(MediumScale, CullMetricsCountSkippedWork) {
   EXPECT_GT(m.counter("medium.silent_blocks"), 0u);
 }
 
+TEST(MediumScale, PathsWithOneDeviceConfigShareOneFilter) {
+  // Four endpoints, every ordered pair connected with the default devices:
+  // twelve paths, one speaker response and one microphone response. The
+  // culled medium builds its live streams across two workers, which then
+  // read the shared filters concurrently.
+  const channel::SitePreset site = channel::site_preset(channel::Site::kBridge);
+  channel::MediumConfig mc;
+  mc.workers = 2;
+  mc.cull_enabled = true;
+  channel::AcousticMedium medium(kFs, mc);
+  const int n = 4;
+  for (int i = 0; i < n; ++i) {
+    medium.add_endpoint(site.noise, channel::mic_noise_seed(9, i));
+  }
+  channel::LinkConfig lc;
+  lc.site = site;
+  lc.sample_rate_hz = kFs;
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      if (a == b) continue;
+      lc.range_m = 2.0 + a + b;
+      lc.seed = static_cast<std::uint64_t>(a * n + b);
+      medium.connect(a, b, lc);
+    }
+  }
+  EXPECT_EQ(medium.device_filters(), 2u);
+  std::vector<std::vector<double>> tx(n, std::vector<double>(kBlock, 0.1));
+  std::vector<std::span<const double>> spans(tx.begin(), tx.end());
+  std::vector<std::vector<double>> rx;
+  dsp::Workspace ws;
+  for (int k = 0; k < 3; ++k) medium.step(spans, rx, ws);
+  EXPECT_GT(medium.audible_paths(), 0u);
+  EXPECT_EQ(medium.device_filters(), 2u);
+
+  // Each distinct response gets its own filter: another unit of the same
+  // model, a rotated speaker, a bare (uncased) microphone, and an in-air
+  // link whose transducers lose their immersion notches.
+  channel::LinkConfig other_unit = lc;
+  other_unit.tx_device = channel::DeviceProfile(channel::DeviceModel::kGalaxyS9, 7);
+  medium.connect(0, 1, other_unit);
+  EXPECT_EQ(medium.device_filters(), 3u);
+  channel::LinkConfig rotated = lc;
+  rotated.tx_azimuth_deg = 90.0;
+  medium.connect(0, 1, rotated);
+  EXPECT_EQ(medium.device_filters(), 4u);
+  channel::LinkConfig bare = lc;
+  bare.rx_device = channel::DeviceProfile(channel::DeviceModel::kGalaxyS9, 2,
+                                          channel::CaseType::kNone);
+  medium.connect(0, 1, bare);
+  EXPECT_EQ(medium.device_filters(), 5u);
+  channel::LinkConfig air = lc;
+  air.in_air = true;
+  medium.connect(0, 1, air);
+  EXPECT_EQ(medium.device_filters(), 7u);
+  // Repeating any of them designs nothing new.
+  medium.connect(1, 0, rotated);
+  medium.connect(2, 3, air);
+  EXPECT_EQ(medium.device_filters(), 7u);
+  medium.step(spans, rx, ws);
+}
+
 }  // namespace
 }  // namespace aqua
