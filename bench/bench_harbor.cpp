@@ -235,11 +235,13 @@ int main(int argc, char** argv) {
   const auto t2 = std::chrono::steady_clock::now();  // lint: det-ok(benches measure wall time by definition)
 
   const obs::Registry m = medium.metrics();
-  std::printf("audible pairs %zu, rendered blocks %llu, culled convolutions "
-              "%llu, cull evals %llu\n",
+  std::printf("audible pairs %zu, rendered blocks %llu, dormant blocks %llu, "
+              "culled convolutions %llu, cull evals %llu\n",
               medium.audible_paths(),
               static_cast<unsigned long long>(
                   m.counter("medium.rendered_blocks")),
+              static_cast<unsigned long long>(
+                  m.counter("medium.dormant_blocks")),
               static_cast<unsigned long long>(
                   m.counter("medium.culled_convolutions")),
               static_cast<unsigned long long>(m.counter("medium.cull_evals")));

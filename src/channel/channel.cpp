@@ -186,8 +186,7 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
   // The path continues the channel's mobility clock and roughness sequence;
   // blocks past the speaker output carry no signal, so they draw no
   // roughness and a later transmit() picks up where this one's signal ended.
-  Stream path(*this, time_s_, 0);
-  path.roughness_rng_ = roughness_rng_;
+  Stream path(*this, time_s_, 0, &roughness_rng_);
   path.silent_from_ = shaped;
   path.track_ir_length_ = true;
   // Stream latency, bulk delay, the full speaker/propagation/mic response
@@ -229,17 +228,21 @@ std::vector<double> UnderwaterChannel::ambient(std::size_t n) {
 
 UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,
                                   double start_time_s,
-                                  std::uint64_t start_block)
+                                  std::uint64_t start_block,
+                                  const std::mt19937_64* roughness)
     : ch_(&ch),
       time_offset_s_(start_time_s),
       block_offset_(start_block),
       tx_stream_(*ch.tx_filter_, dsp::kMaxStreamStep),
       rx_stream_(*ch.rx_filter_, dsp::kMaxStreamStep),
-      // Seeded exactly like the channel's own RNG. A stream opened at an
-      // offset starts this sequence fresh rather than fast-forwarding it —
-      // roughness draws are i.i.d. per block, so the re-opened path sees
-      // the same wave statistics even though the draws differ.
-      roughness_rng_(ch.config_.seed * 104729 + 7) {
+      // Seeded exactly like the channel's own RNG unless an earlier stream
+      // of the link hands on where its sequence stopped. A first stream
+      // opened at an offset starts the sequence rather than fast-forwarding
+      // it: roughness draws are i.i.d. per block, so the path sees the same
+      // wave statistics.
+      roughness_rng_(roughness
+                         ? *roughness
+                         : std::mt19937_64(ch.config_.seed * 104729 + 7)) {
   if (ch.fixed_ir_filter_) {
     ir_stream_.emplace(*ch.fixed_ir_filter_, dsp::kMaxStreamStep);
   }
@@ -250,9 +253,17 @@ UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,
   // many samples as it consumed.
   pad_ = tx_stream_.step() + rx_stream_.step() +
          (ir_stream_ ? ir_stream_->step() : kBlockSamples);
-  const std::size_t ref_offset = static_cast<std::size_t>(
+  ref_offset_ = static_cast<std::size_t>(
       std::llround(ch.reference_delay_s_ * ch.config_.sample_rate_hz));
-  fifo_.assign(ref_offset + pad_, 0.0);
+  fifo_.assign(ref_offset_ + pad_, 0.0);
+}
+
+std::size_t UnderwaterChannel::Stream::drain_samples() const {
+  const std::size_t ir = ch_->fixed_ir_filter_
+                             ? ch_->fixed_ir_filter_->kernel_size()
+                             : max_ir_samples_;
+  return ref_offset_ + 2 * pad_ + (ch_->tx_filter_->kernel_size() - 1) + ir +
+         (ch_->rx_filter_->kernel_size() - 1);
 }
 
 // Renders the next complete 10 ms block of speaker-filtered samples: the
@@ -263,7 +274,7 @@ UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,
 // convolution. It draws its roughness all the same, and solves its paths
 // only when transmit() reads max_ir_samples_ (which must stay what
 // rendering would have made it).
-void UnderwaterChannel::Stream::render_block() {
+void UnderwaterChannel::Stream::render_block(dsp::Workspace& ws) {
   const double fs = ch_->config_.sample_rate_hz;
   const std::uint64_t block_start = mp_blocks_ * kBlockSamples;
   const std::span<const double> block =
@@ -289,14 +300,18 @@ void UnderwaterChannel::Stream::render_block() {
     }
     ++silent_blocks_;
   } else {
-    const std::vector<double> ir = paths_to_impulse_response_ref(
-        ch_->paths_at(t_mid, index, roughness_rng_), fs,
-        ch_->reference_delay_s_);
-    max_ir_samples_ = std::max(max_ir_samples_, ir.size());
-    const std::vector<double> y = dsp::convolve(block, ir);
+    const std::vector<Path> paths = ch_->paths_at(t_mid, index, roughness_rng_);
+    if (!tap_table_matches(taps_, paths)) {
+      build_tap_table(paths, fs, ch_->reference_delay_s_, taps_);
+    }
+    dsp::ScratchReal ir(ws, taps_.length);
+    render_taps(paths, taps_, ir.span());
+    max_ir_samples_ = std::max(max_ir_samples_, taps_.length);
+    dsp::ScratchReal y(ws, kBlockSamples + taps_.length - 1);
+    dsp::fft_convolve_into(block, ir.span(), y.span(), ws);
     const std::size_t off = static_cast<std::size_t>(block_start - mp_emitted_);
-    if (mp_ring_.size() < off + y.size()) mp_ring_.resize(off + y.size(), 0.0);
-    for (std::size_t i = 0; i < y.size(); ++i) mp_ring_[off + i] += y[i];
+    if (mp_ring_.size() < off + y->size()) mp_ring_.resize(off + y->size(), 0.0);
+    for (std::size_t i = 0; i < y->size(); ++i) mp_ring_[off + i] += (*y)[i];
   }
   ++mp_blocks_;
   const std::size_t have = std::min(kBlockSamples, mp_ring_.size());
@@ -331,7 +346,7 @@ void UnderwaterChannel::Stream::push(std::span<const double> speaker,
                             : (n + kBlockSamples - 1) / kBlockSamples;
     while (shaped_pending_.size() - shaped_head_ >= kBlockSamples &&
            (paced > 0 || fifo_.size() - fifo_head_ < n)) {
-      render_block();
+      render_block(ws);
       rx_stream_.push(mp_final_, fifo_, ws);
       if (paced > 0) --paced;
     }

@@ -92,11 +92,11 @@ class UnderwaterChannel {
   /// medium owns one noise process per microphone, not per path.
   ///
   /// A Stream keeps its own clock, mobility time and surface-roughness RNG
-  /// (seeded exactly like the owning channel's); streams opened by the
-  /// caller neither perturb nor observe the channel's state. transmit()
-  /// renders through a private Stream that starts at the channel's clock
-  /// and continues the channel's roughness RNG. The parent channel must
-  /// outlive the stream.
+  /// (seeded exactly like the owning channel's, or continuing the sequence
+  /// handed to stream_at()); streams opened by the caller neither perturb
+  /// nor observe the channel's state. transmit() renders through a private
+  /// Stream that starts at the channel's clock and continues the channel's
+  /// roughness RNG. The parent channel must outlive the stream.
   ///
   /// A time-varying link solves its paths per 10 ms block. A block whose
   /// speaker-filtered samples are exact silence adds nothing to the
@@ -105,6 +105,15 @@ class UnderwaterChannel {
   /// size, the path solve too. It still draws the block's surface-
   /// roughness sample (UnderwaterChannel's one helper for it), so the
   /// blocks after the silence render through the same surface either way.
+  ///
+  /// An audible block renders its response through the stream's TapTable,
+  /// kept while the block's path delays equal the previous block's bit
+  /// for bit (a static geometry under a rough surface changes only the
+  /// amplitudes), so the windowed sinc is evaluated once per delay set;
+  /// the taps come out the same as paths_to_impulse_response_ref's. It
+  /// then convolves through one real FFT of next_pow2(480 + L - 1) points
+  /// for an L-tap response (2048 for the ~1,200 taps of a few-metre
+  /// link), all scratch leased from the caller's Workspace.
   class Stream {
    public:
     /// Consumes `speaker` and appends exactly speaker.size() microphone
@@ -120,12 +129,29 @@ class UnderwaterChannel {
     /// geometry link skips silent overlap-save windows instead).
     std::uint64_t silent_blocks() const { return silent_blocks_; }
 
+    /// Drain bound: once the speaker has been silent (exact zeros) for
+    /// this many samples past its last non-zero sample, every later output
+    /// sample is exactly 0.0, so a medium may drop the stream and lose
+    /// nothing but zeros. It is the bulk delay plus the FIFO latency plus
+    /// each stage's reach: speaker taps - 1, the longest block response
+    /// rendered so far, microphone taps - 1, and one more pad_ for block
+    /// alignment (an overlap-save block or 10 ms multipath block whose
+    /// input holds a non-zero sample leaves roundoff in every output of
+    /// that block, not only in those the convolution reaches). Valid once
+    /// every block holding a non-zero speaker-filtered sample has rendered,
+    /// which the bound itself guarantees when the clock has passed it.
+    std::size_t drain_samples() const;
+
+    /// The surface-roughness sequence as this stream has left it; a later
+    /// stream of the same link continues it through stream_at().
+    const std::mt19937_64& roughness_rng() const { return roughness_rng_; }
+
    private:
     friend class UnderwaterChannel;
     Stream(const UnderwaterChannel& ch, double start_time_s,
-           std::uint64_t start_block);
+           std::uint64_t start_block, const std::mt19937_64* roughness);
 
-    void render_block();
+    void render_block(dsp::Workspace& ws);
 
     const UnderwaterChannel* ch_;
     double time_offset_s_ = 0.0;      ///< medium time at stream start
@@ -134,6 +160,7 @@ class UnderwaterChannel {
     std::optional<dsp::FftFilter::Stream> ir_stream_;  ///< fixed geometry
     dsp::FftFilter::Stream rx_stream_;
     std::size_t pad_ = 0;
+    std::size_t ref_offset_ = 0;      ///< bulk delay in samples
     // Time-varying multipath state (absolute 10 ms block grid).
     std::vector<double> shaped_pending_;
     std::size_t shaped_head_ = 0;     ///< first unrendered pending sample
@@ -142,6 +169,9 @@ class UnderwaterChannel {
     std::uint64_t mp_emitted_ = 0;    ///< final samples handed to rx_stream_
     std::vector<double> mp_final_;
     std::mt19937_64 roughness_rng_;
+    /// Windowed-sinc taps of the last rendered block's paths, reused while
+    /// the path delays hold bit for bit.
+    TapTable taps_;
     /// Speaker-filtered samples from here on are known silent (set by
     /// transmit() for its flush): their blocks are skipped, not rendered.
     std::uint64_t silent_from_ = UINT64_MAX;
@@ -159,16 +189,22 @@ class UnderwaterChannel {
   };
 
   /// Opens a streaming signal path over this link.
-  Stream stream() const { return Stream(*this, 0.0, 0); }
+  Stream stream() const { return Stream(*this, 0.0, 0, nullptr); }
 
   /// Opens a streaming signal path whose mobility/roughness timeline starts
   /// at `start_time_s` (seconds) / `start_block` (10 ms blocks) instead of
-  /// zero. The sharded medium uses this to re-open a path that was
-  /// audibility-culled: the re-created stream evaluates geometry at the
-  /// medium's absolute clock, so a node that drifted while the path was
-  /// dormant reappears where it actually is, not where it was.
-  Stream stream_at(double start_time_s, std::uint64_t start_block) const {
-    return Stream(*this, start_time_s, start_block);
+  /// zero. The sharded medium uses this to re-open a path that was culled
+  /// or dormant: the re-created stream evaluates geometry at the medium's
+  /// absolute clock, so a node that drifted while the path was closed
+  /// reappears where it actually is, not where it was. `roughness`, when
+  /// given, is the sequence an earlier stream of this link left off at
+  /// (Stream::roughness_rng()): the new stream continues it, so every
+  /// opening of a path draws new surface roughness instead of replaying
+  /// the draws the first one began with. Without it the sequence starts
+  /// at the link's seed.
+  Stream stream_at(double start_time_s, std::uint64_t start_block,
+                   const std::mt19937_64* roughness = nullptr) const {
+    return Stream(*this, start_time_s, start_block, roughness);
   }
 
  private:

@@ -25,19 +25,14 @@ double l1_norm(const std::vector<double>& fir) {
   return s;
 }
 
-double block_peak(std::span<const double> block) {
-  double peak = 0.0;
-  for (const double v : block) peak = std::max(peak, std::abs(v));
-  return peak;
-}
-
 }  // namespace
 
 AcousticMedium::LiveStream::LiveStream(const PathSlot& slot,
                                        double start_time_s,
                                        std::uint64_t start_block)
     : channel(slot.cfg, slot.tx_filter, slot.rx_filter),
-      stream(channel.stream_at(start_time_s, start_block)) {}
+      stream(channel.stream_at(start_time_s, start_block,
+                               slot.roughness.get())) {}
 
 AcousticMedium::PathSlot::PathSlot(int f, int t, int key, const LinkConfig& c,
                                    std::shared_ptr<const dsp::FftFilter> tx,
@@ -77,6 +72,7 @@ int AcousticMedium::add_endpoint(const std::optional<NoiseParams>& noise,
   active_.push_back(true);
   observed_peak_.push_back(0.0);
   peak_at_last_eval_.push_back(0.0);
+  sound_end_.push_back(0);
   noise_ready_.emplace_back(0);
   mix_order_.emplace_back();
   return static_cast<int>(mics_.size()) - 1;
@@ -105,8 +101,8 @@ void AcousticMedium::connect(int from, int to, const LinkConfig& cfg) {
       device_filter(pc, /*speaker=*/true), device_filter(pc, /*speaker=*/false));
   const int idx = static_cast<int>(slots_.size());
   if (config_.cull_enabled) {
-    // Deferred: the first evaluation decides audibility and builds every
-    // live stream in parallel across the pool.
+    // Deferred: the first evaluation decides audibility, and the path
+    // opens when its speaker first sounds.
     slot->audible = false;
     eval_pending_ = true;
   } else {
@@ -142,32 +138,36 @@ obs::Registry AcousticMedium::metrics() const {
   return merged;
 }
 
-void AcousticMedium::rebuild_mix_order() {
+void AcousticMedium::sort_mix_order() {
   for (std::vector<int>& order : mix_order_) {
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
       return slots_[static_cast<std::size_t>(a)]->order_key <
              slots_[static_cast<std::size_t>(b)]->order_key;
     });
   }
+  mix_order_dirty_ = false;
+  render_order_dirty_ = true;
+}
+
+void AcousticMedium::rebuild_render_order() {
   render_order_.clear();
   for (const std::vector<int>& order : mix_order_) {
     for (const int idx : order) {
-      if (slots_[static_cast<std::size_t>(idx)]->audible) {
+      if (slots_[static_cast<std::size_t>(idx)]->live) {
         render_order_.push_back(idx);
       }
     }
   }
-  mix_order_dirty_ = false;
+  render_order_dirty_ = false;
 }
 
-// Re-decides which pairs are worth rendering. Every input — geometry,
-// mobility bounds, observed peaks, activity — is deterministic medium
-// state, so the decision sequence is identical for every worker count.
-// lint: hot-alloc-ok(setup-rate: runs once per horizon or on churn/peak growth, never per sample block; builds streams, which is inherently allocating)
+// Re-decides which pairs are worth rendering; update_live_paths() opens them.
+// Every input — geometry, mobility bounds, observed peaks, activity — is
+// deterministic medium state, so the decision sequence is identical for
+// every worker count.
 void AcousticMedium::evaluate_culling(double now_s) {
-  std::vector<int> to_build;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    PathSlot& slot = *slots_[i];
+  for (auto& owned : slots_) {
+    PathSlot& slot = *owned;
     bool want = active_[static_cast<std::size_t>(slot.from)] &&
                 active_[static_cast<std::size_t>(slot.to)];
     if (want && config_.cull_enabled) {
@@ -186,31 +186,9 @@ void AcousticMedium::evaluate_culling(double now_s) {
                              mic_floor_[static_cast<std::size_t>(slot.to)],
                              config_.cull.margin_db);
     }
-    if (want && !slot.live) {
-      to_build.push_back(static_cast<int>(i));
-    } else if (!want && slot.live) {
-      slot.live.reset();
-    }
+    if (!want && slot.live) close_path(slot);
     slot.audible = want;
   }
-  if (!to_build.empty()) {
-    // Stream construction (initial path solve, overlap-save state)
-    // dominates large-N setup; build the new lives across the pool. Each
-    // worker touches a disjoint slot subset, so no synchronization is
-    // needed beyond the pool barrier.
-    const int workers = pool_->workers();
-    const double t0 = now_s;
-    const std::uint64_t b0 = clock_ / kMultipathBlockSamples;
-    pool_->run([&](int w) {
-      for (std::size_t k = static_cast<std::size_t>(w); k < to_build.size();
-           k += static_cast<std::size_t>(workers)) {
-        PathSlot& slot = *slots_[static_cast<std::size_t>(to_build[k])];
-        slot.live = std::make_unique<LiveStream>(slot, t0, b0);
-      }
-    });
-  }
-  // The audible set changed: rebuild the claim order with the mix order.
-  mix_order_dirty_ = true;
   std::size_t audible = 0;
   for (const auto& s : slots_) {
     if (s->audible) ++audible;
@@ -223,6 +201,76 @@ void AcousticMedium::evaluate_culling(double now_s) {
   shard_metrics_[0].add("medium.cull_evals");
   shard_metrics_[0].record("medium.audible_pairs",
                            static_cast<double>(audible));
+}
+
+// Drops a path's stream, keeping where its roughness sequence stopped so
+// the next opening continues it.
+void AcousticMedium::close_path(PathSlot& slot) {
+  if (!slot.roughness) slot.roughness = std::make_unique<std::mt19937_64>();
+  *slot.roughness = slot.live->stream.roughness_rng();
+  slot.live.reset();
+  render_order_dirty_ = true;
+}
+
+// Opens every audible path that should render this block and closes
+// every live one that has drained. Without culling an audible path is
+// always live. With it, a path lives only while its speaker sounds: it
+// opens on the first block holding a non-zero sample and closes once the
+// clock passes the speaker's last non-zero sample by the stream's drain
+// bound, so the dropped stream held exact zeros only. Decisions read the
+// speaker blocks and stream state alone, never the worker count.
+// lint: hot-alloc-ok(setup-rate: opens run once per burst onset per audible pair, not per block of a sounding path; building a stream solves its paths and allocates its overlap-save state)
+void AcousticMedium::update_live_paths(
+    const std::vector<std::span<const double>>& tx) {
+  to_open_.clear();
+  if (!config_.cull_enabled) {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      const PathSlot& slot = *slots_[i];
+      if (slot.audible && !slot.live) to_open_.push_back(static_cast<int>(i));
+    }
+  } else {
+    // One pass over each speaker block: its peak (for re-culling) and one
+    // past its last non-zero sample.
+    for (std::size_t e = 0; e < tx.size(); ++e) {
+      double peak = 0.0;
+      std::size_t end = 0;
+      for (std::size_t i = 0; i < tx[e].size(); ++i) {
+        const double a = std::abs(tx[e][i]);
+        if (a != 0.0) end = i + 1;
+        peak = std::max(peak, a);
+      }
+      observed_peak_[e] = std::max(observed_peak_[e], peak);
+      if (end > 0) sound_end_[e] = clock_ + end;
+    }
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      PathSlot& slot = *slots_[i];
+      if (!slot.audible) continue;
+      const std::uint64_t end = sound_end_[static_cast<std::size_t>(slot.from)];
+      if (!slot.live) {
+        if (end > clock_) to_open_.push_back(static_cast<int>(i));
+      } else if (clock_ + 1 >= end + slot.live->stream.drain_samples()) {
+        // The drain bound is positive, so this also means the speaker is
+        // silent this block.
+        close_path(slot);
+      }
+    }
+  }
+  if (to_open_.empty()) return;
+  // Stream construction (initial path solve, overlap-save state)
+  // dominates an onset; open the paths across the pool. Each worker
+  // touches a disjoint slot subset, so no synchronization is needed
+  // beyond the pool barrier.
+  const int workers = pool_->workers();
+  const double t0 = static_cast<double>(clock_) / fs_;
+  const std::uint64_t b0 = clock_ / kMultipathBlockSamples;
+  pool_->run([&](int w) {
+    for (std::size_t k = static_cast<std::size_t>(w); k < to_open_.size();
+         k += static_cast<std::size_t>(workers)) {
+      PathSlot& slot = *slots_[static_cast<std::size_t>(to_open_[k])];
+      slot.live = std::make_unique<LiveStream>(slot, t0, b0);
+    }
+  });
+  render_order_dirty_ = true;
 }
 
 void AcousticMedium::fill_mic(std::size_t m, std::vector<double>& dst,
@@ -259,7 +307,7 @@ void AcousticMedium::mix(std::vector<std::vector<double>>& rx, std::size_t n,
     }
     for (const int idx : mix_order_[m]) {
       PathSlot& slot = *slots_[static_cast<std::size_t>(idx)];
-      if (!slot.audible) continue;
+      if (!slot.live) continue;
       while (slot.ring.available() < n) {
         if (abort_.load(std::memory_order_relaxed)) return;
         std::this_thread::yield();
@@ -286,39 +334,39 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
       (config_.cull_enabled && clock_ >= next_eval_clock_)) {
     evaluate_culling(static_cast<double>(clock_) / fs_);
   }
-  if (mix_order_dirty_) rebuild_mix_order();
+  update_live_paths(tx);
+  if (mix_order_dirty_) sort_mix_order();
+  if (render_order_dirty_) rebuild_render_order();
   rx.resize(eps);
 
   std::size_t audible = 0;
   for (const auto& s : slots_) {
     if (s->audible) ++audible;
   }
+  const std::size_t live = render_order_.size();
 
   if (pool_->workers() == 1) {
     // Serial fast path: no rings, no atomics — today's exact code shape.
     for (std::size_t m = 0; m < eps; ++m) {
       fill_mic(m, rx[m], n);
-      if (config_.cull_enabled) {
-        observed_peak_[m] = std::max(observed_peak_[m], block_peak(tx[m]));
-      }
     }
     std::uint64_t silent = 0;
     for (std::size_t m = 0; m < eps; ++m) {
       for (const int idx : mix_order_[m]) {
         PathSlot& slot = *slots_[static_cast<std::size_t>(idx)];
-        if (!slot.audible) continue;
+        if (!slot.live) continue;
         silent += render_slot(slot, tx[static_cast<std::size_t>(slot.from)],
                               path_tmp_, ws);
         std::vector<double>& dst = rx[m];
         for (std::size_t i = 0; i < n; ++i) dst[i] += path_tmp_[i];
       }
     }
-    shard_metrics_[0].add("medium.rendered_blocks", audible);
+    shard_metrics_[0].add("medium.rendered_blocks", live);
     shard_metrics_[0].add("medium.silent_blocks", silent);
   } else {
     abort_.store(false, std::memory_order_relaxed);
-    for (const auto& s : slots_) {
-      if (s->audible) s->ring.ensure_capacity(n);
+    for (const int idx : render_order_) {
+      slots_[static_cast<std::size_t>(idx)]->ring.ensure_capacity(n);
     }
     const std::uint64_t seq = ++step_seq_;
     next_mic_.store(0, std::memory_order_relaxed);
@@ -331,10 +379,6 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
         for (std::size_t m = next_mic_.fetch_add(1, std::memory_order_relaxed);
              m < eps; m = next_mic_.fetch_add(1, std::memory_order_relaxed)) {
           fill_mic(m, rx[m], n);
-          if (config_.cull_enabled) {
-            observed_peak_[m] =
-                std::max(observed_peak_[m], block_peak(tx[m]));
-          }
           noise_ready_[m].store(seq, std::memory_order_release);
         }
         dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
@@ -363,6 +407,7 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
   }
   shard_metrics_[0].add("medium.culled_convolutions",
                         slots_.size() - audible);
+  shard_metrics_[0].add("medium.dormant_blocks", audible - live);
 
   if (sink_) {
     for (std::size_t i = 0; i < eps; ++i) {

@@ -23,8 +23,13 @@
 //    skipped entirely — no stream state, no convolution. Decisions are
 //    re-evaluated every `horizon_s` of medium time (the geometry bound
 //    covers the whole window) and immediately when an endpoint transmits
-//    louder than previously observed. Dense deployments therefore cost
-//    O(audible pairs) per step, not O(N^2).
+//    louder than previously observed. Culling also skips silence: an
+//    audible pair holds a stream only while its speaker sounds. It opens
+//    on the speaker's first block with a non-zero sample and closes once
+//    the stream's drain bound (UnderwaterChannel::Stream::drain_samples)
+//    has passed since the last one, when its output is exact zeros from
+//    there on. Dense deployments therefore cost O(sounding audible pairs)
+//    per step, not O(N^2).
 #pragma once
 
 #include <atomic>
@@ -32,6 +37,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <random>
 #include <span>
 #include <utility>
 #include <vector>
@@ -132,12 +138,15 @@ class AcousticMedium {
   std::size_t device_filters() const { return device_filters_.size(); }
 
   /// Per-shard metrics: counters "medium.rendered_blocks" (path blocks
-  /// pushed through a live stream) and "medium.silent_blocks" (10 ms
-  /// multipath blocks those streams skipped as exact silence), both
-  /// shard-resident (their split across shards follows which worker
-  /// claimed what; the merged counts are fixed), plus, on shard 0, counters
-  /// "medium.culled_convolutions" / "medium.cull_evals" and histogram
-  /// "medium.audible_pairs" (per evaluation).
+  /// pushed through a live stream; dormant paths are not counted) and
+  /// "medium.silent_blocks" (10 ms multipath blocks those streams skipped
+  /// as exact silence), both shard-resident (their split across shards
+  /// follows which worker claimed what; the merged counts are fixed),
+  /// plus, on shard 0, counters "medium.dormant_blocks" (audible path
+  /// blocks not rendered because the path was dormant: its speaker silent
+  /// and its stream drained), "medium.culled_convolutions" /
+  /// "medium.cull_evals" and histogram "medium.audible_pairs" (per
+  /// evaluation).
   const obs::Registry& shard_metrics(int shard) const {
     return shard_metrics_[static_cast<std::size_t>(shard)];
   }
@@ -147,7 +156,8 @@ class AcousticMedium {
  private:
   struct PathSlot;
 
-  /// A path's live DSP state, present only while the path is audible.
+  /// A path's live DSP state, present only while the path is audible
+  /// (and, under culling, sounding).
   struct LiveStream {
     UnderwaterChannel channel;         ///< path model over shared filters
     UnderwaterChannel::Stream stream;  ///< streaming state over `channel`
@@ -175,7 +185,10 @@ class AcousticMedium {
     double bound_range_m = -1.0;  ///< closest range gain_bound was solved at
     double gain_bound = 0.0;      ///< peak_gain_bound at bound_range_m
     bool audible = true;
-    std::unique_ptr<LiveStream> live;  ///< null while culled
+    std::unique_ptr<LiveStream> live;  ///< null while culled or dormant
+    /// Where the last closed stream's roughness sequence stopped; the next
+    /// opening continues it (null until the path first closes).
+    std::unique_ptr<std::mt19937_64> roughness;
     SpscRing ring;            ///< rendered samples, worker -> mixer
     std::vector<double> scratch;       ///< render buffer (claiming worker)
     PathSlot(int f, int t, int key, const LinkConfig& c,
@@ -189,7 +202,12 @@ class AcousticMedium {
                                                       bool speaker);
 
   void evaluate_culling(double now_s);
-  void rebuild_mix_order();
+  /// Opens the audible paths that render this block and closes drained
+  /// ones (dormancy under culling).
+  void update_live_paths(const std::vector<std::span<const double>>& tx);
+  void close_path(PathSlot& slot);
+  void sort_mix_order();
+  void rebuild_render_order();
   /// Renders one block of a live path into `out` (replacing its
   /// contents); returns the multipath blocks its stream skipped as silent.
   std::uint64_t render_slot(PathSlot& slot, std::span<const double> tx_block,
@@ -207,13 +225,20 @@ class AcousticMedium {
   std::vector<bool> active_;
   std::vector<double> observed_peak_;      ///< per endpoint, monotone
   std::vector<double> peak_at_last_eval_;
+  /// Per endpoint, under culling: one past the medium-clock index of its
+  /// speaker's last non-zero sample (0 = never sounded). Past the current
+  /// clock while this step's block sounds.
+  std::vector<std::uint64_t> sound_end_;
+  std::vector<int> to_open_;  ///< update_live_paths's scratch
   std::vector<std::unique_ptr<PathSlot>> slots_;
   std::vector<DeviceFilter> device_filters_;  ///< one per distinct response
   std::vector<std::vector<int>> mix_order_;  ///< per mic, canonical order
-  /// Audible slots in mix order: the order workers claim them in, so the
-  /// mixer's next ring is the next one rendered. Rebuilt with mix_order_.
+  /// Live slots in mix order: the order workers claim them in, so the
+  /// mixer's next ring is the next one rendered. Rebuilt when a path opens
+  /// or closes; mix_order_ is re-sorted only on connect.
   std::vector<int> render_order_;
   bool mix_order_dirty_ = false;
+  bool render_order_dirty_ = false;
   std::uint64_t clock_ = 0;
   std::uint64_t next_eval_clock_ = 0;
   bool eval_pending_ = false;  ///< connect/churn/peak-growth triggered

@@ -111,31 +111,71 @@ std::size_t impulse_response_length(const std::vector<Path>& paths,
   return static_cast<std::size_t>(max_rel * sample_rate_hz) + frac_taps + 1;
 }
 
+void build_tap_table(const std::vector<Path>& paths, double sample_rate_hz,
+                     double reference_delay_s, TapTable& table,
+                     std::size_t frac_taps) {
+  const double t0 = reference_delay_s;
+  const std::size_t half = frac_taps / 2;
+  table.length =
+      impulse_response_length(paths, sample_rate_hz, t0, frac_taps);
+  table.delays.clear();
+  table.first.clear();
+  table.offset.assign(1, 0);
+  table.sinc.clear();
+  table.window.clear();
+  const auto len = static_cast<std::ptrdiff_t>(table.length);
+  for (const Path& p : paths) {
+    table.delays.push_back(p.delay_s);
+    const double tap_center = (p.delay_s - t0) * sample_rate_hz +
+                              static_cast<double>(half);
+    const std::ptrdiff_t center =
+        static_cast<std::ptrdiff_t>(std::llround(tap_center));
+    const std::ptrdiff_t lo =
+        std::max<std::ptrdiff_t>(center - static_cast<std::ptrdiff_t>(half), 0);
+    const std::ptrdiff_t hi =
+        std::min(center + static_cast<std::ptrdiff_t>(half), len - 1);
+    table.first.push_back(static_cast<std::size_t>(lo));
+    for (std::ptrdiff_t i = lo; i <= hi; ++i) {
+      const double u = static_cast<double>(i) - tap_center;
+      // Windowed sinc (Hann over the kernel extent).
+      table.sinc.push_back(std::abs(u) < 1e-12
+                               ? 1.0
+                               : std::sin(dsp::kPi * u) / (dsp::kPi * u));
+      const double w =
+          0.5 + 0.5 * std::cos(dsp::kPi * u / (static_cast<double>(half) + 1.0));
+      table.window.push_back(std::max(w, 0.0));
+    }
+    table.offset.push_back(table.sinc.size());
+  }
+}
+
+bool tap_table_matches(const TapTable& table, const std::vector<Path>& paths) {
+  if (table.delays.size() != paths.size()) return false;
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    if (table.delays[k] != paths[k].delay_s) return false;
+  }
+  return true;
+}
+
+void render_taps(const std::vector<Path>& paths, const TapTable& table,
+                 std::span<double> h) {
+  std::fill(h.begin(), h.end(), 0.0);
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    const double amp = paths[k].amplitude;
+    std::size_t i = table.first[k];
+    for (std::size_t t = table.offset[k]; t < table.offset[k + 1]; ++t) {
+      h[i++] += amp * table.sinc[t] * table.window[t];
+    }
+  }
+}
+
 std::vector<double> paths_to_impulse_response_ref(
     const std::vector<Path>& paths, double sample_rate_hz,
     double reference_delay_s, std::size_t frac_taps) {
-  if (paths.empty()) return {};
-  const double t0 = reference_delay_s;
-  const std::size_t half = frac_taps / 2;
-  std::vector<double> h(
-      impulse_response_length(paths, sample_rate_hz, t0, frac_taps), 0.0);
-  for (const Path& p : paths) {
-    const double tap_center = (p.delay_s - t0) * sample_rate_hz +
-                              static_cast<double>(half);
-    const std::ptrdiff_t center = static_cast<std::ptrdiff_t>(std::llround(tap_center));
-    for (std::ptrdiff_t i = center - static_cast<std::ptrdiff_t>(half);
-         i <= center + static_cast<std::ptrdiff_t>(half); ++i) {
-      if (i < 0 || i >= static_cast<std::ptrdiff_t>(h.size())) continue;
-      const double u = static_cast<double>(i) - tap_center;
-      // Windowed sinc (Hann over the kernel extent).
-      const double x = u;
-      const double sinc =
-          std::abs(x) < 1e-12 ? 1.0 : std::sin(dsp::kPi * x) / (dsp::kPi * x);
-      const double w =
-          0.5 + 0.5 * std::cos(dsp::kPi * u / (static_cast<double>(half) + 1.0));
-      h[static_cast<std::size_t>(i)] += p.amplitude * sinc * std::max(w, 0.0);
-    }
-  }
+  TapTable table;
+  build_tap_table(paths, sample_rate_hz, reference_delay_s, table, frac_taps);
+  std::vector<double> h(table.length);
+  render_taps(paths, table, h);
   return h;
 }
 

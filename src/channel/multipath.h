@@ -10,7 +10,9 @@
 // of the paper's lake location.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dsp/types.h"
@@ -66,6 +68,37 @@ std::vector<double> paths_to_impulse_response(const std::vector<Path>& paths,
 std::vector<double> paths_to_impulse_response_ref(
     const std::vector<Path>& paths, double sample_rate_hz,
     double reference_delay_s, std::size_t frac_taps = 33);
+
+/// The delay-dependent half of paths_to_impulse_response_ref: every path's
+/// in-range windowed-sinc taps without its amplitude. A time-varying link
+/// whose path delays hold from one block to the next (a static geometry
+/// under a rough surface, where only the surface bounces' amplitudes
+/// change) keeps its table and re-renders only the amplitudes.
+struct TapTable {
+  std::size_t length = 0;           ///< response length in samples
+  std::vector<double> delays;       ///< path delays the table was built for
+  std::vector<std::size_t> first;   ///< per path: response index of its first tap
+  std::vector<std::size_t> offset;  ///< per path + 1: start in sinc/window
+  std::vector<double> sinc;         ///< in-range taps, path after path
+  std::vector<double> window;       ///< their max(Hann, 0) weights
+};
+
+/// Fills `table` (reusing its capacity) for `paths` relative to
+/// `reference_delay_s`, as paths_to_impulse_response_ref places them.
+void build_tap_table(const std::vector<Path>& paths, double sample_rate_hz,
+                     double reference_delay_s, TapTable& table,
+                     std::size_t frac_taps = 33);
+
+/// Whether `table` was built for exactly these path delays (bit for bit),
+/// so its taps still hold.
+bool tap_table_matches(const TapTable& table, const std::vector<Path>& paths);
+
+/// Renders `paths` through `table` (built for their delays) into `h`,
+/// which must hold table.length samples: h[i] += amplitude * sinc * window
+/// over each path's taps, in path order. The one renderer behind
+/// paths_to_impulse_response_ref.
+void render_taps(const std::vector<Path>& paths, const TapTable& table,
+                 std::span<double> h);
 
 /// Length of the response paths_to_impulse_response_ref renders for
 /// `paths` (0 when there are none), without rendering it.

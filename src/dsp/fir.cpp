@@ -105,7 +105,6 @@ std::vector<double> design_fractional_delay(double delay_samples,
   return h;
 }
 
-// lint: hot-alloc-ok(one-shot allocating helper for sim/offline callers; the modem decode path uses FftFilter::convolve_into with Workspace leases)
 std::vector<double> convolve(std::span<const double> x,
                              std::span<const double> h) {
   if (x.empty() || h.empty()) return {};
@@ -129,7 +128,28 @@ std::vector<double> convolve(std::span<const double> x,
   return filt.convolve(signal, thread_local_workspace());
 }
 
-// lint: hot-alloc-ok(one-shot allocating helper for sim/offline callers; the modem decode path uses FftFilter::convolve_into with Workspace leases)
+void fft_convolve_into(std::span<const double> x, std::span<const double> h,
+                       std::span<double> out, Workspace& ws) {
+  const std::size_t m = next_pow2(out.size());
+  const RfftPlan& plan = rplan_of(m);
+  Scratch<double> a_s(ws, m);
+  Scratch<double> b_s(ws, m);
+  Scratch<cplx> fa_s(ws, plan.spectrum_size());
+  Scratch<cplx> fb_s(ws, plan.spectrum_size());
+  std::span<double> a = a_s.span();
+  std::span<double> b = b_s.span();
+  std::copy(x.begin(), x.end(), a.begin());
+  std::fill(a.begin() + static_cast<std::ptrdiff_t>(x.size()), a.end(), 0.0);
+  std::copy(h.begin(), h.end(), b.begin());
+  std::fill(b.begin() + static_cast<std::ptrdiff_t>(h.size()), b.end(), 0.0);
+  plan.forward(a, fa_s.span(), ws);
+  plan.forward(b, fb_s.span(), ws);
+  simd::cmul_inplace(simd::active(), fa_s->data(), fb_s->data(),
+                     plan.spectrum_size());
+  plan.inverse(fa_s.span(), a, ws);
+  std::copy_n(a.begin(), out.size(), out.begin());
+}
+
 std::vector<cplx> convolve(std::span<const cplx> x, std::span<const cplx> h) {
   if (x.empty() || h.empty()) return {};
   const std::size_t out_len = x.size() + h.size() - 1;

@@ -14,6 +14,8 @@
 
 namespace aqua::dsp {
 
+class Workspace;
+
 /// Designs a linear-phase lowpass FIR via the windowed-sinc method.
 /// `cutoff_hz` is the -6 dB edge; `taps` is the filter length (order + 1).
 std::vector<double> design_lowpass(double cutoff_hz, double sample_rate_hz,
@@ -43,6 +45,15 @@ std::vector<double> design_fractional_delay(double delay_samples,
 /// Uses direct convolution for short filters, FFT overlap for long ones.
 std::vector<double> convolve(std::span<const double> x,
                              std::span<const double> h);
+
+/// Full linear convolution through one packed real FFT of
+/// next_pow2(x.size() + h.size() - 1) points, every buffer leased from
+/// `ws`: forward both operands, multiply, inverse. out.size() must be
+/// x.size() + h.size() - 1 (both operands non-empty). Suits a short block
+/// against a kernel that changes from call to call, so there is no kernel
+/// spectrum worth caching.
+void fft_convolve_into(std::span<const double> x, std::span<const double> h,
+                       std::span<double> out, Workspace& ws);
 
 /// Complex full linear convolution.
 std::vector<cplx> convolve(std::span<const cplx> x, std::span<const cplx> h);

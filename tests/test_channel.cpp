@@ -16,6 +16,8 @@
 #include "channel/multipath.h"
 #include "channel/noise.h"
 #include "dsp/chirp.h"
+#include "dsp/fft.h"
+#include "dsp/fir.h"
 #include "dsp/spectrum.h"
 #include "dsp/workspace.h"
 
@@ -498,7 +500,9 @@ TEST(UnderwaterChannel, SilentBlocksRenderTheSameStreamBitForBit) {
   // paths and draws its own surface roughness. Blocks of the silent gap
   // skip the path solve, the response and the convolution but must still
   // draw, or the second burst renders through the wrong surface. The
-  // golden hash was recorded before silent blocks were skipped.
+  // golden count and hash were recorded with the per-block real-FFT
+  // convolution (whose roundoff reaches a few samples a direct sum leaves
+  // exactly zero); skipping silent blocks must not move them.
   LinkConfig lc;
   lc.site = site_preset(Site::kBay);
   lc.range_m = 8.0;
@@ -518,8 +522,8 @@ TEST(UnderwaterChannel, SilentBlocksRenderTheSameStreamBitForBit) {
   EXPECT_GT(s.silent_blocks(), 40u);  // the 0.5 s gap and the tail
   const auto nonzero = std::count_if(out.begin(), out.end(),
                                      [](double v) { return v != 0.0; });
-  EXPECT_EQ(nonzero, 29239);
-  EXPECT_EQ(bits_hash(out), 0xddd92d07ab54371eULL);
+  EXPECT_EQ(nonzero, 29245);
+  EXPECT_EQ(bits_hash(out), 0x5ce0a0b57e2a3b94ULL);
 }
 
 TEST(UnderwaterChannel, PacedRenderingIsChunkingInvariant) {
@@ -546,14 +550,15 @@ TEST(UnderwaterChannel, PacedRenderingIsChunkingInvariant) {
     ASSERT_EQ(out.size() - before, n);
     b += n;
   }
-  EXPECT_EQ(bits_hash(out), 0xddd92d07ab54371eULL);
+  EXPECT_EQ(bits_hash(out), 0x5ce0a0b57e2a3b94ULL);
 }
 
 TEST(UnderwaterChannel, InternalSilenceKeepsTransmitLengthAndBits) {
   // transmit() sizes its output by the longest impulse response any block
   // solved. On this drifting link the longest falls inside the 1 s gap,
   // so a skipped block that forgot its response length would shorten the
-  // output. Golden lengths and hashes were recorded before the skip.
+  // output. The golden lengths predate the skip; the hashes were
+  // recorded with the per-block real-FFT convolution.
   LinkConfig lc;
   lc.site = site_preset(Site::kLake);
   lc.range_m = 10.0;
@@ -566,8 +571,174 @@ TEST(UnderwaterChannel, InternalSilenceKeepsTransmitLengthAndBits) {
   const std::vector<double> y2 = ch.transmit(x);
   EXPECT_EQ(y1.size(), 61299u);
   EXPECT_EQ(y2.size(), 61302u);
-  EXPECT_EQ(bits_hash(y1), 0xb19bfc04e0e0025cULL);
-  EXPECT_EQ(bits_hash(y2), 0xa8f5eff3944b363cULL);
+  EXPECT_EQ(bits_hash(y1), 0x0dac120f3ca3d069ULL);
+  EXPECT_EQ(bits_hash(y2), 0x14fbf48ed2ecbe67ULL);
+}
+
+TEST(UnderwaterChannel, BlockConvolutionMatchesDirectSum) {
+  // A 10 ms block against responses whose lengths select 1024-, 2048-,
+  // 4096- and 8192-point transforms, with decaying random taps like a
+  // multipath response.
+  std::mt19937_64 rng(11);
+  std::normal_distribution<double> g(0.0, 1.0);
+  std::vector<double> block(kMultipathBlockSamples);
+  for (double& v : block) v = g(rng);
+  dsp::Workspace ws;
+  for (const std::size_t taps : {300u, 1200u, 3000u, 6000u}) {
+    std::vector<double> ir(taps);
+    for (std::size_t j = 0; j < taps; ++j) {
+      ir[j] = g(rng) * std::exp(-3.0 * static_cast<double>(j) /
+                                static_cast<double>(taps));
+    }
+    const std::size_t n = block.size() + taps - 1;
+    std::vector<double> got(n);
+    dsp::fft_convolve_into(block, ir, got, ws);
+    double err = 0.0;
+    double peak = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double ref = 0.0;
+      for (std::size_t k = 0; k < block.size(); ++k) {
+        if (i >= k && i - k < taps) ref += block[k] * ir[i - k];
+      }
+      err = std::max(err, std::abs(got[i] - ref));
+      peak = std::max(peak, std::abs(ref));
+    }
+    EXPECT_LE(err, 1e-12 * peak) << taps << " taps, "
+                                 << dsp::next_pow2(n) << "-point FFT";
+  }
+}
+
+// Renders a sequence of path sets the way a Stream does (keeping the tap
+// table while the delays hold) and checks every response bit for bit
+// against paths_to_impulse_response_ref. Returns how many were rebuilt.
+std::size_t check_tap_cache(const std::vector<std::vector<Path>>& sets,
+                            double ref_delay_s) {
+  TapTable table;
+  std::size_t rebuilds = 0;
+  for (const std::vector<Path>& paths : sets) {
+    if (!tap_table_matches(table, paths)) {
+      build_tap_table(paths, 48000.0, ref_delay_s, table);
+      ++rebuilds;
+    }
+    std::vector<double> h(table.length);
+    render_taps(paths, table, h);
+    const std::vector<double> ref =
+        paths_to_impulse_response_ref(paths, 48000.0, ref_delay_s);
+    EXPECT_EQ(h.size(), ref.size());
+    EXPECT_EQ(bits_hash(h), bits_hash(ref));
+  }
+  return rebuilds;
+}
+
+TEST(Multipath, TapCacheMatchesReferenceRenderer) {
+  Geometry g;
+  g.range_m = 12.0;
+  g.source_depth_m = 1.2;
+  g.receiver_depth_m = 2.1;
+  g.water_depth_m = 4.0;
+  WaveguideParams wp = site_preset(Site::kBay).waveguide;
+  const double ref = compute_paths(g, wp).front().delay_s - 0.002;
+  std::mt19937_64 rng(4);
+  std::normal_distribution<double> rough(0.0, 0.01);
+
+  // Static geometry under a rough surface: the delays hold, so one table
+  // serves every block.
+  std::vector<std::vector<Path>> sets;
+  for (int b = 0; b < 20; ++b) {
+    WaveguideParams w = wp;
+    w.surface_reflection =
+        std::clamp(wp.surface_reflection * (1.0 + rough(rng)), 0.3, 1.0);
+    sets.push_back(compute_paths(g, w));
+  }
+  EXPECT_EQ(check_tap_cache(sets, ref), 1u);
+
+  // Drifting range: every block moves the delays and rebuilds.
+  sets.clear();
+  for (int b = 0; b < 20; ++b) {
+    Geometry d = g;
+    d.range_m += 0.003 * b;
+    sets.push_back(compute_paths(d, wp));
+  }
+  EXPECT_EQ(check_tap_cache(sets, ref), 20u);
+
+  // Pruning boundary: the surface loss pushes the weakest images across
+  // the amplitude floor, so the path count (not any delay) changes.
+  sets.clear();
+  std::vector<std::size_t> counts;
+  for (int b = 0; b < 40; ++b) {
+    WaveguideParams w = wp;
+    w.surface_reflection = b % 2 == 0 ? 1.0 : 0.3;
+    sets.push_back(compute_paths(g, w));
+    counts.push_back(sets.back().size());
+  }
+  ASSERT_NE(counts[0], counts[1]);
+  EXPECT_EQ(check_tap_cache(sets, ref), 40u);
+}
+
+TEST(UnderwaterChannel, StreamOutputIsExactZeroPastDrainBound) {
+  // Random bursts and silences of random lengths, pushed a 10 ms block at
+  // a time as the medium does: once the clock is drain_samples() past the
+  // last non-zero input, every output sample must be exactly 0.0, on a
+  // time-varying link (moving, rough), a static rough one and a fixed-
+  // response one.
+  struct Case {
+    Site site;
+    MotionKind motion;
+    double range_m;
+  };
+  SitePreset still = site_preset(Site::kBridge);
+  still.surface_roughness = 0.0;
+  for (const Case c : {Case{Site::kBay, MotionKind::kSlow, 8.0},
+                       Case{Site::kBridge, MotionKind::kStatic, 15.0},
+                       Case{Site::kBridge, MotionKind::kStatic, 3.0}}) {
+    LinkConfig lc;
+    lc.site = c.range_m == 3.0 ? still : site_preset(c.site);
+    lc.motion = c.motion;
+    lc.range_m = c.range_m;
+    lc.noise_enabled = false;
+    lc.seed = 21;
+    UnderwaterChannel ch(lc);
+    UnderwaterChannel::Stream s = ch.stream();
+    std::mt19937_64 rng(static_cast<std::uint64_t>(c.range_m * 10));
+    std::normal_distribution<double> g(0.0, 0.3);
+    // Gaps from one sample to well past the ~0.4 s drain bound.
+    std::uniform_int_distribution<std::size_t> burst_len(1, 3000);
+    std::uniform_int_distribution<std::size_t> gap_len(1, 60000);
+    std::vector<double> x;
+    while (x.size() < 480000) {
+      const std::size_t burst = burst_len(rng);
+      for (std::size_t i = 0; i < burst; ++i) x.push_back(g(rng));
+      x.insert(x.end(), gap_len(rng), 0.0);
+    }
+    dsp::Workspace ws;
+    std::vector<double> out;
+    std::uint64_t last = 0;
+    bool sounded = false;
+    std::size_t checked = 0;
+    for (std::size_t b = 0; b + kMultipathBlockSamples <= x.size();
+         b += kMultipathBlockSamples) {
+      const std::span<const double> blk(x.data() + b, kMultipathBlockSamples);
+      const bool drained =
+          sounded && b >= last + s.drain_samples() &&
+          std::all_of(blk.begin(), blk.end(), [](double v) { return v == 0.0; });
+      out.clear();
+      s.push(blk, out, ws);
+      if (drained) {
+        ++checked;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          ASSERT_EQ(out[i], 0.0) << "sample " << b + i << ", last input "
+                                 << last << ", drain " << s.drain_samples();
+        }
+      }
+      for (std::size_t i = 0; i < blk.size(); ++i) {
+        if (blk[i] != 0.0) {
+          last = b + i;
+          sounded = true;
+        }
+      }
+    }
+    EXPECT_GT(checked, 20u);
+  }
 }
 
 TEST(UnderwaterChannel, EmptyTransmitYieldsNoiseOnlyTimeline) {

@@ -10,10 +10,15 @@
 //    attach-order-derived seeding).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <optional>
 #include <random>
 #include <vector>
 
 #include "channel/audibility.h"
+#include "channel/channel.h"
 #include "channel/environment.h"
 #include "channel/medium.h"
 #include "mac/netsim.h"
@@ -275,9 +280,206 @@ TEST(MediumScale, CullMetricsCountSkippedWork) {
   const obs::Registry m = net.medium().metrics();
   EXPECT_GT(m.counter("medium.cull_evals"), 0u);
   EXPECT_GT(m.counter("medium.culled_convolutions"), 0u);
-  EXPECT_GT(m.counter("medium.rendered_blocks"), 0u);
-  // Nobody transmits, so every rendered multipath block is exact silence.
-  EXPECT_GT(m.counter("medium.silent_blocks"), 0u);
+  // Nobody transmits, so every audible path stays dormant: no stream is
+  // opened and no block rendered.
+  EXPECT_EQ(m.counter("medium.rendered_blocks"), 0u);
+  EXPECT_GT(m.counter("medium.dormant_blocks"), 0u);
+}
+
+// One run of the dormancy scenario below: every block's mixed microphone
+// samples and the medium's merged metrics.
+struct DormancyRun {
+  std::vector<std::vector<double>> mics;
+  obs::Registry metrics;
+  std::size_t audible = 0;
+};
+
+DormancyRun run_dormancy(int workers,
+                         const std::vector<channel::LinkConfig>& links,
+                         const std::vector<std::pair<int, int>>& pairs,
+                         const std::vector<std::vector<double>>& speaker) {
+  const channel::SitePreset site = channel::site_preset(channel::Site::kBridge);
+  channel::MediumConfig mc;
+  mc.workers = workers;
+  mc.cull_enabled = true;
+  mc.cull.margin_db = 0.0;
+  channel::AcousticMedium medium(kFs, mc);
+  const int n = static_cast<int>(speaker.size());
+  for (int i = 0; i < n; ++i) {
+    medium.add_endpoint(site.noise, channel::mic_noise_seed(5, i));
+  }
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    medium.connect(pairs[k].first, pairs[k].second, links[k]);
+  }
+  DormancyRun run;
+  run.mics.resize(static_cast<std::size_t>(n));
+  std::vector<std::vector<double>> rx;
+  dsp::Workspace ws;
+  for (std::size_t b = 0; b * kBlock < speaker[0].size(); ++b) {
+    std::vector<std::span<const double>> tx;
+    for (const auto& x : speaker) {
+      tx.emplace_back(x.data() + b * kBlock, kBlock);
+    }
+    medium.step(tx, rx, ws);
+    for (int i = 0; i < n; ++i) {
+      auto& mic = run.mics[static_cast<std::size_t>(i)];
+      mic.insert(mic.end(), rx[static_cast<std::size_t>(i)].begin(),
+                 rx[static_cast<std::size_t>(i)].end());
+    }
+  }
+  run.metrics = medium.metrics();
+  run.audible = medium.audible_paths();
+  return run;
+}
+
+TEST(MediumScale, DormantPathsFollowTheirSpeakersSchedule) {
+  // Three endpoints a few metres apart on still water (no surface
+  // roughness, so each path renders through one fixed response and its
+  // drain bound is known before it renders). Endpoint 0 sends two bursts,
+  // endpoint 1 one short one, endpoint 2 stays silent. A path must open
+  // on its speaker's first non-zero block and close on the first block
+  // that starts drain_samples() past the speaker's last non-zero sample.
+  channel::SitePreset still = channel::site_preset(channel::Site::kBridge);
+  still.surface_roughness = 0.0;
+  std::vector<std::pair<int, int>> pairs;
+  std::vector<channel::LinkConfig> links;
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      if (a == b) continue;
+      channel::LinkConfig lc;
+      lc.site = still;
+      lc.sample_rate_hz = kFs;
+      lc.range_m = 2.0 + a + b;
+      lc.seed = static_cast<std::uint64_t>(10 + a * 3 + b);
+      pairs.emplace_back(a, b);
+      links.push_back(lc);
+    }
+  }
+  const std::size_t blocks = 320;
+  std::vector<std::vector<double>> speaker(3,
+                                           std::vector<double>(blocks * kBlock));
+  std::mt19937_64 rng(8);
+  std::normal_distribution<double> g(0.0, 0.3);
+  const auto burst = [&](int ep, std::size_t from, std::size_t len) {
+    for (std::size_t i = from; i < from + len; ++i) {
+      speaker[static_cast<std::size_t>(ep)][i] = g(rng);
+    }
+  };
+  burst(0, 2 * kBlock, 1340);     // blocks 2-4, ends mid-block
+  burst(0, 150 * kBlock + 37, 500);
+  burst(1, 10 * kBlock + 200, 100);
+
+  // Hand count: replay the open/close rule per path. A fixed-response
+  // drain is ~1 s (~98 blocks), so endpoint 0's paths close between its
+  // bursts and every path has closed again by the end.
+  std::uint64_t rendered = 0;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    channel::LinkConfig quiet = links[k];
+    quiet.noise_enabled = false;
+    const channel::UnderwaterChannel ch(quiet);
+    const std::size_t drain = ch.stream().drain_samples();
+    const auto& x = speaker[static_cast<std::size_t>(pairs[k].first)];
+    bool live = false;
+    std::size_t last = 0;
+    int opens = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      bool loud = false;
+      for (std::size_t i = b * kBlock; i < (b + 1) * kBlock; ++i) {
+        if (x[i] != 0.0) {
+          loud = true;
+          last = i;
+        }
+      }
+      if (loud && !live) {
+        live = true;
+        ++opens;
+      } else if (!loud && live && b * kBlock >= last + drain) {
+        live = false;
+      }
+      if (live) ++rendered;
+    }
+    EXPECT_FALSE(live);
+    EXPECT_EQ(opens, 2 - pairs[k].first) << pairs[k].first << "->"
+                                         << pairs[k].second;
+  }
+
+  const DormancyRun w1 = run_dormancy(1, links, pairs, speaker);
+  const DormancyRun w2 = run_dormancy(2, links, pairs, speaker);
+  EXPECT_EQ(w1.audible, pairs.size());
+  EXPECT_EQ(w1.metrics.counter("medium.rendered_blocks"), rendered);
+  EXPECT_EQ(w1.metrics.counter("medium.dormant_blocks"),
+            pairs.size() * blocks - rendered);
+  EXPECT_EQ(w2.metrics.counter("medium.rendered_blocks"), rendered);
+  EXPECT_EQ(w2.metrics.counter("medium.dormant_blocks"),
+            pairs.size() * blocks - rendered);
+  for (std::size_t m = 0; m < w1.mics.size(); ++m) {
+    ASSERT_EQ(w1.mics[m].size(), w2.mics[m].size());
+    EXPECT_EQ(std::memcmp(w1.mics[m].data(), w2.mics[m].data(),
+                          w1.mics[m].size() * sizeof(double)),
+              0)
+        << "mic " << m;
+  }
+}
+
+TEST(MediumScale, ReopenedPathContinuesItsRoughness) {
+  // One culled path on a still link under Bridge's rough surface: its
+  // path delays never change, only the surface bounce's amplitude, drawn
+  // per block. The speaker sends the same burst twice, far enough apart
+  // for the path to close in between. The second opening must continue
+  // the roughness sequence, not restart it, so the two bursts arrive
+  // through different surfaces.
+  const channel::SitePreset site = channel::site_preset(channel::Site::kBridge);
+  ASSERT_GT(site.surface_roughness, 0.0);
+  channel::MediumConfig mc;
+  mc.workers = 1;
+  mc.cull_enabled = true;
+  mc.cull.margin_db = 0.0;
+  channel::AcousticMedium medium(kFs, mc);
+  medium.add_endpoint(std::nullopt, channel::mic_noise_seed(3, 0));
+  medium.add_endpoint(std::nullopt, channel::mic_noise_seed(3, 1));
+  channel::LinkConfig lc;
+  lc.site = site;
+  lc.sample_rate_hz = kFs;
+  lc.range_m = 4.0;
+  lc.seed = 21;
+  medium.connect(0, 1, lc);
+
+  const std::size_t lead = 5;   // blocks before the first burst
+  const std::size_t gap = 100;  // blocks between burst onsets (~1 s)
+  std::vector<double> x((lead + 2 * gap) * kBlock, 0.0);
+  std::mt19937_64 rng(4);
+  std::normal_distribution<double> g(0.0, 0.3);
+  std::vector<double> burst(1000);
+  for (double& v : burst) v = g(rng);
+  std::copy(burst.begin(), burst.end(), x.begin() + lead * kBlock);
+  std::copy(burst.begin(), burst.end(), x.begin() + (lead + gap) * kBlock);
+
+  const std::vector<double> silent(kBlock, 0.0);
+  std::vector<double> mic;
+  std::vector<std::vector<double>> rx;
+  dsp::Workspace ws;
+  for (std::size_t b = 0; b * kBlock < x.size(); ++b) {
+    const std::vector<std::span<const double>> tx = {
+        std::span<const double>(x.data() + b * kBlock, kBlock),
+        std::span<const double>(silent)};
+    medium.step(tx, rx, ws);
+    mic.insert(mic.end(), rx[1].begin(), rx[1].end());
+  }
+  // Dormant before the first burst and again between the bursts.
+  const obs::Registry m = medium.metrics();
+  EXPECT_GT(m.counter("medium.dormant_blocks"), lead + 10);
+
+  const std::size_t len = gap * kBlock;
+  const std::span<const double> first(mic.data() + lead * kBlock, len);
+  const std::span<const double> second(mic.data() + (lead + gap) * kBlock, len);
+  double peak = 0.0;
+  double diff = 0.0;
+  for (std::size_t i = 0; i < len; ++i) {
+    peak = std::max(peak, std::abs(first[i]));
+    diff = std::max(diff, std::abs(first[i] - second[i]));
+  }
+  ASSERT_GT(peak, 0.0);
+  EXPECT_GT(diff, 1e-5 * peak) << "the reopened path replayed its draws";
 }
 
 TEST(MediumScale, PathsWithOneDeviceConfigShareOneFilter) {
