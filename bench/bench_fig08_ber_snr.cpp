@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   std::vector<BatchTally> tallies(items);
   runner.parallel_for(
       items,
-      [&](std::size_t i, std::mt19937_64& rng) {
+      [&](std::size_t i, std::mt19937_64& rng, dsp::Workspace&) {
         const double range = ranges[i / static_cast<std::size_t>(batches)];
         const int batch = static_cast<int>(i % static_cast<std::size_t>(batches));
         tallies[i] = run_symbol_batch(range, batch, rng);

@@ -10,7 +10,7 @@
 // stderr, and `--json <path>` appends a {nodes, pairs, samples/s} point to
 // the `harbor_series` array of the BENCH_sweep.json perf history.
 //
-// Knobs: --medium-workers N (or AQUA_MEDIUM_WORKERS; 0 = resolve env),
+// Knobs: --medium-workers N (default 1),
 // AQUA_HARBOR_NODES, AQUA_HARBOR_SECONDS, AQUA_HARBOR_SPACING.
 #include <chrono>
 #include <cmath>
@@ -49,7 +49,7 @@ int workers_arg(int argc, char** argv) {
       if (v >= 1) return v;
     }
   }
-  return 0;  // resolve AQUA_MEDIUM_WORKERS, default 1
+  return 1;
 }
 
 std::string machine_label() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/sink.h"
 
@@ -50,7 +49,7 @@ AcousticMedium::AcousticMedium(double sample_rate_hz,
                                const MediumConfig& config)
     : fs_(sample_rate_hz),
       config_(config),
-      pool_(std::make_unique<ShardPool>(ShardPool::resolve(config.workers))) {
+      pool_(std::make_unique<ShardPool>(config.workers)) {
   shard_metrics_.resize(static_cast<std::size_t>(pool_->workers()));
 }
 
@@ -73,7 +72,6 @@ int AcousticMedium::add_endpoint(const std::optional<NoiseParams>& noise,
   observed_peak_.push_back(0.0);
   peak_at_last_eval_.push_back(0.0);
   sound_end_.push_back(0);
-  noise_ready_.emplace_back(0);
   mix_order_.emplace_back();
   return static_cast<int>(mics_.size()) - 1;
 }
@@ -294,29 +292,6 @@ std::uint64_t AcousticMedium::render_slot(PathSlot& slot,
   return stream.silent_blocks() - silent_before;
 }
 
-// Canonical accumulation: every microphone starts from its own noise block
-// and adds its audible paths in ascending (from stable id, connect order).
-// This order never depends on the worker count or on which worker rendered
-// a path, which is the whole bit-identical-mixing contract.
-void AcousticMedium::mix(std::vector<std::vector<double>>& rx, std::size_t n,
-                         std::uint64_t seq) {
-  for (std::size_t m = 0; m < mics_.size(); ++m) {
-    while (noise_ready_[m].load(std::memory_order_acquire) != seq) {
-      if (abort_.load(std::memory_order_relaxed)) return;
-      std::this_thread::yield();
-    }
-    for (const int idx : mix_order_[m]) {
-      PathSlot& slot = *slots_[static_cast<std::size_t>(idx)];
-      if (!slot.live) continue;
-      while (slot.ring.available() < n) {
-        if (abort_.load(std::memory_order_relaxed)) return;
-        std::this_thread::yield();
-      }
-      slot.ring.consume_add(rx[m], n);
-    }
-  }
-}
-
 void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
                           std::vector<std::vector<double>>& rx,
                           dsp::Workspace& ws) {
@@ -345,65 +320,42 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
   }
   const std::size_t live = render_order_.size();
 
-  if (pool_->workers() == 1) {
-    // Serial fast path: no rings, no atomics — today's exact code shape.
-    for (std::size_t m = 0; m < eps; ++m) {
+  next_mic_.store(0, std::memory_order_relaxed);
+  next_path_.store(0, std::memory_order_relaxed);
+  // Workers claim mics, then paths, one at a time: which worker renders
+  // what never changes a sample (each path's stream and scratch are its
+  // own, and the mix below reads them in canonical order).
+  pool_->run([&](int w) {
+    for (std::size_t m = next_mic_.fetch_add(1, std::memory_order_relaxed);
+         m < eps; m = next_mic_.fetch_add(1, std::memory_order_relaxed)) {
       fill_mic(m, rx[m], n);
     }
+    dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
+    std::uint64_t rendered = 0;
     std::uint64_t silent = 0;
-    for (std::size_t m = 0; m < eps; ++m) {
-      for (const int idx : mix_order_[m]) {
-        PathSlot& slot = *slots_[static_cast<std::size_t>(idx)];
-        if (!slot.live) continue;
-        silent += render_slot(slot, tx[static_cast<std::size_t>(slot.from)],
-                              path_tmp_, ws);
-        std::vector<double>& dst = rx[m];
-        for (std::size_t i = 0; i < n; ++i) dst[i] += path_tmp_[i];
-      }
+    for (std::size_t k = next_path_.fetch_add(1, std::memory_order_relaxed);
+         k < live; k = next_path_.fetch_add(1, std::memory_order_relaxed)) {
+      PathSlot& s = *slots_[static_cast<std::size_t>(render_order_[k])];
+      silent += render_slot(s, tx[static_cast<std::size_t>(s.from)], s.scratch,
+                            worker_ws);
+      ++rendered;
     }
-    shard_metrics_[0].add("medium.rendered_blocks", live);
-    shard_metrics_[0].add("medium.silent_blocks", silent);
-  } else {
-    abort_.store(false, std::memory_order_relaxed);
-    for (const int idx : render_order_) {
-      slots_[static_cast<std::size_t>(idx)]->ring.ensure_capacity(n);
+    obs::Registry& shard = shard_metrics_[static_cast<std::size_t>(w)];
+    shard.add("medium.rendered_blocks", rendered);
+    shard.add("medium.silent_blocks", silent);
+  });
+  // Canonical accumulation: every microphone starts from its own noise
+  // block and adds its live paths in ascending (from stable id, connect
+  // order). This order never depends on the worker count or on which
+  // worker rendered a path, which is the whole bit-identical-mixing
+  // contract.
+  for (std::size_t m = 0; m < eps; ++m) {
+    std::vector<double>& dst = rx[m];
+    for (const int idx : mix_order_[m]) {
+      const PathSlot& slot = *slots_[static_cast<std::size_t>(idx)];
+      if (!slot.live) continue;
+      for (std::size_t i = 0; i < n; ++i) dst[i] += slot.scratch[i];
     }
-    const std::uint64_t seq = ++step_seq_;
-    next_mic_.store(0, std::memory_order_relaxed);
-    next_path_.store(0, std::memory_order_relaxed);
-    // Workers claim mics, then paths, one at a time: which worker renders
-    // what never changes a sample (each path's stream and ring are its
-    // own, and mix() reads the rings in canonical order).
-    pool_->run([&](int w) {
-      try {
-        for (std::size_t m = next_mic_.fetch_add(1, std::memory_order_relaxed);
-             m < eps; m = next_mic_.fetch_add(1, std::memory_order_relaxed)) {
-          fill_mic(m, rx[m], n);
-          noise_ready_[m].store(seq, std::memory_order_release);
-        }
-        dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
-        std::uint64_t rendered = 0;
-        std::uint64_t silent = 0;
-        for (std::size_t k = next_path_.fetch_add(1, std::memory_order_relaxed);
-             k < render_order_.size();
-             k = next_path_.fetch_add(1, std::memory_order_relaxed)) {
-          PathSlot& s = *slots_[static_cast<std::size_t>(render_order_[k])];
-          silent += render_slot(s, tx[static_cast<std::size_t>(s.from)],
-                                s.scratch, worker_ws);
-          s.ring.push(s.scratch);
-          ++rendered;
-        }
-        obs::Registry& shard = shard_metrics_[static_cast<std::size_t>(w)];
-        shard.add("medium.rendered_blocks", rendered);
-        shard.add("medium.silent_blocks", silent);
-      } catch (...) {
-        // A dead producer would deadlock the mixer's spin; trip the abort
-        // flag first, then let the pool rethrow after the barrier.
-        abort_.store(true, std::memory_order_relaxed);
-        throw;
-      }
-      if (w == 0) mix(rx, n, seq);
-    });
   }
   shard_metrics_[0].add("medium.culled_convolutions",
                         slots_.size() - audible);

@@ -12,12 +12,13 @@
 // Scaling model (same discipline as sim::SweepRunner):
 //  - Workers of a fixed ShardPool claim per-mic noise blocks and audible
 //    directed paths from shared counters, so a stalled worker's share
-//    moves to the others; each path renders into its own SpscRing, and
-//    the coordinating thread accumulates every microphone in
-//    one canonical order — ascending (from-endpoint stable id, connect
-//    sequence) after the mic's own noise. Floating-point accumulation
-//    order is therefore fixed, so the mix is bit-identical for any worker
-//    count AND for any endpoint attach order.
+//    moves to the others; each path renders into its own scratch block.
+//    After the pool's barrier the calling thread accumulates every
+//    microphone in one canonical order — ascending (from-endpoint stable
+//    id, connect sequence) after the mic's own noise. Floating-point
+//    accumulation order is therefore fixed, so the mix is bit-identical
+//    for any worker count AND for any endpoint attach order. One worker
+//    is the same code path with the calling thread doing every claim.
 //  - Audibility culling (opt-in): a pair whose conservative peak-gain
 //    bound keeps it `margin_db` below the receiving mic's noise floor is
 //    skipped entirely — no stream state, no convolution. Decisions are
@@ -34,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <random>
@@ -46,7 +46,6 @@
 #include "channel/channel.h"
 #include "channel/noise.h"
 #include "channel/shard_pool.h"
-#include "channel/spsc_ring.h"
 #include "dsp/workspace.h"
 #include "obs/registry.h"
 
@@ -56,11 +55,11 @@ class TraceSink;
 
 namespace aqua::channel {
 
-/// Scaling knobs of a shared medium. The defaults reproduce the legacy
-/// serial medium exactly: one worker, no culling.
+/// Scaling knobs of a shared medium. The defaults are one worker and no
+/// culling.
 struct MediumConfig {
-  /// Fixed worker-pool size (>= 1). 0 resolves AQUA_MEDIUM_WORKERS
-  /// (defaulting to 1). Output is bit-identical for every value.
+  /// Fixed worker-pool size; values below 1 mean 1. Output is
+  /// bit-identical for every value.
   int workers = 1;
   /// Skip paths provably below the receivers' noise floors. Off by
   /// default: small deployments keep today's exact waveforms; dense ones
@@ -189,8 +188,7 @@ class AcousticMedium {
     /// Where the last closed stream's roughness sequence stopped; the next
     /// opening continues it (null until the path first closes).
     std::unique_ptr<std::mt19937_64> roughness;
-    SpscRing ring;            ///< rendered samples, worker -> mixer
-    std::vector<double> scratch;       ///< render buffer (claiming worker)
+    std::vector<double> scratch;  ///< this step's rendered block
     PathSlot(int f, int t, int key, const LinkConfig& c,
              std::shared_ptr<const dsp::FftFilter> tx,
              std::shared_ptr<const dsp::FftFilter> rx);
@@ -212,8 +210,6 @@ class AcousticMedium {
   /// contents); returns the multipath blocks its stream skipped as silent.
   std::uint64_t render_slot(PathSlot& slot, std::span<const double> tx_block,
                             std::vector<double>& out, dsp::Workspace& ws);
-  void mix(std::vector<std::vector<double>>& rx, std::size_t n,
-           std::uint64_t seq);
   void fill_mic(std::size_t m, std::vector<double>& dst, std::size_t n);
 
   double fs_;
@@ -233,24 +229,17 @@ class AcousticMedium {
   std::vector<std::unique_ptr<PathSlot>> slots_;
   std::vector<DeviceFilter> device_filters_;  ///< one per distinct response
   std::vector<std::vector<int>> mix_order_;  ///< per mic, canonical order
-  /// Live slots in mix order: the order workers claim them in, so the
-  /// mixer's next ring is the next one rendered. Rebuilt when a path opens
-  /// or closes; mix_order_ is re-sorted only on connect.
+  /// Live slots in mix order: the order workers claim them in. Rebuilt
+  /// when a path opens or closes; mix_order_ is re-sorted only on connect.
   std::vector<int> render_order_;
   bool mix_order_dirty_ = false;
   bool render_order_dirty_ = false;
   std::uint64_t clock_ = 0;
   std::uint64_t next_eval_clock_ = 0;
   bool eval_pending_ = false;  ///< connect/churn/peak-growth triggered
-  std::uint64_t step_seq_ = 0;
-  /// Per-mic "noise rendered" publication for the current step (holds the
-  /// step sequence number once ready). deque: atomics are not movable.
-  std::deque<std::atomic<std::uint64_t>> noise_ready_;
-  std::atomic<bool> abort_{false};
   std::atomic<std::size_t> next_mic_{0};   ///< next mic noise block to claim
   std::atomic<std::size_t> next_path_{0};  ///< next render_order_ entry
   std::vector<obs::Registry> shard_metrics_;  ///< one per worker
-  std::vector<double> path_tmp_;              ///< serial-path scratch
   obs::TraceSink* sink_ = nullptr;  ///< borrowed capture hook; may be null
 };
 

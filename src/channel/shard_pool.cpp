@@ -1,8 +1,6 @@
 #include "channel/shard_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 namespace aqua::channel {
 
@@ -77,15 +75,6 @@ void ShardPool::run(const std::function<void(int)>& job) {
     first_error_ = nullptr;
     std::rethrow_exception(e);
   }
-}
-
-int ShardPool::resolve(int requested) {
-  if (requested >= 1) return requested;
-  if (const char* env = std::getenv("AQUA_MEDIUM_WORKERS")) {  // lint: det-ok(worker-count knob: picks how many threads render, never what they compute; mixing is bit-identical for every value)
-    const int v = std::atoi(env);
-    if (v >= 1 && v <= 256) return v;
-  }
-  return 1;
 }
 
 }  // namespace aqua::channel

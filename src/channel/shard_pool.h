@@ -1,13 +1,13 @@
-// Fixed worker pool for the sharded acoustic medium.
+// Fixed worker pool: the one place the project starts threads.
 //
-// The pool follows the sim::SweepRunner discipline: worker count is fixed
-// at construction, every worker owns a private dsp::Workspace arena, and
-// all cross-thread aggregation happens on the coordinating thread in a
-// fixed order — the pool itself only provides the "run this job on every
-// worker index and wait" barrier. One worker (index 0) is always the
-// calling thread, so a single-worker pool spawns no threads at all and
-// run() degenerates to a plain function call, which keeps legacy
-// single-threaded callers on exactly the code path they had before.
+// The acoustic medium, the modem network and the scenario sweep all run
+// on it. The worker count is fixed at construction, every worker owns a
+// private dsp::Workspace arena, and all cross-thread aggregation happens
+// on the coordinating thread in a fixed order — the pool itself only
+// provides the "run this job on every worker index and wait" barrier.
+// One worker (index 0) is always the calling thread, so a single-worker
+// pool spawns no threads at all and run() is a plain function call;
+// callers keep one code path for every worker count.
 #pragma once
 
 #include <condition_variable>
@@ -25,10 +25,12 @@ namespace aqua::channel {
 
 /// Epoch-barrier worker pool: run(job) invokes job(w) once per worker
 /// index w in [0, workers()), with worker 0 on the calling thread, and
-/// returns when every invocation finished. Exceptions thrown by any
-/// worker's job are rethrown (first one wins) after the barrier.
+/// returns when every invocation finished. An exception thrown by a job
+/// is rethrown after the barrier (the caller's own first, else the first
+/// one a worker recorded), and the pool stays usable.
 class ShardPool {
  public:
+  /// `workers` below 1 means 1.
   explicit ShardPool(int workers);
   ~ShardPool();
 
@@ -43,12 +45,6 @@ class ShardPool {
   }
 
   void run(const std::function<void(int)>& job);
-
-  /// Resolves a requested worker count: values >= 1 pass through; 0 reads
-  /// AQUA_MEDIUM_WORKERS (defaulting to 1 when unset or invalid). The
-  /// medium's output is bit-identical for every worker count, so this only
-  /// trades wall-clock for threads, never results.
-  static int resolve(int requested);
 
  private:
   void worker_main(int w);

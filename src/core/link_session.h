@@ -52,8 +52,8 @@ struct SessionConfig {
   /// every decision in the pipeline lives on the absolute sample grid.
   std::size_t medium_block_samples = 480;
   /// Shared-medium scaling knobs (worker pool, audibility culling). The
-  /// defaults keep a two-endpoint session on the serial legacy path;
-  /// results are bit-identical for any worker count either way.
+  /// defaults are one worker and no culling; results are bit-identical
+  /// for any worker count either way.
   channel::MediumConfig medium;
 };
 

@@ -237,9 +237,8 @@ MacSimResult run_mac_simulation(const MacSimConfig& config) {
   return result;
 }
 
-ModemNetwork::ModemNetwork(const ModemNetworkConfig& config,
-                           dsp::Workspace* ws)
-    : config_(config), ws_(ws) {
+ModemNetwork::ModemNetwork(const ModemNetworkConfig& config)
+    : config_(config) {
   const channel::SitePreset site = channel::site_preset(config.site);
   const double fs = 48000.0;
   channel::MediumConfig mc;
@@ -320,19 +319,14 @@ ModemNetwork::ModemNetwork(const ModemNetworkConfig& config,
     }
   }
 
+  // Each modem leases scratch from its shard's arena; shard i%W runs all
+  // of node i's DSP, so arenas are never shared across threads.
   const int workers = medium_->workers();
   for (int i = 0; i < n; ++i) {
     core::ModemConfig modem_cfg = config.modem;
     modem_cfg.my_id = node_id(i);
-    if (workers > 1) {
-      // Each modem leases scratch from its shard's arena; shard i%W runs
-      // all of node i's DSP, so arenas are never shared across threads.
-      modems_.push_back(std::make_unique<core::Modem>(
-          modem_cfg, medium_->pool().workspace(i % workers)));
-    } else {
-      modems_.push_back(ws_ ? std::make_unique<core::Modem>(modem_cfg, *ws_)
-                            : std::make_unique<core::Modem>(modem_cfg));
-    }
+    modems_.push_back(std::make_unique<core::Modem>(
+        modem_cfg, medium_->pool().workspace(i % workers)));
   }
 }
 
@@ -347,12 +341,12 @@ void ModemNetwork::send(int from, std::span<const std::uint8_t> info_bits,
 }
 
 std::vector<std::vector<core::ModemEvent>> ModemNetwork::run(double seconds) {
-  dsp::Workspace& arena = ws_ ? *ws_ : dsp::thread_local_workspace();
   const std::size_t block = 480;
   const std::uint64_t blocks = static_cast<std::uint64_t>(
       seconds * medium_->sample_rate_hz() / static_cast<double>(block));
   const std::size_t n = modems_.size();
-  const int workers = medium_->workers();
+  channel::ShardPool& pool = medium_->pool();
+  const std::size_t workers = static_cast<std::size_t>(pool.workers());
 
   std::vector<std::vector<core::ModemEvent>> events(n);
   std::vector<std::vector<double>> tx(n, std::vector<double>(block));
@@ -377,26 +371,17 @@ std::vector<std::vector<core::ModemEvent>> ModemNetwork::run(double seconds) {
   };
 
   for (std::uint64_t b = 0; b < blocks; ++b) {
-    if (workers == 1) {
-      for (std::size_t i = 0; i < n; ++i) pull_node(i);
-      medium_->step(tx_spans, rx, arena);
-      for (std::size_t i = 0; i < n; ++i) push_node(i);
-    } else {
-      channel::ShardPool& pool = medium_->pool();
-      pool.run([&](int w) {
-        for (std::size_t i = static_cast<std::size_t>(w); i < n;
-             i += static_cast<std::size_t>(workers)) {
-          pull_node(i);
-        }
-      });
-      medium_->step(tx_spans, rx, pool.workspace(0));
-      pool.run([&](int w) {
-        for (std::size_t i = static_cast<std::size_t>(w); i < n;
-             i += static_cast<std::size_t>(workers)) {
-          push_node(i);
-        }
-      });
-    }
+    pool.run([&](int w) {
+      for (std::size_t i = static_cast<std::size_t>(w); i < n; i += workers) {
+        pull_node(i);
+      }
+    });
+    medium_->step(tx_spans, rx, pool.workspace(0));
+    pool.run([&](int w) {
+      for (std::size_t i = static_cast<std::size_t>(w); i < n; i += workers) {
+        push_node(i);
+      }
+    });
   }
   return events;
 }

@@ -20,7 +20,6 @@
 
 #include "channel/medium.h"
 #include "core/modem.h"
-#include "dsp/workspace.h"
 
 namespace aqua::mac {
 
@@ -98,9 +97,9 @@ struct ModemNetworkConfig {
   std::uint8_t id_base = 20;  ///< node i answers to active bin id_base + i
   std::uint64_t seed = 1;
   core::ModemConfig modem;    ///< shared protocol config (my_id overridden)
-  /// Medium worker-pool size (>= 1; 0 resolves AQUA_MEDIUM_WORKERS). The
-  /// per-modem DSP shards over the same pool; every worker count produces
-  /// bit-identical events.
+  /// Medium worker-pool size (values below 1 mean 1). The per-modem DSP
+  /// shards over the same pool; every worker count produces bit-identical
+  /// events.
   int medium_workers = 1;
   /// Audibility culling on the shared medium (dense deployments).
   bool cull = false;
@@ -115,12 +114,9 @@ struct ModemNetworkConfig {
 
 class ModemNetwork {
  public:
-  /// When `ws` is non-null every node's DSP (scanners, tone/band/data
-  /// decodes) and the medium's streaming chains lease scratch from it —
-  /// the same per-worker-arena pattern LinkSession uses. It must outlive
-  /// the network; nullptr falls back to the calling thread's arena.
-  explicit ModemNetwork(const ModemNetworkConfig& config,
-                        dsp::Workspace* ws = nullptr);
+  /// Node i's DSP (scanners, tone/band/data decodes) leases scratch from
+  /// the medium pool's arena i % workers, the worker that runs it.
+  explicit ModemNetwork(const ModemNetworkConfig& config);
 
   int nodes() const { return static_cast<int>(modems_.size()); }
   core::Modem& node(int i) { return *modems_[static_cast<std::size_t>(i)]; }
@@ -132,9 +128,9 @@ class ModemNetwork {
   void send(int from, std::span<const std::uint8_t> info_bits, int to);
 
   /// Clocks all modems through the medium for `seconds`; returns the
-  /// events each node emitted (indexed by node). With medium_workers > 1
-  /// each modem's DSP runs on its shard's worker (through the medium's
-  /// pool) — the event sequences are bit-identical for any worker count.
+  /// events each node emitted (indexed by node). Each modem's DSP runs on
+  /// its shard's worker (through the medium's pool) — the event sequences
+  /// are bit-identical for any worker count.
   std::vector<std::vector<core::ModemEvent>> run(double seconds);
 
   /// Join/leave churn: an inactive node transmits silence, receives
@@ -156,7 +152,6 @@ class ModemNetwork {
 
  private:
   ModemNetworkConfig config_;
-  dsp::Workspace* ws_ = nullptr;  ///< borrowed; nullptr = thread-local
   std::unique_ptr<channel::AcousticMedium> medium_;
   std::vector<std::unique_ptr<core::Modem>> modems_;
   std::vector<std::pair<double, double>> positions_;

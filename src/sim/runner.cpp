@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
-#include <mutex>
 #include <thread>
 
+#include "channel/shard_pool.h"
 #include "obs/trace.h"
 
 namespace aqua::sim {
@@ -24,7 +23,6 @@ void SweepRunner::parallel_for(
     const std::function<void(std::size_t, std::mt19937_64&, dsp::Workspace&)>&
         fn,
     std::uint64_t seed_base) const {
-  if (n == 0) return;
   const auto item_seed = [seed_base](std::size_t i) {
     // splitmix64-style stir keeps neighbouring item streams uncorrelated.
     std::uint64_t z = seed_base + 0x9e3779b97f4a7c15ULL *
@@ -34,58 +32,27 @@ void SweepRunner::parallel_for(
     return z ^ (z >> 31);
   };
 
-  const int workers = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(threads_), n));
-  if (workers <= 1) {
-    std::mt19937_64 rng;
-    dsp::Workspace ws;  // scratch shared by all items of this serial pass
-    for (std::size_t i = 0; i < n; ++i) {
-      rng.seed(item_seed(i));
-      fn(i, rng, ws);
-    }
-    return;
-  }
-
+  channel::ShardPool pool(static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(threads_), n)));
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  const auto worker = [&] {
+  pool.run([&](int w) {
     std::mt19937_64 rng;  // this worker's stream, re-seeded per item
-    dsp::Workspace ws;    // this worker's private scratch arena
-    for (;;) {
-      // Stop claiming new items once any item has thrown; the remaining
-      // results would be discarded with the rethrow anyway.
-      if (failed.load(std::memory_order_relaxed)) return;
+    dsp::Workspace& ws = pool.workspace(w);
+    // Stop claiming new items once any item has thrown; the remaining
+    // results would be discarded with the pool's rethrow anyway.
+    while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
+      rng.seed(item_seed(i));
       try {
-        rng.seed(item_seed(i));
         fn(i, rng, ws);
       } catch (...) {
         failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
+        throw;
       }
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void SweepRunner::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::mt19937_64&)>& fn,
-    std::uint64_t seed_base) const {
-  parallel_for(
-      n,
-      [&fn](std::size_t i, std::mt19937_64& rng, dsp::Workspace&) {
-        fn(i, rng);
-      },
-      seed_base);
+  });
 }
 
 std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& grid,

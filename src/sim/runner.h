@@ -1,7 +1,8 @@
 // Thread-pooled scenario-sweep engine.
 //
-// SweepRunner fans work items out across a std::thread worker pool. The
-// contract that keeps results bit-identical for any thread count:
+// SweepRunner fans work items out across a channel::ShardPool sized for
+// each call. The contract that keeps results bit-identical for any thread
+// count:
 //
 //   * every work item is self-seeding — its randomness derives from the
 //     item index (via the per-worker RNG stream handed to the callback,
@@ -63,24 +64,20 @@ class SweepRunner {
   int threads() const { return threads_; }
 
   /// Deterministic parallel for: invokes fn(i, rng, ws) exactly once for
-  /// every i in [0, n), distributed over the pool. `rng` is the calling
+  /// every i in [0, n), distributed over a pool of min(threads(), n)
+  /// workers that claim items one at a time. `rng` is the calling
   /// worker's RNG stream, re-seeded from (seed_base, i) before the call so
   /// output depends only on the item index. `ws` is the calling worker's
   /// private scratch arena — its buffers persist across that worker's
   /// items (capacity reuse) but every item fully overwrites what it reads,
   /// so results stay independent of the item-to-worker assignment. fn must
-  /// only touch state owned by item i. The first exception thrown by any
-  /// item is rethrown here.
+  /// only touch state owned by item i. Once an item throws, workers stop
+  /// claiming items, and the exception is rethrown here after every
+  /// worker has stopped.
   void parallel_for(
       std::size_t n,
       const std::function<void(std::size_t, std::mt19937_64&,
                                dsp::Workspace&)>& fn,
-      std::uint64_t seed_base = 0) const;
-
-  /// Convenience overload for items that need no DSP scratch.
-  void parallel_for(
-      std::size_t n,
-      const std::function<void(std::size_t, std::mt19937_64&)>& fn,
       std::uint64_t seed_base = 0) const;
 
   /// Runs `packets` packets for every scenario in `grid`, chunked across

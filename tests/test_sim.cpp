@@ -1,12 +1,17 @@
 // Scenario-sweep engine: grid expansion, deterministic chunked batch
-// execution, and thread-count invariance of the worker pool.
+// execution, thread-count invariance of the sweep, and the contract of the
+// worker pool it runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
+#include "channel/shard_pool.h"
 #include "dsp/fft_filter.h"
 #include "dsp/fir.h"
 #include "sim/runner.h"
@@ -94,7 +99,8 @@ TEST(SweepRunner, ParallelForVisitsEveryItemOnce) {
   const SweepRunner runner(RunnerOptions{.threads = 4});
   constexpr std::size_t kItems = 203;
   std::vector<std::atomic<int>> visits(kItems);
-  runner.parallel_for(kItems, [&](std::size_t i, std::mt19937_64&) {
+  runner.parallel_for(kItems, [&](std::size_t i, std::mt19937_64&,
+                                   dsp::Workspace&) {
     visits[i].fetch_add(1);
   });
   for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(visits[i].load(), 1);
@@ -103,11 +109,13 @@ TEST(SweepRunner, ParallelForVisitsEveryItemOnce) {
 TEST(SweepRunner, ItemRngDependsOnIndexNotWorker) {
   std::vector<std::uint64_t> serial(16), pooled(16);
   SweepRunner one(RunnerOptions{.threads = 1});
-  one.parallel_for(16, [&](std::size_t i, std::mt19937_64& rng) {
+  one.parallel_for(16, [&](std::size_t i, std::mt19937_64& rng,
+                           dsp::Workspace&) {
     serial[i] = rng();
   }, /*seed_base=*/7);
   SweepRunner eight(RunnerOptions{.threads = 8});
-  eight.parallel_for(16, [&](std::size_t i, std::mt19937_64& rng) {
+  eight.parallel_for(16, [&](std::size_t i, std::mt19937_64& rng,
+                             dsp::Workspace&) {
     pooled[i] = rng();
   }, /*seed_base=*/7);
   EXPECT_EQ(serial, pooled);
@@ -144,10 +152,59 @@ TEST(SweepRunner, PerWorkerWorkspacesAreThreadCountInvariant) {
 TEST(SweepRunner, PropagatesTheFirstWorkerException) {
   const SweepRunner runner(RunnerOptions{.threads = 4});
   EXPECT_THROW(
-      runner.parallel_for(32, [](std::size_t i, std::mt19937_64&) {
+      runner.parallel_for(32, [](std::size_t i, std::mt19937_64&,
+                                 dsp::Workspace&) {
         if (i == 13) throw std::runtime_error("boom");
       }),
       std::runtime_error);
+}
+
+TEST(ShardPool, RethrowsOnlyAfterEveryWorkerReturnedThenRunsAgain) {
+  channel::ShardPool pool(4);
+  ASSERT_EQ(pool.workers(), 4);
+  std::vector<std::atomic<int>> finished(4);
+  std::atomic<bool> thrown{false};
+  EXPECT_THROW(pool.run([&](int w) {
+                 if (w == 2) {
+                   thrown.store(true);
+                   throw std::runtime_error("worker 2");
+                 }
+                 if (w == 0) {
+                   // The caller returns right after the throw; workers 1
+                   // and 3 outlast it, so an early rethrow would see them
+                   // unfinished.
+                   while (!thrown.load()) std::this_thread::yield();
+                 } else {
+                   std::this_thread::sleep_for(std::chrono::milliseconds(100));
+                 }
+                 finished[static_cast<std::size_t>(w)].store(1);
+               }),
+               std::runtime_error);
+  for (const int w : {0, 1, 3}) {
+    EXPECT_EQ(finished[static_cast<std::size_t>(w)].load(), 1) << "worker " << w;
+  }
+
+  // The failed epoch leaves the pool usable: the next run visits every
+  // worker index exactly once.
+  std::vector<std::atomic<int>> visits(4);
+  pool.run([&](int w) { visits[static_cast<std::size_t>(w)].fetch_add(1); });
+  for (std::size_t w = 0; w < visits.size(); ++w) {
+    EXPECT_EQ(visits[w].load(), 1) << "worker " << w;
+  }
+}
+
+TEST(ShardPool, SingleWorkerRunsOnTheCallingThread) {
+  EXPECT_EQ(channel::ShardPool(0).workers(), 1);
+  channel::ShardPool pool(1);
+  int calls = 0;
+  std::thread::id ran_on;
+  pool.run([&](int w) {
+    EXPECT_EQ(w, 0);
+    ran_on = std::this_thread::get_id();
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(SweepRunner, AggregateStatsAreThreadCountInvariant) {
