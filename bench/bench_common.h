@@ -105,7 +105,8 @@ inline int sweep_threads(int argc, char** argv) {
 inline BatchStats run_batch(const core::SessionConfig& base, int n,
                             std::uint64_t seed_base,
                             std::size_t payload_bits = 16) {
-  return sim::run_packet_range(base, 0, n, seed_base, payload_bits);
+  dsp::Workspace ws;
+  return sim::run_packet_range(base, 0, n, seed_base, payload_bits, ws);
 }
 
 /// Prints one session-QoE summary line: delivery ratio, message-latency

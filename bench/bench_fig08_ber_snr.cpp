@@ -30,7 +30,8 @@ struct BatchTally {
   std::size_t bits = 0;
 };
 
-BatchTally run_symbol_batch(double range, int batch, std::mt19937_64& rng) {
+BatchTally run_symbol_batch(double range, int batch, std::mt19937_64& rng,
+                            dsp::Workspace& ws) {
   BatchTally tally;
   const phy::OfdmParams p;
   phy::DataModem modem(p);
@@ -52,16 +53,17 @@ BatchTally run_symbol_batch(double range, int batch, std::mt19937_64& rng) {
   tx.insert(tx.end(), data.begin(), data.end());
   const std::vector<double> rx = ch.transmit(tx);
 
-  auto det = preamble.detect(rx);
+  auto det = preamble.detect(rx, ws);
   if (!det) return tally;
   phy::ChannelEstimate est = phy::estimate_channel(
       ofdm, std::span<const double>(rx).subspan(det->start_index),
-      preamble.cazac_bins());
+      preamble.cazac_bins(), ws);
 
   phy::DecodeOptions opts;
   const std::size_t region = 12 * p.symbol_total_samples();
   opts.search_window = rx.size() > region ? rx.size() - region : 0;
-  phy::DataDecodeResult res = modem.decode_coded(rx, full, coded.size(), opts);
+  phy::DataDecodeResult res =
+      modem.decode_coded(rx, full, coded.size(), opts, ws);
   if (!res.found) return tally;
 
   // Attribute each coded bit to its subcarrier's estimated SNR.
@@ -97,10 +99,10 @@ int main(int argc, char** argv) {
   std::vector<BatchTally> tallies(items);
   runner.parallel_for(
       items,
-      [&](std::size_t i, std::mt19937_64& rng, dsp::Workspace&) {
+      [&](std::size_t i, std::mt19937_64& rng, dsp::Workspace& ws) {
         const double range = ranges[i / static_cast<std::size_t>(batches)];
         const int batch = static_cast<int>(i % static_cast<std::size_t>(batches));
-        tallies[i] = run_symbol_batch(range, batch, rng);
+        tallies[i] = run_symbol_batch(range, batch, rng, ws);
       },
       /*seed_base=*/97);
 

@@ -32,9 +32,10 @@ void BM_ChannelEstimation(benchmark::State& state) {
   phy::Ofdm ofdm(p);
   phy::Preamble pre(p);
   const std::vector<double> rx = noisy_preamble(pre, 0.01);
+  dsp::Workspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        phy::estimate_channel(ofdm, rx, pre.cazac_bins()));
+        phy::estimate_channel(ofdm, rx, pre.cazac_bins(), ws));
   }
 }
 BENCHMARK(BM_ChannelEstimation);
@@ -57,8 +58,10 @@ void BM_FeedbackDecode(benchmark::State& state) {
   const std::vector<double> sym = fb.encode_band({10, 40, false});
   signal.insert(signal.end(), sym.begin(), sym.end());
   signal.resize(signal.size() + 3000, 0.0);
+  dsp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fb.decode_band(signal, 8));
+    benchmark::DoNotOptimize(
+        fb.decode_band(signal, 8, /*min_peak_fraction=*/0.3, ws));
   }
 }
 BENCHMARK(BM_FeedbackDecode);
@@ -69,8 +72,9 @@ void BM_PreambleDetect(benchmark::State& state) {
   std::vector<double> signal(24000, 0.0);
   const std::vector<double>& w = pre.waveform();
   for (std::size_t i = 0; i < w.size(); ++i) signal[8000 + i] = w[i];
+  dsp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pre.detect(signal));
+    benchmark::DoNotOptimize(pre.detect(signal, ws));
   }
 }
 BENCHMARK(BM_PreambleDetect);
@@ -102,8 +106,9 @@ void BM_DecodeOneSymbolPacket(benchmark::State& state) {
   signal.resize(signal.size() + 500, 0.0);
   phy::DecodeOptions opts;
   opts.search_window = 1000;
+  dsp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dm.decode(signal, band, 16, opts));
+    benchmark::DoNotOptimize(dm.decode(signal, band, 16, opts, ws));
   }
 }
 BENCHMARK(BM_DecodeOneSymbolPacket);

@@ -16,6 +16,7 @@ int main() {
   const phy::OfdmParams p;
   phy::Preamble preamble(p);
   phy::FeedbackCodec fb(p);
+  dsp::Workspace ws;
   const int n = 3 * bench::packets_per_config(10);
 
   std::printf("=== Preamble detection rate vs distance (lake) ===\n");
@@ -32,7 +33,7 @@ int main() {
       lc.seed = 19000 + static_cast<std::uint64_t>(r) * 101 + i;
       channel::UnderwaterChannel ch(lc);
       const std::vector<double> rx = ch.transmit(preamble.waveform());
-      auto det = preamble.detect(rx);
+      auto det = preamble.detect(rx, ws);
       if (!det) continue;
       ++detected;
       metric += det->sliding_metric;
@@ -60,7 +61,7 @@ int main() {
       const phy::BandSelection band{static_cast<std::size_t>(5 + i % 20),
                                     static_cast<std::size_t>(30 + i % 25), false};
       const std::vector<double> rx = ch.transmit(fb.encode_band(band));
-      auto dec = fb.decode_band(rx, 8);
+      auto dec = fb.decode_band(rx, 8, /*min_peak_fraction=*/0.3, ws);
       if (!dec) continue;
       ++decoded;
       if (dec->band.begin_bin == band.begin_bin &&
@@ -91,10 +92,9 @@ int main() {
     channel::NoiseGenerator gen(np, 48000.0, 777 + i);
     const std::vector<double> nz = gen.generate(48000);
     const std::vector<double> filt = dsp::filter_same(nz, bp);
-    const std::vector<double> corr =
-        core_corr.normalized(filt, dsp::thread_local_workspace());
+    const std::vector<double> corr = core_corr.normalized(filt, ws);
     if (!corr.empty() && corr[dsp::argmax(corr)] > 0.2) ++plain_false;
-    if (preamble.detect(nz)) ++sliding_false;
+    if (preamble.detect(nz, ws)) ++sliding_false;
   }
   std::printf("plain cross-correlation peaks above coarse threshold: %d/20\n",
               plain_false);

@@ -200,7 +200,7 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
     return lead + path.extra_latency() + ref_offset +
            rx_filter_->output_length(propagated) + tail;
   };
-  dsp::Workspace& ws = dsp::thread_local_workspace();
+  dsp::Workspace ws;
   std::vector<double> out(lead, 0.0);
   path.push(tx, out, ws);
   dsp::ScratchReal silence(ws, kBlockSamples);

@@ -8,7 +8,7 @@ namespace aqua::core {
 
 std::vector<double> probe_snr(channel::UnderwaterChannel& ch,
                               const phy::OfdmParams& params) {
-  dsp::Workspace& ws = dsp::thread_local_workspace();
+  dsp::Workspace ws;
   const phy::Preamble preamble(params);
   const std::vector<double> rx = ch.transmit(preamble.waveform());
   const auto det = preamble.detect(rx, ws);
@@ -20,10 +20,8 @@ std::vector<double> probe_snr(channel::UnderwaterChannel& ch,
       .snr_db;
 }
 
-LinkSession::LinkSession(const SessionConfig& config) : config_(config) {}
-
 LinkSession::LinkSession(const SessionConfig& config, dsp::Workspace& ws)
-    : config_(config), ws_(&ws) {}
+    : config_(config), ws_(ws) {}
 
 void LinkSession::set_trace_sink(obs::TraceSink* sink) {
   sink_ = sink;
@@ -59,13 +57,8 @@ void LinkSession::ensure_duplex() {
   alice_cfg.my_id = config_.alice_id;
   ModemConfig bob_cfg = mc;
   bob_cfg.my_id = config_.bob_id;
-  if (ws_) {
-    alice_ = std::make_unique<Modem>(alice_cfg, *ws_);  // lint: alloc-ok(session construction, before any streaming)
-    bob_ = std::make_unique<Modem>(bob_cfg, *ws_);  // lint: alloc-ok(session construction, before any streaming)
-  } else {
-    alice_ = std::make_unique<Modem>(alice_cfg);  // lint: alloc-ok(session construction, before any streaming)
-    bob_ = std::make_unique<Modem>(bob_cfg);  // lint: alloc-ok(session construction, before any streaming)
-  }
+  alice_ = std::make_unique<Modem>(alice_cfg, ws_);  // lint: alloc-ok(session construction, before any streaming)
+  bob_ = std::make_unique<Modem>(bob_cfg, ws_);  // lint: alloc-ok(session construction, before any streaming)
   if (sink_) {
     medium_->set_trace_sink(sink_);
     alice_->set_trace_sink(sink_, 0);
@@ -109,11 +102,10 @@ PacketTrace LinkSession::send_packet(std::span<const std::uint8_t> info_bits) {
   // lint: alloc-ok(default-constructed; holds the exchange's rare protocol events)
   std::vector<ModemEvent> ev;
   bool alice_done = false;
-  dsp::Workspace& ws = scratch();
   while (medium_->clock() < cap) {
     alice_->pull_tx(std::span<double>(tx_a));
     bob_->pull_tx(std::span<double>(tx_b));
-    medium_->step(tx_spans, rx, ws);
+    medium_->step(tx_spans, rx, ws_);
     trace.samples_processed += 2 * block;
 
     ev = alice_->push(rx[0]);

@@ -94,12 +94,9 @@ struct PacketTrace {
 /// forward/backward link pair, and a Modem at each end.
 class LinkSession {
  public:
-  explicit LinkSession(const SessionConfig& config);
-
-  /// As above, but all endpoint DSP scratch (detection, decode, medium
-  /// rendering) leases from `ws`, which must outlive the session. A sweep
-  /// worker passes its own arena so back-to-back sessions reuse the same
-  /// buffers.
+  /// All endpoint DSP scratch (detection, decode, medium rendering) leases
+  /// from `ws`, which must outlive the session. A sweep worker passes its
+  /// own arena so back-to-back sessions reuse the same buffers.
   LinkSession(const SessionConfig& config, dsp::Workspace& ws);
 
   /// Executes one full packet exchange carrying `info_bits` (0/1 values)
@@ -122,13 +119,10 @@ class LinkSession {
   void set_metrics(obs::Registry* metrics);
 
  private:
-  dsp::Workspace& scratch() const {
-    return ws_ ? *ws_ : dsp::thread_local_workspace();  // lint: alloc-ok(fallback arena when the owner injected none)
-  }
   void ensure_duplex();
 
   SessionConfig config_;
-  dsp::Workspace* ws_ = nullptr;  ///< borrowed; nullptr = thread-local
+  dsp::Workspace& ws_;  ///< borrowed
   obs::TraceSink* sink_ = nullptr;    ///< borrowed; forwarded on build
   obs::Registry* metrics_ = nullptr;  ///< borrowed; forwarded on build
   std::unique_ptr<channel::AcousticMedium> medium_;

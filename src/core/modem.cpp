@@ -35,18 +35,17 @@ std::size_t compact_threshold() { return std::size_t{1} << 15; }
 
 }  // namespace
 
-Modem::Modem(const ModemConfig& config)
+Modem::Modem(const ModemConfig& config) : Modem(config, own_ws_) {}
+
+Modem::Modem(const ModemConfig& config, dsp::Workspace& ws)
     : config_(config),
+      ws_(ws),
       preamble_(config.params),
       scanner_(preamble_),
       feedback_(config.params),
       modem_(config.params),
       ofdm_(config.params) {
   config_.search_buffer = std::max(config_.search_buffer, kMinSearchBuffer);
-}
-
-Modem::Modem(const ModemConfig& config, dsp::Workspace& ws) : Modem(config) {
-  ws_ = &ws;
 }
 
 bool Modem::tx_idle() const {
@@ -204,14 +203,14 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
       obs::StageTimer t(metrics_, "dsp.tone");
       id = feedback_.decode_tone(raw_rx(pre_end, kIdWaitSymbols * sym_total),
                                  /*step=*/8, /*min_peak_fraction=*/0.3,
-                                 scratch());
+                                 ws_);
     }
     if (!id || id->bin != config_.my_id) return true;
 
     obs::StageTimer chanest_timer(metrics_, "dsp.chanest");
     const phy::ChannelEstimate est =
         phy::estimate_channel(ofdm_, raw(det.start_index, preamble_.core_samples()),
-                              preamble_.cazac_bins(), scratch());
+                              preamble_.cazac_bins(), ws_);
     chanest_timer.stop();
     band_ = config_.fixed_band
                 ? *config_.fixed_band
@@ -259,7 +258,7 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
   opts.search_window = window > region ? window - region : 0;
   obs::StageTimer decode_timer(metrics_, "dsp.data_decode");
   const phy::DataDecodeResult res = modem_.decode(
-      raw(data_origin_, window), band_, config_.payload_bits, opts, scratch());
+      raw(data_origin_, window), band_, config_.payload_bits, opts, ws_);
   decode_timer.stop();
 
   ModemEvent ev;
@@ -296,7 +295,7 @@ bool Modem::tx_step(std::vector<ModemEvent>& events) {
       obs::StageTimer t(metrics_, "dsp.feedback");
       dec = feedback_.decode_band(raw_rx(fb_deadline_ - window, window),
                                   /*step=*/8, /*min_peak_fraction=*/0.3,
-                                  scratch());
+                                  ws_);
     }
     if (!dec) {
       ModemEvent ev;
@@ -339,7 +338,7 @@ bool Modem::tx_step(std::vector<ModemEvent>& events) {
     if (window > 0) {
       obs::StageTimer t(metrics_, "dsp.tone");
       got = feedback_.decode_tone(raw_rx(data_end_, window), /*step=*/8,
-                                  /*min_peak_fraction=*/0.3, scratch());
+                                  /*min_peak_fraction=*/0.3, ws_);
     }
     ModemEvent done;
     done.type = ModemEvent::Type::kTxComplete;
@@ -403,7 +402,7 @@ std::vector<ModemEvent> Modem::push(std::span<const double> mic) {
     // lint: alloc-ok(member scratch: capacity persists across calls, so steady state reuses the buffer)
     rx_chunk_.resize(mic.size());
     dsp::narrow_samples(fresh, rx_chunk_);
-    scanner_.scan(rx_chunk_, det_tmp_, scratch());
+    scanner_.scan(rx_chunk_, det_tmp_, ws_);
   }
   // lint: alloc-ok(detections are rare events — at most one per received packet)
   for (const phy::PreambleDetection& d : det_tmp_) detections_.push_back(d);

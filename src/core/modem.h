@@ -127,6 +127,7 @@ struct ModemConfig {
 /// Duplex streaming protocol endpoint (either side of Fig. 5).
 class Modem {
  public:
+  /// All DSP scratch leases from an arena the modem owns.
   explicit Modem(const ModemConfig& config);
   /// All DSP scratch — detection, tone/band decodes, the data decode —
   /// leases from `ws`, which must outlive the modem. Sweep workers pass
@@ -186,9 +187,6 @@ class Modem {
     std::uint8_t dest_id = 0;
   };
 
-  dsp::Workspace& scratch() const {
-    return ws_ ? *ws_ : dsp::thread_local_workspace();  // lint: alloc-ok(fallback arena when the owner injected none)
-  }
   std::span<const double> raw(std::uint64_t from, std::size_t len) const;
   /// Same window as raw(), narrowed into the front-end sample type (the
   /// sanctioned mic-boundary conversion).
@@ -207,7 +205,10 @@ class Modem {
   void trim_buffer();
 
   ModemConfig config_;
-  dsp::Workspace* ws_ = nullptr;  ///< borrowed; nullptr = thread-local
+  /// The arena when the owner injects none. Workspace is not movable, so
+  /// neither is Modem, and ws_ never points into a moved-from modem.
+  dsp::Workspace own_ws_;
+  dsp::Workspace& ws_;  ///< own_ws_, or the borrowed arena
   obs::TraceSink* sink_ = nullptr;   ///< borrowed capture hook; may be null
   int sink_endpoint_ = 0;            ///< this modem's id within the trace
   obs::Registry* metrics_ = nullptr; ///< borrowed stage-timer registry

@@ -46,7 +46,8 @@ std::vector<double> cross_correlate(std::span<const double> x,
   }
   CrossCorrelator corr(std::vector<double>(ref.begin(), ref.end()));
   std::vector<double> out(corr.output_length(x.size()));
-  corr.correlate_into(x, out, thread_local_workspace());
+  Workspace ws;
+  corr.correlate_into(x, out, ws);
   return out;
 }
 
@@ -65,7 +66,8 @@ std::vector<double> normalized_cross_correlate(std::span<const double> x,
     return out;
   }
   CrossCorrelator corr(std::vector<double>(ref.begin(), ref.end()));
-  return corr.normalized(x, thread_local_workspace());
+  Workspace ws;
+  return corr.normalized(x, ws);
 }
 
 std::size_t argmax(std::span<const double> x) {

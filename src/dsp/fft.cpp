@@ -148,23 +148,11 @@ void BasicFftPlan<T>::forward(std::span<const C> in, std::span<C> out,
 }
 
 template <typename T>
-void BasicFftPlan<T>::forward(std::span<const C> in, std::span<C> out) const {
-  // lint: alloc-ok(no-arena convenience overload; resolves the per-thread workspace once per call)
-  forward(in, out, thread_local_workspace());
-}
-
-template <typename T>
 void BasicFftPlan<T>::inverse(std::span<const C> in, std::span<C> out,
                               Workspace& ws) const {
   transform(in, out, /*invert=*/true, ws);
   const T scale = T(1.0) / static_cast<T>(n_);
   for (C& v : out) v *= scale;
-}
-
-template <typename T>
-void BasicFftPlan<T>::inverse(std::span<const C> in, std::span<C> out) const {
-  // lint: alloc-ok(no-arena convenience overload; resolves the per-thread workspace once per call)
-  inverse(in, out, thread_local_workspace());
 }
 
 template <typename T>
@@ -230,12 +218,6 @@ void BasicRfftPlan<T>::forward(std::span<const T> in, std::span<C> out,
 }
 
 template <typename T>
-void BasicRfftPlan<T>::forward(std::span<const T> in, std::span<C> out) const {
-  // lint: alloc-ok(no-arena convenience overload; resolves the per-thread workspace once per call)
-  forward(in, out, thread_local_workspace());
-}
-
-template <typename T>
 void BasicRfftPlan<T>::inverse(std::span<const C> in, std::span<T> out,
                                Workspace& ws) const {
   if (in.size() != spectrum_size() || out.size() != n_) {
@@ -277,13 +259,6 @@ void BasicRfftPlan<T>::inverse(std::span<const C> in, std::span<T> out,
     out[2 * k] = z[k].real();
     out[2 * k + 1] = z[k].imag();
   }
-}
-
-template <typename T>
-void BasicRfftPlan<T>::inverse(std::span<const C> in,
-                               std::span<T> out) const {
-  // lint: alloc-ok(no-arena convenience overload; resolves the per-thread workspace once per call)
-  inverse(in, out, thread_local_workspace());
 }
 
 template class BasicFftPlan<double>;
@@ -348,13 +323,15 @@ template const BasicRfftPlan<float>& rplan_of<float>(std::size_t);
 
 std::vector<cplx> fft(std::span<const cplx> x) {
   std::vector<cplx> out(x.size());
-  plan_of(x.size()).forward(x, out);
+  Workspace ws;
+  plan_of(x.size()).forward(x, out, ws);
   return out;
 }
 
 std::vector<cplx> ifft(std::span<const cplx> x) {
   std::vector<cplx> out(x.size());
-  plan_of(x.size()).inverse(x, out);
+  Workspace ws;
+  plan_of(x.size()).inverse(x, out, ws);
   return out;
 }
 
@@ -369,7 +346,8 @@ void ifft_into(std::span<const cplx> x, std::span<cplx> out, Workspace& ws) {
 std::vector<cplx> rfft(std::span<const double> x) {
   const RfftPlan& plan = rplan_of(x.size());
   std::vector<cplx> out(plan.spectrum_size());
-  plan.forward(x, out);
+  Workspace ws;
+  plan.forward(x, out, ws);
   return out;
 }
 
@@ -383,7 +361,8 @@ void rfft_into(std::span<const float> x, std::span<cplxf> out, Workspace& ws) {
 
 std::vector<double> irfft(std::span<const cplx> spec, std::size_t n) {
   std::vector<double> out(n);
-  rplan_of(n).inverse(spec, out);
+  Workspace ws;
+  rplan_of(n).inverse(spec, out, ws);
   return out;
 }
 
@@ -401,7 +380,8 @@ std::vector<cplx> fft_real(std::span<const double> x) {
   const std::size_t n = x.size();
   std::vector<cplx> out(n);
   const RfftPlan& plan = rplan_of(n);
-  plan.forward(x, std::span<cplx>(out).first(plan.spectrum_size()));
+  Workspace ws;
+  plan.forward(x, std::span<cplx>(out).first(plan.spectrum_size()), ws);
   // Mirror the packed bins into the redundant upper half.
   for (std::size_t k = n / 2 + 1; k < n; ++k) out[k] = std::conj(out[n - k]);
   return out;
@@ -420,7 +400,8 @@ std::vector<double> ifft_real(std::span<const cplx> x) {
                                         n / 2 + 1));
   half[0] = {half[0].real(), 0.0};
   if (n % 2 == 0 && n >= 2) half[n / 2] = {half[n / 2].real(), 0.0};
-  rplan_of(n).inverse(half, out);
+  Workspace ws;
+  rplan_of(n).inverse(half, out, ws);
   return out;
 }
 

@@ -44,14 +44,11 @@ class BasicFftPlan {
 
   /// Out-of-place forward DFT: X[k] = sum_n x[n] e^{-j 2 pi k n / N}.
   /// `in` and `out` must both have size() elements and may alias.
-  /// Scratch comes from `ws`; the 2-argument form uses the calling thread's
-  /// arena.
+  /// Scratch comes from `ws`.
   void forward(std::span<const C> in, std::span<C> out, Workspace& ws) const;
-  void forward(std::span<const C> in, std::span<C> out) const;
 
   /// Out-of-place inverse DFT, normalized by 1/N so inverse(forward(x)) == x.
   void inverse(std::span<const C> in, std::span<C> out, Workspace& ws) const;
-  void inverse(std::span<const C> in, std::span<C> out) const;
 
  private:
   // Bit-reverses `in` into `out` (in place when they alias), then runs
@@ -110,7 +107,6 @@ class BasicRfftPlan {
   /// Forward transform: out[k] = DFT_n(in)[k] for k in [0, n/2].
   /// in.size() must be size(), out.size() must be spectrum_size().
   void forward(std::span<const T> in, std::span<C> out, Workspace& ws) const;
-  void forward(std::span<const T> in, std::span<C> out) const;
 
   /// Inverse transform (normalized by 1/n): reconstructs the real signal
   /// whose packed spectrum is `in`. The caller asserts `in` is the
@@ -118,7 +114,6 @@ class BasicRfftPlan {
   /// noise); overlap-save products of two real-signal spectra always are.
   /// in.size() must be spectrum_size(), out.size() must be size().
   void inverse(std::span<const C> in, std::span<T> out, Workspace& ws) const;
-  void inverse(std::span<const C> in, std::span<T> out) const;
 
  private:
   std::size_t n_ = 0;

@@ -55,7 +55,8 @@ BasicFftFilter<T>::BasicFftFilter(std::vector<T> kernel, std::size_t max_step)
   std::vector<T> k(m_, T(0.0));
   std::copy(kernel_.begin(), kernel_.end(), k.begin());
   kernel_fft_.resize(plan_->spectrum_size());
-  plan_->forward(k, kernel_fft_);
+  Workspace ws;
+  plan_->forward(k, kernel_fft_, ws);
 }
 
 template <typename T>
@@ -164,7 +165,8 @@ BasicFftFilter<T>::Stream::Stream(const BasicFftFilter& filter,
     std::vector<T> k(m_, T(0.0));
     std::copy(filter.kernel().begin(), filter.kernel().end(), k.begin());
     own_kernel_fft_.resize(plan_->spectrum_size());
-    plan_->forward(k, own_kernel_fft_);
+    Workspace ws;
+    plan_->forward(k, own_kernel_fft_, ws);
   }
   pending_.assign(taps - 1, T(0.0));  // zero prehistory: causal convolution
 }

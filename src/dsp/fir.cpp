@@ -125,7 +125,8 @@ std::vector<double> convolve(std::span<const double> x,
   const std::span<const double> kernel = h.size() <= x.size() ? h : x;
   const std::span<const double> signal = h.size() <= x.size() ? x : h;
   const FftFilter filt(std::vector<double>(kernel.begin(), kernel.end()));
-  return filt.convolve(signal, thread_local_workspace());
+  Workspace ws;
+  return filt.convolve(signal, ws);
 }
 
 void fft_convolve_into(std::span<const double> x, std::span<const double> h,

@@ -14,12 +14,13 @@
 // the sample type leases without branching; ScratchReal/ScratchCplx/
 // ScratchU32 are aliases kept for the existing double call sites.
 //
-// Threading contract: a Workspace is single-threaded state. Each SweepRunner
-// worker owns one; code that only has the legacy allocating APIs available
-// goes through thread_local_workspace(), which is one arena per thread.
-// Buffer contents are always fully overwritten by the primitive that leases
-// them, so results never depend on what a previous lease left behind —
-// that is what keeps sweep output bit-identical for any thread count.
+// Threading contract: a Workspace is single-threaded state. Whoever drives
+// a pipeline owns its arena and passes it down: each ShardPool worker owns one, a Modem built without
+// one owns its own, and one-shot builders that return a fresh vector
+// declare a local one. Buffer contents are always fully overwritten by the
+// primitive that leases them, so results never depend on which arena a
+// call leased from or what a previous lease left behind — that is what
+// keeps sweep output bit-identical for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -55,19 +56,6 @@ class Workspace {
   template <typename V>
   void release(std::vector<V>&& buf) {
     pool<V>().push_back(std::move(buf));
-  }
-
-  /// Named wrappers kept for the existing double-precision call sites.
-  std::vector<double> acquire_real(std::size_t n) { return acquire<double>(n); }
-  std::vector<cplx> acquire_cplx(std::size_t n) { return acquire<cplx>(n); }
-  /// Integer variant (SIMD index lanes, e.g. sliding-DFT phases).
-  std::vector<std::uint32_t> acquire_u32(std::size_t n) {
-    return acquire<std::uint32_t>(n);
-  }
-  void release_real(std::vector<double>&& buf) { release(std::move(buf)); }
-  void release_cplx(std::vector<cplx>&& buf) { release(std::move(buf)); }
-  void release_u32(std::vector<std::uint32_t>&& buf) {
-    release(std::move(buf));
   }
 
   /// Pool sizes (buffers currently at rest) — used by tests.
@@ -114,10 +102,8 @@ template <typename V>
 class Scratch {
  public:
   Scratch(Workspace& ws, std::size_t n)
-      : ws_(&ws), buf_(ws.acquire<V>(n)) {}
-  ~Scratch() {
-    if (ws_) ws_->release(std::move(buf_));
-  }
+      : ws_(ws), buf_(ws.acquire<V>(n)) {}
+  ~Scratch() { ws_.release(std::move(buf_)); }
   Scratch(const Scratch&) = delete;
   Scratch& operator=(const Scratch&) = delete;
 
@@ -126,7 +112,7 @@ class Scratch {
   std::span<V> span() { return buf_; }
 
  private:
-  Workspace* ws_;
+  Workspace& ws_;
   std::vector<V> buf_;
 };
 
@@ -136,9 +122,5 @@ using ScratchCplx = Scratch<cplx>;
 using ScratchU32 = Scratch<std::uint32_t>;
 using ScratchRealF = Scratch<float>;
 using ScratchCplxF = Scratch<cplxf>;
-
-/// One arena per thread, used by the legacy allocating wrappers so existing
-/// call sites get buffer reuse without an API change.
-Workspace& thread_local_workspace();
 
 }  // namespace aqua::dsp

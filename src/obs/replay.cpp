@@ -102,7 +102,7 @@ std::string ReplayResult::summary() const {
   return "replay failed";
 }
 
-ReplayResult replay_trace(const Trace& trace, dsp::Workspace* ws) {
+ReplayResult replay_trace(const Trace& trace, dsp::Workspace& ws) {
   const std::vector<int> endpoints = trace.endpoints();
   if (endpoints.empty()) {
     throw std::runtime_error(
@@ -118,7 +118,7 @@ ReplayResult replay_trace(const Trace& trace, dsp::Workspace* ws) {
     const core::ModemConfig* config = trace.endpoint_config(endpoint);
     // endpoints() only reports ids that have a kEndpoint record, and
     // parse_trace always materializes its config, so this cannot be null.
-    core::Modem modem = ws ? core::Modem(*config, *ws) : core::Modem(*config);
+    core::Modem modem(*config, ws);
 
     // Re-drive the op log in file order, accumulating emitted events; then
     // compare the full sequence against the recorded one.

@@ -41,8 +41,7 @@ struct ReplayResult {
 /// Replays `trace` and verifies event-sequence bit-identity. Throws
 /// std::runtime_error when the trace is not replayable at all (no endpoint
 /// records, decimated mic samples); divergence during replay is reported in
-/// the result, not thrown. `ws` is the DSP scratch arena to lease from
-/// (nullptr = the calling thread's thread-local workspace).
-ReplayResult replay_trace(const Trace& trace, dsp::Workspace* ws = nullptr);
+/// the result, not thrown. `ws` is the DSP scratch arena to lease from.
+ReplayResult replay_trace(const Trace& trace, dsp::Workspace& ws);
 
 }  // namespace aqua::obs

@@ -7,14 +7,6 @@ namespace aqua::phy {
 
 ChannelEstimate estimate_channel(const Ofdm& ofdm,
                                  std::span<const double> rx_preamble,
-                                 std::span<const dsp::cplx> cazac_bins) {
-  // lint: alloc-ok(no-arena convenience overload; resolves the per-thread workspace once per call)
-  dsp::Workspace& ws = dsp::thread_local_workspace();
-  return estimate_channel(ofdm, rx_preamble, cazac_bins, ws);
-}
-
-ChannelEstimate estimate_channel(const Ofdm& ofdm,
-                                 std::span<const double> rx_preamble,
                                  std::span<const dsp::cplx> cazac_bins,
                                  dsp::Workspace& ws) {
   const OfdmParams& p = ofdm.params();

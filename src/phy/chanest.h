@@ -25,14 +25,10 @@ struct ChannelEstimate {
 /// `rx_preamble` must point at the first sample of the first preamble
 /// symbol (as produced by Preamble::detect) and contain at least
 /// 8 * symbol_samples() samples. `cazac_bins` is the transmitted
-/// frequency-domain sequence (unit modulus). Scratch comes from `ws`; the
-/// 3-argument form uses the calling thread's arena.
+/// frequency-domain sequence (unit modulus). Scratch comes from `ws`.
 ChannelEstimate estimate_channel(const Ofdm& ofdm,
                                  std::span<const double> rx_preamble,
                                  std::span<const dsp::cplx> cazac_bins,
                                  dsp::Workspace& ws);
-ChannelEstimate estimate_channel(const Ofdm& ofdm,
-                                 std::span<const double> rx_preamble,
-                                 std::span<const dsp::cplx> cazac_bins);
 
 }  // namespace aqua::phy

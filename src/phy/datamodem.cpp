@@ -110,7 +110,8 @@ std::vector<double> DataModem::encode_coded(
     abs_bits.insert(abs_bits.end(), train.begin(), train.end());
     abs_bits.insert(abs_bits.end(), interleaved.begin(), interleaved.end());
   }
-  return modulate_rows(abs_bits, band, dsp::thread_local_workspace());
+  dsp::Workspace ws;
+  return modulate_rows(abs_bits, band, ws);
 }
 
 // lint: hot-alloc-ok(per-band training-template cache: builds once per band, then serves the cached entry by reference)
@@ -127,8 +128,9 @@ const DataModem::TrainingTemplate& DataModem::training_template(
   }
   // Build outside the lock (modulation is the expensive part); a racing
   // builder for the same band loses and its copy is discarded.
+  dsp::Workspace ws;
   std::vector<double> wave = modulate_rows(training_bits(band.width()), band,
-                                           dsp::thread_local_workspace());
+                                           ws);
   dsp::CrossCorrelator corr(wave);
   // lint: alloc-ok(per-band template cache entry, built once)
   auto entry = std::make_unique<const TrainingTemplate>(
@@ -146,27 +148,11 @@ std::vector<double> DataModem::training_waveform(
 DataDecodeResult DataModem::decode(std::span<const double> signal,
                                    const BandSelection& band,
                                    std::size_t info_bits,
-                                   const DecodeOptions& options) const {
-  return decode(signal, band, info_bits, options,
-                dsp::thread_local_workspace());  // lint: alloc-ok(no-arena convenience overload)
-}
-
-DataDecodeResult DataModem::decode(std::span<const double> signal,
-                                   const BandSelection& band,
-                                   std::size_t info_bits,
                                    const DecodeOptions& options,
                                    dsp::Workspace& ws) const {
   const std::size_t coded = coding::coded_length(info_bits, codec_.rate());
   return decode_impl(signal, band, coded, /*run_viterbi=*/true, info_bits,
                      options, ws);
-}
-
-DataDecodeResult DataModem::decode_coded(std::span<const double> signal,
-                                         const BandSelection& band,
-                                         std::size_t coded_bits,
-                                         const DecodeOptions& options) const {
-  return decode_coded(signal, band, coded_bits, options,
-                      dsp::thread_local_workspace());
 }
 
 DataDecodeResult DataModem::decode_coded(std::span<const double> signal,

@@ -88,17 +88,11 @@ class DataModem {
 
   /// Decodes `info_bits` info bits from `signal`, whose sample 0 should be
   /// at (or `options.search_window` samples before) the training symbol.
-  /// Scratch comes from `ws`; the overloads without it use the calling
-  /// thread's arena.
+  /// Scratch comes from `ws`.
   DataDecodeResult decode(std::span<const double> signal,
                           const BandSelection& band, std::size_t info_bits,
                           const DecodeOptions& options,
                           dsp::Workspace& ws) const;
-  /// Legacy convenience overload: decodes with the calling thread's
-  /// arena. Streaming/hot callers must use the Workspace& overload.
-  DataDecodeResult decode(std::span<const double> signal,
-                          const BandSelection& band, std::size_t info_bits,
-                          const DecodeOptions& options = {}) const;
 
   /// Decodes raw coded bits (no Viterbi) — counterpart of encode_coded().
   DataDecodeResult decode_coded(std::span<const double> signal,
@@ -106,12 +100,6 @@ class DataModem {
                                 std::size_t coded_bits,
                                 const DecodeOptions& options,
                                 dsp::Workspace& ws) const;
-  /// Legacy convenience overload: decodes with the calling thread's
-  /// arena. Streaming/hot callers must use the Workspace& overload.
-  DataDecodeResult decode_coded(std::span<const double> signal,
-                                const BandSelection& band,
-                                std::size_t coded_bits,
-                                const DecodeOptions& options = {}) const;
 
   const OfdmParams& params() const { return params_; }
 

@@ -150,13 +150,6 @@ std::vector<double> FeedbackCodec::encode_tone(std::size_t bin) const {
   return repeat_symbol(ofdm_.modulate_with_cp(bins), kRepeats);
 }
 
-std::optional<FeedbackDecode> FeedbackCodec::decode_band(
-    std::span<const double> raw, std::size_t step,
-    double min_peak_fraction) const {
-  return decode_band(raw, step, min_peak_fraction,
-                     dsp::thread_local_workspace());  // lint: alloc-ok(no-arena convenience overload)
-}
-
 template <typename T>
 std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
     std::span<const T> raw, std::size_t step, double min_peak_fraction,
@@ -255,13 +248,6 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band(
     std::span<const float> raw, std::size_t step, double min_peak_fraction,
     dsp::Workspace& ws) const {
   return decode_band_impl<float>(raw, step, min_peak_fraction, ws);
-}
-
-std::optional<ToneDecode> FeedbackCodec::decode_tone(
-    std::span<const double> raw, std::size_t step,
-    double min_peak_fraction) const {
-  return decode_tone(raw, step, min_peak_fraction,
-                     dsp::thread_local_workspace());  // lint: alloc-ok(no-arena convenience overload)
 }
 
 template <typename T>

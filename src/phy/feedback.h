@@ -51,16 +51,11 @@ class FeedbackCodec {
   /// Searches `signal` for a two-tone feedback symbol using a sliding FFT
   /// with step `step`. Returns nullopt when no window concentrates at least
   /// `min_peak_fraction` of its in-band power in two bins. Scratch comes
-  /// from `ws`; the overloads without it use the calling thread's arena.
+  /// from `ws`.
   std::optional<FeedbackDecode> decode_band(std::span<const double> signal,
                                             std::size_t step,
                                             double min_peak_fraction,
                                             dsp::Workspace& ws) const;
-  /// Legacy convenience overload: decodes with the calling thread's arena.
-  /// Streaming/hot callers must use the Workspace& overload.
-  std::optional<FeedbackDecode> decode_band(std::span<const double> signal,
-                                            std::size_t step = 16,
-                                            double min_peak_fraction = 0.3) const;
   /// Single-precision overload for the float receive front end: the
   /// bandpass and the moving-DFT power matrix run in fp32 (the decision
   /// metrics — noise whitening, top-bin sums — still accumulate in double).
@@ -74,11 +69,6 @@ class FeedbackCodec {
                                         std::size_t step,
                                         double min_peak_fraction,
                                         dsp::Workspace& ws) const;
-  /// Legacy convenience overload: decodes with the calling thread's arena.
-  /// Streaming/hot callers must use the Workspace& overload.
-  std::optional<ToneDecode> decode_tone(std::span<const double> signal,
-                                        std::size_t step = 16,
-                                        double min_peak_fraction = 0.3) const;
   /// Single-precision overload (see the decode_band float overload).
   std::optional<ToneDecode> decode_tone(std::span<const float> signal,
                                         std::size_t step,

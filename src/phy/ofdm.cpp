@@ -37,7 +37,8 @@ std::vector<double> Ofdm::modulate(std::span<const dsp::cplx> bins) const {
 std::vector<double> Ofdm::modulate_at(std::span<const dsp::cplx> bins,
                                       std::size_t bin_offset) const {
   std::vector<double> out(params_.symbol_samples());
-  modulate_into(bins, bin_offset, out, dsp::thread_local_workspace());
+  dsp::Workspace ws;
+  modulate_into(bins, bin_offset, out, ws);
   return out;
 }
 
@@ -105,7 +106,8 @@ std::vector<double> Ofdm::modulate_with_cp(std::span<const dsp::cplx> bins,
 
 std::vector<dsp::cplx> Ofdm::demodulate(std::span<const double> symbol) const {
   std::vector<dsp::cplx> bins(params_.num_bins());
-  demodulate_into(symbol, bins, dsp::thread_local_workspace());
+  dsp::Workspace ws;
+  demodulate_into(symbol, bins, ws);
   return bins;
 }
 

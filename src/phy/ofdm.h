@@ -36,8 +36,6 @@ class Ofdm {
 
   /// As modulate(), but bins are placed starting at active-bin offset
   /// `bin_offset` (used to transmit inside an adapted sub-band).
-  /// Allocating convenience using the calling thread's arena; hot receive
-  /// paths use modulate_into()/demodulate_into() with an explicit Workspace.
   std::vector<double> modulate_at(std::span<const dsp::cplx> bins,
                                   std::size_t bin_offset) const;
 
@@ -54,8 +52,6 @@ class Ofdm {
 
   /// Demodulates one symbol: `symbol` must be symbol_samples() long and
   /// CP-free/aligned. Returns the num_bins() active-bin values.
-  /// Allocating convenience using the calling thread's arena; hot receive
-  /// paths use demodulate_into() with an explicit Workspace.
   std::vector<dsp::cplx> demodulate(std::span<const double> symbol) const;
 
   /// Zero-allocation demodulate: `bins` must be num_bins() long.

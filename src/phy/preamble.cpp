@@ -84,12 +84,6 @@ double Preamble::sliding_metric_at(std::span<const double> signal,
 }
 
 std::optional<PreambleDetection> Preamble::detect(
-    std::span<const double> raw_signal) const {
-  // lint: alloc-ok(no-arena convenience overload; resolves the per-thread workspace once per call)
-  return detect(raw_signal, dsp::thread_local_workspace());
-}
-
-std::optional<PreambleDetection> Preamble::detect(
     std::span<const double> signal, dsp::Workspace& ws) const {
   if (signal.size() < core_samples_) return std::nullopt;
   const std::size_t last_start = signal.size() - core_samples_;

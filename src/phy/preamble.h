@@ -48,11 +48,9 @@ class Preamble {
   /// Detects the preamble anywhere in `signal`: one PreambleScanner pass
   /// (receive bandpass, then both detection stages) followed by silence.
   /// Returns the confirmed detection with the highest sliding metric whose
-  /// core lies inside `signal`, or nullopt. Scratch comes from `ws`; the
-  /// 1-argument form uses the calling thread's arena.
+  /// core lies inside `signal`, or nullopt. Scratch comes from `ws`.
   std::optional<PreambleDetection> detect(std::span<const double> signal,
                                           dsp::Workspace& ws) const;
-  std::optional<PreambleDetection> detect(std::span<const double> signal) const;
 
   /// Normalized sliding segment-correlation metric for a window starting at
   /// `start` (exposed for tests and the Fig.-ablation bench).

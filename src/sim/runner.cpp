@@ -89,7 +89,7 @@ std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& grid,
                                capture_->packet < c.end;
         if (!capturing) {
           partial[i] = run_packet_range(configs[c.scenario], c.begin, c.end,
-                                        chunk_seed, payload_bits, &ws);
+                                        chunk_seed, payload_bits, ws);
           return;
         }
         obs::TraceCapture capture;
@@ -101,7 +101,7 @@ std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& grid,
         hooks.sink = &capture;
         hooks.sink_packet = capture_->packet;
         partial[i] = run_packet_range(configs[c.scenario], c.begin, c.end,
-                                      chunk_seed, payload_bits, &ws, hooks);
+                                      chunk_seed, payload_bits, ws, hooks);
         capture.save(capture_->path);
       },
       seed_base);

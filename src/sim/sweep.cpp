@@ -98,14 +98,13 @@ core::SessionConfig session_config(const Scenario& s) {
 
 BatchStats run_packet_range(const core::SessionConfig& base, int begin,
                             int end, std::uint64_t seed_base,
-                            std::size_t payload_bits, dsp::Workspace* ws,
+                            std::size_t payload_bits, dsp::Workspace& ws,
                             const PacketHooks& hooks) {
   BatchStats stats;
   for (int i = begin; i < end; ++i) {
     core::SessionConfig cfg = base;
     cfg.forward.seed = seed_base + static_cast<std::uint64_t>(i) * 131;
-    core::LinkSession session =
-        ws ? core::LinkSession(cfg, *ws) : core::LinkSession(cfg);
+    core::LinkSession session(cfg, ws);
     if (hooks.sink && i == hooks.sink_packet) {
       session.set_trace_sink(hooks.sink);
     }

@@ -122,14 +122,6 @@ std::string scenario_label(const Scenario& s);
 /// adaptive.
 core::SessionConfig session_config(const Scenario& s);
 
-/// Runs packets [begin, end) of an n-packet batch over fresh sessions (new
-/// channel realization per packet). Packet i is fully determined by
-/// (seed_base, i) — its channel seed and payload bits are derived from the
-/// packet index, never from previously run packets — so splitting [0, n)
-/// into chunks and merging the partial stats in index order is
-/// bit-identical to one serial pass. When `ws` is non-null every session in
-/// the range leases its DSP scratch from it (the sweep workers pass their
-/// per-thread arenas); scratch reuse never changes results.
 /// Optional per-packet instrumentation for run_packet_range. The sink
 /// attaches to exactly one packet's session (a fresh session per packet
 /// means one trace per packet), so a capture never spans chunk boundaries.
@@ -138,10 +130,17 @@ struct PacketHooks {
   int sink_packet = -1;            ///< packet index the sink attaches to
 };
 
+/// Runs packets [begin, end) of an n-packet batch over fresh sessions (new
+/// channel realization per packet). Packet i is fully determined by
+/// (seed_base, i) — its channel seed and payload bits are derived from the
+/// packet index, never from previously run packets — so splitting [0, n)
+/// into chunks and merging the partial stats in index order is
+/// bit-identical to one serial pass. Every session in the range leases its
+/// DSP scratch from `ws` (the sweep workers pass their per-thread arenas);
+/// scratch reuse never changes results.
 BatchStats run_packet_range(const core::SessionConfig& base, int begin,
                             int end, std::uint64_t seed_base,
-                            std::size_t payload_bits = 16,
-                            dsp::Workspace* ws = nullptr,
+                            std::size_t payload_bits, dsp::Workspace& ws,
                             const PacketHooks& hooks = {});
 
 }  // namespace aqua::sim

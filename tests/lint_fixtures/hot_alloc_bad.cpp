@@ -6,7 +6,6 @@
 
 namespace dsp {
 struct Workspace {};
-Workspace& thread_local_workspace();
 }  // namespace dsp
 
 int* leak_anywhere() {
@@ -19,8 +18,8 @@ std::unique_ptr<int> boxed_anywhere() {
 
 double hot_path(const std::vector<double>& in, dsp::Workspace& ws) {
   (void)ws;
-  dsp::Workspace& other = dsp::thread_local_workspace();
-  (void)other;
+  dsp::Workspace local;
+  (void)local;
   std::vector<double> scratch(in.size());
   scratch.resize(in.size() * 2);
   scratch.push_back(0.0);

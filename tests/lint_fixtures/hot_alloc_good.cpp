@@ -1,6 +1,6 @@
 // lint-as: src/phy/fixture.cpp
 // Steady-state code leases scratch from the Workspace it was handed; cold
-// (non-Workspace) paths may use owning containers freely.
+// (non-Workspace) paths may use owning containers and arenas of their own.
 #include <cstddef>
 #include <vector>
 
@@ -23,5 +23,7 @@ double hot_path(const std::vector<double>& in, dsp::Workspace& ws) {
 std::vector<double> cold_path(std::size_t n) {
   std::vector<double> out(n, 0.0);
   out.push_back(1.0);
+  dsp::Workspace local;  // a one-shot builder's own arena
+  out[0] = *local.lease_real(1);
   return out;
 }

@@ -32,9 +32,10 @@ TEST_P(DataModemBandTest, CleanRoundTripInAnyBand) {
   std::vector<double> signal(3000, 0.0);
   signal.insert(signal.end(), wave.begin(), wave.end());
   signal.resize(signal.size() + 3000, 0.0);
+  dsp::Workspace ws;
   DecodeOptions opts;
   opts.search_window = 6000;
-  DataDecodeResult res = dm.decode(signal, band, 16, opts);
+  DataDecodeResult res = dm.decode(signal, band, 16, opts, ws);
   ASSERT_TRUE(res.found);
   // Narrowband correlation mainlobes limit timing precision; the equalizer
   // absorbs the residual offset.
@@ -59,9 +60,10 @@ TEST(DataModem, LongPayloadRoundTrips) {
   std::vector<double> signal(1000, 0.0);
   signal.insert(signal.end(), wave.begin(), wave.end());
   signal.resize(signal.size() + 1000, 0.0);
+  dsp::Workspace ws;
   DecodeOptions opts;
   opts.search_window = 2000;
-  DataDecodeResult res = dm.decode(signal, band, 256, opts);
+  DataDecodeResult res = dm.decode(signal, band, 256, opts, ws);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.info_bits, info);
 }
@@ -77,9 +79,10 @@ TEST(DataModem, DecodesThroughARealChannel) {
   lc.seed = 21;
   channel::UnderwaterChannel ch(lc);
   const std::vector<double> rx = ch.transmit(dm.encode(info, band));
+  dsp::Workspace ws;
   DecodeOptions opts;
   opts.search_window = rx.size() - 4 * p.symbol_total_samples();
-  DataDecodeResult res = dm.decode(rx, band, 16, opts);
+  DataDecodeResult res = dm.decode(rx, band, 16, opts, ws);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.info_bits, info);
 }
@@ -101,10 +104,12 @@ TEST(DataModem, DifferentialBeatsCoherentUnderMotion) {
       channel::UnderwaterChannel ch(lc);
       const std::vector<double> rx =
           ch.transmit(dm.encode_coded(coded, band, use_diff));
+      dsp::Workspace ws;
       DecodeOptions opts;
       opts.use_differential = use_diff;
       opts.search_window = rx.size() - 12 * p.symbol_total_samples();
-      DataDecodeResult res = dm.decode_coded(rx, band, coded.size(), opts);
+      DataDecodeResult res =
+          dm.decode_coded(rx, band, coded.size(), opts, ws);
       ASSERT_TRUE(res.found);
       std::size_t err = 0;
       for (std::size_t i = 0; i < coded.size(); ++i) {
@@ -133,9 +138,10 @@ TEST(DataModem, NoiseOnlyInputYieldsGarbageNotCrash) {
   std::normal_distribution<double> g(0.0, 0.05);
   std::vector<double> noise(20000);
   for (auto& v : noise) v = g(rng);
+  dsp::Workspace ws;
   DecodeOptions opts;
   opts.search_window = 10000;
-  DataDecodeResult res = dm.decode(noise, band, 16, opts);
+  DataDecodeResult res = dm.decode(noise, band, 16, opts, ws);
   if (res.found) {
     const std::vector<std::uint8_t> reference = random_bits(16, 999);
     EXPECT_NE(res.info_bits, reference);

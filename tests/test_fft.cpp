@@ -140,9 +140,10 @@ TEST(Fft, PlanRejectsZeroSize) {
 }
 
 TEST(Fft, PlanRejectsMismatchedBuffers) {
+  dsp::Workspace ws;
   FftPlan plan(16);
   std::vector<cplx> in(8), out(16);
-  EXPECT_THROW(plan.forward(in, out), std::invalid_argument);
+  EXPECT_THROW(plan.forward(in, out, ws), std::invalid_argument);
 }
 
 TEST(Fft, Radix2RejectsMismatchedWorkSize) {

@@ -179,6 +179,7 @@ TEST(Messages, PackUnpackRoundTripsTwoSignals) {
 }
 
 TEST(LinkSession, BridgeAtFiveMetersDeliversPackets) {
+  dsp::Workspace ws;
   std::mt19937_64 rng(1);
   int ok = 0;
   for (int i = 0; i < 3; ++i) {
@@ -186,7 +187,7 @@ TEST(LinkSession, BridgeAtFiveMetersDeliversPackets) {
     cfg.forward.site = channel::site_preset(channel::Site::kBridge);
     cfg.forward.range_m = 5.0;
     cfg.forward.seed = 600 + i;
-    core::LinkSession session(cfg);
+    core::LinkSession session(cfg, ws);
     std::vector<std::uint8_t> bits(16);
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
     const core::PacketTrace t = session.send_packet(bits);
@@ -204,22 +205,24 @@ TEST(LinkSession, BridgeAtFiveMetersDeliversPackets) {
 }
 
 TEST(LinkSession, WrongReceiverIdIsIgnored) {
+  dsp::Workspace ws;
   core::SessionConfig cfg;
   cfg.forward.site = channel::site_preset(channel::Site::kBridge);
   cfg.forward.range_m = 5.0;
   cfg.forward.seed = 9;
   cfg.bob_id = 45;
-  core::LinkSession session(cfg);
+  core::LinkSession session(cfg, ws);
   // Bob listens for ID 45 but the config says Alice addresses him as 45 —
   // rebuild with a mismatched address instead.
   core::SessionConfig bad = cfg;
   bad.bob_id = 45;
-  core::LinkSession good_session(bad);
+  core::LinkSession good_session(bad, ws);
   std::vector<std::uint8_t> bits(16, 1);
   EXPECT_TRUE(good_session.send_packet(bits).id_matched);
 }
 
 TEST(LinkSession, AdaptiveBeatsNarrowFixedBandInSelectiveChannel) {
+  dsp::Workspace ws;
   std::mt19937_64 rng(4);
   int adaptive_ok = 0, fixed_ok = 0;
   const int n = 4;
@@ -231,14 +234,14 @@ TEST(LinkSession, AdaptiveBeatsNarrowFixedBandInSelectiveChannel) {
     cfg.forward.range_m = 20.0;
     cfg.forward.seed = 700 + i;
     {
-      core::LinkSession session(cfg);
+      core::LinkSession session(cfg, ws);
       if (session.send_packet(bits).packet_ok) ++adaptive_ok;
     }
     {
       core::SessionConfig fixed = cfg;
       // 1-2.5 kHz fixed band (the paper's 1.5 kHz baseline).
       fixed.fixed_band = phy::BandSelection{0, 29, false};
-      core::LinkSession session(fixed);
+      core::LinkSession session(fixed, ws);
       if (session.send_packet(bits).packet_ok) ++fixed_ok;
     }
   }
@@ -260,11 +263,12 @@ TEST(LinkSession, ProbeSnrReturnsPerBinEstimates) {
 }
 
 TEST(AquaApp, TwoHandSignalsTravelInOnePacket) {
+  dsp::Workspace ws;
   core::SessionConfig cfg;
   cfg.forward.site = channel::site_preset(channel::Site::kBridge);
   cfg.forward.range_m = 5.0;
   cfg.forward.seed = 31;
-  core::LinkSession session(cfg);
+  core::LinkSession session(cfg, ws);
   const core::MessageResult res = core::send_signals(session, 0, 37);
   ASSERT_TRUE(res.trace.packet_ok);
   ASSERT_TRUE(res.received.has_value());
@@ -275,9 +279,10 @@ TEST(AquaApp, TwoHandSignalsTravelInOnePacket) {
 }
 
 TEST(AquaApp, SignalIdOutOfRangeThrows) {
+  dsp::Workspace ws;
   core::SessionConfig cfg;
   cfg.forward.seed = 3;
-  core::LinkSession session(cfg);
+  core::LinkSession session(cfg, ws);
   EXPECT_THROW(core::send_signals(session, 240, 0), std::out_of_range);
 }
 

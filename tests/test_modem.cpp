@@ -287,12 +287,13 @@ TEST(Modem, ResponderWaveformsAnchoredToTheTimeline) {
 }
 
 core::PacketTrace run_session_packet(std::size_t medium_block) {
+  dsp::Workspace ws;
   core::SessionConfig cfg;
   cfg.forward.site = channel::site_preset(channel::Site::kLake);
   cfg.forward.range_m = 5.0;
   cfg.forward.seed = 77;
   cfg.medium_block_samples = medium_block;
-  core::LinkSession session(cfg);
+  core::LinkSession session(cfg, ws);
   std::mt19937_64 rng(5);
   std::vector<std::uint8_t> bits(16);
   for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
@@ -361,16 +362,18 @@ TEST(ModemNetwork, ThreeNodesOnOneMedium) {
 }
 
 TEST(Modem, SweepAggregatesThreadCountInvariantOnStreamingPath) {
-  // run_packet_range feeds the Modem-backed send_packet; chunked execution
-  // with per-worker arenas must merge to identical aggregates.
+  // run_packet_range feeds the Modem-backed send_packet; one arena over
+  // the whole range and one arena per chunk must merge to identical
+  // aggregates.
   core::SessionConfig base;
   base.forward.site = channel::site_preset(channel::Site::kBridge);
   base.forward.range_m = 5.0;
 
-  const sim::BatchStats serial = sim::run_packet_range(base, 0, 4, 4242);
-  dsp::Workspace w1, w2;
-  sim::BatchStats split = sim::run_packet_range(base, 0, 2, 4242, 16, &w1);
-  split.merge(sim::run_packet_range(base, 2, 4, 4242, 16, &w2));
+  dsp::Workspace w0, w1, w2;
+  const sim::BatchStats serial =
+      sim::run_packet_range(base, 0, 4, 4242, 16, w0);
+  sim::BatchStats split = sim::run_packet_range(base, 0, 2, 4242, 16, w1);
+  split.merge(sim::run_packet_range(base, 2, 4, 4242, 16, w2));
 
   EXPECT_EQ(serial.sent, split.sent);
   EXPECT_EQ(serial.delivered, split.delivered);

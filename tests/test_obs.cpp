@@ -215,6 +215,7 @@ TEST(TraceFormat, ErrorsNameTheOffendingOffset) {
 // ---------------------------------------------------------------------------
 
 TEST(Replay, MatchesLiveAcrossPushChunkings) {
+  dsp::Workspace ws;
   const std::vector<double> rx = receiver_timeline(61);
   std::string reference;
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{160},
@@ -247,7 +248,7 @@ TEST(Replay, MatchesLiveAcrossPushChunkings) {
     // serialize/parse round trip like the real file-based flow.
     const obs::Trace trace =
         obs::parse_trace(obs::serialize_trace(cap.trace()));
-    const obs::ReplayResult result = obs::replay_trace(trace);
+    const obs::ReplayResult result = obs::replay_trace(trace, ws);
     EXPECT_TRUE(result.ok) << "chunk " << chunk << ": " << result.summary();
     ASSERT_EQ(result.endpoints.size(), 1u);
     EXPECT_EQ(result.endpoints[0].recorded_events, live.size());
@@ -255,12 +256,13 @@ TEST(Replay, MatchesLiveAcrossPushChunkings) {
 }
 
 TEST(Replay, CorpusReplaysBitIdentically) {
+  dsp::Workspace ws;
   const std::filesystem::path dir(AQUA_TRACE_DIR);
   std::size_t checked = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".aqt") continue;
     const obs::Trace trace = obs::read_trace(entry.path().string());
-    const obs::ReplayResult result = obs::replay_trace(trace);
+    const obs::ReplayResult result = obs::replay_trace(trace, ws);
     EXPECT_TRUE(result.ok) << entry.path() << ": " << result.summary();
     checked++;
   }
@@ -268,6 +270,7 @@ TEST(Replay, CorpusReplaysBitIdentically) {
 }
 
 TEST(Replay, DetectsTamperedEvents) {
+  dsp::Workspace ws;
   const std::vector<double> rx = receiver_timeline(61);
   core::ModemConfig rc;
   rc.my_id = 32;
@@ -286,13 +289,14 @@ TEST(Replay, DetectsTamperedEvents) {
     }
   }
   ASSERT_TRUE(tampered) << "capture produced no events";
-  const obs::ReplayResult result = obs::replay_trace(trace);
+  const obs::ReplayResult result = obs::replay_trace(trace, ws);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.summary().find("stream_pos"), std::string::npos)
       << result.summary();
 }
 
 TEST(Replay, RefusesDecimatedCaptures) {
+  dsp::Workspace ws;
   obs::CaptureOptions opts;
   opts.mic_decimation = 8;
   obs::TraceCapture cap(opts);
@@ -300,7 +304,7 @@ TEST(Replay, RefusesDecimatedCaptures) {
   core::Modem bob(rc);
   bob.set_trace_sink(&cap, 0);
   bob.push(std::vector<double>(4800, 0.0));
-  EXPECT_THROW(obs::replay_trace(cap.trace()), std::runtime_error);
+  EXPECT_THROW(obs::replay_trace(cap.trace(), ws), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,11 +369,12 @@ TEST(Registry, StageTimersPopulateWhenAttached) {
 // ---------------------------------------------------------------------------
 
 TEST(SessionQoE, LatencyIsOnTheSharedTimeline) {
+  dsp::Workspace ws;
   core::SessionConfig cfg;
   cfg.forward.site = channel::site_preset(channel::Site::kBridge);
   cfg.forward.range_m = 5.0;
   cfg.forward.seed = 55;
-  core::LinkSession session(cfg);
+  core::LinkSession session(cfg, ws);
   std::mt19937_64 rng(3);
   std::vector<std::uint8_t> bits(16);
   for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
@@ -419,6 +424,7 @@ TEST(SweepQoE, AggregationBitIdenticalForAnyThreadCount) {
 }
 
 TEST(SweepQoE, RunnerCaptureProducesReplayableTrace) {
+  dsp::Workspace ws;
   const std::string path = testing::TempDir() + "sweep_capture.aqt";
   sim::ScenarioGrid grid;
   grid.snr_offsets_db = {6.0};
@@ -435,7 +441,7 @@ TEST(SweepQoE, RunnerCaptureProducesReplayableTrace) {
   EXPECT_EQ(trace.meta("scenario"), scenario_label(scenarios[0]));
   EXPECT_EQ(trace.meta("packet"), "1");
   EXPECT_EQ(trace.endpoints().size(), 2u);  // Alice and Bob
-  const obs::ReplayResult result = obs::replay_trace(trace);
+  const obs::ReplayResult result = obs::replay_trace(trace, ws);
   EXPECT_TRUE(result.ok) << result.summary();
 
   // Capturing must not perturb the sweep's deterministic statistics.

@@ -2,13 +2,17 @@
 // Algorithm-1 band selection, feedback symbols, MMSE equalizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <utility>
 
 #include "channel/channel.h"
 #include "dsp/fir.h"
 #include "phy/bandselect.h"
 #include "phy/chanest.h"
+#include "phy/datamodem.h"
 #include "phy/equalizer.h"
 #include "phy/feedback.h"
 #include "phy/ofdm.h"
@@ -87,6 +91,7 @@ TEST(Ofdm, RejectsOutOfBandPlacement) {
 }
 
 TEST(Preamble, DetectsItselfCleanly) {
+  dsp::Workspace ws;
   const OfdmParams p;
   Preamble pre(p);
   // Preamble embedded in silence.
@@ -94,7 +99,7 @@ TEST(Preamble, DetectsItselfCleanly) {
   const std::vector<double>& w = pre.waveform();
   signal.insert(signal.end(), w.begin(), w.end());
   signal.resize(signal.size() + 5000, 0.0);
-  auto det = pre.detect(signal);
+  auto det = pre.detect(signal, ws);
   ASSERT_TRUE(det.has_value());
   // Start of first symbol = 5000 + CP.
   EXPECT_NEAR(static_cast<double>(det->start_index),
@@ -108,16 +113,18 @@ TEST(Preamble, DetectsItselfCleanly) {
 }
 
 TEST(Preamble, NoFalseAlarmOnNoise) {
+  dsp::Workspace ws;
   const OfdmParams p;
   Preamble pre(p);
   std::mt19937_64 rng(9);
   std::normal_distribution<double> g(0.0, 0.1);
   std::vector<double> noise(48000);
   for (auto& v : noise) v = g(rng);
-  EXPECT_FALSE(pre.detect(noise).has_value());
+  EXPECT_FALSE(pre.detect(noise, ws).has_value());
 }
 
 TEST(Preamble, NoFalseAlarmOnImpulsiveNoise) {
+  dsp::Workspace ws;
   // Spiky bursts are what defeats plain cross-correlation (section 2.2.1);
   // the sliding metric must stay quiet.
   const OfdmParams p;
@@ -133,10 +140,11 @@ TEST(Preamble, NoFalseAlarmOnImpulsiveNoise) {
       noise[at + i] += 2.0 * g(rng) * std::exp(-static_cast<double>(i) / 30.0) * 50.0;
     }
   }
-  EXPECT_FALSE(pre.detect(noise).has_value());
+  EXPECT_FALSE(pre.detect(noise, ws).has_value());
 }
 
 TEST(Preamble, SurvivesMultipathAndNoise) {
+  dsp::Workspace ws;
   channel::LinkConfig lc;
   lc.site = channel::site_preset(channel::Site::kLake);
   lc.range_m = 10.0;
@@ -145,12 +153,13 @@ TEST(Preamble, SurvivesMultipathAndNoise) {
   const OfdmParams p;
   Preamble pre(p);
   const std::vector<double> rx = ch.transmit(pre.waveform());
-  auto det = pre.detect(rx);
+  auto det = pre.detect(rx, ws);
   ASSERT_TRUE(det.has_value());
   EXPECT_GT(det->sliding_metric, 0.3);
 }
 
 TEST(ChannelEstimate, RecoversSnrInAwgn) {
+  dsp::Workspace ws;
   // Known AWGN per bin: the estimator should land within ~2 dB.
   const OfdmParams p;
   Ofdm ofdm(p);
@@ -171,7 +180,7 @@ TEST(ChannelEstimate, RecoversSnrInAwgn) {
       (static_cast<double>(p.symbol_samples()) * dsp::db_to_power(snr_db));
   std::normal_distribution<double> g(0.0, std::sqrt(noise_power));
   for (auto& v : rx) v += g(rng);
-  ChannelEstimate est = estimate_channel(ofdm, rx, pre.cazac_bins());
+  ChannelEstimate est = estimate_channel(ofdm, rx, pre.cazac_bins(), ws);
   ASSERT_EQ(est.snr_db.size(), 60u);
   double avg = 0.0;
   for (double s : est.snr_db) avg += s;
@@ -180,13 +189,14 @@ TEST(ChannelEstimate, RecoversSnrInAwgn) {
 }
 
 TEST(ChannelEstimate, FlatChannelGivesFlatH) {
+  dsp::Workspace ws;
   const OfdmParams p;
   Ofdm ofdm(p);
   Preamble pre(p);
   const std::vector<double>& w = pre.waveform();
   const std::vector<double> rx(
       w.begin() + static_cast<std::ptrdiff_t>(p.cp_samples()), w.end());
-  ChannelEstimate est = estimate_channel(ofdm, rx, pre.cazac_bins());
+  ChannelEstimate est = estimate_channel(ofdm, rx, pre.cazac_bins(), ws);
   for (std::size_t k = 0; k < est.h.size(); ++k) {
     EXPECT_NEAR(std::abs(est.h[k]), 1.0, 1e-6) << "bin " << k;
     EXPECT_GT(est.snr_db[k], 60.0);
@@ -263,6 +273,7 @@ INSTANTIATE_TEST_SUITE_P(Lambdas, LambdaSweep,
                          ::testing::Values(0.0, 0.2, 0.4, 0.6, 0.8));
 
 TEST(Feedback, RoundTripsCleanly) {
+  dsp::Workspace ws;
   const OfdmParams p;
   FeedbackCodec fb(p);
   for (auto [b, e] : {std::pair<std::size_t, std::size_t>{0, 59},
@@ -275,7 +286,7 @@ TEST(Feedback, RoundTripsCleanly) {
     std::vector<double> signal(3000, 0.0);
     signal.insert(signal.end(), sym.begin(), sym.end());
     signal.resize(signal.size() + 3000, 0.0);
-    auto dec = fb.decode_band(signal, 8);
+    auto dec = fb.decode_band(signal, 8, /*min_peak_fraction=*/0.3, ws);
     ASSERT_TRUE(dec.has_value()) << "band " << b << "-" << e;
     EXPECT_EQ(dec->band.begin_bin, b);
     EXPECT_EQ(dec->band.end_bin, e);
@@ -283,6 +294,7 @@ TEST(Feedback, RoundTripsCleanly) {
 }
 
 TEST(Feedback, ToneRoundTripsForIdsAndAck) {
+  dsp::Workspace ws;
   const OfdmParams p;
   FeedbackCodec fb(p);
   for (std::size_t bin : {FeedbackCodec::kAckBin, std::size_t{28},
@@ -291,13 +303,14 @@ TEST(Feedback, ToneRoundTripsForIdsAndAck) {
     std::vector<double> signal(2500, 0.0);
     signal.insert(signal.end(), sym.begin(), sym.end());
     signal.resize(signal.size() + 2500, 0.0);
-    auto dec = fb.decode_tone(signal, 8);
+    auto dec = fb.decode_tone(signal, 8, /*min_peak_fraction=*/0.3, ws);
     ASSERT_TRUE(dec.has_value());
     EXPECT_EQ(dec->bin, bin);
   }
 }
 
 TEST(Feedback, SurvivesTheUnknownBackwardChannel) {
+  dsp::Workspace ws;
   // The key property (section 2.2.3): all power in two bins decodes
   // without any channel knowledge, over a realistic reverse link.
   const OfdmParams p;
@@ -312,21 +325,22 @@ TEST(Feedback, SurvivesTheUnknownBackwardChannel) {
     channel::UnderwaterChannel ch(channel::reverse_link(lc));
     BandSelection band{12, 34, false};
     const std::vector<double> rx = ch.transmit(fb.encode_band(band));
-    auto dec = fb.decode_band(rx, 8);
+    auto dec = fb.decode_band(rx, 8, /*min_peak_fraction=*/0.3, ws);
     if (dec && dec->band.begin_bin == 12 && dec->band.end_bin == 34) ++exact;
   }
   EXPECT_GE(exact, 8) << "feedback should decode almost always at 10 m";
 }
 
 TEST(Feedback, NothingDetectedInPureNoise) {
+  dsp::Workspace ws;
   const OfdmParams p;
   FeedbackCodec fb(p);
   std::mt19937_64 rng(12);
   std::normal_distribution<double> g(0.0, 0.05);
   std::vector<double> noise(20000);
   for (auto& v : noise) v = g(rng);
-  EXPECT_FALSE(fb.decode_band(noise, 8).has_value());
-  EXPECT_FALSE(fb.decode_tone(noise, 8).has_value());
+  EXPECT_FALSE(fb.decode_band(noise, 8, 0.3, ws).has_value());
+  EXPECT_FALSE(fb.decode_tone(noise, 8, 0.3, ws).has_value());
 }
 
 TEST(Equalizer, ShortensAnIsiChannel) {
@@ -370,6 +384,136 @@ TEST(Equalizer, RejectsDegenerateTraining) {
   std::vector<double> tiny(10, 1.0);
   EXPECT_THROW(MmseEqualizer::train(tiny, tiny, 480, 240),
                std::invalid_argument);
+}
+
+// The Workspace contract: a primitive overwrites every scratch element it
+// reads, so the arena a call leases from can never change its result.
+// Fills `count` pooled buffers of `n` elements with `value` (held at once,
+// so the pool really holds `count` distinct dirty buffers).
+template <typename V>
+void poison_pool(dsp::Workspace& ws, std::size_t n, int count, V value) {
+  std::vector<std::vector<V>> held;
+  for (int i = 0; i < count; ++i) {
+    held.push_back(ws.acquire<V>(n));
+    std::fill(held.back().begin(), held.back().end(), value);
+  }
+  for (std::vector<V>& buf : held) ws.release(std::move(buf));
+}
+
+template <typename V>
+bool same_bits(const std::vector<V>& a, const std::vector<V>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(V)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Workspace, DirtyArenaChangesNothing) {
+  // One packet as a receiver hears it: preamble, an ID tone, band
+  // feedback and the data burst, through a 5 m lake channel.
+  const OfdmParams p;
+  const Preamble pre(p);
+  const Ofdm ofdm(p);
+  const FeedbackCodec fb(p);
+  const DataModem dm(p);
+  const BandSelection band{10, 40, false};
+  std::mt19937_64 rng(21);
+  std::vector<std::uint8_t> info(16);
+  for (auto& b : info) b = static_cast<std::uint8_t>(rng() & 1);
+  std::vector<double> tx = pre.waveform();
+  for (const std::vector<double>& part :
+       {fb.encode_tone(28), fb.encode_band(band), dm.encode(info, band)}) {
+    tx.insert(tx.end(), part.begin(), part.end());
+  }
+  channel::LinkConfig lc;
+  lc.site = channel::site_preset(channel::Site::kLake);
+  lc.range_m = 5.0;
+  lc.seed = 2121;
+  channel::UnderwaterChannel ch(lc);
+  const std::vector<double> rx = ch.transmit(tx);
+  const std::vector<float> rx_f = dsp::convert_samples<float>(rx);
+
+  // NaN poisons arithmetic; a huge finite value also poisons comparisons
+  // (a NaN never wins a peak search). The second round poisons the same
+  // arena again, on top of the buffers the first round left in it.
+  dsp::Workspace dirty;
+  const std::size_t n = 2 * rx.size();
+  for (const double junk : {std::numeric_limits<double>::quiet_NaN(), 1e30}) {
+    SCOPED_TRACE(junk);
+    const float junk_f = static_cast<float>(junk);
+    poison_pool<double>(dirty, n, 12, junk);
+    poison_pool<float>(dirty, n, 12, junk_f);
+    poison_pool<dsp::cplx>(dirty, n, 12, {junk, junk});
+    poison_pool<dsp::cplxf>(dirty, n, 12, {junk_f, junk_f});
+    poison_pool<std::uint32_t>(dirty, n, 12, 0xFFFFFFFFu);
+    dsp::Workspace fresh;
+
+    const auto det = pre.detect(rx, dirty);
+    const auto det_ref = pre.detect(rx, fresh);
+    ASSERT_TRUE(det.has_value() && det_ref.has_value());
+    // A capture that ends with the preamble core also runs detect()'s
+    // flush, which feeds the scanner leased silence.
+    const std::span<const double> cut = std::span<const double>(rx).first(
+        det_ref->start_index + pre.core_samples());
+    const auto cut_det = pre.detect(cut, dirty);
+    const auto cut_ref = pre.detect(cut, fresh);
+    ASSERT_TRUE(cut_det.has_value() && cut_ref.has_value());
+    for (const auto& [got, want] :
+         {std::pair{det, det_ref}, std::pair{cut_det, cut_ref}}) {
+      EXPECT_EQ(got->start_index, want->start_index);
+      EXPECT_TRUE(same_bits(got->sliding_metric, want->sliding_metric));
+      EXPECT_TRUE(same_bits(got->coarse_peak, want->coarse_peak));
+    }
+
+    const std::span<const double> at =
+        std::span<const double>(rx).subspan(det->start_index);
+    const ChannelEstimate est =
+        estimate_channel(ofdm, at, pre.cazac_bins(), dirty);
+    const ChannelEstimate est_ref =
+        estimate_channel(ofdm, at, pre.cazac_bins(), fresh);
+    EXPECT_TRUE(same_bits(est.h, est_ref.h));
+    EXPECT_TRUE(same_bits(est.snr_db, est_ref.snr_db));
+
+    const auto tone = fb.decode_tone(rx, 8, 0.3, dirty);
+    const auto tone_ref = fb.decode_tone(rx, 8, 0.3, fresh);
+    const std::span<const float> rx_fs(rx_f);
+    const auto tone_f = fb.decode_tone(rx_fs, 8, 0.3, dirty);
+    const auto tone_f_ref = fb.decode_tone(rx_fs, 8, 0.3, fresh);
+    for (const auto& [got, want] :
+         {std::pair{tone, tone_ref}, std::pair{tone_f, tone_f_ref}}) {
+      ASSERT_TRUE(got.has_value() && want.has_value());
+      EXPECT_EQ(got->bin, want->bin);
+      EXPECT_EQ(got->symbol_start, want->symbol_start);
+      EXPECT_TRUE(same_bits(got->peak_fraction, want->peak_fraction));
+    }
+
+    const auto fbd = fb.decode_band(rx, 8, 0.3, dirty);
+    const auto fbd_ref = fb.decode_band(rx, 8, 0.3, fresh);
+    const auto fbd_f = fb.decode_band(rx_fs, 8, 0.3, dirty);
+    const auto fbd_f_ref = fb.decode_band(rx_fs, 8, 0.3, fresh);
+    for (const auto& [got, want] :
+         {std::pair{fbd, fbd_ref}, std::pair{fbd_f, fbd_f_ref}}) {
+      ASSERT_TRUE(got.has_value() && want.has_value());
+      EXPECT_EQ(got->band.begin_bin, want->band.begin_bin);
+      EXPECT_EQ(got->band.end_bin, want->band.end_bin);
+      EXPECT_EQ(got->symbol_start, want->symbol_start);
+      EXPECT_TRUE(same_bits(got->peak_fraction, want->peak_fraction));
+    }
+
+    DecodeOptions opts;
+    opts.search_window = rx.size() - 4 * p.symbol_total_samples();
+    const DataDecodeResult res = dm.decode(rx, band, 16, opts, dirty);
+    const DataDecodeResult res_ref = dm.decode(rx, band, 16, opts, fresh);
+    ASSERT_TRUE(res.found && res_ref.found);
+    EXPECT_EQ(res.info_bits, info);
+    EXPECT_EQ(res.training_start, res_ref.training_start);
+    EXPECT_TRUE(same_bits(res.training_metric, res_ref.training_metric));
+    EXPECT_EQ(res.info_bits, res_ref.info_bits);
+    EXPECT_EQ(res.coded_hard, res_ref.coded_hard);
+    EXPECT_TRUE(same_bits(res.coded_llr, res_ref.coded_llr));
+  }
 }
 
 }  // namespace

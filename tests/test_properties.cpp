@@ -126,9 +126,10 @@ TEST_P(ModemWidth, SixteenBitPacketRoundTrips) {
   const std::vector<double> wave = dm.encode(info, band);
   signal.insert(signal.end(), wave.begin(), wave.end());
   signal.resize(signal.size() + 1200, 0.0);
+  dsp::Workspace ws;
   phy::DecodeOptions opts;
   opts.search_window = 2400;
-  const phy::DataDecodeResult res = dm.decode(signal, band, 16, opts);
+  const phy::DataDecodeResult res = dm.decode(signal, band, 16, opts, ws);
   ASSERT_TRUE(res.found) << "width " << width;
   EXPECT_EQ(res.info_bits, info) << "width " << width;
 }

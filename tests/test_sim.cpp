@@ -81,15 +81,16 @@ TEST(ScenarioGrid, LabelNamesEveryNonDefaultAxis) {
 }
 
 TEST(RunPacketRange, ChunksMergeToTheFullBatch) {
+  dsp::Workspace ws;
   core::SessionConfig cfg;
   cfg.forward.site = channel::site_preset(channel::Site::kBridge);
   cfg.forward.range_m = 5.0;
   const std::uint64_t seed = 424242;
 
-  const BatchStats whole = run_packet_range(cfg, 0, 4, seed);
-  BatchStats merged = run_packet_range(cfg, 0, 1, seed);
-  merged.merge(run_packet_range(cfg, 1, 3, seed));
-  merged.merge(run_packet_range(cfg, 3, 4, seed));
+  const BatchStats whole = run_packet_range(cfg, 0, 4, seed, 16, ws);
+  BatchStats merged = run_packet_range(cfg, 0, 1, seed, 16, ws);
+  merged.merge(run_packet_range(cfg, 1, 3, seed, 16, ws));
+  merged.merge(run_packet_range(cfg, 3, 4, seed, 16, ws));
 
   EXPECT_EQ(whole.sent, 4);
   EXPECT_TRUE(stats_equal(whole, merged));

@@ -290,6 +290,7 @@ int main(int argc, char** argv) {
 
   int failures = 0;
   bool matched = false;
+  aqua::dsp::Workspace ws;
   for (const ScenarioEntry& s : kScenarios) {
     if (!only.empty() && only != s.name) continue;
     matched = true;
@@ -300,7 +301,7 @@ int main(int argc, char** argv) {
     if (s.generate(path)) {
       // Verify the fresh capture replays before anyone checks it in.
       const aqua::obs::ReplayResult r =
-          aqua::obs::replay_trace(aqua::obs::read_trace(path));
+          aqua::obs::replay_trace(aqua::obs::read_trace(path), ws);
       if (r.ok) {
         std::printf("wrote %s (%s)\n", path.c_str(), r.summary().c_str());
       } else {

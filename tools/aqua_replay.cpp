@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   }
 
   int failures = 0;
+  aqua::dsp::Workspace ws;
   for (const std::string& path : paths) {
     try {
       const aqua::obs::Trace trace = aqua::obs::read_trace(path);
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
                       trace.push_count(ep), trace.event_count(ep));
         }
       }
-      const aqua::obs::ReplayResult result = aqua::obs::replay_trace(trace);
+      const aqua::obs::ReplayResult result = aqua::obs::replay_trace(trace, ws);
       if (result.ok) {
         std::printf("PASS %s (%s)\n", path.c_str(), result.summary().c_str());
       } else {

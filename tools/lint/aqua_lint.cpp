@@ -10,11 +10,6 @@
 //                      of text
 //   --json-out FILE    additionally write the full JSON report to FILE
 //                      (text still goes to stdout; this is the CI artifact)
-//   --baseline FILE    read a committed JSON report and fail only on
-//                      findings not present in it (keyed by
-//                      file + rule + message, so line churn does not break
-//                      the build); baselined findings are annotated in the
-//                      text output
 //
 // Walks each path (directories recurse over .h/.hpp/.cpp/.cc), builds the
 // project-wide symbol/call-graph IR, runs the rule families documented in
@@ -22,13 +17,10 @@
 //
 //   file:line:col: rule-id: message
 //
-// Exit status: 0 when clean (or every finding is baselined), 1 when new
-// findings exist, 2 on usage/IO error.
+// Exit status: 0 when clean, 1 when findings exist, 2 on usage/IO error.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "lint/json.h"
@@ -38,11 +30,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: aqua_lint [--list-rules] [--rules=a,b,c] [--json] "
-    "[--json-out FILE] [--baseline FILE] <path>...\n";
-
-std::string baseline_key(const aqua::lint::Finding& f) {
-  return f.file + "\x1f" + f.rule + "\x1f" + f.message;
-}
+    "[--json-out FILE] <path>...\n";
 
 }  // namespace
 
@@ -51,7 +39,6 @@ int main(int argc, char** argv) {
   aqua::lint::LintOptions options;
   bool json_stdout = false;
   std::string json_out;
-  std::string baseline_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -82,13 +69,12 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (arg == "--json-out" || arg == "--baseline") {
+    if (arg == "--json-out") {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "aqua_lint: %s needs a file argument\n",
-                     argv[i]);
+        std::fprintf(stderr, "aqua_lint: --json-out needs a file argument\n");
         return 2;
       }
-      (arg == "--json-out" ? json_out : baseline_path) = argv[++i];
+      json_out = argv[++i];
       continue;
     }
     if (arg.starts_with("-")) {
@@ -100,28 +86,6 @@ int main(int argc, char** argv) {
   if (paths.empty()) {
     std::fputs(kUsage, stderr);
     return 2;
-  }
-
-  std::unordered_set<std::string> baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "aqua_lint: cannot open baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::vector<aqua::lint::Finding> base;
-    std::string err;
-    if (!aqua::lint::findings_from_json(buf.str(), &base, &err)) {
-      std::fprintf(stderr, "aqua_lint: bad baseline '%s': %s\n",
-                   baseline_path.c_str(), err.c_str());
-      return 2;
-    }
-    for (const aqua::lint::Finding& f : base) {
-      baseline.insert(baseline_key(f));
-    }
   }
 
   const std::vector<aqua::lint::Finding> findings =
@@ -139,22 +103,15 @@ int main(int argc, char** argv) {
 
   if (json_stdout) {
     std::fputs(aqua::lint::findings_to_json(findings).c_str(), stdout);
-  }
-
-  std::size_t fresh = 0;
-  for (const aqua::lint::Finding& f : findings) {
-    const bool known =
-        !baseline.empty() && baseline.contains(baseline_key(f));
-    if (!known) ++fresh;
-    if (!json_stdout) {
-      std::fprintf(stdout, "%s:%d:%d: %s: %s%s\n", f.file.c_str(), f.line,
-                   f.col, f.rule.c_str(), f.message.c_str(),
-                   known ? " [baselined]" : "");
+  } else {
+    for (const aqua::lint::Finding& f : findings) {
+      std::fprintf(stdout, "%s:%d:%d: %s: %s\n", f.file.c_str(), f.line,
+                   f.col, f.rule.c_str(), f.message.c_str());
+    }
+    if (!findings.empty()) {
+      std::fprintf(stdout, "aqua_lint: %zu finding%s\n", findings.size(),
+                   findings.size() == 1 ? "" : "s");
     }
   }
-  if (!findings.empty() && !json_stdout) {
-    std::fprintf(stdout, "aqua_lint: %zu finding%s (%zu new)\n",
-                 findings.size(), findings.size() == 1 ? "" : "s", fresh);
-  }
-  return fresh != 0 ? 1 : 0;
+  return findings.empty() ? 0 : 1;
 }

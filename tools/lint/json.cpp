@@ -1,7 +1,7 @@
 #include "lint/json.h"
 
-#include <cctype>
 #include <cstdio>
+#include <string_view>
 
 namespace aqua::lint {
 
@@ -37,195 +37,6 @@ void append_escaped(std::string& out, std::string_view s) {
   }
 }
 
-// Recursive-descent reader over the version-1 schema. Tracks a cursor and
-// fails fast with a byte-offset diagnostic.
-struct Reader {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool fail(std::string_view what) {
-    if (error.empty()) {
-      error = std::string(what) + " at byte " + std::to_string(pos);
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool expect(char c) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != c) {
-      return fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool peek_is(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  bool read_string(std::string* out) {
-    if (!expect('"')) return false;
-    out->clear();
-    while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos >= text.size()) return fail("truncated escape");
-        char e = text[pos++];
-        switch (e) {
-          case '"':
-            *out += '"';
-            break;
-          case '\\':
-            *out += '\\';
-            break;
-          case '/':
-            *out += '/';
-            break;
-          case 'n':
-            *out += '\n';
-            break;
-          case 't':
-            *out += '\t';
-            break;
-          case 'r':
-            *out += '\r';
-            break;
-          case 'b':
-            *out += '\b';
-            break;
-          case 'f':
-            *out += '\f';
-            break;
-          case 'u': {
-            if (pos + 4 > text.size()) return fail("truncated \\u escape");
-            unsigned value = 0;
-            for (int k = 0; k < 4; ++k) {
-              char h = text[pos++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') {
-                value |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                value |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                value |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return fail("bad \\u escape");
-              }
-            }
-            // Baseline files only ever contain \u for control characters;
-            // anything wider is replaced rather than UTF-8 encoded.
-            *out += value < 0x80 ? static_cast<char>(value) : '?';
-            break;
-          }
-          default:
-            return fail("unknown escape");
-        }
-        continue;
-      }
-      *out += c;
-    }
-    return fail("unterminated string");
-  }
-
-  bool read_int(int* out) {
-    skip_ws();
-    bool neg = false;
-    if (pos < text.size() && text[pos] == '-') {
-      neg = true;
-      ++pos;
-    }
-    if (pos >= text.size() ||
-        !std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      return fail("expected integer");
-    }
-    long value = 0;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      value = value * 10 + (text[pos] - '0');
-      if (value > 1000000000L) return fail("integer out of range");
-      ++pos;
-    }
-    *out = static_cast<int>(neg ? -value : value);
-    return true;
-  }
-
-  // Skips one value of any type (for unknown keys).
-  bool skip_value() {
-    skip_ws();
-    if (pos >= text.size()) return fail("expected value");
-    char c = text[pos];
-    if (c == '"') {
-      std::string sink;
-      return read_string(&sink);
-    }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++pos;
-      int depth = 1;
-      while (pos < text.size() && depth > 0) {
-        char d = text[pos];
-        if (d == '"') {
-          std::string sink;
-          if (!read_string(&sink)) return false;
-          continue;
-        }
-        if (d == '{' || d == '[') ++depth;
-        if (d == '}' || d == ']') --depth;
-        ++pos;
-      }
-      return depth == 0 || fail(std::string("unterminated ") + close);
-    }
-    // Number / true / false / null.
-    while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
-           text[pos] != ']' &&
-           !std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-    return true;
-  }
-
-  bool read_finding(Finding* f) {
-    if (!expect('{')) return false;
-    if (peek_is('}')) {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!read_string(&key)) return false;
-      if (!expect(':')) return false;
-      if (key == "file") {
-        if (!read_string(&f->file)) return false;
-      } else if (key == "rule") {
-        if (!read_string(&f->rule)) return false;
-      } else if (key == "message") {
-        if (!read_string(&f->message)) return false;
-      } else if (key == "line") {
-        if (!read_int(&f->line)) return false;
-      } else if (key == "col") {
-        if (!read_int(&f->col)) return false;
-      } else {
-        if (!skip_value()) return false;
-      }
-      if (peek_is(',')) {
-        ++pos;
-        continue;
-      }
-      return expect('}');
-    }
-  }
-};
-
 }  // namespace
 
 std::string findings_to_json(const std::vector<Finding>& findings) {
@@ -245,62 +56,6 @@ std::string findings_to_json(const std::vector<Finding>& findings) {
   }
   out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;
-}
-
-bool findings_from_json(std::string_view text, std::vector<Finding>* out,
-                        std::string* err) {
-  Reader r;
-  r.text = text;
-  const auto bail = [&]() {
-    if (err) *err = r.error.empty() ? "malformed JSON" : r.error;
-    return false;
-  };
-  if (!r.expect('{')) return bail();
-  bool saw_version = false;
-  if (!r.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!r.read_string(&key)) return bail();
-      if (!r.expect(':')) return bail();
-      if (key == "version") {
-        int version = 0;
-        if (!r.read_int(&version)) return bail();
-        if (version != 1) {
-          if (err) *err = "unsupported version " + std::to_string(version);
-          return false;
-        }
-        saw_version = true;
-      } else if (key == "findings") {
-        if (!r.expect('[')) return bail();
-        if (!r.peek_is(']')) {
-          while (true) {
-            Finding f;
-            if (!r.read_finding(&f)) return bail();
-            out->push_back(std::move(f));
-            if (r.peek_is(',')) {
-              ++r.pos;
-              continue;
-            }
-            break;
-          }
-        }
-        if (!r.expect(']')) return bail();
-      } else {
-        if (!r.skip_value()) return bail();
-      }
-      if (r.peek_is(',')) {
-        ++r.pos;
-        continue;
-      }
-      break;
-    }
-  }
-  if (!r.expect('}')) return bail();
-  if (!saw_version) {
-    if (err) *err = "missing \"version\" key";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace aqua::lint

@@ -1,7 +1,6 @@
-// Machine-readable finding output for aqua_lint (--json / --json-out) and
-// the minimal parser that reads a committed baseline file back for
-// `--baseline` diffing in CI. Hand-rolled on purpose: the schema is tiny
-// and the toolchain adds no JSON dependency.
+// Machine-readable finding output for aqua_lint (--json / --json-out).
+// Hand-rolled on purpose: the schema is tiny and the toolchain adds no
+// JSON dependency.
 //
 // Schema (version 1):
 //   {
@@ -15,7 +14,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace aqua::lint {
@@ -30,11 +28,5 @@ struct Finding {
 
 /// Serializes findings to the version-1 JSON document above.
 std::string findings_to_json(const std::vector<Finding>& findings);
-
-/// Parses a version-1 document produced by findings_to_json. Returns false
-/// (with a diagnostic in `*err` when non-null) on malformed input or an
-/// unknown version. Unknown keys inside a finding object are skipped.
-bool findings_from_json(std::string_view text, std::vector<Finding>* out,
-                        std::string* err);
 
 }  // namespace aqua::lint

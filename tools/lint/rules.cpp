@@ -387,12 +387,15 @@ void check_hot_alloc(Ctx& ctx, const std::vector<char>& hot,
 
     if (!hot[i]) continue;
 
-    // Inside a hot function: the arena is already in hand (or one call up).
-    if (is_ident(t, "thread_local_workspace") && i + 1 < toks.size() &&
-        is_punct(toks[i + 1], "(")) {
+    // A fresh arena starts empty, so every lease from it allocates; the
+    // caller's arena is already in hand (or one call up).
+    if (is_ident(t, "Workspace") && i + 1 < toks.size() &&
+        ((toks[i + 1].kind == Tok::kIdent &&
+          !kStmtKeywords.contains(toks[i + 1].text)) ||
+         is_punct(toks[i + 1], "{") || is_punct(toks[i + 1], "("))) {
       ctx.report(t.line, t.col, "hot-alloc",
-                 "thread_local_workspace() on the hot path; pass the "
-                 "caller's arena through" +
+                 "local Workspace on the hot path; pass the caller's arena "
+                 "through" +
                      hot_context(ctx.tu, chains, i));
       continue;
     }
@@ -1382,7 +1385,7 @@ std::string rules_help() {
       "                             impl < mac < sim)\n"
       "  hot-alloc    [alloc-ok]    new/make_unique/make_shared anywhere in\n"
       "                             dsp/phy/core; owning-container growth and\n"
-      "                             thread_local_workspace() in any function\n"
+      "                             local Workspace arenas in any function\n"
       "                             reached from a Workspace&-taking entry\n"
       "                             (interprocedural; // lint: hot-alloc-ok\n"
       "                             on a definition exempts the function and\n"

@@ -30,8 +30,8 @@
 // fire in transitively-reached helpers too):
 //
 //   hot-alloc     `new` / make_unique / make_shared anywhere in
-//                 dsp/phy/core; owning-container construction / growth and
-//                 thread_local_workspace() calls inside hot functions.
+//                 dsp/phy/core; owning-container construction / growth
+//                 and local Workspace arenas inside hot functions.
 //                 Annotating a function definition with
 //                 `// lint: hot-alloc-ok(reason)` exempts it from
 //                 *inherited* hotness and stops propagation through it.
