@@ -60,8 +60,7 @@ void BM_FeedbackDecode(benchmark::State& state) {
   signal.resize(signal.size() + 3000, 0.0);
   dsp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fb.decode_band(signal, 8, /*min_peak_fraction=*/0.3, ws));
+    benchmark::DoNotOptimize(fb.decode_band(signal, ws));
   }
 }
 BENCHMARK(BM_FeedbackDecode);

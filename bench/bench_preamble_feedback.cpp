@@ -61,7 +61,7 @@ int main() {
       const phy::BandSelection band{static_cast<std::size_t>(5 + i % 20),
                                     static_cast<std::size_t>(30 + i % 25), false};
       const std::vector<double> rx = ch.transmit(fb.encode_band(band));
-      auto dec = fb.decode_band(rx, 8, /*min_peak_fraction=*/0.3, ws);
+      auto dec = fb.decode_band(rx, ws);
       if (!dec) continue;
       ++decoded;
       if (dec->band.begin_bin == band.begin_bin &&

@@ -202,7 +202,6 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
     {
       obs::StageTimer t(metrics_, "dsp.tone");
       id = feedback_.decode_tone(raw_rx(pre_end, kIdWaitSymbols * sym_total),
-                                 /*step=*/8, /*min_peak_fraction=*/0.3,
                                  ws_);
     }
     if (!id || id->bin != config_.my_id) return true;
@@ -293,9 +292,7 @@ bool Modem::tx_step(std::vector<ModemEvent>& events) {
     std::optional<phy::FeedbackDecode> dec;
     {
       obs::StageTimer t(metrics_, "dsp.feedback");
-      dec = feedback_.decode_band(raw_rx(fb_deadline_ - window, window),
-                                  /*step=*/8, /*min_peak_fraction=*/0.3,
-                                  ws_);
+      dec = feedback_.decode_band(raw_rx(fb_deadline_ - window, window), ws_);
     }
     if (!dec) {
       ModemEvent ev;
@@ -337,8 +334,7 @@ bool Modem::tx_step(std::vector<ModemEvent>& events) {
     std::optional<phy::ToneDecode> got;
     if (window > 0) {
       obs::StageTimer t(metrics_, "dsp.tone");
-      got = feedback_.decode_tone(raw_rx(data_end_, window), /*step=*/8,
-                                  /*min_peak_fraction=*/0.3, ws_);
+      got = feedback_.decode_tone(raw_rx(data_end_, window), ws_);
     }
     ModemEvent done;
     done.type = ModemEvent::Type::kTxComplete;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
-#include <unordered_map>
 
+#include "dsp/plan_cache.h"
 #include "dsp/simd.h"
 
 namespace aqua::dsp {
@@ -265,46 +263,6 @@ template class BasicFftPlan<double>;
 template class BasicFftPlan<float>;
 template class BasicRfftPlan<double>;
 template class BasicRfftPlan<float>;
-
-namespace {
-
-// Shared two-level plan cache: a thread-local pointer map so steady-state
-// lookups touch no shared state at all, over a shared_mutex-guarded global
-// map. Plans are never evicted, so the cached pointers stay valid for the
-// process lifetime. One instantiation per plan type keeps the
-// locking-sensitive code in exactly one place.
-template <typename Plan>
-// lint: hot-alloc-ok(two-level plan cache: allocates only on first sight of an FFT size, then serves lock-free thread-local hits)
-const Plan& cached_plan_of(std::size_t n) {
-  thread_local std::unordered_map<std::size_t, const Plan*> local;
-  if (const auto it = local.find(n); it != local.end()) return *it->second;
-
-  static std::shared_mutex mu;
-  static std::unordered_map<std::size_t, std::unique_ptr<Plan>>* global =
-      // lint: alloc-ok(intentionally leaked process-lifetime cache; sidesteps static-destruction order races with worker threads)
-      new std::unordered_map<std::size_t, std::unique_ptr<Plan>>();
-  {
-    std::shared_lock<std::shared_mutex> read(mu);
-    if (const auto it = global->find(n); it != global->end()) {
-      local.emplace(n, it->second.get());
-      return *it->second;
-    }
-  }
-  std::unique_lock<std::shared_mutex> write(mu);
-  auto it = global->find(n);
-  if (it == global->end()) {
-    // Construct before inserting: if the plan constructor throws (n == 0),
-    // the map must stay unchanged so the next lookup throws again instead
-    // of finding a null entry.
-    // lint: alloc-ok(plan built once per FFT size under the write lock)
-    auto plan = std::make_unique<Plan>(n);
-    it = global->emplace(n, std::move(plan)).first;
-  }
-  local.emplace(n, it->second.get());
-  return *it->second;
-}
-
-}  // namespace
 
 template <typename T>
 const BasicFftPlan<T>& plan_of(std::size_t n) {

@@ -84,44 +84,16 @@ void scalar_fir_f(const float* a, const float* x, float* out, std::size_t t,
   for (std::size_t i = 0; i < n; ++i) out[i] = scalar_dot_f(a, x + i, t);
 }
 
-void scalar_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const double* tab_re,
-                        const double* tab_im, double d, std::size_t bins,
-                        std::uint32_t period) {
-  for (std::size_t k = 0; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = std::fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = std::fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
-}
-
-void scalar_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
-                          const std::uint32_t* step, const float* tab_re,
-                          const float* tab_im, float d, std::size_t bins,
-                          std::uint32_t period) {
-  for (std::size_t k = 0; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = std::fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = std::fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
-}
-
 constexpr Kernels kScalarKernels{"scalar",
                                  scalar_cmul_inplace,
                                  scalar_dot,
                                  scalar_fir,
-                                 scalar_sdft_update,
+                                 sdft_update_ref<double>,
                                  fft_pass_ref<double>,
                                  scalar_cmul_inplace_f,
                                  scalar_dot_f,
                                  scalar_fir_f,
-                                 scalar_sdft_update_f,
+                                 sdft_update_ref<float>,
                                  fft_pass_ref<float>};
 
 // Widest supported target among those compiled in, in preference order.

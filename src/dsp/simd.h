@@ -17,9 +17,11 @@
 //     tap broadcast once for the whole run, so the FMA chains run side by
 //     side (throughput- rather than latency-bound) while each output keeps
 //     `dot`'s exact tree.
-//   * `sdft_update` — the sliding-DFT bin update: one fused
-//     multiply-accumulate per active bin per sample in
-//     `moving_dft_power`'s running recurrence.
+//   * `sdft_update` — the sliding-DFT bin update: a run of consecutive
+//     samples of `moving_dft_power`'s running recurrence, one fused
+//     multiply-add per active bin (real and imaginary part) per sample
+//     against a contiguous row of the cached phasor table. The vector
+//     targets hold a block of bins in registers for the whole run.
 //   * `fft_pass` — every radix-2 butterfly stage of one power-of-two
 //     transform over bit-reversed data: twiddle multiply plus add/sub,
 //     one kernel call per transform. Stages narrower than a vector pack
@@ -50,7 +52,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "dsp/types.h"
 
@@ -85,15 +86,15 @@ struct Kernels {
   void (*fir)(const double* a, const double* x, double* out, std::size_t t,
               std::size_t n);
 
-  /// Sliding-DFT bin update for `bins` bins: per bin k,
-  ///   acc_re[k] = fma(d, tab_re[phase[k]], acc_re[k])
-  ///   acc_im[k] = fma(d, tab_im[phase[k]], acc_im[k])
-  ///   phase[k] = phase[k] + step[k], wrapped once into [0, period).
-  /// Requires phase[k] < period, step[k] < period, period < 2^31.
-  void (*sdft_update)(double* acc_re, double* acc_im, std::uint32_t* phase,
-                      const std::uint32_t* step, const double* tab_re,
-                      const double* tab_im, double d, std::size_t bins,
-                      std::uint32_t period);
+  /// Sliding-DFT run of `samples` updates over `width` running sums (the
+  /// split-complex bins: real parts, then imaginary parts). Update i adds
+  /// d_i = x_new[i] - x_old[i] times phasor row i, which starts at
+  /// rows + i * width:
+  ///   acc[j] = fma(d_i, rows[i * width + j], acc[j])
+  /// for i = 0, 1, ..., samples - 1 in that order, for every j < width.
+  void (*sdft_update)(double* acc, const double* rows, const double* x_old,
+                      const double* x_new, std::size_t samples,
+                      std::size_t width);
 
   /// Whole radix-2 pass over `m` (a power of two) bit-reversed points,
   /// in place. Stages run in order half = 1, 2, 4, ..., m/2; the stage
@@ -116,10 +117,9 @@ struct Kernels {
   float (*dot_f)(const float* a, const float* b, std::size_t n);
   void (*fir_f)(const float* a, const float* x, float* out, std::size_t t,
                 std::size_t n);
-  void (*sdft_update_f)(float* acc_re, float* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const float* tab_re,
-                        const float* tab_im, float d, std::size_t bins,
-                        std::uint32_t period);
+  void (*sdft_update_f)(float* acc, const float* rows, const float* x_old,
+                        const float* x_new, std::size_t samples,
+                        std::size_t width);
   void (*fft_pass_f)(cplxf* data, std::size_t m, const cplxf* stage_tw,
                      bool conj_w);
 };
@@ -171,18 +171,15 @@ inline void fir(const Kernels& k, const float* a, const float* x, float* out,
   k.fir_f(a, x, out, t, n);
 }
 
-inline void sdft_update(const Kernels& k, double* acc_re, double* acc_im,
-                        std::uint32_t* phase, const std::uint32_t* step,
-                        const double* tab_re, const double* tab_im, double d,
-                        std::size_t bins, std::uint32_t period) {
-  k.sdft_update(acc_re, acc_im, phase, step, tab_re, tab_im, d, bins, period);
+inline void sdft_update(const Kernels& k, double* acc, const double* rows,
+                        const double* x_old, const double* x_new,
+                        std::size_t samples, std::size_t width) {
+  k.sdft_update(acc, rows, x_old, x_new, samples, width);
 }
-inline void sdft_update(const Kernels& k, float* acc_re, float* acc_im,
-                        std::uint32_t* phase, const std::uint32_t* step,
-                        const float* tab_re, const float* tab_im, float d,
-                        std::size_t bins, std::uint32_t period) {
-  k.sdft_update_f(acc_re, acc_im, phase, step, tab_re, tab_im, d, bins,
-                  period);
+inline void sdft_update(const Kernels& k, float* acc, const float* rows,
+                        const float* x_old, const float* x_new,
+                        std::size_t samples, std::size_t width) {
+  k.sdft_update_f(acc, rows, x_old, x_new, samples, width);
 }
 
 inline void fft_pass(const Kernels& k, cplx* data, std::size_t m,

@@ -100,39 +100,33 @@ void avx2_fir(const double* a, const double* x, double* out, std::size_t t,
   for (; o < n; ++o) out[o] = avx2_dot(a, x + o, t);
 }
 
-void avx2_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
-                      const std::uint32_t* step, const double* tab_re,
-                      const double* tab_im, double d, std::size_t bins,
-                      std::uint32_t period) {
-  const __m256d dv = _mm256_set1_pd(d);
-  const __m128i per = _mm_set1_epi32(static_cast<int>(period));
-  const std::size_t b4 = bins & ~std::size_t{3};
-  for (std::size_t k = 0; k < b4; k += 4) {
-    const __m128i ph =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(phase + k));
-    const __m256d tre = _mm256_i32gather_pd(tab_re, ph, 8);
-    const __m256d tim = _mm256_i32gather_pd(tab_im, ph, 8);
-    _mm256_storeu_pd(acc_re + k,
-                     _mm256_fmadd_pd(dv, tre, _mm256_loadu_pd(acc_re + k)));
-    _mm256_storeu_pd(acc_im + k,
-                     _mm256_fmadd_pd(dv, tim, _mm256_loadu_pd(acc_im + k)));
-    // phase += step, wrapped once into [0, period) via an unsigned compare
-    // (max_epu32(p, period) == p  <=>  p >= period).
-    __m128i next = _mm_add_epi32(
-        ph, _mm_loadu_si128(reinterpret_cast<const __m128i*>(step + k)));
-    const __m128i ge =
-        _mm_cmpeq_epi32(_mm_max_epu32(next, per), next);
-    next = _mm_sub_epi32(next, _mm_and_si128(ge, per));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(phase + k), next);
+// V registers of running sums held across the whole run: each sample
+// broadcasts its difference once and streams one contiguous phasor row.
+template <int V>
+void avx2_sdft_block(double* acc, const double* rows, const double* x_old,
+                     const double* x_new, std::size_t samples,
+                     std::size_t width) {
+  __m256d a[V];
+  for (int v = 0; v < V; ++v) a[v] = _mm256_loadu_pd(acc + 4 * v);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const __m256d d = _mm256_set1_pd(x_new[i] - x_old[i]);
+    const double* row = rows + i * width;
+    for (int v = 0; v < V; ++v) {
+      a[v] = _mm256_fmadd_pd(d, _mm256_loadu_pd(row + 4 * v), a[v]);
+    }
   }
-  for (std::size_t k = b4; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
+  for (int v = 0; v < V; ++v) _mm256_storeu_pd(acc + 4 * v, a[v]);
+}
+
+void avx2_sdft_update(double* acc, const double* rows, const double* x_old,
+                      const double* x_new, std::size_t samples,
+                      std::size_t width) {
+  const std::size_t j =
+      sdft_register_blocks<4>(width, [&]<int V>(std::size_t c) {
+        avx2_sdft_block<V>(acc + c, rows + c, x_old, x_new, samples, width);
+      });
+  sdft_columns_ref(acc + j, rows + j, x_old, x_new, samples, width - j,
+                   width);
 }
 
 // One butterfly per complex lane: v = b * w with the legacy unfused tree
@@ -267,36 +261,31 @@ void avx2_fir_f(const float* a, const float* x, float* out, std::size_t t,
   for (; o < n; ++o) out[o] = avx2_dot_f(a, x + o, t);
 }
 
-void avx2_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const float* tab_re,
-                        const float* tab_im, float d, std::size_t bins,
-                        std::uint32_t period) {
-  const __m256 dv = _mm256_set1_ps(d);
-  const __m256i per = _mm256_set1_epi32(static_cast<int>(period));
-  const std::size_t b8 = bins & ~std::size_t{7};
-  for (std::size_t k = 0; k < b8; k += 8) {
-    const __m256i ph =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(phase + k));
-    const __m256 tre = _mm256_i32gather_ps(tab_re, ph, 4);
-    const __m256 tim = _mm256_i32gather_ps(tab_im, ph, 4);
-    _mm256_storeu_ps(acc_re + k,
-                     _mm256_fmadd_ps(dv, tre, _mm256_loadu_ps(acc_re + k)));
-    _mm256_storeu_ps(acc_im + k,
-                     _mm256_fmadd_ps(dv, tim, _mm256_loadu_ps(acc_im + k)));
-    __m256i next = _mm256_add_epi32(
-        ph, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(step + k)));
-    const __m256i ge = _mm256_cmpeq_epi32(_mm256_max_epu32(next, per), next);
-    next = _mm256_sub_epi32(next, _mm256_and_si256(ge, per));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(phase + k), next);
+template <int V>
+void avx2_sdft_block_f(float* acc, const float* rows, const float* x_old,
+                       const float* x_new, std::size_t samples,
+                       std::size_t width) {
+  __m256 a[V];
+  for (int v = 0; v < V; ++v) a[v] = _mm256_loadu_ps(acc + 8 * v);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const __m256 d = _mm256_set1_ps(x_new[i] - x_old[i]);
+    const float* row = rows + i * width;
+    for (int v = 0; v < V; ++v) {
+      a[v] = _mm256_fmadd_ps(d, _mm256_loadu_ps(row + 8 * v), a[v]);
+    }
   }
-  for (std::size_t k = b8; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fmaf(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fmaf(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
+  for (int v = 0; v < V; ++v) _mm256_storeu_ps(acc + 8 * v, a[v]);
+}
+
+void avx2_sdft_update_f(float* acc, const float* rows, const float* x_old,
+                        const float* x_new, std::size_t samples,
+                        std::size_t width) {
+  const std::size_t j =
+      sdft_register_blocks<8>(width, [&]<int V>(std::size_t c) {
+        avx2_sdft_block_f<V>(acc + c, rows + c, x_old, x_new, samples, width);
+      });
+  sdft_columns_ref(acc + j, rows + j, x_old, x_new, samples, width - j,
+                   width);
 }
 
 inline void bfly(__m256& a, __m256& b, __m256 w) {

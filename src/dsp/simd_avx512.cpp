@@ -108,36 +108,40 @@ void avx512_fir(const double* a, const double* x, double* out,
   for (; o < n; ++o) out[o] = avx512_dot(a, x + o, t);
 }
 
-void avx512_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const double* tab_re,
-                        const double* tab_im, double d, std::size_t bins,
-                        std::uint32_t period) {
-  const __m512d dv = _mm512_set1_pd(d);
-  const __m256i per = _mm256_set1_epi32(static_cast<int>(period));
-  const std::size_t b8 = bins & ~std::size_t{7};
-  for (std::size_t k = 0; k < b8; k += 8) {
-    const __m256i ph =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(phase + k));
-    const __m512d tre = _mm512_i32gather_pd(ph, tab_re, 8);
-    const __m512d tim = _mm512_i32gather_pd(ph, tab_im, 8);
-    _mm512_storeu_pd(acc_re + k,
-                     _mm512_fmadd_pd(dv, tre, _mm512_loadu_pd(acc_re + k)));
-    _mm512_storeu_pd(acc_im + k,
-                     _mm512_fmadd_pd(dv, tim, _mm512_loadu_pd(acc_im + k)));
-    __m256i next = _mm256_add_epi32(
-        ph, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(step + k)));
-    const __m256i ge = _mm256_cmpeq_epi32(_mm256_max_epu32(next, per), next);
-    next = _mm256_sub_epi32(next, _mm256_and_si256(ge, per));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(phase + k), next);
+// V registers of running sums held across the whole run (see the AVX2
+// block); the tail narrower than one register runs masked at full width.
+template <int V>
+void avx512_sdft_block(double* acc, const double* rows, const double* x_old,
+                       const double* x_new, std::size_t samples,
+                       std::size_t width) {
+  __m512d a[V];
+  for (int v = 0; v < V; ++v) a[v] = _mm512_loadu_pd(acc + 8 * v);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const __m512d d = _mm512_set1_pd(x_new[i] - x_old[i]);
+    const double* row = rows + i * width;
+    for (int v = 0; v < V; ++v) {
+      a[v] = _mm512_fmadd_pd(d, _mm512_loadu_pd(row + 8 * v), a[v]);
+    }
   }
-  for (std::size_t k = b8; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
+  for (int v = 0; v < V; ++v) _mm512_storeu_pd(acc + 8 * v, a[v]);
+}
+
+void avx512_sdft_update(double* acc, const double* rows, const double* x_old,
+                        const double* x_new, std::size_t samples,
+                        std::size_t width) {
+  const std::size_t j =
+      sdft_register_blocks<8>(width, [&]<int V>(std::size_t c) {
+        avx512_sdft_block<V>(acc + c, rows + c, x_old, x_new, samples,
+                             width);
+      });
+  if (j == width) return;
+  const auto m = static_cast<__mmask8>((1u << (width - j)) - 1u);
+  __m512d a = _mm512_maskz_loadu_pd(m, acc + j);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const __m512d d = _mm512_set1_pd(x_new[i] - x_old[i]);
+    a = _mm512_fmadd_pd(d, _mm512_maskz_loadu_pd(m, rows + i * width + j), a);
   }
+  _mm512_mask_storeu_pd(acc + j, m, a);
 }
 
 // One butterfly per complex lane: v = b * w with the legacy unfused tree,
@@ -317,36 +321,38 @@ void avx512_fir_f(const float* a, const float* x, float* out,
   for (; o < n; ++o) out[o] = avx512_dot_f(a, x + o, t);
 }
 
-void avx512_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
-                          const std::uint32_t* step, const float* tab_re,
-                          const float* tab_im, float d, std::size_t bins,
-                          std::uint32_t period) {
-  const __m512 dv = _mm512_set1_ps(d);
-  const __m512i per = _mm512_set1_epi32(static_cast<int>(period));
-  const std::size_t b16 = bins & ~std::size_t{15};
-  for (std::size_t k = 0; k < b16; k += 16) {
-    const __m512i ph =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(phase + k));
-    const __m512 tre = _mm512_i32gather_ps(ph, tab_re, 4);
-    const __m512 tim = _mm512_i32gather_ps(ph, tab_im, 4);
-    _mm512_storeu_ps(acc_re + k,
-                     _mm512_fmadd_ps(dv, tre, _mm512_loadu_ps(acc_re + k)));
-    _mm512_storeu_ps(acc_im + k,
-                     _mm512_fmadd_ps(dv, tim, _mm512_loadu_ps(acc_im + k)));
-    __m512i next = _mm512_add_epi32(
-        ph, _mm512_loadu_si512(reinterpret_cast<const void*>(step + k)));
-    const __mmask16 ge = _mm512_cmpge_epu32_mask(next, per);
-    next = _mm512_mask_sub_epi32(next, ge, next, per);
-    _mm512_storeu_si512(reinterpret_cast<void*>(phase + k), next);
+template <int V>
+void avx512_sdft_block_f(float* acc, const float* rows, const float* x_old,
+                         const float* x_new, std::size_t samples,
+                         std::size_t width) {
+  __m512 a[V];
+  for (int v = 0; v < V; ++v) a[v] = _mm512_loadu_ps(acc + 16 * v);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const __m512 d = _mm512_set1_ps(x_new[i] - x_old[i]);
+    const float* row = rows + i * width;
+    for (int v = 0; v < V; ++v) {
+      a[v] = _mm512_fmadd_ps(d, _mm512_loadu_ps(row + 16 * v), a[v]);
+    }
   }
-  for (std::size_t k = b16; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fmaf(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fmaf(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
+  for (int v = 0; v < V; ++v) _mm512_storeu_ps(acc + 16 * v, a[v]);
+}
+
+void avx512_sdft_update_f(float* acc, const float* rows, const float* x_old,
+                          const float* x_new, std::size_t samples,
+                          std::size_t width) {
+  const std::size_t j =
+      sdft_register_blocks<16>(width, [&]<int V>(std::size_t c) {
+        avx512_sdft_block_f<V>(acc + c, rows + c, x_old, x_new, samples,
+                               width);
+      });
+  if (j == width) return;
+  const auto m = static_cast<__mmask16>((1u << (width - j)) - 1u);
+  __m512 a = _mm512_maskz_loadu_ps(m, acc + j);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const __m512 d = _mm512_set1_ps(x_new[i] - x_old[i]);
+    a = _mm512_fmadd_ps(d, _mm512_maskz_loadu_ps(m, rows + i * width + j), a);
   }
+  _mm512_mask_storeu_ps(acc + j, m, a);
 }
 
 inline void bfly(__m512& a, __m512& b, __m512 w) {

@@ -2,6 +2,7 @@
 // translation units. Not part of the public dsp API.
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstddef>
 
@@ -41,6 +42,56 @@ static inline void fft_pass_ref(std::complex<T>* data, std::size_t m,
                     conj_w);
     }
   }
+}
+
+// Reference sliding-DFT run over the first `cols` of `width` running sums
+// (see Kernels::sdft_update): the vector targets' tail for the columns
+// narrower than one register.
+template <typename T>
+static inline void sdft_columns_ref(T* acc, const T* rows, const T* x_old,
+                                    const T* x_new, std::size_t samples,
+                                    std::size_t cols, std::size_t width) {
+  for (std::size_t i = 0; i < samples; ++i) {
+    const T d = x_new[i] - x_old[i];
+    const T* row = rows + i * width;
+    for (std::size_t j = 0; j < cols; ++j) {
+      acc[j] = std::fma(d, row[j], acc[j]);
+    }
+  }
+}
+
+// Covers the first columns of `width` running sums with register blocks of
+// 8, 4, 2 and 1 vectors of kLanes lanes, calling block.operator()<V>(j)
+// for the block of V vectors at column j; returns the first column left
+// for the caller's tail.
+template <std::size_t kLanes, typename Block>
+static inline std::size_t sdft_register_blocks(std::size_t width,
+                                               Block&& block) {
+  std::size_t j = 0;
+  for (; j + 8 * kLanes <= width; j += 8 * kLanes) {
+    block.template operator()<8>(j);
+  }
+  if (j + 4 * kLanes <= width) {
+    block.template operator()<4>(j);
+    j += 4 * kLanes;
+  }
+  if (j + 2 * kLanes <= width) {
+    block.template operator()<2>(j);
+    j += 2 * kLanes;
+  }
+  if (j + kLanes <= width) {
+    block.template operator()<1>(j);
+    j += kLanes;
+  }
+  return j;
+}
+
+// The whole run: the scalar table's sdft_update entries.
+template <typename T>
+static inline void sdft_update_ref(T* acc, const T* rows, const T* x_old,
+                                   const T* x_new, std::size_t samples,
+                                   std::size_t width) {
+  sdft_columns_ref(acc, rows, x_old, x_new, samples, width, width);
 }
 
 // Defined in simd_avx2.cpp / simd_avx512.cpp / simd_neon.cpp when CMake

@@ -93,36 +93,33 @@ void neon_fir(const double* a, const double* x, double* out, std::size_t t,
   for (; o < n; ++o) out[o] = neon_dot(a, x + o, t);
 }
 
-void neon_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
-                      const std::uint32_t* step, const double* tab_re,
-                      const double* tab_im, double d, std::size_t bins,
-                      std::uint32_t period) {
-  const uint32x4_t per = vdupq_n_u32(period);
-  const std::size_t b4 = bins & ~std::size_t{3};
-  for (std::size_t k = 0; k < b4; k += 4) {
-    const std::uint32_t p0 = phase[k], p1 = phase[k + 1];
-    const std::uint32_t p2 = phase[k + 2], p3 = phase[k + 3];
-    // No gather on NEON: assemble the table pairs lane by lane.
-    const float64x2_t tre01 = {tab_re[p0], tab_re[p1]};
-    const float64x2_t tre23 = {tab_re[p2], tab_re[p3]};
-    const float64x2_t tim01 = {tab_im[p0], tab_im[p1]};
-    const float64x2_t tim23 = {tab_im[p2], tab_im[p3]};
-    vst1q_f64(acc_re + k, vfmaq_n_f64(vld1q_f64(acc_re + k), tre01, d));
-    vst1q_f64(acc_re + k + 2, vfmaq_n_f64(vld1q_f64(acc_re + k + 2), tre23, d));
-    vst1q_f64(acc_im + k, vfmaq_n_f64(vld1q_f64(acc_im + k), tim01, d));
-    vst1q_f64(acc_im + k + 2, vfmaq_n_f64(vld1q_f64(acc_im + k + 2), tim23, d));
-    uint32x4_t next = vaddq_u32(vld1q_u32(phase + k), vld1q_u32(step + k));
-    next = vsubq_u32(next, vandq_u32(vcgeq_u32(next, per), per));
-    vst1q_u32(phase + k, next);
+// V registers of running sums held across the whole run: each sample
+// streams one contiguous phasor row (no gather, no per-bin indices).
+template <int V>
+void neon_sdft_block(double* acc, const double* rows, const double* x_old,
+                     const double* x_new, std::size_t samples,
+                     std::size_t width) {
+  float64x2_t a[V];
+  for (int v = 0; v < V; ++v) a[v] = vld1q_f64(acc + 2 * v);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const double d = x_new[i] - x_old[i];
+    const double* row = rows + i * width;
+    for (int v = 0; v < V; ++v) {
+      a[v] = vfmaq_n_f64(a[v], vld1q_f64(row + 2 * v), d);
+    }
   }
-  for (std::size_t k = b4; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
+  for (int v = 0; v < V; ++v) vst1q_f64(acc + 2 * v, a[v]);
+}
+
+void neon_sdft_update(double* acc, const double* rows, const double* x_old,
+                      const double* x_new, std::size_t samples,
+                      std::size_t width) {
+  const std::size_t j =
+      sdft_register_blocks<2>(width, [&]<int V>(std::size_t c) {
+        neon_sdft_block<V>(acc + c, rows + c, x_old, x_new, samples, width);
+      });
+  sdft_columns_ref(acc + j, rows + j, x_old, x_new, samples, width - j,
+                   width);
 }
 
 // The whole radix-2 pass. One complex double fills a register, so every
@@ -247,31 +244,31 @@ void neon_fir_f(const float* a, const float* x, float* out, std::size_t t,
   for (; o < n; ++o) out[o] = neon_dot_f(a, x + o, t);
 }
 
-void neon_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const float* tab_re,
-                        const float* tab_im, float d, std::size_t bins,
-                        std::uint32_t period) {
-  const uint32x4_t per = vdupq_n_u32(period);
-  const std::size_t b4 = bins & ~std::size_t{3};
-  for (std::size_t k = 0; k < b4; k += 4) {
-    const std::uint32_t p0 = phase[k], p1 = phase[k + 1];
-    const std::uint32_t p2 = phase[k + 2], p3 = phase[k + 3];
-    const float32x4_t tre = {tab_re[p0], tab_re[p1], tab_re[p2], tab_re[p3]};
-    const float32x4_t tim = {tab_im[p0], tab_im[p1], tab_im[p2], tab_im[p3]};
-    vst1q_f32(acc_re + k, vfmaq_n_f32(vld1q_f32(acc_re + k), tre, d));
-    vst1q_f32(acc_im + k, vfmaq_n_f32(vld1q_f32(acc_im + k), tim, d));
-    uint32x4_t next = vaddq_u32(vld1q_u32(phase + k), vld1q_u32(step + k));
-    next = vsubq_u32(next, vandq_u32(vcgeq_u32(next, per), per));
-    vst1q_u32(phase + k, next);
+template <int V>
+void neon_sdft_block_f(float* acc, const float* rows, const float* x_old,
+                       const float* x_new, std::size_t samples,
+                       std::size_t width) {
+  float32x4_t a[V];
+  for (int v = 0; v < V; ++v) a[v] = vld1q_f32(acc + 4 * v);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const float d = x_new[i] - x_old[i];
+    const float* row = rows + i * width;
+    for (int v = 0; v < V; ++v) {
+      a[v] = vfmaq_n_f32(a[v], vld1q_f32(row + 4 * v), d);
+    }
   }
-  for (std::size_t k = b4; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fmaf(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fmaf(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
+  for (int v = 0; v < V; ++v) vst1q_f32(acc + 4 * v, a[v]);
+}
+
+void neon_sdft_update_f(float* acc, const float* rows, const float* x_old,
+                        const float* x_new, std::size_t samples,
+                        std::size_t width) {
+  const std::size_t j =
+      sdft_register_blocks<4>(width, [&]<int V>(std::size_t c) {
+        neon_sdft_block_f<V>(acc + c, rows + c, x_old, x_new, samples, width);
+      });
+  sdft_columns_ref(acc + j, rows + j, x_old, x_new, samples, width - j,
+                   width);
 }
 
 // Two butterflies of complex floats per register: v = b * w with the

@@ -1,9 +1,13 @@
 #include "dsp/sliding_dft.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "dsp/fft.h"
+#include "dsp/plan_cache.h"
 #include "dsp/simd.h"
 #include "dsp/types.h"
 
@@ -11,24 +15,21 @@ namespace aqua::dsp {
 
 namespace {
 
-// Re-accumulate the running sums from scratch this often (in window
-// starts). Bounds the rounding drift of the O(1) update at
+// Re-accumulate the running sums from scratch at every multiple of this
+// many window starts. Bounds the rounding drift of the O(1) update at
 // ~interval * eps * |x|max while adding less than one flop per output
 // sample.
 constexpr std::size_t kReaccumulateInterval = 4096;
 
-}  // namespace
+constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
 
-namespace {
-
-// Shared implementation for both sample types. Tables are generated in
-// double and rounded once into T; the running sums and the per-sample
-// kernel update run in T (the periodic re-seed bounds the fp32 drift).
+// Shared implementation for both sample types: the cached table and the
+// running sums are in T (the periodic re-seed bounds the fp32 drift).
 template <typename T>
 void moving_dft_power_impl(std::span<const T> x, std::size_t window,
                            std::size_t first_bin, std::size_t num_bins,
-                           std::span<T> out, Workspace& ws,
-                           std::size_t stride) {
+                           const PowerGrid& grid, std::span<T> out,
+                           Workspace& ws) {
   using C = std::complex<T>;
   if (window == 0 || x.size() < window) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
@@ -38,114 +39,173 @@ void moving_dft_power_impl(std::span<const T> x, std::size_t window,
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
     throw std::invalid_argument("moving_dft_power: bins exceed window");
   }
-  if (stride == 0) {
+  if (grid.step == 0 || grid.repeats == 0) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
-    throw std::invalid_argument("moving_dft_power: stride must be >= 1");
+    throw std::invalid_argument("moving_dft_power: empty grid step");
   }
-  if (window >= (std::size_t{1} << 31)) {
-    // The SIMD phase lanes are 32-bit; no caller is near this.
-    // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
-    throw std::invalid_argument("moving_dft_power: window too large");
-  }
-  const std::size_t count = x.size() - window + 1;
-  const std::size_t rows = (count + stride - 1) / stride;
-  if (out.size() != rows * num_bins) {
+  if (out.size() != grid.starts * grid.repeats * num_bins) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
     throw std::invalid_argument("moving_dft_power: output size mismatch");
   }
-  if (num_bins == 0) return;
-
-  // Shared phasor table T[m] = e^{-j 2 pi m / window} in split re/im form
-  // (the SIMD update gathers from it); bin b reads indices (b * s) mod
-  // window, advanced with integer adds, so phasors are exact for every
-  // sample index.
-  Scratch<T> tab_re_s(ws, window);
-  Scratch<T> tab_im_s(ws, window);
-  std::span<T> tab_re = tab_re_s.span();
-  std::span<T> tab_im = tab_im_s.span();
-  for (std::size_t m = 0; m < window; ++m) {
-    const double a =
-        -kTwoPi * static_cast<double>(m) / static_cast<double>(window);
-    tab_re[m] = static_cast<T>(std::cos(a));
-    tab_im[m] = static_cast<T>(std::sin(a));
+  if (grid.starts == 0 || num_bins == 0) return;
+  const std::size_t count = x.size() - window + 1;
+  if ((grid.starts - 1) * grid.step + (grid.repeats - 1) * grid.hop >=
+      count) {
+    // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
+    throw std::invalid_argument("moving_dft_power: grid exceeds signal");
   }
 
-  // Per-bin running sums S_b(s) in split form, their phasor indices
-  // (b * s) mod window, and the per-bin index increments.
-  Scratch<T> acc_re_s(ws, num_bins);
-  Scratch<T> acc_im_s(ws, num_bins);
-  ScratchU32 phase_s(ws, num_bins);
-  ScratchU32 step_s(ws, num_bins);
-  std::span<T> acc_re = acc_re_s.span();
-  std::span<T> acc_im = acc_im_s.span();
-  std::span<std::uint32_t> phase = phase_s.span();
-  std::span<std::uint32_t> steps = step_s.span();
-  for (std::size_t k = 0; k < num_bins; ++k) {
-    steps[k] = static_cast<std::uint32_t>(first_bin + k);
-  }
+  const SdftPhasors<T>& tab = sdft_phasors<T>(window, first_bin, num_bins);
+  // Running sums S_b(s), split-complex: real parts, then imaginary parts.
+  const std::size_t width = 2 * num_bins;
+  Scratch<T> acc_s(ws, width);
+  T* acc = acc_s->data();
 
   // Seed every bin at window start `s` from ONE packed real transform of
   // the window (bins above window/2 are the conjugate mirror), rotated by
   // the window-start phase e^{-j 2 pi b s / window} the running sum
-  // carries. One rfft replaces num_bins direct window accumulations.
+  // carries — row s mod window of the table.
   Scratch<C> spec_s(ws, window / 2 + 1);
   std::span<C> spec = spec_s.span();
   const auto seed = [&](std::size_t s) {
     rfft_into(x.subspan(s, window), spec, ws);
+    const T* rot = tab.row(s % window);
     for (std::size_t k = 0; k < num_bins; ++k) {
       const std::size_t b = first_bin + k;
       const C z = b <= window / 2 ? spec[b] : std::conj(spec[window - b]);
-      const std::size_t p = (b * s) % window;
-      const C w{tab_re[p], tab_im[p]};
+      const C w{rot[k], rot[num_bins + k]};
       const C a = z * w;
-      acc_re[k] = a.real();
-      acc_im[k] = a.imag();
-      phase[k] = static_cast<std::uint32_t>(p);
+      acc[k] = a.real();
+      acc[num_bins + k] = a.imag();
     }
   };
-  const auto write_row = [&](std::size_t s) {
-    T* row = out.data() + (s / stride) * num_bins;
-    for (std::size_t k = 0; k < num_bins; ++k) {
-      row[k] = acc_re[k] * acc_re[k] + acc_im[k] * acc_im[k];
+  // Slides the sums from start `at` to start `to`. The step to start s
+  // removes x[s-1] and appends x[s-1+window]; both terms share phasor row
+  // (s-1) mod window, so a run of steps streams consecutive rows and is cut
+  // only where the row index `phase` (at mod window) wraps.
+  const simd::Kernels& kern = simd::active();
+  std::size_t at = kNoRow;  // the start the sums currently hold
+  std::size_t phase = 0;
+  const auto slide = [&](std::size_t to) {
+    while (at < to) {
+      const std::size_t run = std::min(to - at, window - phase);
+      simd::sdft_update(kern, acc, tab.row(phase), x.data() + at,
+                        x.data() + at + window, run, width);
+      at += run;
+      phase += run;
+      if (phase == window) phase = 0;
     }
   };
 
-  seed(0);
-  write_row(0);
-  const simd::Kernels& kern = simd::active();
-  const auto period = static_cast<std::uint32_t>(window);
-  for (std::size_t s = 1; s < count; ++s) {
-    if (s % kReaccumulateInterval == 0) {
-      seed(s);
-    } else {
-      // Remove x[s-1], append x[s-1+window]; every bin's removed and added
-      // terms share phasor (b*(s-1)) — one fused multiply-add per bin,
-      // then the phasor indices advance to (b*s).
-      const T d = x[s - 1 + window] - x[s - 1];
-      simd::sdft_update(kern, acc_re.data(), acc_im.data(), phase.data(),
-                        steps.data(), tab_re.data(), tab_im.data(), d,
-                        num_bins, period);
+  // The grid's rows in start order: a merge of the repeats' progressions
+  // r * hop + j * step, each with a cursor at its next search position j.
+  if (grid.starts > std::numeric_limits<std::uint32_t>::max()) {
+    // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
+    throw std::invalid_argument("moving_dft_power: grid too long");
+  }
+  ScratchU32 next_s(ws, grid.repeats);
+  std::span<std::uint32_t> next = next_s.span();
+  std::fill(next.begin(), next.end(), 0u);
+  for (;;) {
+    std::size_t s = kNoRow;
+    for (std::size_t r = 0; r < grid.repeats; ++r) {
+      if (next[r] < grid.starts) {
+        s = std::min(s, r * grid.hop + next[r] * grid.step);
+      }
     }
-    if (s % stride == 0) write_row(s);
+    if (s == kNoRow) break;
+    // The sums are re-seeded at every multiple of the interval, so their
+    // value at s depends only on the last such multiple: slides that no
+    // row reads before it are skipped.
+    const std::size_t anchor = s - s % kReaccumulateInterval;
+    if (at == kNoRow || at < anchor) {
+      seed(anchor);
+      at = anchor;
+      phase = anchor % window;
+    }
+    slide(s);
+    // Every (j, r) whose start is s gets the same row.
+    const T* written = nullptr;
+    for (std::size_t r = 0; r < grid.repeats; ++r) {
+      if (next[r] >= grid.starts || r * grid.hop + next[r] * grid.step != s) {
+        continue;
+      }
+      T* row = out.data() + (next[r] * grid.repeats + r) * num_bins;
+      ++next[r];
+      if (written != nullptr) {
+        std::copy(written, written + num_bins, row);
+        continue;
+      }
+      for (std::size_t k = 0; k < num_bins; ++k) {
+        row[k] = acc[k] * acc[k] + acc[num_bins + k] * acc[num_bins + k];
+      }
+      written = row;
+    }
   }
 }
 
 }  // namespace
 
+template <typename T>
+std::size_t SdftPhasors<T>::KeyHash::operator()(const Key& k) const {
+  std::size_t h = k.window;
+  h = h * 1000003u ^ k.first_bin;
+  return h * 1000003u ^ k.num_bins;
+}
+
+template <typename T>
+SdftPhasors<T>::SdftPhasors(const Key& k)
+    : key(k), values(k.window * 2 * k.num_bins) {
+  // Each entry comes from its integer phase p = (b * m) mod window, so
+  // phase never drifts; evaluated in double, rounded once to T.
+  std::vector<double> cos_p(k.window), sin_p(k.window);
+  for (std::size_t p = 0; p < k.window; ++p) {
+    const double a =
+        -kTwoPi * static_cast<double>(p) / static_cast<double>(k.window);
+    cos_p[p] = std::cos(a);
+    sin_p[p] = std::sin(a);
+  }
+  for (std::size_t m = 0; m < k.window; ++m) {
+    T* r = values.data() + m * 2 * k.num_bins;
+    for (std::size_t i = 0; i < k.num_bins; ++i) {
+      const std::size_t p = ((k.first_bin + i) * m) % k.window;
+      r[i] = static_cast<T>(cos_p[p]);
+      r[k.num_bins + i] = static_cast<T>(sin_p[p]);
+    }
+  }
+}
+
+template <typename T>
+const SdftPhasors<T>& sdft_phasors(std::size_t window, std::size_t first_bin,
+                                   std::size_t num_bins) {
+  using Table = SdftPhasors<T>;
+  return cached_plan_of<Table, typename Table::Key, typename Table::KeyHash>(
+      typename Table::Key{window, first_bin, num_bins});
+}
+
+template struct SdftPhasors<double>;
+template struct SdftPhasors<float>;
+template const SdftPhasors<double>& sdft_phasors<double>(std::size_t,
+                                                         std::size_t,
+                                                         std::size_t);
+template const SdftPhasors<float>& sdft_phasors<float>(std::size_t,
+                                                       std::size_t,
+                                                       std::size_t);
+
 void moving_dft_power(std::span<const double> x, std::size_t window,
                       std::size_t first_bin, std::size_t num_bins,
-                      std::span<double> out, Workspace& ws,
-                      std::size_t stride) {
-  moving_dft_power_impl<double>(x, window, first_bin, num_bins, out, ws,
-                                stride);
+                      const PowerGrid& grid, std::span<double> out,
+                      Workspace& ws) {
+  moving_dft_power_impl<double>(x, window, first_bin, num_bins, grid, out,
+                                ws);
 }
 
 void moving_dft_power(std::span<const float> x, std::size_t window,
                       std::size_t first_bin, std::size_t num_bins,
-                      std::span<float> out, Workspace& ws,
-                      std::size_t stride) {
-  moving_dft_power_impl<float>(x, window, first_bin, num_bins, out, ws,
-                               stride);
+                      const PowerGrid& grid, std::span<float> out,
+                      Workspace& ws) {
+  moving_dft_power_impl<float>(x, window, first_bin, num_bins, grid, out,
+                               ws);
 }
 
 }  // namespace aqua::dsp

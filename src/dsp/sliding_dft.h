@@ -1,54 +1,109 @@
 // Moving-window DFT power for the feedback/ID/ACK sliding-FFT decoders.
 //
 // The protocol's tone decoders (section 2.2.3) slide an n-point FFT across
-// the capture and look only at the ~60 active in-band bins. Computing a full
-// n-point transform per window position costs O(n log n) every few samples;
-// this instead maintains, per bin b, the running sum
+// the capture and look only at the ~60 active in-band bins, and only at
+// the window starts of their search grid. Computing a full n-point
+// transform per window position costs O(n log n) every few samples; this
+// instead maintains, per bin b, the running sum
 //     S_b(s) = sum_{i < n} x[s+i] * e^{-j 2 pi b (s+i) / n}
-// updated in O(1) per sample (the phasor table has period n because b is an
-// integer bin, so the subtracted and added terms share one table entry:
-// S_b(s+1) = S_b(s) + (x[s+n] - x[s]) * T[(b*s) mod n]). |S_b(s)|^2 equals
-// the squared magnitude of DFT bin b of the window at s — the window-start
-// phase e^{-j 2 pi b s / n} the FFT convention drops has unit modulus.
+// updated in O(1) per sample (the phasor e^{-j 2 pi b m / n} has period n
+// because b is an integer bin, so the subtracted and added terms share one
+// phasor: S_b(s+1) = S_b(s) + (x[s+n] - x[s]) * P[s mod n][b]).
+// |S_b(s)|^2 equals the squared magnitude of DFT bin b of the window at s —
+// the window-start phase e^{-j 2 pi b s / n} the FFT convention drops has
+// unit modulus.
 //
-// The per-sample update runs over all bins at once through the dispatched
-// SIMD kernel (dsp::simd::active().sdft_update), and the sums are
-// re-seeded periodically — against rounding drift growing with the
-// capture length — from ONE packed real FFT of the window (rfft_into)
-// instead of num_bins direct window accumulations.
+// P is a table of n rows, one per sample phase m, holding the phasor
+// e^{-j 2 pi p / n} with p = (b * m) mod n for every active bin b. Each
+// sample's update is then one contiguous row streamed through a fused
+// multiply-add per bin (dsp::simd::active().sdft_update), with no per-bin
+// indices or gathers; the table is built once per (n, bins, precision) and
+// shared process-wide (dsp/plan_cache.h). The sums are re-seeded every
+// 4096 starts — against rounding drift growing with the capture length —
+// from ONE packed real FFT of the window (rfft_into), rotated by the same
+// table's row.
+//
+// Only the grid's rows are written, and the slide stops at the last one.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "dsp/workspace.h"
 
 namespace aqua::dsp {
 
-/// Squared DFT-bin magnitudes for every stride-th window start.
-///
-/// The running sum still slides over every start (so values are identical
-/// for any stride), but only starts s with s % stride == 0 are written:
-///   out[(s / stride) * num_bins + k]
-///       == |DFT_window(x[s..s+window))[first_bin + k]|^2
-/// up to rounding. With count = x.size() - window + 1 window starts,
-/// `out.size()` must be ceil(count / stride) * num_bins — stride bounds the
-/// output footprint when the caller's search grid is coarser than one
-/// sample. Requires window >= 1, x.size() >= window, stride >= 1,
-/// first_bin + num_bins <= window.
+/// The window starts a tone decoder reads: `repeats` rows `hop` apart for
+/// each of `starts` search positions `step` apart, i.e. row (j, r) is the
+/// window at start s = j * step + r * hop.
+struct PowerGrid {
+  std::size_t step = 1;
+  std::size_t hop = 0;
+  std::size_t repeats = 1;
+  std::size_t starts = 0;
+};
+
+/// Squared DFT-bin magnitudes at the window starts of `grid`:
+///   out[(j * grid.repeats + r) * num_bins + k]
+///       == |DFT_window(x[s..s+window))[first_bin + k]|^2,
+///   s = j * grid.step + r * grid.hop,
+/// up to rounding, so one search position's repeats sit contiguously. Rows
+/// that share a start (hop a multiple of step) hold the same values. Every
+/// value is bit-identical to the one a denser grid writes at the same start
+/// (the dense grid is {1, 0, 1, x.size() - window + 1}). `out.size()` must
+/// be starts * repeats * num_bins. Requires window >= 1, x.size() >=
+/// window, step >= 1, repeats >= 1, first_bin + num_bins <= window, and
+/// the last row's start (starts - 1) * step + (repeats - 1) * hop at most
+/// x.size() - window.
 void moving_dft_power(std::span<const double> x, std::size_t window,
                       std::size_t first_bin, std::size_t num_bins,
-                      std::span<double> out, Workspace& ws,
-                      std::size_t stride = 1);
+                      const PowerGrid& grid, std::span<double> out,
+                      Workspace& ws);
 
 /// Single-precision overload for the float receive front end: float phasor
-/// tables and running sums through the fp32 sdft kernel (twice the bins per
-/// vector). The phasor indices stay integer, so phase never drifts; the
-/// periodic re-seed bounds the fp32 amplitude drift exactly as in the
-/// double path.
+/// table and running sums through the fp32 sdft kernel (twice the bins per
+/// vector). The table is indexed by the integer sample phase, so phase
+/// never drifts; the periodic re-seed bounds the fp32 amplitude drift
+/// exactly as in the double path.
 void moving_dft_power(std::span<const float> x, std::size_t window,
                       std::size_t first_bin, std::size_t num_bins,
-                      std::span<float> out, Workspace& ws,
-                      std::size_t stride = 1);
+                      const PowerGrid& grid, std::span<float> out,
+                      Workspace& ws);
+
+/// The moving-DFT phasor table for one window and bin range, in precision
+/// T. Row m (m < window) holds, for active bin b = first_bin + k, the
+/// phasor e^{-j 2 pi p / window} with p = (b * m) mod window, evaluated in
+/// double and rounded once to T, split-complex: real parts at [k], then
+/// imaginary parts at [num_bins + k].
+template <typename T>
+struct SdftPhasors {
+  /// (window, first_bin, num_bins): the cache key.
+  struct Key {
+    std::size_t window = 0;
+    std::size_t first_bin = 0;
+    std::size_t num_bins = 0;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const;
+  };
+
+  explicit SdftPhasors(const Key& key);
+
+  /// Row m: 2 * num_bins values.
+  const T* row(std::size_t m) const {
+    return values.data() + m * 2 * key.num_bins;
+  }
+
+  Key key;
+  std::vector<T> values;  ///< window rows of 2 * num_bins
+};
+
+/// The process-wide cached table for (window, first_bin, num_bins): built
+/// on first use, then shared by every caller and thread (one address).
+template <typename T>
+const SdftPhasors<T>& sdft_phasors(std::size_t window, std::size_t first_bin,
+                                   std::size_t num_bins);
 
 }  // namespace aqua::dsp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "dsp/fir.h"
 #include "dsp/sliding_dft.h"
@@ -11,27 +10,28 @@ namespace aqua::phy {
 
 namespace {
 
-// The decoders only read window starts on the caller's step grid plus the
-// repeat offsets r * sym_total; both lie on the gcd(step, sym_total) grid,
-// so a strided moving-DFT pass keeps the power matrix at count / stride
-// rows instead of pinning count * num_bins doubles in the arena for long
-// captures.
-std::size_t power_grid_stride(std::size_t step, std::size_t sym_total) {
-  return std::gcd(step, sym_total);
+// The moving-DFT grid of a decoder search over `signal_size` samples:
+// every kSearchStep-th start whose kRepeats symbols (`span_needed` samples,
+// at most signal_size) all fit, each with its repeats one symbol_total
+// apart.
+dsp::PowerGrid search_grid(std::size_t signal_size, std::size_t sym_total,
+                           std::size_t span_needed) {
+  return {FeedbackCodec::kSearchStep, sym_total, FeedbackCodec::kRepeats,
+          (signal_size - span_needed) / FeedbackCodec::kSearchStep + 1};
 }
 
-// Noncoherent combining of the kRepeats repeated symbols at window start
-// `start`, whitened per bin by the edge noise profile. `win` is the strided
-// moving-DFT power matrix (in the front end's sample type); the whitened
-// sums always accumulate in double.
+// Noncoherent combining of the kRepeats repeated symbols at search
+// position `j`, whitened per bin by the edge noise profile. `win` is the
+// grid's moving-DFT power matrix (in the front end's sample type), whose
+// rows for position j are the kRepeats rows from (j * kRepeats); the
+// whitened sums always accumulate in double.
 template <typename T>
 void combine_repeats(std::span<const T> win, std::span<const double> noise,
-                     std::size_t start, std::size_t sym_total,
-                     std::size_t stride, std::span<double> powers) {
+                     std::size_t j, std::span<double> powers) {
   std::fill(powers.begin(), powers.end(), 0.0);
   const std::size_t bins = powers.size();
   for (std::size_t r = 0; r < FeedbackCodec::kRepeats; ++r) {
-    const T* row = win.data() + ((start + r * sym_total) / stride) * bins;
+    const T* row = win.data() + (j * FeedbackCodec::kRepeats + r) * bins;
     for (std::size_t k = 0; k < bins; ++k) {
       powers[k] += static_cast<double>(row[k]) / noise[k];
     }
@@ -152,11 +152,10 @@ std::vector<double> FeedbackCodec::encode_tone(std::size_t bin) const {
 
 template <typename T>
 std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
-    std::span<const T> raw, std::size_t step, double min_peak_fraction,
-    dsp::Workspace& ws) const {
+    std::span<const T> raw, dsp::Workspace& ws) const {
   const std::size_t n = params_.symbol_samples();
   const std::size_t bins = params_.num_bins();
-  if (raw.size() < n || step == 0) return std::nullopt;
+  if (raw.size() < n) return std::nullopt;
   // Sub-kHz ambient noise (and machinery tones) otherwise leak into the
   // band-edge FFT bins through the rectangular-window sidelobes and
   // masquerade as a transmitted tone.
@@ -172,21 +171,22 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
   const std::size_t span_needed = (kRepeats - 1) * sym_total + n;
   if (signal.size() < span_needed) return std::nullopt;
 
-  // One moving-DFT pass covers every window start and every repeat offset.
-  const std::size_t stride = power_grid_stride(step, sym_total);
-  const std::size_t count = signal.size() - n + 1;
-  dsp::Scratch<T> win_s(ws, ((count + stride - 1) / stride) * bins);
-  dsp::moving_dft_power(signal, n, params_.first_bin(), bins, win_s.span(),
-                        ws, stride);
+  // One moving-DFT pass computes exactly the rows the search reads: every
+  // search position and each of its repeats.
+  const dsp::PowerGrid grid = search_grid(signal.size(), sym_total,
+                                          span_needed);
+  dsp::Scratch<T> win_s(ws, grid.starts * grid.repeats * bins);
+  dsp::moving_dft_power(signal, n, params_.first_bin(), bins, grid,
+                        win_s.span(), ws);
   std::span<const T> win = win_s.span();
 
   std::optional<FeedbackDecode> best;
   double best_peak_sum = 0.0;
   dsp::ScratchReal powers_s(ws, bins);
   std::vector<double>& powers = *powers_s;
-  for (std::size_t start = 0; start + span_needed <= signal.size();
-       start += step) {
-    combine_repeats<T>(win, noise, start, sym_total, stride, powers);
+  for (std::size_t j = 0; j < grid.starts; ++j) {
+    const std::size_t start = j * grid.step;
+    combine_repeats<T>(win, noise, j, powers);
     // Top-2 whitened (per-bin SNR) powers.
     double total = 0.0;
     std::size_t i1 = 0, i2 = 0;
@@ -205,7 +205,7 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
     // peak_sum below is p1 or p1 + p2, never above this bound, so a window
     // whose bound already misses the fraction fails the test below whatever
     // `single` decides: skip it before paying for the median.
-    if ((p1 + std::max(p2, 0.0)) / total < min_peak_fraction) continue;
+    if ((p1 + std::max(p2, 0.0)) / total < kMinPeakFraction) continue;
     // A single-bin band (begin == end) puts everything in one bin. The
     // second peak then sits at the noise floor — compare it against the
     // median of the remaining bins rather than against p1, because a wide
@@ -223,7 +223,7 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
                         (bin_dist <= 1 && p2 < 0.02 * p1);
     const double peak_sum = p1 + (single ? 0.0 : p2);
     const double frac = peak_sum / total;
-    if (frac < min_peak_fraction) continue;
+    if (frac < kMinPeakFraction) continue;
     BandSelection band;
     band.begin_bin = single ? i1 : std::min(i1, i2);
     band.end_bin = single ? i1 : std::max(i1, i2);
@@ -239,24 +239,21 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
 }
 
 std::optional<FeedbackDecode> FeedbackCodec::decode_band(
-    std::span<const double> raw, std::size_t step, double min_peak_fraction,
-    dsp::Workspace& ws) const {
-  return decode_band_impl<double>(raw, step, min_peak_fraction, ws);
+    std::span<const double> raw, dsp::Workspace& ws) const {
+  return decode_band_impl<double>(raw, ws);
 }
 
 std::optional<FeedbackDecode> FeedbackCodec::decode_band(
-    std::span<const float> raw, std::size_t step, double min_peak_fraction,
-    dsp::Workspace& ws) const {
-  return decode_band_impl<float>(raw, step, min_peak_fraction, ws);
+    std::span<const float> raw, dsp::Workspace& ws) const {
+  return decode_band_impl<float>(raw, ws);
 }
 
 template <typename T>
 std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
-    std::span<const T> raw, std::size_t step, double min_peak_fraction,
-    dsp::Workspace& ws) const {
+    std::span<const T> raw, dsp::Workspace& ws) const {
   const std::size_t n = params_.symbol_samples();
   const std::size_t bins = params_.num_bins();
-  if (raw.size() < n || step == 0) return std::nullopt;
+  if (raw.size() < n) return std::nullopt;
   dsp::Scratch<T> filtered_s(ws, raw.size());
   bandpass_for<T>().filter_same_into(raw, filtered_s.span(), ws);
   std::span<const T> signal = filtered_s.span();
@@ -269,20 +266,22 @@ std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
   const std::size_t span_needed = (kRepeats - 1) * sym_total + n;
   if (signal.size() < span_needed) return std::nullopt;
 
-  const std::size_t stride = power_grid_stride(step, sym_total);
-  const std::size_t count = signal.size() - n + 1;
-  dsp::Scratch<T> win_s(ws, ((count + stride - 1) / stride) * bins);
-  dsp::moving_dft_power(signal, n, params_.first_bin(), bins, win_s.span(),
-                        ws, stride);
+  // One moving-DFT pass computes exactly the rows the search reads: every
+  // search position and each of its repeats.
+  const dsp::PowerGrid grid = search_grid(signal.size(), sym_total,
+                                          span_needed);
+  dsp::Scratch<T> win_s(ws, grid.starts * grid.repeats * bins);
+  dsp::moving_dft_power(signal, n, params_.first_bin(), bins, grid,
+                        win_s.span(), ws);
   std::span<const T> win = win_s.span();
 
   std::optional<ToneDecode> best;
   double best_peak = 0.0;
   dsp::ScratchReal powers_s(ws, bins);
   std::vector<double>& powers = *powers_s;
-  for (std::size_t start = 0; start + span_needed <= signal.size();
-       start += step) {
-    combine_repeats<T>(win, noise, start, sym_total, stride, powers);
+  for (std::size_t j = 0; j < grid.starts; ++j) {
+    const std::size_t start = j * grid.step;
+    combine_repeats<T>(win, noise, j, powers);
     double total = 0.0;
     double p1 = -1.0;
     std::size_t i1 = 0;
@@ -296,7 +295,7 @@ std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
     }
     if (total <= 1e-18) continue;
     const double frac = p1 / total;
-    if (frac < min_peak_fraction) continue;
+    if (frac < kMinPeakFraction) continue;
     if (!best || p1 > best_peak) {
       best = ToneDecode{i1, start, frac};
       best_peak = p1;
@@ -306,15 +305,13 @@ std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
 }
 
 std::optional<ToneDecode> FeedbackCodec::decode_tone(
-    std::span<const double> raw, std::size_t step, double min_peak_fraction,
-    dsp::Workspace& ws) const {
-  return decode_tone_impl<double>(raw, step, min_peak_fraction, ws);
+    std::span<const double> raw, dsp::Workspace& ws) const {
+  return decode_tone_impl<double>(raw, ws);
 }
 
 std::optional<ToneDecode> FeedbackCodec::decode_tone(
-    std::span<const float> raw, std::size_t step, double min_peak_fraction,
-    dsp::Workspace& ws) const {
-  return decode_tone_impl<float>(raw, step, min_peak_fraction, ws);
+    std::span<const float> raw, dsp::Workspace& ws) const {
+  return decode_tone_impl<float>(raw, ws);
 }
 
 }  // namespace aqua::phy

@@ -49,30 +49,22 @@ class FeedbackCodec {
   std::vector<double> encode_tone(std::size_t bin) const;
 
   /// Searches `signal` for a two-tone feedback symbol using a sliding FFT
-  /// with step `step`. Returns nullopt when no window concentrates at least
-  /// `min_peak_fraction` of its in-band power in two bins. Scratch comes
-  /// from `ws`.
+  /// on the kSearchStep grid. Returns nullopt when no window concentrates
+  /// at least kMinPeakFraction of its in-band power in two bins. Scratch
+  /// comes from `ws`.
   std::optional<FeedbackDecode> decode_band(std::span<const double> signal,
-                                            std::size_t step,
-                                            double min_peak_fraction,
                                             dsp::Workspace& ws) const;
   /// Single-precision overload for the float receive front end: the
   /// bandpass and the moving-DFT power matrix run in fp32 (the decision
   /// metrics — noise whitening, top-bin sums — still accumulate in double).
   std::optional<FeedbackDecode> decode_band(std::span<const float> signal,
-                                            std::size_t step,
-                                            double min_peak_fraction,
                                             dsp::Workspace& ws) const;
 
-  /// Searches `signal` for a single-tone symbol.
+  /// Searches `signal` for a single-tone symbol (same grid and threshold).
   std::optional<ToneDecode> decode_tone(std::span<const double> signal,
-                                        std::size_t step,
-                                        double min_peak_fraction,
                                         dsp::Workspace& ws) const;
   /// Single-precision overload (see the decode_band float overload).
   std::optional<ToneDecode> decode_tone(std::span<const float> signal,
-                                        std::size_t step,
-                                        double min_peak_fraction,
                                         dsp::Workspace& ws) const;
 
   /// ACKs ride on the first active bin (1 kHz), per the paper.
@@ -83,18 +75,23 @@ class FeedbackCodec {
   /// impulsive noise) at negligible airtime cost (~21 ms per repeat).
   static constexpr std::size_t kRepeats = 2;
 
+  /// The decoders' sliding-FFT search tries a symbol start every this many
+  /// samples: finer than the cyclic prefix (67 samples at 50 Hz spacing),
+  /// so some candidate window lies wholly inside each received symbol.
+  static constexpr std::size_t kSearchStep = 8;
+
+  /// Detection threshold: the top bin(s) must hold at least this fraction
+  /// of a window's whitened in-band power.
+  static constexpr double kMinPeakFraction = 0.3;
+
   const OfdmParams& params() const { return params_; }
 
  private:
   template <typename T>
   std::optional<FeedbackDecode> decode_band_impl(std::span<const T> raw,
-                                                 std::size_t step,
-                                                 double min_peak_fraction,
                                                  dsp::Workspace& ws) const;
   template <typename T>
   std::optional<ToneDecode> decode_tone_impl(std::span<const T> raw,
-                                             std::size_t step,
-                                             double min_peak_fraction,
                                              dsp::Workspace& ws) const;
   /// The receive bandpass engine matching sample type T.
   template <typename T>

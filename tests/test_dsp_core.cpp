@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <random>
+#include <thread>
+#include <utility>
 
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
@@ -283,7 +285,8 @@ TEST(MovingDftPower, MatchesPerWindowFft) {
   const std::vector<double> x = random_real(3 * n + 137, 23);
   const std::size_t count = x.size() - n + 1;
   std::vector<double> powers(count * bins);
-  moving_dft_power(x, n, params.first_bin(), bins, powers, ws);
+  moving_dft_power(x, n, params.first_bin(), bins, PowerGrid{1, 0, 1, count},
+                   powers, ws);
   // Spot-check starts across the capture, including both edges.
   for (const std::size_t s :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, n - 1, n, 2 * n + 41,
@@ -307,7 +310,7 @@ TEST(MovingDftPower, SurvivesLongCapturesWithoutDrift) {
   const std::vector<double> x = random_real(60000, 29);
   const std::size_t count = x.size() - n + 1;
   std::vector<double> powers(count * 1);
-  moving_dft_power(x, n, 20, 1, powers, ws);
+  moving_dft_power(x, n, 20, 1, PowerGrid{1, 0, 1, count}, powers, ws);
   const std::size_t s = count - 1;
   cplx acc{0.0, 0.0};
   for (std::size_t i = 0; i < n; ++i) {
@@ -318,37 +321,90 @@ TEST(MovingDftPower, SurvivesLongCapturesWithoutDrift) {
   EXPECT_NEAR(powers[s], std::norm(acc), 1e-6 * (1.0 + std::norm(acc)));
 }
 
-TEST(MovingDftPower, StridedOutputMatchesDenseRows) {
-  // The strided form must write exactly the rows at stride multiples, with
-  // values bit-identical to the dense pass (the slide itself is unchanged).
+// Every row of the widest grid (step, hop, repeats) that fits the capture
+// must equal, bit for bit, the dense pass's row at the same start.
+template <typename T>
+void expect_grid_rows_match_dense(std::size_t step, std::size_t hop,
+                                  std::size_t repeats) {
   const std::size_t n = 960;
   const std::size_t bins = 7;
   Workspace ws;
-  const std::vector<double> x = random_real(3 * n + 61, 41);
+  const std::vector<T> x = convert_samples<T>(random_real(3 * 4096 + 2100, 41));
   const std::size_t count = x.size() - n + 1;
-  std::vector<double> dense(count * bins);
-  moving_dft_power(x, n, 20, bins, dense, ws);
-  for (const std::size_t stride : {std::size_t{8}, std::size_t{13}}) {
-    const std::size_t rows = (count + stride - 1) / stride;
-    std::vector<double> strided(rows * bins);
-    moving_dft_power(x, n, 20, bins, strided, ws, stride);
-    for (std::size_t r = 0; r < rows; ++r) {
+  std::vector<T> dense(count * bins);
+  moving_dft_power(std::span<const T>(x), n, 20, bins,
+                   PowerGrid{1, 0, 1, count}, std::span<T>(dense), ws);
+  const PowerGrid grid{step, hop, repeats,
+                       (count - 1 - (repeats - 1) * hop) / step + 1};
+  std::vector<T> rows(grid.starts * repeats * bins);
+  moving_dft_power(std::span<const T>(x), n, 20, bins, grid,
+                   std::span<T>(rows), ws);
+  for (std::size_t j = 0; j < grid.starts; ++j) {
+    for (std::size_t r = 0; r < repeats; ++r) {
+      const std::size_t s = j * step + r * hop;
       for (std::size_t k = 0; k < bins; ++k) {
-        ASSERT_EQ(strided[r * bins + k], dense[r * stride * bins + k])
-            << "stride " << stride << " row " << r << " bin " << k;
+        ASSERT_EQ(rows[(j * repeats + r) * bins + k], dense[s * bins + k])
+            << "step " << step << " hop " << hop << " start " << s
+            << " bin " << k;
       }
     }
+  }
+}
+
+TEST(MovingDftPower, GridRowsMatchDenseRows) {
+  // The decoders' grids at 50, 25 and 10 Hz spacing (hop = one symbol with
+  // its prefix), a grid whose repeats collide (hop a multiple of step), and
+  // a grid sparser than the re-seed interval, so whole slides are skipped.
+  for (const auto& [step, hop] :
+       {std::pair<std::size_t, std::size_t>{8, 1027}, {8, 2054}, {8, 5135},
+        {8, 1024}, {5000, 1027}}) {
+    expect_grid_rows_match_dense<double>(step, hop, 2);
+    expect_grid_rows_match_dense<float>(step, hop, 2);
   }
 }
 
 TEST(MovingDftPower, RejectsBadArguments) {
   Workspace ws;
   std::vector<double> x(100), out(100);
-  EXPECT_THROW(moving_dft_power(x, 0, 0, 1, out, ws), std::invalid_argument);
-  EXPECT_THROW(moving_dft_power(x, 200, 0, 1, out, ws),
+  const PowerGrid one{1, 0, 1, 1};
+  EXPECT_THROW(moving_dft_power(x, 0, 0, 1, one, out, ws),
                std::invalid_argument);
-  EXPECT_THROW(moving_dft_power(x, 50, 40, 20, out, ws),
+  EXPECT_THROW(moving_dft_power(x, 200, 0, 1, one, out, ws),
                std::invalid_argument);
+  EXPECT_THROW(moving_dft_power(x, 50, 40, 20, one, out, ws),
+               std::invalid_argument);
+  std::vector<double> row(1);
+  EXPECT_THROW(moving_dft_power(x, 50, 0, 1, PowerGrid{0, 0, 1, 1}, row, ws),
+               std::invalid_argument);
+  // 51 window starts: a row at start 51 lies past the signal.
+  std::vector<double> two(2);
+  EXPECT_THROW(moving_dft_power(x, 50, 0, 1, PowerGrid{51, 0, 1, 2}, two, ws),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      moving_dft_power(x, 50, 0, 1, PowerGrid{50, 0, 1, 2}, two, ws));
+}
+
+TEST(SdftPhasors, ConcurrentFetchesShareOneTable) {
+  // A key no other test uses, so the threads race to build it.
+  constexpr std::size_t kWindow = 1000, kFirst = 3, kBins = 17;
+  std::vector<const SdftPhasors<float>*> seen(4, nullptr);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+      threads.emplace_back([&seen, t] {
+        seen[t] = &sdft_phasors<float>(kWindow, kFirst, kBins);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  for (const SdftPhasors<float>* p : seen) EXPECT_EQ(p, seen[0]);
+  EXPECT_EQ(&sdft_phasors<float>(kWindow, kFirst, kBins), seen[0]);
+  // Row m holds e^{-j 2 pi ((b m) mod window) / window}, rounded once.
+  const std::size_t m = 777, k = 5;
+  const std::size_t p = ((kFirst + k) * m) % kWindow;
+  const double a = -kTwoPi * static_cast<double>(p) / kWindow;
+  EXPECT_EQ(seen[0]->row(m)[k], static_cast<float>(std::cos(a)));
+  EXPECT_EQ(seen[0]->row(m)[kBins + k], static_cast<float>(std::sin(a)));
 }
 
 // --- sliding_energy running-sum drift regression. ------------------------

@@ -286,7 +286,7 @@ TEST(Feedback, RoundTripsCleanly) {
     std::vector<double> signal(3000, 0.0);
     signal.insert(signal.end(), sym.begin(), sym.end());
     signal.resize(signal.size() + 3000, 0.0);
-    auto dec = fb.decode_band(signal, 8, /*min_peak_fraction=*/0.3, ws);
+    auto dec = fb.decode_band(signal, ws);
     ASSERT_TRUE(dec.has_value()) << "band " << b << "-" << e;
     EXPECT_EQ(dec->band.begin_bin, b);
     EXPECT_EQ(dec->band.end_bin, e);
@@ -303,7 +303,7 @@ TEST(Feedback, ToneRoundTripsForIdsAndAck) {
     std::vector<double> signal(2500, 0.0);
     signal.insert(signal.end(), sym.begin(), sym.end());
     signal.resize(signal.size() + 2500, 0.0);
-    auto dec = fb.decode_tone(signal, 8, /*min_peak_fraction=*/0.3, ws);
+    auto dec = fb.decode_tone(signal, ws);
     ASSERT_TRUE(dec.has_value());
     EXPECT_EQ(dec->bin, bin);
   }
@@ -325,7 +325,7 @@ TEST(Feedback, SurvivesTheUnknownBackwardChannel) {
     channel::UnderwaterChannel ch(channel::reverse_link(lc));
     BandSelection band{12, 34, false};
     const std::vector<double> rx = ch.transmit(fb.encode_band(band));
-    auto dec = fb.decode_band(rx, 8, /*min_peak_fraction=*/0.3, ws);
+    auto dec = fb.decode_band(rx, ws);
     if (dec && dec->band.begin_bin == 12 && dec->band.end_bin == 34) ++exact;
   }
   EXPECT_GE(exact, 8) << "feedback should decode almost always at 10 m";
@@ -339,8 +339,82 @@ TEST(Feedback, NothingDetectedInPureNoise) {
   std::normal_distribution<double> g(0.0, 0.05);
   std::vector<double> noise(20000);
   for (auto& v : noise) v = g(rng);
-  EXPECT_FALSE(fb.decode_band(noise, 8, 0.3, ws).has_value());
-  EXPECT_FALSE(fb.decode_tone(noise, 8, 0.3, ws).has_value());
+  EXPECT_FALSE(fb.decode_band(noise, ws).has_value());
+  EXPECT_FALSE(fb.decode_tone(noise, ws).has_value());
+}
+
+// Decoder outputs on fixed-seed reverse-link captures, pinned bit for bit
+// (peak fractions as hex floats) in both precisions: the values the dense
+// per-sample moving-DFT pass produced, which the grid-only pass must keep.
+// The captures are long enough to cross several moving-DFT re-seeds, and
+// the 25 Hz and 10 Hz numerologies put the second repeat at hop 2054 and
+// 5135 on the step-8 search grid.
+struct DecoderPin {
+  double spacing_hz;
+  bool tone;                       ///< decode_tone on begin_bin, else band
+  std::size_t begin_bin, end_bin;  ///< transmitted
+  std::uint64_t seed;
+  // Expected decode: [0] the double overload, [1] the float overload.
+  std::size_t want_begin[2], want_end[2], want_start[2];
+  double want_fraction[2];
+};
+
+TEST(Feedback, DecodersPinnedBitForBit) {
+  const DecoderPin pins[] = {
+      {50.0, false, 12, 34, 500, {12, 12}, {34, 34}, {15352, 15352},
+       {0x1.e6966ba3f0ff5p-1, 0x1.e6966b341ddd8p-1}},
+      {50.0, true, 17, 17, 31, {17, 17}, {17, 17}, {14216, 14216},
+       {0x1.293ecb65d8075p-1, 0x1.293ed142acea7p-1}},
+      {50.0, true, FeedbackCodec::kAckBin, FeedbackCodec::kAckBin, 32,
+       {0, 0}, {0, 0}, {15320, 15320},
+       {0x1.c2d60654e61e9p-2, 0x1.c2d5ff4598792p-2}},
+      {25.0, false, 20, 90, 77, {20, 20}, {90, 90}, {15392, 15392},
+       {0x1.9c78028d298dap-1, 0x1.9c7800b940c2cp-1}},
+      {10.0, true, 150, 150, 78, {150, 150}, {150, 150}, {15568, 15568},
+       {0x1.b1dc9f96e770dp-1, 0x1.b1dc9fd01569bp-1}},
+  };
+  dsp::Workspace ws;
+  for (const DecoderPin& pin : pins) {
+    const OfdmParams p = OfdmParams::with_spacing(pin.spacing_hz);
+    const FeedbackCodec fb(p);
+    channel::LinkConfig lc;
+    lc.site = channel::site_preset(channel::Site::kLake);
+    lc.range_m = 10.0;
+    lc.seed = pin.seed;
+    channel::UnderwaterChannel ch(channel::reverse_link(lc));
+    const std::vector<double> rx = ch.transmit(
+        pin.tone ? fb.encode_tone(pin.begin_bin)
+                 : fb.encode_band({pin.begin_bin, pin.end_bin, false}),
+        0.3, 0.5);
+    const std::vector<float> rx_f = dsp::convert_samples<float>(rx);
+    const std::span<const float> rx_fs(rx_f);
+    for (int prec = 0; prec < 2; ++prec) {
+      SCOPED_TRACE(testing::Message() << pin.spacing_hz << " Hz seed "
+                                      << pin.seed << " precision " << prec);
+      std::size_t begin = 0, end = 0, start = 0;
+      double frac = 0.0;
+      if (pin.tone) {
+        const auto dec =
+            prec == 0 ? fb.decode_tone(rx, ws) : fb.decode_tone(rx_fs, ws);
+        ASSERT_TRUE(dec.has_value());
+        begin = end = dec->bin;
+        start = dec->symbol_start;
+        frac = dec->peak_fraction;
+      } else {
+        const auto dec =
+            prec == 0 ? fb.decode_band(rx, ws) : fb.decode_band(rx_fs, ws);
+        ASSERT_TRUE(dec.has_value());
+        begin = dec->band.begin_bin;
+        end = dec->band.end_bin;
+        start = dec->symbol_start;
+        frac = dec->peak_fraction;
+      }
+      EXPECT_EQ(begin, pin.want_begin[prec]);
+      EXPECT_EQ(end, pin.want_end[prec]);
+      EXPECT_EQ(start, pin.want_start[prec]);
+      EXPECT_EQ(frac, pin.want_fraction[prec]);
+    }
+  }
 }
 
 TEST(Equalizer, ShortensAnIsiChannel) {
@@ -476,11 +550,11 @@ TEST(Workspace, DirtyArenaChangesNothing) {
     EXPECT_TRUE(same_bits(est.h, est_ref.h));
     EXPECT_TRUE(same_bits(est.snr_db, est_ref.snr_db));
 
-    const auto tone = fb.decode_tone(rx, 8, 0.3, dirty);
-    const auto tone_ref = fb.decode_tone(rx, 8, 0.3, fresh);
+    const auto tone = fb.decode_tone(rx, dirty);
+    const auto tone_ref = fb.decode_tone(rx, fresh);
     const std::span<const float> rx_fs(rx_f);
-    const auto tone_f = fb.decode_tone(rx_fs, 8, 0.3, dirty);
-    const auto tone_f_ref = fb.decode_tone(rx_fs, 8, 0.3, fresh);
+    const auto tone_f = fb.decode_tone(rx_fs, dirty);
+    const auto tone_f_ref = fb.decode_tone(rx_fs, fresh);
     for (const auto& [got, want] :
          {std::pair{tone, tone_ref}, std::pair{tone_f, tone_f_ref}}) {
       ASSERT_TRUE(got.has_value() && want.has_value());
@@ -489,10 +563,10 @@ TEST(Workspace, DirtyArenaChangesNothing) {
       EXPECT_TRUE(same_bits(got->peak_fraction, want->peak_fraction));
     }
 
-    const auto fbd = fb.decode_band(rx, 8, 0.3, dirty);
-    const auto fbd_ref = fb.decode_band(rx, 8, 0.3, fresh);
-    const auto fbd_f = fb.decode_band(rx_fs, 8, 0.3, dirty);
-    const auto fbd_f_ref = fb.decode_band(rx_fs, 8, 0.3, fresh);
+    const auto fbd = fb.decode_band(rx, dirty);
+    const auto fbd_ref = fb.decode_band(rx, fresh);
+    const auto fbd_f = fb.decode_band(rx_fs, dirty);
+    const auto fbd_f_ref = fb.decode_band(rx_fs, fresh);
     for (const auto& [got, want] :
          {std::pair{fbd, fbd_ref}, std::pair{fbd_f, fbd_f_ref}}) {
       ASSERT_TRUE(got.has_value() && want.has_value());

@@ -236,9 +236,9 @@ TEST(PrecisionEquivalence, ToneAndBandDecodersAgree) {
   const std::size_t tone_bin = 17;
   const std::vector<double> tone_rx =
       ch.transmit(codec.encode_tone(tone_bin), 0.05, 0.1);
-  const auto tone_d = codec.decode_tone(tone_rx, 16, 0.3, ws);
+  const auto tone_d = codec.decode_tone(tone_rx, ws);
   const auto tone_f = codec.decode_tone(
-      std::span<const float>(narrowed(tone_rx)), 16, 0.3, ws);
+      std::span<const float>(narrowed(tone_rx)), ws);
   ASSERT_TRUE(tone_d.has_value());
   ASSERT_TRUE(tone_f.has_value());
   EXPECT_EQ(tone_f->bin, tone_d->bin);
@@ -250,9 +250,9 @@ TEST(PrecisionEquivalence, ToneAndBandDecodersAgree) {
   band.end_bin = 41;
   const std::vector<double> band_rx =
       ch.transmit(codec.encode_band(band), 0.05, 0.1);
-  const auto band_d = codec.decode_band(band_rx, 16, 0.3, ws);
+  const auto band_d = codec.decode_band(band_rx, ws);
   const auto band_f = codec.decode_band(
-      std::span<const float>(narrowed(band_rx)), 16, 0.3, ws);
+      std::span<const float>(narrowed(band_rx)), ws);
   ASSERT_TRUE(band_d.has_value());
   ASSERT_TRUE(band_f.has_value());
   EXPECT_EQ(band_f->band.begin_bin, band_d->band.begin_bin);

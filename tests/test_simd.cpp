@@ -183,6 +183,53 @@ std::vector<cplxf> random_cplxf(std::size_t n, std::uint64_t seed) {
 const std::size_t kKernelSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9,
                                     15, 16, 17, 61, 128, 1001};
 
+// The sliding-DFT run contract over `width` sums and 1 or 7 samples of
+// random phasor rows: the scalar table's sums must match a naive per-sample
+// axpy within rounding of the fused updates, and every target must match
+// the scalar table bit for bit.
+template <typename T>
+void expect_sdft_update_contract(double tol, std::uint64_t seed) {
+  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
+  ASSERT_NE(scalar, nullptr);
+  const auto random_t = [](std::size_t n, std::uint64_t sd) {
+    return convert_samples<T>(random_real(n, sd));
+  };
+  for (const std::size_t width : kKernelSizes) {
+    for (const std::size_t samples : {std::size_t{1}, std::size_t{7}}) {
+      SCOPED_TRACE(testing::Message() << "width " << width << " samples "
+                                      << samples);
+      const std::vector<T> acc0 = random_t(width, seed + width);
+      const std::vector<T> rows = random_t(samples * width, seed + 100);
+      const std::vector<T> x_old = random_t(samples, seed + 200);
+      const std::vector<T> x_new = random_t(samples, seed + 300);
+
+      std::vector<T> ref = acc0;
+      simd::sdft_update(*scalar, ref.data(), rows.data(), x_old.data(),
+                        x_new.data(), samples, width);
+      // Naive cross-check of the recurrence semantics.
+      std::vector<T> naive = acc0;
+      for (std::size_t i = 0; i < samples; ++i) {
+        const T d = x_new[i] - x_old[i];
+        for (std::size_t j = 0; j < width; ++j) {
+          naive[j] += d * rows[i * width + j];
+        }
+      }
+      for (std::size_t j = 0; j < width; ++j) {
+        EXPECT_NEAR(ref[j], naive[j], tol * (1.0 + std::abs(naive[j])))
+            << "sum " << j;
+      }
+      for (const simd::Kernels* k : runnable_targets()) {
+        std::vector<T> got = acc0;
+        simd::sdft_update(*k, got.data(), rows.data(), x_old.data(),
+                          x_new.data(), samples, width);
+        for (std::size_t j = 0; j < width; ++j) {
+          EXPECT_EQ(got[j], ref[j]) << k->name << " sum " << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(Simd, ActiveTableIsRunnable) {
   const simd::Kernels& k = simd::active();
   EXPECT_NE(k.name, nullptr);
@@ -272,65 +319,7 @@ TEST(Simd, CmulBitIdenticalAcrossTargetsAndCorrect) {
 }
 
 TEST(Simd, SdftUpdateBitIdenticalAcrossTargetsAndCorrect) {
-  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  const std::uint32_t period = 960;
-  std::vector<double> tab_re(period), tab_im(period);
-  for (std::uint32_t m = 0; m < period; ++m) {
-    const double a = -kTwoPi * m / static_cast<double>(period);
-    tab_re[m] = std::cos(a);
-    tab_im[m] = std::sin(a);
-  }
-  std::mt19937_64 rng(42);
-  std::uniform_int_distribution<std::uint32_t> pick(0, period - 1);
-  for (const std::size_t bins : kKernelSizes) {
-    std::vector<double> re0 = random_real(bins, 800 + bins);
-    std::vector<double> im0 = random_real(bins, 900 + bins);
-    std::vector<std::uint32_t> ph0(bins), steps(bins);
-    for (std::size_t k = 0; k < bins; ++k) {
-      ph0[k] = pick(rng);
-      steps[k] = pick(rng);
-    }
-    const double d = 0.8371;
-
-    std::vector<double> ref_re = re0, ref_im = im0;
-    std::vector<std::uint32_t> ref_ph = ph0;
-    for (int iter = 0; iter < 5; ++iter) {
-      scalar->sdft_update(ref_re.data(), ref_im.data(), ref_ph.data(),
-                          steps.data(), tab_re.data(), tab_im.data(), d, bins,
-                          period);
-    }
-    // Naive cross-check of the recurrence semantics.
-    {
-      std::vector<double> nre = re0, nim = im0;
-      std::vector<std::uint32_t> nph = ph0;
-      for (int iter = 0; iter < 5; ++iter) {
-        for (std::size_t k = 0; k < bins; ++k) {
-          nre[k] += d * tab_re[nph[k]];
-          nim[k] += d * tab_im[nph[k]];
-          nph[k] = (nph[k] + steps[k]) % period;
-        }
-      }
-      for (std::size_t k = 0; k < bins; ++k) {
-        ASSERT_EQ(ref_ph[k], nph[k]) << "bin " << k;
-        EXPECT_NEAR(ref_re[k], nre[k], 1e-12 * (1.0 + std::abs(nre[k])));
-        EXPECT_NEAR(ref_im[k], nim[k], 1e-12 * (1.0 + std::abs(nim[k])));
-      }
-    }
-    for (const simd::Kernels* k : runnable_targets()) {
-      std::vector<double> gre = re0, gim = im0;
-      std::vector<std::uint32_t> gph = ph0;
-      for (int iter = 0; iter < 5; ++iter) {
-        k->sdft_update(gre.data(), gim.data(), gph.data(), steps.data(),
-                       tab_re.data(), tab_im.data(), d, bins, period);
-      }
-      for (std::size_t j = 0; j < bins; ++j) {
-        EXPECT_EQ(gre[j], ref_re[j]) << k->name << " bin " << j;
-        EXPECT_EQ(gim[j], ref_im[j]) << k->name << " bin " << j;
-        EXPECT_EQ(gph[j], ref_ph[j]) << k->name << " bin " << j;
-      }
-    }
-  }
+  expect_sdft_update_contract<double>(1e-12, 800);
 }
 
 // --- Single-precision kernel twins: same contracts at 2x the lanes. ------
@@ -400,66 +389,7 @@ TEST(Simd, CmulFloatBitIdenticalAcrossTargetsAndCorrect) {
 }
 
 TEST(Simd, SdftUpdateFloatBitIdenticalAcrossTargetsAndCorrect) {
-  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  const std::uint32_t period = 960;
-  std::vector<float> tab_re(period), tab_im(period);
-  for (std::uint32_t m = 0; m < period; ++m) {
-    const double a = -kTwoPi * m / static_cast<double>(period);
-    tab_re[m] = static_cast<float>(std::cos(a));
-    tab_im[m] = static_cast<float>(std::sin(a));
-  }
-  std::mt19937_64 rng(43);
-  std::uniform_int_distribution<std::uint32_t> pick(0, period - 1);
-  for (const std::size_t bins : kKernelSizes) {
-    std::vector<float> re0 = random_realf(bins, 1800 + bins);
-    std::vector<float> im0 = random_realf(bins, 1900 + bins);
-    std::vector<std::uint32_t> ph0(bins), steps(bins);
-    for (std::size_t k = 0; k < bins; ++k) {
-      ph0[k] = pick(rng);
-      steps[k] = pick(rng);
-    }
-    const float d = 0.8371f;
-
-    std::vector<float> ref_re = re0, ref_im = im0;
-    std::vector<std::uint32_t> ref_ph = ph0;
-    for (int iter = 0; iter < 5; ++iter) {
-      scalar->sdft_update_f(ref_re.data(), ref_im.data(), ref_ph.data(),
-                            steps.data(), tab_re.data(), tab_im.data(), d,
-                            bins, period);
-    }
-    // Naive fp32 recurrence cross-check: the integer phase walk must be
-    // exact; the accumulators within fp32 rounding of the fused updates.
-    {
-      std::vector<float> nre = re0, nim = im0;
-      std::vector<std::uint32_t> nph = ph0;
-      for (int iter = 0; iter < 5; ++iter) {
-        for (std::size_t k = 0; k < bins; ++k) {
-          nre[k] += d * tab_re[nph[k]];
-          nim[k] += d * tab_im[nph[k]];
-          nph[k] = (nph[k] + steps[k]) % period;
-        }
-      }
-      for (std::size_t k = 0; k < bins; ++k) {
-        ASSERT_EQ(ref_ph[k], nph[k]) << "bin " << k;
-        EXPECT_NEAR(ref_re[k], nre[k], 1e-4f * (1.0f + std::abs(nre[k])));
-        EXPECT_NEAR(ref_im[k], nim[k], 1e-4f * (1.0f + std::abs(nim[k])));
-      }
-    }
-    for (const simd::Kernels* k : runnable_targets()) {
-      std::vector<float> gre = re0, gim = im0;
-      std::vector<std::uint32_t> gph = ph0;
-      for (int iter = 0; iter < 5; ++iter) {
-        k->sdft_update_f(gre.data(), gim.data(), gph.data(), steps.data(),
-                         tab_re.data(), tab_im.data(), d, bins, period);
-      }
-      for (std::size_t j = 0; j < bins; ++j) {
-        EXPECT_EQ(gre[j], ref_re[j]) << k->name << " bin " << j;
-        EXPECT_EQ(gim[j], ref_im[j]) << k->name << " bin " << j;
-        EXPECT_EQ(gph[j], ref_ph[j]) << k->name << " bin " << j;
-      }
-    }
-  }
+  expect_sdft_update_contract<float>(1e-4, 1800);
 }
 
 // --- The whole-transform FFT pass kernel. --------------------------------

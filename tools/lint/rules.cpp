@@ -808,11 +808,10 @@ void check_float_narrow(Ctx& ctx) {
 // ---------------------------------------------------------------------------
 // Rule: global-state. Namespace-scope mutable non-atomic variables in src/
 // are shared state the thousand-node sim cannot shard; thread_local is
-// confined to the sanctioned workspace / FFT-plan-cache files.
+// confined to the sanctioned plan cache (FFT plans, moving-DFT phasors).
 // ---------------------------------------------------------------------------
 const std::unordered_set<std::string_view> kThreadLocalSanctioned = {
-    "src/dsp/workspace.cpp",
-    "src/dsp/fft.cpp",
+    "src/dsp/plan_cache.h",
 };
 
 void check_global_state(Ctx& ctx) {
@@ -834,9 +833,9 @@ void check_global_state(Ctx& ctx) {
   if (!kThreadLocalSanctioned.contains(std::string_view(ctx.tu.rel))) {
     for (const ThreadLocalSym& t : ctx.tu.sym.thread_locals) {
       ctx.report(t.line, t.col, "global-state",
-                 "thread_local outside the sanctioned workspace/plan-cache "
-                 "files (src/dsp/workspace.cpp, src/dsp/fft.cpp): per-"
-                 "thread state breaks the sharded-sim ownership model");
+                 "thread_local outside the sanctioned plan cache "
+                 "(src/dsp/plan_cache.h): per-thread state breaks the "
+                 "sharded-sim ownership model");
     }
   }
 }
@@ -1400,7 +1399,7 @@ std::string rules_help() {
       "                             only be touched under a lock of m\n"
       "  global-state [global-ok]   namespace-scope mutable non-atomic\n"
       "                             variables in src/; thread_local outside\n"
-      "                             src/dsp/workspace.cpp and src/dsp/fft.cpp\n"
+      "                             src/dsp/plan_cache.h\n"
       "  pos-sub      [pos-sub-ok]  unguarded size_t subtraction on sample-\n"
       "                             position identifiers (*_pos, *_base,\n"
       "                             abs_*)\n"
