@@ -58,9 +58,11 @@ void BM_FeedbackDecode(benchmark::State& state) {
   const std::vector<double> sym = fb.encode_band({10, 40, false});
   signal.insert(signal.end(), sym.begin(), sym.end());
   signal.resize(signal.size() + 3000, 0.0);
+  // The modem's decoders read the mic window narrowed once to fp32.
+  const std::vector<float> signal_f = dsp::convert_samples<float>(signal);
   dsp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fb.decode_band(signal, ws));
+    benchmark::DoNotOptimize(fb.decode_band(signal_f, ws));
   }
 }
 BENCHMARK(BM_FeedbackDecode);

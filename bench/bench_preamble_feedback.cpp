@@ -61,7 +61,8 @@ int main() {
       const phy::BandSelection band{static_cast<std::size_t>(5 + i % 20),
                                     static_cast<std::size_t>(30 + i % 25), false};
       const std::vector<double> rx = ch.transmit(fb.encode_band(band));
-      auto dec = fb.decode_band(rx, ws);
+      // The decoder reads the capture narrowed once to fp32, as the modem's.
+      auto dec = fb.decode_band(dsp::convert_samples<float>(rx), ws);
       if (!dec) continue;
       ++decoded;
       if (dec->band.begin_bin == band.begin_bin &&

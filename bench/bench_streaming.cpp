@@ -1,18 +1,20 @@
 // Streaming front end vs. the rescan baseline.
 //
 // The pre-Modem realtime receiver re-filtered and re-correlated its whole
-// rolling capture (search_buffer samples) on every push, so per-push cost
-// grew with the buffer. The PreambleScanner filters and correlates each
-// sample exactly once through stateful overlap-save streams, making
-// per-push cost O(chunk · log B) regardless of retention.
+// rolling capture (search_buffer samples) on every push, in double
+// precision, so per-push cost grew with the buffer. The PreambleScanner
+// filters and correlates each sample exactly once through stateful fp32
+// overlap-save streams, making per-push cost O(chunk · log B) regardless
+// of retention.
 //
 // This bench feeds the same microphone timeline (one phase-1 packet inside
 // ambient noise) to both front ends in app-sized pushes and reports
-// wall-clock per pushed sample at several retention sizes. The library's
-// Preamble::detect() runs the scanner itself, so the baseline keeps the
-// old batch detector locally (BatchDetector below). The acceptance
-// bar: streaming >= 2x over the rescan baseline at the default
-// 48000-sample buffer.
+// wall-clock per pushed sample at several retention sizes. The streaming
+// row narrows each push to float and scans it, as Modem::push does. The
+// library keeps only that fp32 front end, so the baseline keeps the old
+// double batch detector and its sliding metric locally (BatchDetector
+// below). The acceptance bar: streaming >= 2x over the rescan baseline at
+// the default 48000-sample buffer.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -25,6 +27,7 @@
 #include "dsp/correlate.h"
 #include "dsp/fft_filter.h"
 #include "dsp/fir.h"
+#include "dsp/simd.h"
 #include "phy/feedback.h"
 #include "phy/preamble.h"
 
@@ -43,11 +46,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 // whole buffer, coarse-correlate it against the core template, keep the 16
 // best half-symbol peaks above the coarse threshold, and confirm each with
 // the sliding metric (step 8, then a +/-8 fine pass). Its filter and
-// template spectra are built once, as they were in the old receiver.
+// template spectra are built once, as they were in the old receiver, and
+// it runs in double throughout.
 class BatchDetector {
  public:
   explicit BatchDetector(const phy::Preamble& preamble)
-      : preamble_(preamble),
+      : core_(preamble.core_samples()),
         bandpass_(dsp::design_bandpass(1000.0, 4000.0, 48000.0, 129)),
         corr_(preamble.core_template()) {}
 
@@ -84,7 +88,7 @@ class BatchDetector {
       double best_metric = 0.0;
       std::size_t best_idx = lo;
       for (std::size_t i = lo; i < hi; i += step) {
-        const double m = preamble_.sliding_metric_at(signal, i);
+        const double m = sliding_metric_at(signal, i);
         if (m > best_metric) {
           best_metric = m;
           best_idx = i;
@@ -93,7 +97,7 @@ class BatchDetector {
       const std::size_t flo = best_idx > step ? best_idx - step : 0;
       const std::size_t fhi = std::min(best_idx + step + 1, signal.size());
       for (std::size_t i = flo; i < fhi; ++i) {
-        best_metric = std::max(best_metric, preamble_.sliding_metric_at(signal, i));
+        best_metric = std::max(best_metric, sliding_metric_at(signal, i));
       }
       if (best_metric >= phy::Preamble::kSlidingThreshold) return true;
     }
@@ -101,7 +105,27 @@ class BatchDetector {
   }
 
  private:
-  const phy::Preamble& preamble_;
+  // The normalized sliding segment-correlation metric over double samples
+  // (the retired double form of Preamble::sliding_metric_at).
+  double sliding_metric_at(std::span<const double> signal,
+                           std::size_t start) const {
+    const std::size_t n = phy::OfdmParams().symbol_samples();
+    if (start + core_ > signal.size()) return 0.0;
+    const dsp::simd::Kernels& kern = dsp::simd::active();
+    double corr_sum = 0.0;
+    for (std::size_t s = 0; s + 1 < phy::OfdmParams::kPreambleSymbols; ++s) {
+      const double* a = signal.data() + start + s * n;
+      corr_sum += static_cast<double>(phy::OfdmParams::kPnSigns[s] *
+                                      phy::OfdmParams::kPnSigns[s + 1]) *
+                  kern.dot(a, a + n, n);
+    }
+    const double* w = signal.data() + start;
+    const double energy_sum = kern.dot(w, w, core_);
+    if (energy_sum <= 1e-12) return 0.0;
+    return corr_sum / energy_sum;
+  }
+
+  std::size_t core_;
   dsp::FftFilter bandpass_;
   dsp::CrossCorrelator corr_;
 };
@@ -140,10 +164,13 @@ double run_streaming(const phy::Preamble& preamble,
                      dsp::Workspace& ws) {
   phy::PreambleScanner scanner(preamble);
   std::vector<phy::PreambleDetection> dets;
+  std::vector<float> chunk(kPush);
   const auto t0 = std::chrono::steady_clock::now();  // lint: det-ok(benches measure wall time by definition)
   for (std::size_t base = 0; base < timeline.size(); base += kPush) {
     const std::size_t len = std::min(kPush, timeline.size() - base);
-    scanner.scan(timeline.subspan(base, len), dets, ws);
+    const std::span<float> narrowed = std::span<float>(chunk).first(len);
+    dsp::narrow_samples(timeline.subspan(base, len), narrowed);
+    scanner.scan(narrowed, dets, ws);
   }
   detections = dets.size();
   return seconds_since(t0);

@@ -71,8 +71,8 @@ std::span<const double> Modem::raw(std::uint64_t from, std::size_t len) const {
       static_cast<std::size_t>(from - buffer_base_), len);
 }
 
-std::span<const RxSample> Modem::raw_rx(std::uint64_t from,
-                                        std::size_t len) const {
+std::span<const float> Modem::raw_rx(std::uint64_t from,
+                                     std::size_t len) const {
   // lint: alloc-ok(member scratch: capacity persists across calls, so steady state reuses the buffer)
   rx_window_.resize(len);
   dsp::narrow_samples(raw(from, len), rx_window_);
@@ -394,7 +394,7 @@ std::vector<ModemEvent> Modem::push(std::span<const double> mic) {
   {
     obs::StageTimer t(metrics_, "dsp.scan");
     // The ONE narrowing of the mic stream: every front-end stage downstream
-    // of here (bandpass, correlation, confirmation) runs in RxSample.
+    // of here (bandpass, correlation, confirmation) runs in fp32.
     // lint: alloc-ok(member scratch: capacity persists across calls, so steady state reuses the buffer)
     rx_chunk_.resize(mic.size());
     dsp::narrow_samples(fresh, rx_chunk_);

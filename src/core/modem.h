@@ -25,6 +25,12 @@
 // the sample timeline, never to push boundaries: feeding the same stream
 // in different chunk sizes produces byte-identical event sequences.
 //
+// The receive front end (mic bandpass, preamble scanning, ID/feedback/ACK
+// tone scans) runs in fp32: microphone samples are narrowed to float
+// exactly once at the push() boundary. The estimation machinery (channel
+// estimate, data decode) always reads the raw double ring, so payload BER
+// does not depend on the front-end precision.
+//
 // The receive and transmit machines are symmetric in the SRMCA sense: the
 // same endpoint both originates packets (send()) and answers others'
 // (feedback / ACK waveforms are queued onto its own speaker), so N modems
@@ -50,14 +56,6 @@ class TraceSink;
 }  // namespace aqua::obs
 
 namespace aqua::core {
-
-/// Sample type of the receive front end (mic bandpass, preamble scanning,
-/// ID/feedback/ACK tone scans). Microphone samples are narrowed to this
-/// type exactly once at the push() boundary; the estimation machinery
-/// (channel estimate, data decode) always reads the raw double ring, so
-/// payload BER does not depend on the front-end precision. test_precision
-/// runs the scanner templates at both precisions side by side.
-using RxSample = float;
 
 /// What the modem tells the application.
 struct ModemEvent {
@@ -188,11 +186,11 @@ class Modem {
   };
 
   std::span<const double> raw(std::uint64_t from, std::size_t len) const;
-  /// Same window as raw(), narrowed into the front-end sample type (the
-  /// sanctioned mic-boundary conversion).
+  /// Same window as raw(), narrowed to float for the receive front end
+  /// (the sanctioned mic-boundary conversion).
   /// The returned span aliases a member scratch vector — consume it before
   /// the next raw_rx() call.
-  std::span<const RxSample> raw_rx(std::uint64_t from, std::size_t len) const;
+  std::span<const float> raw_rx(std::uint64_t from, std::size_t len) const;
   void enqueue_tx(std::span<const double> wave);
   /// Queues `wave` to start exactly tx_latency after `decision_pos` on the
   /// shared clock (zero-padding the queue up to it); returns the absolute
@@ -213,7 +211,7 @@ class Modem {
   int sink_endpoint_ = 0;            ///< this modem's id within the trace
   obs::Registry* metrics_ = nullptr; ///< borrowed stage-timer registry
   phy::Preamble preamble_;
-  phy::BasicPreambleScanner<RxSample> scanner_;
+  phy::PreambleScanner scanner_;
   phy::FeedbackCodec feedback_;
   phy::DataModem modem_;
   phy::Ofdm ofdm_;
@@ -222,8 +220,8 @@ class Modem {
   std::vector<double> buffer_;
   std::uint64_t buffer_base_ = 0;
   std::uint64_t rx_pos_ = 0;
-  std::vector<RxSample> rx_chunk_;  ///< mic chunk narrowed for the scanner
-  mutable std::vector<RxSample> rx_window_;  ///< raw_rx() narrowing scratch
+  std::vector<float> rx_chunk_;  ///< mic chunk narrowed for the scanner
+  mutable std::vector<float> rx_window_;  ///< raw_rx() narrowing scratch
   std::vector<phy::PreambleDetection> det_tmp_;
   std::deque<phy::PreambleDetection> detections_;
 

@@ -46,7 +46,7 @@ extern template void sliding_energy_into<float>(std::span<const float>,
 /// overlap-save spectrum are built once, so every detect() call pays only
 /// the per-block signal transforms. Immutable after construction;
 /// shareable across threads. `CrossCorrelator` is the double instantiation;
-/// the float one drives the single-precision receive front end.
+/// the float one correlates fp32 signals.
 template <typename T>
 class BasicCrossCorrelator {
  public:

@@ -17,8 +17,7 @@
 // The engine is templated on the sample type: `FftFilter` (double) serves
 // the estimation path, `BasicFftFilter<float>` the single-precision receive
 // front end. The block-size cost model is precision-independent, so the
-// float engine picks the same blocks as the double one — which keeps the
-// two front ends aligned on the absolute block grid.
+// float engine picks the same blocks as the double one.
 //
 // A BasicFftFilter is immutable after construction and may be shared across
 // threads; all per-call scratch comes from the caller's Workspace.

@@ -183,24 +183,22 @@ std::vector<double> filter_same(std::span<const double> x,
   return out;
 }
 
-template <typename T>
-BasicStreamingFir<T>::BasicStreamingFir(std::vector<T> taps)
+StreamingFir::StreamingFir(std::vector<double> taps)
     : taps_(std::move(taps)) {
   if (taps_.empty()) throw std::invalid_argument("StreamingFir: empty taps");
   rtaps_.assign(taps_.rbegin(), taps_.rend());
-  buf_.assign(taps_.size() - 1, T(0.0));  // zero prehistory: causal filter
+  buf_.assign(taps_.size() - 1, 0.0);  // zero prehistory: causal filter
 }
 
-template <typename T>
-std::vector<T> BasicStreamingFir<T>::process(std::span<const T> in) {
+std::vector<double> StreamingFir::process(std::span<const double> in) {
   // lint: alloc-ok(sim-side streaming API returns its block by value; not on the modem decode path)
-  std::vector<T> out(in.size());
+  std::vector<double> out(in.size());
   process(in, out);
   return out;
 }
 
-template <typename T>
-void BasicStreamingFir<T>::process(std::span<const T> in, std::span<T> out) {
+void StreamingFir::process(std::span<const double> in,
+                           std::span<double> out) {
   if (out.size() != in.size()) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
     throw std::invalid_argument("StreamingFir: output size mismatch");
@@ -217,24 +215,20 @@ void BasicStreamingFir<T>::process(std::span<const T> in, std::span<T> out) {
   buf_.resize(hist + in.size());
   std::copy(in.begin(), in.end(),
             buf_.begin() + static_cast<std::ptrdiff_t>(hist));
-  simd::fir(simd::active(), rtaps_.data(), buf_.data(), out.data(), t,
-            in.size());
+  simd::active().fir(rtaps_.data(), buf_.data(), out.data(), t, in.size());
   // Retain the trailing t-1 samples as the next call's history (memmove:
   // the ranges overlap when the block is shorter than the history).
   if (hist > 0) {
-    std::memmove(buf_.data(), buf_.data() + in.size(), hist * sizeof(T));
+    std::memmove(buf_.data(), buf_.data() + in.size(), hist * sizeof(double));
   }
   // lint: alloc-ok(shrinking resize; never reallocates)
   buf_.resize(hist);
 }
 
-template <typename T>
-void BasicStreamingFir<T>::reset() {
-  buf_.assign(taps_.size() - 1, T(0.0));
+void StreamingFir::reset() {
+  // lint: alloc-ok(refills the tap-count - 1 history inside the capacity the constructor allocated; never grows)
+  buf_.assign(taps_.size() - 1, 0.0);
 }
-
-template class BasicStreamingFir<double>;
-template class BasicStreamingFir<float>;
 
 cplx fir_response(std::span<const double> taps, double freq_hz,
                   double sample_rate_hz) {

@@ -69,22 +69,19 @@ std::vector<double> filter_same(std::span<const double> x,
 ///
 /// Every output is one contiguous dot product of the reversed taps against
 /// a persistent [history | block] window buffer, computed by the
-/// runtime-dispatched SIMD fir kernel of the filter's precision (several
-/// outputs per pass, each bit-identical to a lone dot). Each output
-/// depends only on its own absolute input window, so the stream is
-/// bit-identical for any chunking of the same input. `StreamingFir` is the
-/// double instantiation; `BasicStreamingFir<float>` runs the fp32 kernel at
-/// twice the lanes.
-template <typename T>
-class BasicStreamingFir {
+/// runtime-dispatched SIMD fir kernel (several outputs per pass, each
+/// bit-identical to a lone dot). Each output depends only on its own
+/// absolute input window, so the stream is bit-identical for any chunking
+/// of the same input.
+class StreamingFir {
  public:
-  explicit BasicStreamingFir(std::vector<T> taps);
+  explicit StreamingFir(std::vector<double> taps);
 
   /// Processes one block; returns the same number of samples as `in`.
-  std::vector<T> process(std::span<const T> in);
+  std::vector<double> process(std::span<const double> in);
 
   /// Processes one block into `out`, which must hold in.size() samples.
-  void process(std::span<const T> in, std::span<T> out);
+  void process(std::span<const double> in, std::span<double> out);
 
   /// Clears the internal history.
   void reset();
@@ -92,15 +89,10 @@ class BasicStreamingFir {
   std::size_t tap_count() const { return taps_.size(); }
 
  private:
-  std::vector<T> taps_;
-  std::vector<T> rtaps_;  // taps reversed: window dot == convolution
-  std::vector<T> buf_;    // [tap_count()-1 history | current block]
+  std::vector<double> taps_;
+  std::vector<double> rtaps_;  // taps reversed: window dot == convolution
+  std::vector<double> buf_;    // [tap_count()-1 history | current block]
 };
-
-using StreamingFir = BasicStreamingFir<double>;
-
-extern template class BasicStreamingFir<double>;
-extern template class BasicStreamingFir<float>;
 
 /// Evaluates the frequency response of an FIR at `freq_hz`.
 cplx fir_response(std::span<const double> taps, double freq_hz,

@@ -79,21 +79,14 @@ void scalar_fir(const double* a, const double* x, double* out, std::size_t t,
   for (std::size_t i = 0; i < n; ++i) out[i] = scalar_dot(a, x + i, t);
 }
 
-void scalar_fir_f(const float* a, const float* x, float* out, std::size_t t,
-                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = scalar_dot_f(a, x + i, t);
-}
-
 constexpr Kernels kScalarKernels{"scalar",
                                  scalar_cmul_inplace,
                                  scalar_dot,
                                  scalar_fir,
-                                 sdft_update_ref<double>,
                                  fft_pass_ref<double>,
                                  scalar_cmul_inplace_f,
                                  scalar_dot_f,
-                                 scalar_fir_f,
-                                 sdft_update_ref<float>,
+                                 sdft_update_ref,
                                  fft_pass_ref<float>};
 
 // Widest supported target among those compiled in, in preference order.

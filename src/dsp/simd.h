@@ -12,7 +12,8 @@
 //   * `dot` — the FIR dot product: the preamble sliding segment metric
 //     and short-template direct correlation.
 //   * `fir` — a run of FIR outputs, each one `dot` over a window sliding
-//     by one sample: `StreamingFir::process`. The vector targets run it
+//     by one sample: `StreamingFir::process` (ambient-noise shaping and
+//     carrier sense). The vector targets run it
 //     lane-major: one register of consecutive outputs per dot lane, each
 //     tap broadcast once for the whole run, so the FMA chains run side by
 //     side (throughput- rather than latency-bound) while each output keeps
@@ -29,9 +30,11 @@
 //     blocks inside the kernel, so the dispatch is paid once per
 //     transform rather than once per half-block.
 //
-// Each family has a double entry and a float entry (`*_f`), the float one
-// running twice the lanes at the same vector width — that is the whole
-// point of the single-precision receive front end.
+// Each family has exactly the precisions the library runs: `cmul_inplace`,
+// `dot` and `fft_pass` have a double entry and a float entry (`*_f`, twice
+// the lanes at the same vector width — the point of the single-precision
+// receive front end); `fir` is double only (the medium's noise shaping and
+// carrier sense) and `sdft_update` float only (the tone decoders).
 //
 // Every implementation of a kernel computes the SAME floating-point
 // expression tree — fixed lane-accumulator structure (4 double / 8 float
@@ -86,16 +89,6 @@ struct Kernels {
   void (*fir)(const double* a, const double* x, double* out, std::size_t t,
               std::size_t n);
 
-  /// Sliding-DFT run of `samples` updates over `width` running sums (the
-  /// split-complex bins: real parts, then imaginary parts). Update i adds
-  /// d_i = x_new[i] - x_old[i] times phasor row i, which starts at
-  /// rows + i * width:
-  ///   acc[j] = fma(d_i, rows[i * width + j], acc[j])
-  /// for i = 0, 1, ..., samples - 1 in that order, for every j < width.
-  void (*sdft_update)(double* acc, const double* rows, const double* x_old,
-                      const double* x_new, std::size_t samples,
-                      std::size_t width);
-
   /// Whole radix-2 pass over `m` (a power of two) bit-reversed points,
   /// in place. Stages run in order half = 1, 2, 4, ..., m/2; the stage
   /// with half-block h reads its twiddles w[k] = stage_tw[h - 1 + k],
@@ -110,13 +103,18 @@ struct Kernels {
   void (*fft_pass)(cplx* data, std::size_t m, const cplx* stage_tw,
                    bool conj_w);
 
-  /// Single-precision twins of the five kernels above. Same expression
-  /// trees evaluated in float (std::fma -> fmaf; dot_f and fir_f use 8
+  /// Single-precision twins of cmul_inplace, dot and fft_pass. Same
+  /// expression trees evaluated in float (std::fma -> fmaf; dot_f uses 8
   /// lanes with the ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) reduction).
   void (*cmul_inplace_f)(cplxf* y, const cplxf* x, std::size_t n);
   float (*dot_f)(const float* a, const float* b, std::size_t n);
-  void (*fir_f)(const float* a, const float* x, float* out, std::size_t t,
-                std::size_t n);
+
+  /// Sliding-DFT run of `samples` updates over `width` float running sums
+  /// (the split-complex bins: real parts, then imaginary parts). Update i
+  /// adds d_i = x_new[i] - x_old[i] times phasor row i, which starts at
+  /// rows + i * width:
+  ///   acc[j] = fmaf(d_i, rows[i * width + j], acc[j])
+  /// for i = 0, 1, ..., samples - 1 in that order, for every j < width.
   void (*sdft_update_f)(float* acc, const float* rows, const float* x_old,
                         const float* x_new, std::size_t samples,
                         std::size_t width);
@@ -151,35 +149,6 @@ inline void cmul_inplace(const Kernels& k, cplx* y, const cplx* x,
 inline void cmul_inplace(const Kernels& k, cplxf* y, const cplxf* x,
                          std::size_t n) {
   k.cmul_inplace_f(y, x, n);
-}
-
-inline double dot(const Kernels& k, const double* a, const double* b,
-                  std::size_t n) {
-  return k.dot(a, b, n);
-}
-inline float dot(const Kernels& k, const float* a, const float* b,
-                 std::size_t n) {
-  return k.dot_f(a, b, n);
-}
-
-inline void fir(const Kernels& k, const double* a, const double* x,
-                double* out, std::size_t t, std::size_t n) {
-  k.fir(a, x, out, t, n);
-}
-inline void fir(const Kernels& k, const float* a, const float* x, float* out,
-                std::size_t t, std::size_t n) {
-  k.fir_f(a, x, out, t, n);
-}
-
-inline void sdft_update(const Kernels& k, double* acc, const double* rows,
-                        const double* x_old, const double* x_new,
-                        std::size_t samples, std::size_t width) {
-  k.sdft_update(acc, rows, x_old, x_new, samples, width);
-}
-inline void sdft_update(const Kernels& k, float* acc, const float* rows,
-                        const float* x_old, const float* x_new,
-                        std::size_t samples, std::size_t width) {
-  k.sdft_update_f(acc, rows, x_old, x_new, samples, width);
 }
 
 inline void fft_pass(const Kernels& k, cplx* data, std::size_t m,

@@ -100,35 +100,6 @@ void avx2_fir(const double* a, const double* x, double* out, std::size_t t,
   for (; o < n; ++o) out[o] = avx2_dot(a, x + o, t);
 }
 
-// V registers of running sums held across the whole run: each sample
-// broadcasts its difference once and streams one contiguous phasor row.
-template <int V>
-void avx2_sdft_block(double* acc, const double* rows, const double* x_old,
-                     const double* x_new, std::size_t samples,
-                     std::size_t width) {
-  __m256d a[V];
-  for (int v = 0; v < V; ++v) a[v] = _mm256_loadu_pd(acc + 4 * v);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const __m256d d = _mm256_set1_pd(x_new[i] - x_old[i]);
-    const double* row = rows + i * width;
-    for (int v = 0; v < V; ++v) {
-      a[v] = _mm256_fmadd_pd(d, _mm256_loadu_pd(row + 4 * v), a[v]);
-    }
-  }
-  for (int v = 0; v < V; ++v) _mm256_storeu_pd(acc + 4 * v, a[v]);
-}
-
-void avx2_sdft_update(double* acc, const double* rows, const double* x_old,
-                      const double* x_new, std::size_t samples,
-                      std::size_t width) {
-  const std::size_t j =
-      sdft_register_blocks<4>(width, [&]<int V>(std::size_t c) {
-        avx2_sdft_block<V>(acc + c, rows + c, x_old, x_new, samples, width);
-      });
-  sdft_columns_ref(acc + j, rows + j, x_old, x_new, samples, width - j,
-                   width);
-}
-
 // One butterfly per complex lane: v = b * w with the legacy unfused tree
 // (separate mul then addsub — no contraction; even lanes br*wr - bi*wi,
 // odd lanes bi*wr + br*wi), then a' = a + v, b' = a - v.
@@ -232,35 +203,8 @@ float avx2_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-// The float fir: the same lane-major run, eight outputs per accumulator
-// and dot_f's 8 lanes: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-void avx2_fir_f(const float* a, const float* x, float* out, std::size_t t,
-               std::size_t n) {
-  const std::size_t t8 = t & ~std::size_t{7};
-  std::size_t o = 0;
-  for (; o + 8 <= n; o += 8) {
-    const float* xo = x + o;
-    __m256 acc[8];
-    for (std::size_t l = 0; l < 8; ++l) acc[l] = _mm256_setzero_ps();
-    const auto tap = [&](std::size_t l, std::size_t i) {
-      acc[l] = _mm256_fmadd_ps(_mm256_set1_ps(a[i]), _mm256_loadu_ps(xo + i),
-                               acc[l]);
-    };
-    for (std::size_t i = 0; i < t8; i += 8) {
-      for (std::size_t l = 0; l < 8; ++l) tap(l, i + l);
-    }
-    for (std::size_t l = 0; l < 7; ++l) {
-      if (t8 + l < t) tap(l, t8 + l);
-    }
-    const __m256 lo = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]),
-                                    _mm256_add_ps(acc[2], acc[3]));
-    const __m256 hi = _mm256_add_ps(_mm256_add_ps(acc[4], acc[5]),
-                                    _mm256_add_ps(acc[6], acc[7]));
-    _mm256_storeu_ps(out + o, _mm256_add_ps(lo, hi));
-  }
-  for (; o < n; ++o) out[o] = avx2_dot_f(a, x + o, t);
-}
-
+// V registers of running sums held across the whole run: each sample
+// broadcasts its difference once and streams one contiguous phasor row.
 template <int V>
 void avx2_sdft_block_f(float* acc, const float* rows, const float* x_old,
                        const float* x_new, std::size_t samples,
@@ -373,11 +317,9 @@ constexpr Kernels kAvx2Kernels{"avx2",
                                avx2_cmul_inplace,
                                avx2_dot,
                                avx2_fir,
-                               avx2_sdft_update,
                                avx2_fft_pass,
                                avx2_cmul_inplace_f,
                                avx2_dot_f,
-                               avx2_fir_f,
                                avx2_sdft_update_f,
                                avx2_fft_pass_f};
 

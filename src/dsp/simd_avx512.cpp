@@ -108,42 +108,6 @@ void avx512_fir(const double* a, const double* x, double* out,
   for (; o < n; ++o) out[o] = avx512_dot(a, x + o, t);
 }
 
-// V registers of running sums held across the whole run (see the AVX2
-// block); the tail narrower than one register runs masked at full width.
-template <int V>
-void avx512_sdft_block(double* acc, const double* rows, const double* x_old,
-                       const double* x_new, std::size_t samples,
-                       std::size_t width) {
-  __m512d a[V];
-  for (int v = 0; v < V; ++v) a[v] = _mm512_loadu_pd(acc + 8 * v);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const __m512d d = _mm512_set1_pd(x_new[i] - x_old[i]);
-    const double* row = rows + i * width;
-    for (int v = 0; v < V; ++v) {
-      a[v] = _mm512_fmadd_pd(d, _mm512_loadu_pd(row + 8 * v), a[v]);
-    }
-  }
-  for (int v = 0; v < V; ++v) _mm512_storeu_pd(acc + 8 * v, a[v]);
-}
-
-void avx512_sdft_update(double* acc, const double* rows, const double* x_old,
-                        const double* x_new, std::size_t samples,
-                        std::size_t width) {
-  const std::size_t j =
-      sdft_register_blocks<8>(width, [&]<int V>(std::size_t c) {
-        avx512_sdft_block<V>(acc + c, rows + c, x_old, x_new, samples,
-                             width);
-      });
-  if (j == width) return;
-  const auto m = static_cast<__mmask8>((1u << (width - j)) - 1u);
-  __m512d a = _mm512_maskz_loadu_pd(m, acc + j);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const __m512d d = _mm512_set1_pd(x_new[i] - x_old[i]);
-    a = _mm512_fmadd_pd(d, _mm512_maskz_loadu_pd(m, rows + i * width + j), a);
-  }
-  _mm512_mask_storeu_pd(acc + j, m, a);
-}
-
 // One butterfly per complex lane: v = b * w with the legacy unfused tree,
 // then a' = a + v, b' = a - v. `w` arrives already conjugated if asked.
 inline void bfly(__m512d& a, __m512d& b, __m512d w) {
@@ -281,46 +245,8 @@ float avx512_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-// The float fir is the same lane-major run at 16 outputs per accumulator
-// and dot_f's 8 lanes: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-template <std::size_t G>
-void avx512_fir_run_f(const float* a, const float* x, float* out,
-                      std::size_t t) {
-  __m512 acc[8][G];
-  for (std::size_t l = 0; l < 8; ++l) {
-    for (std::size_t g = 0; g < G; ++g) acc[l][g] = _mm512_setzero_ps();
-  }
-  const auto tap = [&](std::size_t l, std::size_t i) {
-    const __m512 av = _mm512_set1_ps(a[i]);
-    for (std::size_t g = 0; g < G; ++g) {
-      acc[l][g] = _mm512_fmadd_ps(av, _mm512_loadu_ps(x + i + 16 * g),
-                                  acc[l][g]);
-    }
-  };
-  const std::size_t t8 = t & ~std::size_t{7};
-  for (std::size_t i = 0; i < t8; i += 8) {
-    for (std::size_t l = 0; l < 8; ++l) tap(l, i + l);
-  }
-  for (std::size_t l = 0; l < 7; ++l) {
-    if (t8 + l < t) tap(l, t8 + l);
-  }
-  for (std::size_t g = 0; g < G; ++g) {
-    const __m512 lo = _mm512_add_ps(_mm512_add_ps(acc[0][g], acc[1][g]),
-                                    _mm512_add_ps(acc[2][g], acc[3][g]));
-    const __m512 hi = _mm512_add_ps(_mm512_add_ps(acc[4][g], acc[5][g]),
-                                    _mm512_add_ps(acc[6][g], acc[7][g]));
-    _mm512_storeu_ps(out + 16 * g, _mm512_add_ps(lo, hi));
-  }
-}
-
-void avx512_fir_f(const float* a, const float* x, float* out,
-                  std::size_t t, std::size_t n) {
-  std::size_t o = 0;
-  for (; o + 32 <= n; o += 32) avx512_fir_run_f<2>(a, x + o, out + o, t);
-  for (; o + 16 <= n; o += 16) avx512_fir_run_f<1>(a, x + o, out + o, t);
-  for (; o < n; ++o) out[o] = avx512_dot_f(a, x + o, t);
-}
-
+// V registers of running sums held across the whole run (see the AVX2
+// block); the tail narrower than one register runs masked at full width.
 template <int V>
 void avx512_sdft_block_f(float* acc, const float* rows, const float* x_old,
                          const float* x_new, std::size_t samples,
@@ -459,11 +385,9 @@ constexpr Kernels kAvx512Kernels{"avx512",
                                  avx512_cmul_inplace,
                                  avx512_dot,
                                  avx512_fir,
-                                 avx512_sdft_update,
                                  avx512_fft_pass,
                                  avx512_cmul_inplace_f,
                                  avx512_dot_f,
-                                 avx512_fir_f,
                                  avx512_sdft_update_f,
                                  avx512_fft_pass_f};
 

@@ -45,15 +45,15 @@ static inline void fft_pass_ref(std::complex<T>* data, std::size_t m,
 }
 
 // Reference sliding-DFT run over the first `cols` of `width` running sums
-// (see Kernels::sdft_update): the vector targets' tail for the columns
+// (see Kernels::sdft_update_f): the vector targets' tail for the columns
 // narrower than one register.
-template <typename T>
-static inline void sdft_columns_ref(T* acc, const T* rows, const T* x_old,
-                                    const T* x_new, std::size_t samples,
-                                    std::size_t cols, std::size_t width) {
+static inline void sdft_columns_ref(float* acc, const float* rows,
+                                    const float* x_old, const float* x_new,
+                                    std::size_t samples, std::size_t cols,
+                                    std::size_t width) {
   for (std::size_t i = 0; i < samples; ++i) {
-    const T d = x_new[i] - x_old[i];
-    const T* row = rows + i * width;
+    const float d = x_new[i] - x_old[i];
+    const float* row = rows + i * width;
     for (std::size_t j = 0; j < cols; ++j) {
       acc[j] = std::fma(d, row[j], acc[j]);
     }
@@ -86,11 +86,10 @@ static inline std::size_t sdft_register_blocks(std::size_t width,
   return j;
 }
 
-// The whole run: the scalar table's sdft_update entries.
-template <typename T>
-static inline void sdft_update_ref(T* acc, const T* rows, const T* x_old,
-                                   const T* x_new, std::size_t samples,
-                                   std::size_t width) {
+// The whole run: the scalar table's sdft_update_f entry.
+static inline void sdft_update_ref(float* acc, const float* rows,
+                                   const float* x_old, const float* x_new,
+                                   std::size_t samples, std::size_t width) {
   sdft_columns_ref(acc, rows, x_old, x_new, samples, width, width);
 }
 

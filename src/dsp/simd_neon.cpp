@@ -93,35 +93,6 @@ void neon_fir(const double* a, const double* x, double* out, std::size_t t,
   for (; o < n; ++o) out[o] = neon_dot(a, x + o, t);
 }
 
-// V registers of running sums held across the whole run: each sample
-// streams one contiguous phasor row (no gather, no per-bin indices).
-template <int V>
-void neon_sdft_block(double* acc, const double* rows, const double* x_old,
-                     const double* x_new, std::size_t samples,
-                     std::size_t width) {
-  float64x2_t a[V];
-  for (int v = 0; v < V; ++v) a[v] = vld1q_f64(acc + 2 * v);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const double d = x_new[i] - x_old[i];
-    const double* row = rows + i * width;
-    for (int v = 0; v < V; ++v) {
-      a[v] = vfmaq_n_f64(a[v], vld1q_f64(row + 2 * v), d);
-    }
-  }
-  for (int v = 0; v < V; ++v) vst1q_f64(acc + 2 * v, a[v]);
-}
-
-void neon_sdft_update(double* acc, const double* rows, const double* x_old,
-                      const double* x_new, std::size_t samples,
-                      std::size_t width) {
-  const std::size_t j =
-      sdft_register_blocks<2>(width, [&]<int V>(std::size_t c) {
-        neon_sdft_block<V>(acc + c, rows + c, x_old, x_new, samples, width);
-      });
-  sdft_columns_ref(acc + j, rows + j, x_old, x_new, samples, width - j,
-                   width);
-}
-
 // The whole radix-2 pass. One complex double fills a register, so every
 // stage runs its blocks straight from memory, one butterfly per point.
 void neon_fft_pass(cplx* data, std::size_t m, const cplx* stage_tw,
@@ -207,43 +178,8 @@ float neon_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-void neon_fir_f(const float* a, const float* x, float* out, std::size_t t,
-                std::size_t n) {
-  const std::size_t t8 = t & ~std::size_t{7};
-  std::size_t o = 0;
-  for (; o + kFirRun <= n; o += kFirRun) {
-    float32x4_t acc03[kFirRun];
-    float32x4_t acc47[kFirRun];
-    for (std::size_t r = 0; r < kFirRun; ++r) {
-      acc03[r] = vdupq_n_f32(0.0f);
-      acc47[r] = vdupq_n_f32(0.0f);
-    }
-    for (std::size_t i = 0; i < t8; i += 8) {
-      const float32x4_t a03 = vld1q_f32(a + i);
-      const float32x4_t a47 = vld1q_f32(a + i + 4);
-      for (std::size_t r = 0; r < kFirRun; ++r) {
-        const float* b = x + o + r + i;
-        acc03[r] = vfmaq_f32(acc03[r], a03, vld1q_f32(b));
-        acc47[r] = vfmaq_f32(acc47[r], a47, vld1q_f32(b + 4));
-      }
-    }
-    for (std::size_t r = 0; r < kFirRun; ++r) {
-      const float* b = x + o + r;
-      float lane[8] = {
-          vgetq_lane_f32(acc03[r], 0), vgetq_lane_f32(acc03[r], 1),
-          vgetq_lane_f32(acc03[r], 2), vgetq_lane_f32(acc03[r], 3),
-          vgetq_lane_f32(acc47[r], 0), vgetq_lane_f32(acc47[r], 1),
-          vgetq_lane_f32(acc47[r], 2), vgetq_lane_f32(acc47[r], 3)};
-      for (std::size_t i = t8; i < t; ++i) {
-        lane[i & 7] = __builtin_fmaf(a[i], b[i], lane[i & 7]);
-      }
-      out[o + r] = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-                   ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-    }
-  }
-  for (; o < n; ++o) out[o] = neon_dot_f(a, x + o, t);
-}
-
+// V registers of running sums held across the whole run: each sample
+// streams one contiguous phasor row (no gather, no per-bin indices).
 template <int V>
 void neon_sdft_block_f(float* acc, const float* rows, const float* x_old,
                        const float* x_new, std::size_t samples,
@@ -342,11 +278,9 @@ constexpr Kernels kNeonKernels{"neon",
                                neon_cmul_inplace,
                                neon_dot,
                                neon_fir,
-                               neon_sdft_update,
                                neon_fft_pass,
                                neon_cmul_inplace_f,
                                neon_dot_f,
-                               neon_fir_f,
                                neon_sdft_update_f,
                                neon_fft_pass_f};
 

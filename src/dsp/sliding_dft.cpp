@@ -23,14 +23,12 @@ constexpr std::size_t kReaccumulateInterval = 4096;
 
 constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
 
-// Shared implementation for both sample types: the cached table and the
-// running sums are in T (the periodic re-seed bounds the fp32 drift).
-template <typename T>
-void moving_dft_power_impl(std::span<const T> x, std::size_t window,
-                           std::size_t first_bin, std::size_t num_bins,
-                           const PowerGrid& grid, std::span<T> out,
-                           Workspace& ws) {
-  using C = std::complex<T>;
+}  // namespace
+
+void moving_dft_power(std::span<const float> x, std::size_t window,
+                      std::size_t first_bin, std::size_t num_bins,
+                      const PowerGrid& grid, std::span<float> out,
+                      Workspace& ws) {
   if (window == 0 || x.size() < window) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
     throw std::invalid_argument("moving_dft_power: window exceeds signal");
@@ -55,26 +53,27 @@ void moving_dft_power_impl(std::span<const T> x, std::size_t window,
     throw std::invalid_argument("moving_dft_power: grid exceeds signal");
   }
 
-  const SdftPhasors<T>& tab = sdft_phasors<T>(window, first_bin, num_bins);
+  const SdftPhasors& tab = sdft_phasors(window, first_bin, num_bins);
   // Running sums S_b(s), split-complex: real parts, then imaginary parts.
   const std::size_t width = 2 * num_bins;
-  Scratch<T> acc_s(ws, width);
-  T* acc = acc_s->data();
+  Scratch<float> acc_s(ws, width);
+  float* acc = acc_s->data();
 
   // Seed every bin at window start `s` from ONE packed real transform of
   // the window (bins above window/2 are the conjugate mirror), rotated by
   // the window-start phase e^{-j 2 pi b s / window} the running sum
   // carries — row s mod window of the table.
-  Scratch<C> spec_s(ws, window / 2 + 1);
-  std::span<C> spec = spec_s.span();
+  Scratch<cplxf> spec_s(ws, window / 2 + 1);
+  std::span<cplxf> spec = spec_s.span();
   const auto seed = [&](std::size_t s) {
     rfft_into(x.subspan(s, window), spec, ws);
-    const T* rot = tab.row(s % window);
+    const float* rot = tab.row(s % window);
     for (std::size_t k = 0; k < num_bins; ++k) {
       const std::size_t b = first_bin + k;
-      const C z = b <= window / 2 ? spec[b] : std::conj(spec[window - b]);
-      const C w{rot[k], rot[num_bins + k]};
-      const C a = z * w;
+      const cplxf z =
+          b <= window / 2 ? spec[b] : std::conj(spec[window - b]);
+      const cplxf w{rot[k], rot[num_bins + k]};
+      const cplxf a = z * w;
       acc[k] = a.real();
       acc[num_bins + k] = a.imag();
     }
@@ -89,8 +88,8 @@ void moving_dft_power_impl(std::span<const T> x, std::size_t window,
   const auto slide = [&](std::size_t to) {
     while (at < to) {
       const std::size_t run = std::min(to - at, window - phase);
-      simd::sdft_update(kern, acc, tab.row(phase), x.data() + at,
-                        x.data() + at + window, run, width);
+      kern.sdft_update_f(acc, tab.row(phase), x.data() + at,
+                         x.data() + at + window, run, width);
       at += run;
       phase += run;
       if (phase == window) phase = 0;
@@ -125,12 +124,12 @@ void moving_dft_power_impl(std::span<const T> x, std::size_t window,
     }
     slide(s);
     // Every (j, r) whose start is s gets the same row.
-    const T* written = nullptr;
+    const float* written = nullptr;
     for (std::size_t r = 0; r < grid.repeats; ++r) {
       if (next[r] >= grid.starts || r * grid.hop + next[r] * grid.step != s) {
         continue;
       }
-      T* row = out.data() + (next[r] * grid.repeats + r) * num_bins;
+      float* row = out.data() + (next[r] * grid.repeats + r) * num_bins;
       ++next[r];
       if (written != nullptr) {
         std::copy(written, written + num_bins, row);
@@ -144,20 +143,16 @@ void moving_dft_power_impl(std::span<const T> x, std::size_t window,
   }
 }
 
-}  // namespace
-
-template <typename T>
-std::size_t SdftPhasors<T>::KeyHash::operator()(const Key& k) const {
+std::size_t SdftPhasors::KeyHash::operator()(const Key& k) const {
   std::size_t h = k.window;
   h = h * 1000003u ^ k.first_bin;
   return h * 1000003u ^ k.num_bins;
 }
 
-template <typename T>
-SdftPhasors<T>::SdftPhasors(const Key& k)
+SdftPhasors::SdftPhasors(const Key& k)
     : key(k), values(k.window * 2 * k.num_bins) {
   // Each entry comes from its integer phase p = (b * m) mod window, so
-  // phase never drifts; evaluated in double, rounded once to T.
+  // phase never drifts; evaluated in double, rounded once to float.
   std::vector<double> cos_p(k.window), sin_p(k.window);
   for (std::size_t p = 0; p < k.window; ++p) {
     const double a =
@@ -166,46 +161,19 @@ SdftPhasors<T>::SdftPhasors(const Key& k)
     sin_p[p] = std::sin(a);
   }
   for (std::size_t m = 0; m < k.window; ++m) {
-    T* r = values.data() + m * 2 * k.num_bins;
+    float* r = values.data() + m * 2 * k.num_bins;
     for (std::size_t i = 0; i < k.num_bins; ++i) {
       const std::size_t p = ((k.first_bin + i) * m) % k.window;
-      r[i] = static_cast<T>(cos_p[p]);
-      r[k.num_bins + i] = static_cast<T>(sin_p[p]);
+      r[i] = static_cast<float>(cos_p[p]);
+      r[k.num_bins + i] = static_cast<float>(sin_p[p]);
     }
   }
 }
 
-template <typename T>
-const SdftPhasors<T>& sdft_phasors(std::size_t window, std::size_t first_bin,
-                                   std::size_t num_bins) {
-  using Table = SdftPhasors<T>;
-  return cached_plan_of<Table, typename Table::Key, typename Table::KeyHash>(
-      typename Table::Key{window, first_bin, num_bins});
-}
-
-template struct SdftPhasors<double>;
-template struct SdftPhasors<float>;
-template const SdftPhasors<double>& sdft_phasors<double>(std::size_t,
-                                                         std::size_t,
-                                                         std::size_t);
-template const SdftPhasors<float>& sdft_phasors<float>(std::size_t,
-                                                       std::size_t,
-                                                       std::size_t);
-
-void moving_dft_power(std::span<const double> x, std::size_t window,
-                      std::size_t first_bin, std::size_t num_bins,
-                      const PowerGrid& grid, std::span<double> out,
-                      Workspace& ws) {
-  moving_dft_power_impl<double>(x, window, first_bin, num_bins, grid, out,
-                                ws);
-}
-
-void moving_dft_power(std::span<const float> x, std::size_t window,
-                      std::size_t first_bin, std::size_t num_bins,
-                      const PowerGrid& grid, std::span<float> out,
-                      Workspace& ws) {
-  moving_dft_power_impl<float>(x, window, first_bin, num_bins, grid, out,
-                               ws);
+const SdftPhasors& sdft_phasors(std::size_t window, std::size_t first_bin,
+                                std::size_t num_bins) {
+  return cached_plan_of<SdftPhasors, SdftPhasors::Key, SdftPhasors::KeyHash>(
+      SdftPhasors::Key{window, first_bin, num_bins});
 }
 
 }  // namespace aqua::dsp

@@ -17,11 +17,17 @@
 // e^{-j 2 pi p / n} with p = (b * m) mod n for every active bin b. Each
 // sample's update is then one contiguous row streamed through a fused
 // multiply-add per bin (dsp::simd::active().sdft_update), with no per-bin
-// indices or gathers; the table is built once per (n, bins, precision) and
-// shared process-wide (dsp/plan_cache.h). The sums are re-seeded every
-// 4096 starts — against rounding drift growing with the capture length —
-// from ONE packed real FFT of the window (rfft_into), rotated by the same
+// indices or gathers; the table is built once per (n, bins) and shared
+// process-wide (dsp/plan_cache.h). The sums are re-seeded every 4096
+// starts — against rounding drift growing with the capture length — from
+// ONE packed real FFT of the window (rfft_into), rotated by the same
 // table's row.
+//
+// The bank runs in fp32, the precision of the receive front end it serves:
+// float phasor table, float running sums, and the fp32 sdft kernel (twice
+// the bins per vector of a double one). The table is indexed by the
+// integer sample phase, so phase never drifts; the periodic re-seed bounds
+// the amplitude drift.
 //
 // Only the grid's rows are written, and the slide stops at the last one.
 #pragma once
@@ -56,27 +62,16 @@ struct PowerGrid {
 /// window, step >= 1, repeats >= 1, first_bin + num_bins <= window, and
 /// the last row's start (starts - 1) * step + (repeats - 1) * hop at most
 /// x.size() - window.
-void moving_dft_power(std::span<const double> x, std::size_t window,
-                      std::size_t first_bin, std::size_t num_bins,
-                      const PowerGrid& grid, std::span<double> out,
-                      Workspace& ws);
-
-/// Single-precision overload for the float receive front end: float phasor
-/// table and running sums through the fp32 sdft kernel (twice the bins per
-/// vector). The table is indexed by the integer sample phase, so phase
-/// never drifts; the periodic re-seed bounds the fp32 amplitude drift
-/// exactly as in the double path.
 void moving_dft_power(std::span<const float> x, std::size_t window,
                       std::size_t first_bin, std::size_t num_bins,
                       const PowerGrid& grid, std::span<float> out,
                       Workspace& ws);
 
-/// The moving-DFT phasor table for one window and bin range, in precision
-/// T. Row m (m < window) holds, for active bin b = first_bin + k, the
-/// phasor e^{-j 2 pi p / window} with p = (b * m) mod window, evaluated in
-/// double and rounded once to T, split-complex: real parts at [k], then
+/// The moving-DFT phasor table for one window and bin range. Row m
+/// (m < window) holds, for active bin b = first_bin + k, the phasor
+/// e^{-j 2 pi p / window} with p = (b * m) mod window, evaluated in double
+/// and rounded once to float, split-complex: real parts at [k], then
 /// imaginary parts at [num_bins + k].
-template <typename T>
 struct SdftPhasors {
   /// (window, first_bin, num_bins): the cache key.
   struct Key {
@@ -92,18 +87,17 @@ struct SdftPhasors {
   explicit SdftPhasors(const Key& key);
 
   /// Row m: 2 * num_bins values.
-  const T* row(std::size_t m) const {
+  const float* row(std::size_t m) const {
     return values.data() + m * 2 * key.num_bins;
   }
 
   Key key;
-  std::vector<T> values;  ///< window rows of 2 * num_bins
+  std::vector<float> values;  ///< window rows of 2 * num_bins
 };
 
 /// The process-wide cached table for (window, first_bin, num_bins): built
 /// on first use, then shared by every caller and thread (one address).
-template <typename T>
-const SdftPhasors<T>& sdft_phasors(std::size_t window, std::size_t first_bin,
-                                   std::size_t num_bins);
+const SdftPhasors& sdft_phasors(std::size_t window, std::size_t first_bin,
+                                std::size_t num_bins);
 
 }  // namespace aqua::dsp

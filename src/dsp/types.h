@@ -32,8 +32,8 @@ inline void narrow_samples(std::span<const double> in, std::span<float> out) {
 }
 
 /// Converts a double sample block to the requested sample type. Identity for
-/// T = double; the sanctioned mic-boundary narrowing for T = float. Used by
-/// front-end components that are templated on the receive sample type.
+/// T = double; the sanctioned mic-boundary narrowing for T = float, which
+/// builds the fp32 front end's filter taps and correlation templates.
 template <typename T>
 std::vector<T> convert_samples(std::span<const double> in) {
   std::vector<T> out(in.size());

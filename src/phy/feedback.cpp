@@ -22,16 +22,15 @@ dsp::PowerGrid search_grid(std::size_t signal_size, std::size_t sym_total,
 
 // Noncoherent combining of the kRepeats repeated symbols at search
 // position `j`, whitened per bin by the edge noise profile. `win` is the
-// grid's moving-DFT power matrix (in the front end's sample type), whose
-// rows for position j are the kRepeats rows from (j * kRepeats); the
-// whitened sums always accumulate in double.
-template <typename T>
-void combine_repeats(std::span<const T> win, std::span<const double> noise,
+// grid's moving-DFT power matrix, whose rows for position j are the
+// kRepeats rows from (j * kRepeats); the whitened sums accumulate in
+// double.
+void combine_repeats(std::span<const float> win, std::span<const double> noise,
                      std::size_t j, std::span<double> powers) {
   std::fill(powers.begin(), powers.end(), 0.0);
   const std::size_t bins = powers.size();
   for (std::size_t r = 0; r < FeedbackCodec::kRepeats; ++r) {
-    const T* row = win.data() + (j * FeedbackCodec::kRepeats + r) * bins;
+    const float* row = win.data() + (j * FeedbackCodec::kRepeats + r) * bins;
     for (std::size_t k = 0; k < bins; ++k) {
       powers[k] += static_cast<double>(row[k]) / noise[k];
     }
@@ -44,16 +43,14 @@ void combine_repeats(std::span<const T> win, std::span<const double> noise,
 // spectral tilt — residual sub-kHz ambient noise in the filter transition
 // band, device response slope — that would otherwise bias the top-bin
 // search toward the band edges. Fills `noise` (num_bins() values).
-template <typename T>
-void edge_noise_profile(const Ofdm& ofdm, std::span<const T> signal,
+void edge_noise_profile(const Ofdm& ofdm, std::span<const float> signal,
                         std::span<double> noise, dsp::Workspace& ws) {
   const std::size_t n = ofdm.params().symbol_samples();
   const std::size_t bins = ofdm.params().num_bins();
   dsp::ScratchCplx spec_s(ws, bins);
   std::span<dsp::cplx> spec = spec_s.span();
-  // The OFDM demodulator is estimation machinery and stays double: float
-  // windows are widened into this scratch at the handoff (lossless), so
-  // the noise profile is computed identically for both sample types.
+  // The OFDM demodulator is estimation machinery and stays double: the
+  // float windows are widened into this scratch at the handoff (lossless).
   dsp::ScratchReal window_s(ws, n);
   std::span<double> window = window_s.span();
   // Average several overlapping windows at each edge of the capture (hop
@@ -122,18 +119,9 @@ std::vector<double> repeat_symbol(const std::vector<double>& sym,
 FeedbackCodec::FeedbackCodec(const OfdmParams& params)
     : params_(params),
       ofdm_(params),
-      bandpass_(dsp::design_bandpass(params.band_low_hz, params.band_high_hz,
-                                     params.sample_rate_hz, 129)),
-      bandpass_f_(dsp::convert_samples<float>(bandpass_.kernel())) {}
-
-template <>
-const dsp::BasicFftFilter<double>& FeedbackCodec::bandpass_for<double>() const {
-  return bandpass_;
-}
-template <>
-const dsp::BasicFftFilter<float>& FeedbackCodec::bandpass_for<float>() const {
-  return bandpass_f_;
-}
+      bandpass_(dsp::convert_samples<float>(
+          dsp::design_bandpass(params.band_low_hz, params.band_high_hz,
+                               params.sample_rate_hz, 129))) {}
 
 // lint: hot-alloc-ok(control-plane encode: one short feedback burst per band exchange, not per sample)
 std::vector<double> FeedbackCodec::encode_band(const BandSelection& band) const {
@@ -150,21 +138,20 @@ std::vector<double> FeedbackCodec::encode_tone(std::size_t bin) const {
   return repeat_symbol(ofdm_.modulate_with_cp(bins), kRepeats);
 }
 
-template <typename T>
-std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
-    std::span<const T> raw, dsp::Workspace& ws) const {
+std::optional<FeedbackDecode> FeedbackCodec::decode_band(
+    std::span<const float> raw, dsp::Workspace& ws) const {
   const std::size_t n = params_.symbol_samples();
   const std::size_t bins = params_.num_bins();
   if (raw.size() < n) return std::nullopt;
   // Sub-kHz ambient noise (and machinery tones) otherwise leak into the
   // band-edge FFT bins through the rectangular-window sidelobes and
   // masquerade as a transmitted tone.
-  dsp::Scratch<T> filtered_s(ws, raw.size());
-  bandpass_for<T>().filter_same_into(raw, filtered_s.span(), ws);
-  std::span<const T> signal = filtered_s.span();
+  dsp::Scratch<float> filtered_s(ws, raw.size());
+  bandpass_.filter_same_into(raw, filtered_s.span(), ws);
+  std::span<const float> signal = filtered_s.span();
 
   dsp::ScratchReal noise_s(ws, bins);
-  edge_noise_profile<T>(ofdm_, signal, noise_s.span(), ws);
+  edge_noise_profile(ofdm_, signal, noise_s.span(), ws);
   std::span<const double> noise = noise_s.span();
 
   const std::size_t sym_total = params_.symbol_total_samples();
@@ -175,10 +162,10 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
   // search position and each of its repeats.
   const dsp::PowerGrid grid = search_grid(signal.size(), sym_total,
                                           span_needed);
-  dsp::Scratch<T> win_s(ws, grid.starts * grid.repeats * bins);
+  dsp::Scratch<float> win_s(ws, grid.starts * grid.repeats * bins);
   dsp::moving_dft_power(signal, n, params_.first_bin(), bins, grid,
                         win_s.span(), ws);
-  std::span<const T> win = win_s.span();
+  std::span<const float> win = win_s.span();
 
   std::optional<FeedbackDecode> best;
   double best_peak_sum = 0.0;
@@ -186,7 +173,7 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
   std::vector<double>& powers = *powers_s;
   for (std::size_t j = 0; j < grid.starts; ++j) {
     const std::size_t start = j * grid.step;
-    combine_repeats<T>(win, noise, j, powers);
+    combine_repeats(win, noise, j, powers);
     // Top-2 whitened (per-bin SNR) powers.
     double total = 0.0;
     std::size_t i1 = 0, i2 = 0;
@@ -238,28 +225,17 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
   return best;
 }
 
-std::optional<FeedbackDecode> FeedbackCodec::decode_band(
-    std::span<const double> raw, dsp::Workspace& ws) const {
-  return decode_band_impl<double>(raw, ws);
-}
-
-std::optional<FeedbackDecode> FeedbackCodec::decode_band(
+std::optional<ToneDecode> FeedbackCodec::decode_tone(
     std::span<const float> raw, dsp::Workspace& ws) const {
-  return decode_band_impl<float>(raw, ws);
-}
-
-template <typename T>
-std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
-    std::span<const T> raw, dsp::Workspace& ws) const {
   const std::size_t n = params_.symbol_samples();
   const std::size_t bins = params_.num_bins();
   if (raw.size() < n) return std::nullopt;
-  dsp::Scratch<T> filtered_s(ws, raw.size());
-  bandpass_for<T>().filter_same_into(raw, filtered_s.span(), ws);
-  std::span<const T> signal = filtered_s.span();
+  dsp::Scratch<float> filtered_s(ws, raw.size());
+  bandpass_.filter_same_into(raw, filtered_s.span(), ws);
+  std::span<const float> signal = filtered_s.span();
 
   dsp::ScratchReal noise_s(ws, bins);
-  edge_noise_profile<T>(ofdm_, signal, noise_s.span(), ws);
+  edge_noise_profile(ofdm_, signal, noise_s.span(), ws);
   std::span<const double> noise = noise_s.span();
 
   const std::size_t sym_total = params_.symbol_total_samples();
@@ -270,10 +246,10 @@ std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
   // search position and each of its repeats.
   const dsp::PowerGrid grid = search_grid(signal.size(), sym_total,
                                           span_needed);
-  dsp::Scratch<T> win_s(ws, grid.starts * grid.repeats * bins);
+  dsp::Scratch<float> win_s(ws, grid.starts * grid.repeats * bins);
   dsp::moving_dft_power(signal, n, params_.first_bin(), bins, grid,
                         win_s.span(), ws);
-  std::span<const T> win = win_s.span();
+  std::span<const float> win = win_s.span();
 
   std::optional<ToneDecode> best;
   double best_peak = 0.0;
@@ -281,7 +257,7 @@ std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
   std::vector<double>& powers = *powers_s;
   for (std::size_t j = 0; j < grid.starts; ++j) {
     const std::size_t start = j * grid.step;
-    combine_repeats<T>(win, noise, j, powers);
+    combine_repeats(win, noise, j, powers);
     double total = 0.0;
     double p1 = -1.0;
     std::size_t i1 = 0;
@@ -302,16 +278,6 @@ std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
     }
   }
   return best;
-}
-
-std::optional<ToneDecode> FeedbackCodec::decode_tone(
-    std::span<const double> raw, dsp::Workspace& ws) const {
-  return decode_tone_impl<double>(raw, ws);
-}
-
-std::optional<ToneDecode> FeedbackCodec::decode_tone(
-    std::span<const float> raw, dsp::Workspace& ws) const {
-  return decode_tone_impl<float>(raw, ws);
 }
 
 }  // namespace aqua::phy

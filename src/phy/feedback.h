@@ -6,7 +6,10 @@
 // and picks the top-2 bins. Device IDs and ACKs use the same trick with a
 // single bin. The sliding FFT is evaluated with a moving-window DFT bank
 // (dsp/sliding_dft.h) that updates each active bin in O(1) per sample, so a
-// capture costs O(N * bins) instead of one full transform per window.
+// capture costs O(N * bins) instead of one full transform per window. The
+// decoders read fp32 captures, narrowed once at the mic boundary: the
+// bandpass and the moving-DFT power matrix run in float, the decision
+// metrics (noise whitening, top-bin sums) accumulate in double.
 #pragma once
 
 #include <cstdint>
@@ -52,18 +55,10 @@ class FeedbackCodec {
   /// on the kSearchStep grid. Returns nullopt when no window concentrates
   /// at least kMinPeakFraction of its in-band power in two bins. Scratch
   /// comes from `ws`.
-  std::optional<FeedbackDecode> decode_band(std::span<const double> signal,
-                                            dsp::Workspace& ws) const;
-  /// Single-precision overload for the float receive front end: the
-  /// bandpass and the moving-DFT power matrix run in fp32 (the decision
-  /// metrics — noise whitening, top-bin sums — still accumulate in double).
   std::optional<FeedbackDecode> decode_band(std::span<const float> signal,
                                             dsp::Workspace& ws) const;
 
   /// Searches `signal` for a single-tone symbol (same grid and threshold).
-  std::optional<ToneDecode> decode_tone(std::span<const double> signal,
-                                        dsp::Workspace& ws) const;
-  /// Single-precision overload (see the decode_band float overload).
   std::optional<ToneDecode> decode_tone(std::span<const float> signal,
                                         dsp::Workspace& ws) const;
 
@@ -87,22 +82,9 @@ class FeedbackCodec {
   const OfdmParams& params() const { return params_; }
 
  private:
-  template <typename T>
-  std::optional<FeedbackDecode> decode_band_impl(std::span<const T> raw,
-                                                 dsp::Workspace& ws) const;
-  template <typename T>
-  std::optional<ToneDecode> decode_tone_impl(std::span<const T> raw,
-                                             dsp::Workspace& ws) const;
-  /// The receive bandpass engine matching sample type T.
-  template <typename T>
-  const dsp::BasicFftFilter<T>& bandpass_for() const;
-
   OfdmParams params_;
   Ofdm ofdm_;
-  dsp::FftFilter bandpass_;  ///< receive bandpass, cached spectrum
-  /// fp32 twin of bandpass_ (same kernel, correctly-rounded narrowing) for
-  /// the float decode overloads.
-  dsp::BasicFftFilter<float> bandpass_f_;
+  dsp::BasicFftFilter<float> bandpass_;  ///< receive bandpass, cached spectrum
 };
 
 }  // namespace aqua::phy

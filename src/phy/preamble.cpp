@@ -41,8 +41,9 @@ Preamble::Preamble(const OfdmParams& params)
       cazac_bins_(dsp::zadoff_chu(params.num_bins())),
       one_symbol_(ofdm_.modulate(cazac_bins_)),
       waveform_(build_waveform(params, one_symbol_)),
-      bandpass_(dsp::design_bandpass(params.band_low_hz, params.band_high_hz,
-                                     params.sample_rate_hz, 129)),
+      bandpass_(dsp::convert_samples<float>(
+          dsp::design_bandpass(params.band_low_hz, params.band_high_hz,
+                               params.sample_rate_hz, 129))),
       core_samples_(OfdmParams::kPreambleSymbols * params.symbol_samples()) {}
 
 std::vector<double> Preamble::core_template() const {
@@ -51,36 +52,25 @@ std::vector<double> Preamble::core_template() const {
       waveform_.end());
 }
 
-template <typename T>
-double Preamble::sliding_metric_at_t(std::span<const T> signal,
-                                     std::size_t start) const {
+double Preamble::sliding_metric_at(std::span<const float> signal,
+                                   std::size_t start) const {
   const std::size_t n = params_.symbol_samples();
   if (start + core_samples_ > signal.size()) return 0.0;
   // Segment correlations and the window energy are contiguous dot products
-  // — the dispatched SIMD kernel of T's precision runs them. The metric
-  // itself accumulates in double for every T.
+  // — the dispatched fp32 SIMD kernel runs them. The metric itself
+  // accumulates in double.
   const dsp::simd::Kernels& kern = dsp::simd::active();
   double corr_sum = 0.0;
   for (std::size_t s = 0; s + 1 < OfdmParams::kPreambleSymbols; ++s) {
-    const T* a = signal.data() + start + s * n;
+    const float* a = signal.data() + start + s * n;
     const double sign = static_cast<double>(OfdmParams::kPnSigns[s] *
                                             OfdmParams::kPnSigns[s + 1]);
-    corr_sum += sign * static_cast<double>(dsp::simd::dot(kern, a, a + n, n));
+    corr_sum += sign * static_cast<double>(kern.dot_f(a, a + n, n));
   }
-  const double energy_sum = static_cast<double>(dsp::simd::dot(
-      kern, signal.data() + start, signal.data() + start, core_samples_));
+  const double energy_sum = static_cast<double>(kern.dot_f(
+      signal.data() + start, signal.data() + start, core_samples_));
   if (energy_sum <= 1e-12) return 0.0;
   return corr_sum / energy_sum;
-}
-
-template double Preamble::sliding_metric_at_t<double>(std::span<const double>,
-                                                      std::size_t) const;
-template double Preamble::sliding_metric_at_t<float>(std::span<const float>,
-                                                     std::size_t) const;
-
-double Preamble::sliding_metric_at(std::span<const double> signal,
-                                   std::size_t start) const {
-  return sliding_metric_at_t<double>(signal, start);
 }
 
 std::optional<PreambleDetection> Preamble::detect(
@@ -88,15 +78,18 @@ std::optional<PreambleDetection> Preamble::detect(
   if (signal.size() < core_samples_) return std::nullopt;
   const std::size_t last_start = signal.size() - core_samples_;
 
-  // One scanner pass over the capture, then silence until every detection
-  // that could start inside it has been decided — the same front end the
-  // streaming modem runs, applied to a finished recording.
+  // The capture narrowed once, then one scanner pass over it and silence
+  // until every detection that could start inside it has been decided —
+  // the same front end the streaming modem runs, applied to a finished
+  // recording.
+  dsp::Scratch<float> narrowed(ws, signal.size());
+  dsp::narrow_samples(signal, narrowed.span());
   PreambleScanner scanner(*this);
   // lint: alloc-ok(detection list of one capture: a handful of entries at most)
   std::vector<PreambleDetection> found;
-  scanner.scan(signal, found, ws);
-  dsp::ScratchReal silence(ws, params_.symbol_samples());
-  std::fill(silence->begin(), silence->end(), 0.0);
+  scanner.scan(narrowed.span(), found, ws);
+  dsp::Scratch<float> silence(ws, params_.symbol_samples());
+  std::fill(silence->begin(), silence->end(), 0.0f);
   while (scanner.decided_through() <= last_start) {
     scanner.scan(silence.span(), found, ws);
   }
@@ -120,41 +113,31 @@ constexpr std::uint64_t kScannerEnergyReaccumulate = 4096;
 // Compact a ring's front lazily so trims amortize to O(1) per sample.
 constexpr std::size_t kRingTrimSlack = 8192;
 
-// The scanner's engines are built in the scanner's own sample type: the
-// kernels are the correctly-rounded narrowing of the double ones
-// (convert_samples — identity for T = double), and the block-size model is
-// precision-independent, so both precisions sit on the same block grid.
-template <typename T>
-std::vector<T> bandpass_kernel(const dsp::FftFilter& bandpass) {
-  return dsp::convert_samples<T>(bandpass.kernel());
-}
-
-template <typename T>
-std::vector<T> reversed_core(const Preamble& preamble) {
+// The correlation engine's kernel: the core template reversed, rounded
+// once to float.
+std::vector<float> reversed_core(const Preamble& preamble) {
   std::vector<double> t = preamble.core_template();
   std::reverse(t.begin(), t.end());
-  return dsp::convert_samples<T>(t);
+  return dsp::convert_samples<float>(t);
 }
 
 }  // namespace
 
-template <typename T>
-BasicPreambleScanner<T>::BasicPreambleScanner(const Preamble& preamble)
+PreambleScanner::PreambleScanner(const Preamble& preamble)
     : pre_(&preamble),
       n_(preamble.params_.symbol_samples()),
       core_(preamble.core_samples()),
-      delay_((preamble.bandpass_.kernel_size() - 1) / 2),
+      delay_((preamble.bandpass_.size() - 1) / 2),
       window_(std::max<std::size_t>(n_ / 2, 1)),
       ref_energy_(dsp::energy(preamble.core_template())),
-      band_engine_(bandpass_kernel<T>(preamble.bandpass_)),
-      corr_engine_(reversed_core<T>(preamble), dsp::kMaxStreamStep),
+      band_engine_(preamble.bandpass_),
+      corr_engine_(reversed_core(preamble), dsp::kMaxStreamStep),
       band_stream_(band_engine_, dsp::kMaxStreamStep),
       corr_stream_(corr_engine_),
       conv_drop_(delay_),
       corr_drop_(core_ - 1) {}
 
-template <typename T>
-void BasicPreambleScanner<T>::reset() {
+void PreambleScanner::reset() {
   band_stream_.reset();
   corr_stream_.reset();
   filt_.clear();
@@ -169,8 +152,7 @@ void BasicPreambleScanner<T>::reset() {
   consumed_ = 0;
 }
 
-template <typename T>
-std::uint64_t BasicPreambleScanner<T>::decided_through() const {
+std::uint64_t PreambleScanner::decided_through() const {
   const std::uint64_t frontier = next_window_ * window_;
   const std::uint64_t horizon = static_cast<std::uint64_t>(core_ + n_);
   const std::uint64_t settled = frontier > horizon ? frontier - horizon : 0;
@@ -178,20 +160,18 @@ std::uint64_t BasicPreambleScanner<T>::decided_through() const {
                   : settled;
 }
 
-template <typename T>
-double BasicPreambleScanner<T>::metric_at(std::uint64_t abs_index) const {
+double PreambleScanner::metric_at(std::uint64_t abs_index) const {
   // Below the ring means below anything a legitimate probe can reach
   // (trim_rings retains the full confirmation span including the fine
   // pass); the guard only turns a corner-case wild read into a 0.
   if (abs_index < filt_base_) return 0.0;
-  return pre_->sliding_metric_at_t<T>(
+  return pre_->sliding_metric_at(
       filt_, static_cast<std::size_t>(abs_index - filt_base_));
 }
 
-template <typename T>
-void BasicPreambleScanner<T>::scan(std::span<const T> chunk,
-                                   std::vector<PreambleDetection>& out,
-                                   dsp::Workspace& ws) {
+void PreambleScanner::scan(std::span<const float> chunk,
+                           std::vector<PreambleDetection>& out,
+                           dsp::Workspace& ws) {
   consumed_ += chunk.size();
 
   // Bandpass each arriving sample exactly once. Dropping the first
@@ -200,7 +180,7 @@ void BasicPreambleScanner<T>::scan(std::span<const T> chunk,
   // indices are raw-stream indices.
   conv_tmp_.clear();
   band_stream_.push(chunk, conv_tmp_, ws);
-  std::span<const T> newf = conv_tmp_;
+  std::span<const float> newf = conv_tmp_;
   if (conv_drop_ > 0) {
     const std::size_t d = std::min(conv_drop_, newf.size());
     newf = newf.subspan(d);
@@ -214,7 +194,7 @@ void BasicPreambleScanner<T>::scan(std::span<const T> chunk,
   // lag i at convolution index i + core - 1.
   corr_tmp_.clear();
   corr_stream_.push(newf, corr_tmp_, ws);
-  std::span<const T> newc = corr_tmp_;
+  std::span<const float> newc = corr_tmp_;
   if (corr_drop_ > 0) {
     const std::size_t d = std::min(corr_drop_, newc.size());
     newc = newc.subspan(d);
@@ -226,8 +206,7 @@ void BasicPreambleScanner<T>::scan(std::span<const T> chunk,
   advance(out);
 }
 
-template <typename T>
-void BasicPreambleScanner<T>::advance(std::vector<PreambleDetection>& out) {
+void PreambleScanner::advance(std::vector<PreambleDetection>& out) {
   const std::uint64_t filt_end = filt_base_ + filt_.size();
   const std::uint64_t corr_end = corr_base_ + corr_vals_.size();
 
@@ -235,12 +214,12 @@ void BasicPreambleScanner<T>::advance(std::vector<PreambleDetection>& out) {
   // updated lag by lag in absolute order (with absolute-grid re-sums) and
   // always accumulates in double — the recurrence's loud-then-quiet
   // cancellation would eat a float accumulator — so the value sequence
-  // does not depend on chunk boundaries for either sample type.
+  // does not depend on chunk boundaries.
   while (next_lag_ < corr_end && next_lag_ + core_ <= filt_end) {
     const std::uint64_t i = next_lag_;
     if (i == 0 || i % kScannerEnergyReaccumulate == 0) {
       double acc = 0.0;
-      const T* f = filt_.data() + (i - filt_base_);
+      const float* f = filt_.data() + (i - filt_base_);
       for (std::size_t j = 0; j < core_; ++j) {
         const double v = static_cast<double>(f[j]);
         acc += v * v;
@@ -260,7 +239,7 @@ void BasicPreambleScanner<T>::advance(std::vector<PreambleDetection>& out) {
     const double c = static_cast<double>(corr_vals_[static_cast<std::size_t>(
         i - corr_base_)]);  // lint: pos-sub-ok(trim_rings keeps corr_base_ <= next_lag_, and i == next_lag_)
     // lint: alloc-ok(ring append; trim_rings erase() retains capacity, so growth stops after warm-up)
-    coarse_.push_back(static_cast<T>(denom > 1e-12 ? c / denom : 0.0));
+    coarse_.push_back(static_cast<float>(denom > 1e-12 ? c / denom : 0.0));
     ++next_lag_;
   }
 
@@ -288,9 +267,8 @@ void BasicPreambleScanner<T>::advance(std::vector<PreambleDetection>& out) {
   trim_rings();
 }
 
-template <typename T>
-void BasicPreambleScanner<T>::process_window(
-    std::uint64_t lo, std::uint64_t hi, std::vector<PreambleDetection>& out) {
+void PreambleScanner::process_window(std::uint64_t lo, std::uint64_t hi,
+                                     std::vector<PreambleDetection>& out) {
   // Best coarse value in the window (first maximum wins).
   std::uint64_t c = lo;
   // Ring offset of the window base; windows are decided in order, so
@@ -345,8 +323,7 @@ void BasicPreambleScanner<T>::process_window(
   pending_ = det;
 }
 
-template <typename T>
-void BasicPreambleScanner<T>::trim_rings() {
+void PreambleScanner::trim_rings() {
   // The filtered ring is still read at f[next_lag_ - 1] (energy recurrence)
   // and from (window lo - n - fine-pass step) on (confirmation passes).
   const std::uint64_t lag_back = next_lag_ > 0 ? next_lag_ - 1 : 0;
@@ -372,8 +349,5 @@ void BasicPreambleScanner<T>::trim_rings() {
     coarse_base_ = win_lo;
   }
 }
-
-template class BasicPreambleScanner<double>;
-template class BasicPreambleScanner<float>;
 
 }  // namespace aqua::phy

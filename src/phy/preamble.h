@@ -6,9 +6,9 @@
 // segment correlation (robust to gain changes and impulsive noise) confirms
 // them and yields sample-accurate timing.
 //
-// Both stages live in one incremental front end, BasicPreambleScanner,
+// Both stages live in one incremental fp32 front end, PreambleScanner,
 // which the streaming modem feeds from the microphone. Preamble::detect()
-// is that scanner run over a finished capture.
+// is that scanner run over a finished capture, narrowed once to float.
 #pragma once
 
 #include <cstdint>
@@ -45,24 +45,20 @@ class Preamble {
   /// Length of the core preamble (8 symbols, no CP).
   std::size_t core_samples() const { return core_samples_; }
 
-  /// Detects the preamble anywhere in `signal`: one PreambleScanner pass
-  /// (receive bandpass, then both detection stages) followed by silence.
-  /// Returns the confirmed detection with the highest sliding metric whose
-  /// core lies inside `signal`, or nullopt. Scratch comes from `ws`.
+  /// Detects the preamble anywhere in `signal`: the capture is narrowed
+  /// once to float (the mic-boundary conversion) into scratch from `ws`,
+  /// then one PreambleScanner pass (receive bandpass, then both detection
+  /// stages) runs over it, followed by silence. Returns the confirmed
+  /// detection with the highest sliding metric whose core lies inside
+  /// `signal`, or nullopt.
   std::optional<PreambleDetection> detect(std::span<const double> signal,
                                           dsp::Workspace& ws) const;
 
   /// Normalized sliding segment-correlation metric for a window starting at
-  /// `start` (exposed for tests and the Fig.-ablation bench).
-  double sliding_metric_at(std::span<const double> signal,
+  /// `start`: the segment dot products run through the fp32 dispatched
+  /// kernel, the metric itself accumulates in double.
+  double sliding_metric_at(std::span<const float> signal,
                            std::size_t start) const;
-
-  /// Sample-type generic form of the same metric: segment dot products run
-  /// through the dispatched kernel of T's precision, the metric itself
-  /// accumulates in double. The double instantiation IS sliding_metric_at.
-  template <typename T>
-  double sliding_metric_at_t(std::span<const T> signal,
-                             std::size_t start) const;
 
   /// Detection thresholds. The paper reports a clean preamble scoring
   /// > 0.6 and spiky noise < 0.2. After the receive bandpass, our measured
@@ -79,15 +75,14 @@ class Preamble {
   std::vector<double> core_template() const;
 
  private:
-  template <typename>
-  friend class BasicPreambleScanner;
+  friend class PreambleScanner;
 
   OfdmParams params_;
   Ofdm ofdm_;
   std::vector<dsp::cplx> cazac_bins_;
   std::vector<double> one_symbol_;       ///< unsigned CAZAC symbol
   std::vector<double> waveform_;         ///< CP + 8 signed symbols
-  dsp::FftFilter bandpass_;              ///< receive bandpass, cached spectrum
+  std::vector<float> bandpass_;          ///< receive bandpass taps (fp32)
   std::size_t core_samples_ = 0;
 };
 
@@ -107,20 +102,15 @@ class Preamble {
 /// lag the input by a bounded amount (correlation block + confirmation
 /// span, ~0.4 s at the default numerology), never by the buffer length.
 ///
-/// The scanner is templated on the sample type: `PreambleScanner` (double)
-/// keeps the historical behavior bit for bit, `BasicPreambleScanner<float>`
-/// is the single-precision front end the streaming modem feeds from the
-/// mic boundary. The scanner owns precision-matched bandpass/correlation
-/// engines (the block-size model is precision-independent, so both
-/// precisions sit on the same absolute block grid); all decision metrics
-/// and the energy recurrence accumulate in double regardless of T.
-template <typename T>
-class BasicPreambleScanner {
+/// The samples are fp32, narrowed once at the mic boundary: the bandpass
+/// and correlation engines and the rings are float, while every decision
+/// metric and the energy recurrence accumulate in double.
+class PreambleScanner {
  public:
-  explicit BasicPreambleScanner(const Preamble& preamble);
+  explicit PreambleScanner(const Preamble& preamble);
 
   /// Consumes the next chunk and appends any newly confirmed detections.
-  void scan(std::span<const T> chunk, std::vector<PreambleDetection>& out,
+  void scan(std::span<const float> chunk, std::vector<PreambleDetection>& out,
             dsp::Workspace& ws);
 
   /// Raw samples consumed so far.
@@ -144,18 +134,18 @@ class BasicPreambleScanner {
   std::size_t delay_ = 0;   ///< bandpass group delay
   std::size_t window_ = 0;  ///< candidate window width (n / 2)
   double ref_energy_ = 0.0;
-  dsp::BasicFftFilter<T> band_engine_;  ///< precision-matched bandpass
-  dsp::BasicFftFilter<T> corr_engine_;  ///< latency-bounded reversed template
-  typename dsp::BasicFftFilter<T>::Stream band_stream_;
-  typename dsp::BasicFftFilter<T>::Stream corr_stream_;
+  dsp::BasicFftFilter<float> band_engine_;  ///< receive bandpass
+  dsp::BasicFftFilter<float> corr_engine_;  ///< latency-bounded reversed template
+  dsp::BasicFftFilter<float>::Stream band_stream_;
+  dsp::BasicFftFilter<float>::Stream corr_stream_;
 
   // Rings over the absolute timeline: element 0 of each vector is the
   // absolute index stored in the matching *_base_.
-  std::vector<T> filt_;  ///< filter-same-aligned bandpassed samples
+  std::vector<float> filt_;  ///< filter-same-aligned bandpassed samples
   std::uint64_t filt_base_ = 0;
-  std::vector<T> corr_vals_;  ///< raw correlation per lag
+  std::vector<float> corr_vals_;  ///< raw correlation per lag
   std::uint64_t corr_base_ = 0;
-  std::vector<T> coarse_;  ///< normalized correlation per lag
+  std::vector<float> coarse_;  ///< normalized correlation per lag
   std::uint64_t coarse_base_ = 0;
 
   std::size_t conv_drop_ = 0;  ///< leading conv outputs to discard (delay)
@@ -165,18 +155,8 @@ class BasicPreambleScanner {
   std::uint64_t next_window_ = 0;  ///< next candidate window to decide
   std::optional<PreambleDetection> pending_;  ///< best in the open merge span
   std::uint64_t consumed_ = 0;
-  std::vector<T> conv_tmp_;
-  std::vector<T> corr_tmp_;
+  std::vector<float> conv_tmp_;
+  std::vector<float> corr_tmp_;
 };
-
-using PreambleScanner = BasicPreambleScanner<double>;
-
-extern template class BasicPreambleScanner<double>;
-extern template class BasicPreambleScanner<float>;
-
-extern template double Preamble::sliding_metric_at_t<double>(
-    std::span<const double>, std::size_t) const;
-extern template double Preamble::sliding_metric_at_t<float>(
-    std::span<const float>, std::size_t) const;
 
 }  // namespace aqua::phy

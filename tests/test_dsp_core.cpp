@@ -276,69 +276,126 @@ TEST(CrossCorrelator, MatchesFreeFunctions) {
 
 // --- Moving-window DFT bank vs per-window FFT demodulation. --------------
 
+// fp32 white-noise capture: the moving-DFT bank's input.
+std::vector<float> random_realf(std::size_t n, std::uint64_t seed) {
+  return convert_samples<float>(random_real(n, seed));
+}
+
+// |DFT bin b| of the window x[s..s+n), evaluated in double on the float
+// samples (exact up to double rounding), and the window's energy.
+double window_amplitude(std::span<const float> x, std::size_t s,
+                        std::size_t n, std::size_t b) {
+  cplx acc{0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = -kTwoPi * static_cast<double>(b) *
+                     static_cast<double>((s + i) % n) / static_cast<double>(n);
+    acc += static_cast<double>(x[s + i]) * cplx{std::cos(a), std::sin(a)};
+  }
+  return std::abs(acc);
+}
+
+double window_energy(std::span<const float> x, std::size_t s, std::size_t n) {
+  double e = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    e += static_cast<double>(x[s + i]) * static_cast<double>(x[s + i]);
+  }
+  return e;
+}
+
+// Amplitude error bound of the fp32 bank against the exact DFT of the same
+// float samples, for a window of energy `energy` on white input whose
+// slide since the last re-seed ran over windows of like energy.
+//
+// Between re-seeds a running sum S takes at most K = 4096 updates (the
+// re-seed interval, kReaccumulateInterval in sliding_dft.cpp). Each update
+// rounds both components of S once (one fmaf each) and the sample
+// difference once: errors of at most u * |S| and u * |d| * |phasor|, with
+// u = 2^-24 the fp32 unit roundoff. The phasor table's own rounding cancels:
+// every sample enters and leaves the sum through the same table row. On
+// white input |S| and |d| are of order sqrt(energy), and the roundings are
+// independent, so they add as a random walk: sqrt(K) * u * sqrt(energy)
+// = 64 u sqrt(energy) at the end of an interval. The seed (one fp32 real
+// FFT of the window, rotated by a table row) adds a few u * log2(n) *
+// sqrt(energy). The bound allows 4x the random walk, 256 u sqrt(energy),
+// about 1.5e-5 sqrt(energy).
+double sdft_amplitude_bound(double energy) {
+  constexpr double kUnitRoundoff = 0x1p-24;
+  constexpr double kReseedInterval = 4096.0;
+  return 4.0 * std::sqrt(kReseedInterval) * kUnitRoundoff * std::sqrt(energy);
+}
+
 TEST(MovingDftPower, MatchesPerWindowFft) {
   const phy::OfdmParams params;
   const phy::Ofdm ofdm(params);
   const std::size_t n = params.symbol_samples();
   const std::size_t bins = params.num_bins();
   Workspace ws;
-  const std::vector<double> x = random_real(3 * n + 137, 23);
+  const std::vector<float> x = random_realf(3 * n + 137, 23);
   const std::size_t count = x.size() - n + 1;
-  std::vector<double> powers(count * bins);
+  std::vector<float> powers(count * bins);
   moving_dft_power(x, n, params.first_bin(), bins, PowerGrid{1, 0, 1, count},
                    powers, ws);
-  // Spot-check starts across the capture, including both edges.
+  // Spot-check starts across the capture, including both edges, against
+  // the per-window FFT demodulation of the same float samples.
   for (const std::size_t s :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, n - 1, n, 2 * n + 41,
         count - 1}) {
-    const std::vector<cplx> spec =
-        ofdm.demodulate(std::span<const double>(x).subspan(s, n));
+    const std::vector<double> window(x.begin() + static_cast<std::ptrdiff_t>(s),
+                                     x.begin() + static_cast<std::ptrdiff_t>(s + n));
+    const std::vector<cplx> spec = ofdm.demodulate(window);
+    const double bound = sdft_amplitude_bound(window_energy(x, s, n));
     for (std::size_t k = 0; k < bins; ++k) {
-      const double expect = std::norm(spec[k]);
-      EXPECT_NEAR(powers[s * bins + k], expect,
-                  1e-9 * (1.0 + expect))
+      EXPECT_NEAR(std::sqrt(static_cast<double>(powers[s * bins + k])),
+                  std::abs(spec[k]), bound)
           << "start " << s << " bin " << k;
     }
   }
 }
 
 TEST(MovingDftPower, SurvivesLongCapturesWithoutDrift) {
-  // 60k samples crosses several re-accumulation intervals; the running sums
-  // must still match a direct window evaluation at the far end.
-  const std::size_t n = 960;
+  // 60k samples cross many re-seed intervals, and the first 8192 are 1000x
+  // louder (a nearby transmitter, then a distant one). The rounding residue
+  // the loud windows leave in the running sums is ~sqrt(8192) * u * 1000x
+  // the quiet windows' sqrt(energy) -- far above the bound -- so every
+  // quiet row must come from a re-seed past the loud head, and must still
+  // match a direct window evaluation after its slide.
+  const std::size_t n = 960, loud = 8192;
+  const std::size_t first_bin = 20, bins = 3;
   Workspace ws;
-  const std::vector<double> x = random_real(60000, 29);
+  std::vector<float> x = random_realf(60000, 29);
+  for (std::size_t i = 0; i < loud; ++i) x[i] *= 1000.0f;
   const std::size_t count = x.size() - n + 1;
-  std::vector<double> powers(count * 1);
-  moving_dft_power(x, n, 20, 1, PowerGrid{1, 0, 1, count}, powers, ws);
-  const std::size_t s = count - 1;
-  cplx acc{0.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) {
-    const double a = -kTwoPi * 20.0 *
-                     static_cast<double>(s + i) / static_cast<double>(n);
-    acc += x[s + i] * cplx{std::cos(a), std::sin(a)};
+  std::vector<float> powers(count * bins);
+  moving_dft_power(x, n, first_bin, bins, PowerGrid{1, 0, 1, count}, powers,
+                   ws);
+  std::vector<std::size_t> starts;
+  for (std::size_t s = loud; s < count; s += 997) starts.push_back(s);
+  starts.push_back(count - 1);
+  for (const std::size_t s : starts) {
+    const double bound = sdft_amplitude_bound(window_energy(x, s, n));
+    for (std::size_t k = 0; k < bins; ++k) {
+      EXPECT_NEAR(std::sqrt(static_cast<double>(powers[s * bins + k])),
+                  window_amplitude(x, s, n, first_bin + k), bound)
+          << "start " << s << " bin " << k;
+    }
   }
-  EXPECT_NEAR(powers[s], std::norm(acc), 1e-6 * (1.0 + std::norm(acc)));
 }
 
 // Every row of the widest grid (step, hop, repeats) that fits the capture
 // must equal, bit for bit, the dense pass's row at the same start.
-template <typename T>
 void expect_grid_rows_match_dense(std::size_t step, std::size_t hop,
                                   std::size_t repeats) {
   const std::size_t n = 960;
   const std::size_t bins = 7;
   Workspace ws;
-  const std::vector<T> x = convert_samples<T>(random_real(3 * 4096 + 2100, 41));
+  const std::vector<float> x = random_realf(3 * 4096 + 2100, 41);
   const std::size_t count = x.size() - n + 1;
-  std::vector<T> dense(count * bins);
-  moving_dft_power(std::span<const T>(x), n, 20, bins,
-                   PowerGrid{1, 0, 1, count}, std::span<T>(dense), ws);
+  std::vector<float> dense(count * bins);
+  moving_dft_power(x, n, 20, bins, PowerGrid{1, 0, 1, count}, dense, ws);
   const PowerGrid grid{step, hop, repeats,
                        (count - 1 - (repeats - 1) * hop) / step + 1};
-  std::vector<T> rows(grid.starts * repeats * bins);
-  moving_dft_power(std::span<const T>(x), n, 20, bins, grid,
-                   std::span<T>(rows), ws);
+  std::vector<float> rows(grid.starts * repeats * bins);
+  moving_dft_power(x, n, 20, bins, grid, rows, ws);
   for (std::size_t j = 0; j < grid.starts; ++j) {
     for (std::size_t r = 0; r < repeats; ++r) {
       const std::size_t s = j * step + r * hop;
@@ -358,14 +415,13 @@ TEST(MovingDftPower, GridRowsMatchDenseRows) {
   for (const auto& [step, hop] :
        {std::pair<std::size_t, std::size_t>{8, 1027}, {8, 2054}, {8, 5135},
         {8, 1024}, {5000, 1027}}) {
-    expect_grid_rows_match_dense<double>(step, hop, 2);
-    expect_grid_rows_match_dense<float>(step, hop, 2);
+    expect_grid_rows_match_dense(step, hop, 2);
   }
 }
 
 TEST(MovingDftPower, RejectsBadArguments) {
   Workspace ws;
-  std::vector<double> x(100), out(100);
+  std::vector<float> x(100), out(100);
   const PowerGrid one{1, 0, 1, 1};
   EXPECT_THROW(moving_dft_power(x, 0, 0, 1, one, out, ws),
                std::invalid_argument);
@@ -373,11 +429,11 @@ TEST(MovingDftPower, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW(moving_dft_power(x, 50, 40, 20, one, out, ws),
                std::invalid_argument);
-  std::vector<double> row(1);
+  std::vector<float> row(1);
   EXPECT_THROW(moving_dft_power(x, 50, 0, 1, PowerGrid{0, 0, 1, 1}, row, ws),
                std::invalid_argument);
   // 51 window starts: a row at start 51 lies past the signal.
-  std::vector<double> two(2);
+  std::vector<float> two(2);
   EXPECT_THROW(moving_dft_power(x, 50, 0, 1, PowerGrid{51, 0, 1, 2}, two, ws),
                std::invalid_argument);
   EXPECT_NO_THROW(
@@ -387,18 +443,18 @@ TEST(MovingDftPower, RejectsBadArguments) {
 TEST(SdftPhasors, ConcurrentFetchesShareOneTable) {
   // A key no other test uses, so the threads race to build it.
   constexpr std::size_t kWindow = 1000, kFirst = 3, kBins = 17;
-  std::vector<const SdftPhasors<float>*> seen(4, nullptr);
+  std::vector<const SdftPhasors*> seen(4, nullptr);
   {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < seen.size(); ++t) {
       threads.emplace_back([&seen, t] {
-        seen[t] = &sdft_phasors<float>(kWindow, kFirst, kBins);
+        seen[t] = &sdft_phasors(kWindow, kFirst, kBins);
       });
     }
     for (std::thread& th : threads) th.join();
   }
-  for (const SdftPhasors<float>* p : seen) EXPECT_EQ(p, seen[0]);
-  EXPECT_EQ(&sdft_phasors<float>(kWindow, kFirst, kBins), seen[0]);
+  for (const SdftPhasors* p : seen) EXPECT_EQ(p, seen[0]);
+  EXPECT_EQ(&sdft_phasors(kWindow, kFirst, kBins), seen[0]);
   // Row m holds e^{-j 2 pi ((b m) mod window) / window}, rounded once.
   const std::size_t m = 777, k = 5;
   const std::size_t p = ((kFirst + k) * m) % kWindow;

@@ -61,6 +61,10 @@ std::vector<double> phase1_capture(channel::UnderwaterChannel& ch,
   return ch.transmit(wave, 0.05, tail_s);
 }
 
+// Relative tolerance between an fp32 front-end metric and the retired
+// double front end's (as in test_precision).
+constexpr double kMetricRelTol = 2e-3;
+
 std::uint64_t bits_of(double v) {
   std::uint64_t u;
   std::memcpy(&u, &v, sizeof u);
@@ -79,19 +83,23 @@ TEST(PreambleScanner, MatchesBatchDetectorOnOneCapture) {
 
   // Golden answer of the retired batch detector (candidate pass over a
   // whole-capture normalized cross-correlation, then sliding confirmation)
-  // on this capture. detect() now runs the scanner; it must land on it.
+  // on this capture. detect() now runs the fp32 scanner; it must land on
+  // the same sample, with the metric pinned bit for bit and within fp32
+  // tolerance of the retired double one (0x3fe8d1ce921770ea).
   dsp::Workspace ws;
   const auto det = preamble.detect(rx, ws);
   ASSERT_TRUE(det.has_value());
   EXPECT_EQ(det->start_index, 3370u);
-  EXPECT_EQ(bits_of(det->sliding_metric), 0x3fe8d1ce921770eaULL);
+  EXPECT_EQ(bits_of(det->sliding_metric), 0x3fe8d1cea2471a0fULL);
+  EXPECT_NEAR(det->sliding_metric, 0x1.8d1ce921770eap-1, kMetricRelTol);
 
   // The streaming modem's chunked feed emits that same detection.
+  const std::vector<float> rx_f = dsp::convert_samples<float>(rx);
   phy::PreambleScanner scanner(preamble);
   std::vector<phy::PreambleDetection> dets;
-  for (std::size_t base = 0; base < rx.size(); base += 997) {
-    const std::size_t len = std::min<std::size_t>(997, rx.size() - base);
-    scanner.scan(std::span<const double>(rx).subspan(base, len), dets, ws);
+  for (std::size_t base = 0; base < rx_f.size(); base += 997) {
+    const std::size_t len = std::min<std::size_t>(997, rx_f.size() - base);
+    scanner.scan(std::span<const float>(rx_f).subspan(base, len), dets, ws);
   }
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(dets[0].start_index, det->start_index);
@@ -106,7 +114,8 @@ TEST(PreambleScanner, ChunkInvariantBitExact) {
   lc.range_m = 5.0;
   lc.seed = 55;
   channel::UnderwaterChannel ch(lc);
-  const std::vector<double> rx = phase1_capture(ch, params, 32, 0.6);
+  const std::vector<float> rx =
+      dsp::convert_samples<float>(phase1_capture(ch, params, 32, 0.6));
 
   dsp::Workspace ws;
   const auto run = [&](std::size_t chunk) {
@@ -114,7 +123,7 @@ TEST(PreambleScanner, ChunkInvariantBitExact) {
     std::vector<phy::PreambleDetection> dets;
     for (std::size_t base = 0; base < rx.size(); base += chunk) {
       const std::size_t len = std::min(chunk, rx.size() - base);
-      scanner.scan(std::span<const double>(rx).subspan(base, len), dets, ws);
+      scanner.scan(std::span<const float>(rx).subspan(base, len), dets, ws);
     }
     return dets;
   };

@@ -21,6 +21,16 @@
 namespace aqua::phy {
 namespace {
 
+// The receive front end reads captures narrowed once to fp32 (the modem's
+// mic-boundary conversion).
+std::vector<float> narrowed(std::span<const double> x) {
+  return dsp::convert_samples<float>(x);
+}
+
+// Relative tolerance between an fp32 front-end metric and the retired
+// double front end's (as in test_precision).
+constexpr double kMetricRelTol = 2e-3;
+
 TEST(Params, PaperNumerology) {
   const OfdmParams p;
   EXPECT_EQ(p.symbol_samples(), 960u);   // 20 ms at 48 kHz
@@ -105,11 +115,14 @@ TEST(Preamble, DetectsItselfCleanly) {
   EXPECT_NEAR(static_cast<double>(det->start_index),
               5000.0 + static_cast<double>(p.cp_samples()), 24.0);
   EXPECT_GT(det->sliding_metric, 0.6);  // paper: clean preamble > 0.6
-  // Golden answer of the retired batch detector on this signal.
+  // Golden answer of the retired batch detector on this signal: the same
+  // sample, with the fp32 scanner's metric pinned bit for bit and within
+  // fp32 tolerance of the retired double one (0x3febfa0a0834fb00).
   EXPECT_EQ(det->start_index, 5060u);
   std::uint64_t bits;
   std::memcpy(&bits, &det->sliding_metric, sizeof bits);
-  EXPECT_EQ(bits, 0x3febfa0a0834fb00ULL);
+  EXPECT_EQ(bits, 0x3febfa097ed11cbaULL);
+  EXPECT_NEAR(det->sliding_metric, 0x1.bfa0a0834fb00p-1, kMetricRelTol);
 }
 
 TEST(Preamble, NoFalseAlarmOnNoise) {
@@ -286,7 +299,7 @@ TEST(Feedback, RoundTripsCleanly) {
     std::vector<double> signal(3000, 0.0);
     signal.insert(signal.end(), sym.begin(), sym.end());
     signal.resize(signal.size() + 3000, 0.0);
-    auto dec = fb.decode_band(signal, ws);
+    auto dec = fb.decode_band(narrowed(signal), ws);
     ASSERT_TRUE(dec.has_value()) << "band " << b << "-" << e;
     EXPECT_EQ(dec->band.begin_bin, b);
     EXPECT_EQ(dec->band.end_bin, e);
@@ -303,7 +316,7 @@ TEST(Feedback, ToneRoundTripsForIdsAndAck) {
     std::vector<double> signal(2500, 0.0);
     signal.insert(signal.end(), sym.begin(), sym.end());
     signal.resize(signal.size() + 2500, 0.0);
-    auto dec = fb.decode_tone(signal, ws);
+    auto dec = fb.decode_tone(narrowed(signal), ws);
     ASSERT_TRUE(dec.has_value());
     EXPECT_EQ(dec->bin, bin);
   }
@@ -325,7 +338,7 @@ TEST(Feedback, SurvivesTheUnknownBackwardChannel) {
     channel::UnderwaterChannel ch(channel::reverse_link(lc));
     BandSelection band{12, 34, false};
     const std::vector<double> rx = ch.transmit(fb.encode_band(band));
-    auto dec = fb.decode_band(rx, ws);
+    auto dec = fb.decode_band(narrowed(rx), ws);
     if (dec && dec->band.begin_bin == 12 && dec->band.end_bin == 34) ++exact;
   }
   EXPECT_GE(exact, 8) << "feedback should decode almost always at 10 m";
@@ -339,13 +352,14 @@ TEST(Feedback, NothingDetectedInPureNoise) {
   std::normal_distribution<double> g(0.0, 0.05);
   std::vector<double> noise(20000);
   for (auto& v : noise) v = g(rng);
-  EXPECT_FALSE(fb.decode_band(noise, ws).has_value());
-  EXPECT_FALSE(fb.decode_tone(noise, ws).has_value());
+  const std::vector<float> noise_f = narrowed(noise);
+  EXPECT_FALSE(fb.decode_band(noise_f, ws).has_value());
+  EXPECT_FALSE(fb.decode_tone(noise_f, ws).has_value());
 }
 
 // Decoder outputs on fixed-seed reverse-link captures, pinned bit for bit
-// (peak fractions as hex floats) in both precisions: the values the dense
-// per-sample moving-DFT pass produced, which the grid-only pass must keep.
+// (peak fractions as hex floats): the values the dense per-sample
+// moving-DFT pass produced, which the grid-only pass must keep.
 // The captures are long enough to cross several moving-DFT re-seeds, and
 // the 25 Hz and 10 Hz numerologies put the second repeat at hop 2054 and
 // 5135 on the step-8 search grid.
@@ -354,24 +368,19 @@ struct DecoderPin {
   bool tone;                       ///< decode_tone on begin_bin, else band
   std::size_t begin_bin, end_bin;  ///< transmitted
   std::uint64_t seed;
-  // Expected decode: [0] the double overload, [1] the float overload.
-  std::size_t want_begin[2], want_end[2], want_start[2];
-  double want_fraction[2];
+  // Expected decode.
+  std::size_t want_begin, want_end, want_start;
+  double want_fraction;
 };
 
 TEST(Feedback, DecodersPinnedBitForBit) {
   const DecoderPin pins[] = {
-      {50.0, false, 12, 34, 500, {12, 12}, {34, 34}, {15352, 15352},
-       {0x1.e6966ba3f0ff5p-1, 0x1.e6966b341ddd8p-1}},
-      {50.0, true, 17, 17, 31, {17, 17}, {17, 17}, {14216, 14216},
-       {0x1.293ecb65d8075p-1, 0x1.293ed142acea7p-1}},
-      {50.0, true, FeedbackCodec::kAckBin, FeedbackCodec::kAckBin, 32,
-       {0, 0}, {0, 0}, {15320, 15320},
-       {0x1.c2d60654e61e9p-2, 0x1.c2d5ff4598792p-2}},
-      {25.0, false, 20, 90, 77, {20, 20}, {90, 90}, {15392, 15392},
-       {0x1.9c78028d298dap-1, 0x1.9c7800b940c2cp-1}},
-      {10.0, true, 150, 150, 78, {150, 150}, {150, 150}, {15568, 15568},
-       {0x1.b1dc9f96e770dp-1, 0x1.b1dc9fd01569bp-1}},
+      {50.0, false, 12, 34, 500, 12, 34, 15352, 0x1.e6966b341ddd8p-1},
+      {50.0, true, 17, 17, 31, 17, 17, 14216, 0x1.293ed142acea7p-1},
+      {50.0, true, FeedbackCodec::kAckBin, FeedbackCodec::kAckBin, 32, 0, 0,
+       15320, 0x1.c2d5ff4598792p-2},
+      {25.0, false, 20, 90, 77, 20, 90, 15392, 0x1.9c7800b940c2cp-1},
+      {10.0, true, 150, 150, 78, 150, 150, 15568, 0x1.b1dc9fd01569bp-1},
   };
   dsp::Workspace ws;
   for (const DecoderPin& pin : pins) {
@@ -386,34 +395,29 @@ TEST(Feedback, DecodersPinnedBitForBit) {
         pin.tone ? fb.encode_tone(pin.begin_bin)
                  : fb.encode_band({pin.begin_bin, pin.end_bin, false}),
         0.3, 0.5);
-    const std::vector<float> rx_f = dsp::convert_samples<float>(rx);
-    const std::span<const float> rx_fs(rx_f);
-    for (int prec = 0; prec < 2; ++prec) {
-      SCOPED_TRACE(testing::Message() << pin.spacing_hz << " Hz seed "
-                                      << pin.seed << " precision " << prec);
-      std::size_t begin = 0, end = 0, start = 0;
-      double frac = 0.0;
-      if (pin.tone) {
-        const auto dec =
-            prec == 0 ? fb.decode_tone(rx, ws) : fb.decode_tone(rx_fs, ws);
-        ASSERT_TRUE(dec.has_value());
-        begin = end = dec->bin;
-        start = dec->symbol_start;
-        frac = dec->peak_fraction;
-      } else {
-        const auto dec =
-            prec == 0 ? fb.decode_band(rx, ws) : fb.decode_band(rx_fs, ws);
-        ASSERT_TRUE(dec.has_value());
-        begin = dec->band.begin_bin;
-        end = dec->band.end_bin;
-        start = dec->symbol_start;
-        frac = dec->peak_fraction;
-      }
-      EXPECT_EQ(begin, pin.want_begin[prec]);
-      EXPECT_EQ(end, pin.want_end[prec]);
-      EXPECT_EQ(start, pin.want_start[prec]);
-      EXPECT_EQ(frac, pin.want_fraction[prec]);
+    const std::vector<float> rx_f = narrowed(rx);
+    SCOPED_TRACE(testing::Message() << pin.spacing_hz << " Hz seed "
+                                    << pin.seed);
+    std::size_t begin = 0, end = 0, start = 0;
+    double frac = 0.0;
+    if (pin.tone) {
+      const auto dec = fb.decode_tone(rx_f, ws);
+      ASSERT_TRUE(dec.has_value());
+      begin = end = dec->bin;
+      start = dec->symbol_start;
+      frac = dec->peak_fraction;
+    } else {
+      const auto dec = fb.decode_band(rx_f, ws);
+      ASSERT_TRUE(dec.has_value());
+      begin = dec->band.begin_bin;
+      end = dec->band.end_bin;
+      start = dec->symbol_start;
+      frac = dec->peak_fraction;
     }
+    EXPECT_EQ(begin, pin.want_begin);
+    EXPECT_EQ(end, pin.want_end);
+    EXPECT_EQ(start, pin.want_start);
+    EXPECT_EQ(frac, pin.want_fraction);
   }
 }
 
@@ -507,7 +511,7 @@ TEST(Workspace, DirtyArenaChangesNothing) {
   lc.seed = 2121;
   channel::UnderwaterChannel ch(lc);
   const std::vector<double> rx = ch.transmit(tx);
-  const std::vector<float> rx_f = dsp::convert_samples<float>(rx);
+  const std::vector<float> rx_f = narrowed(rx);
 
   // NaN poisons arithmetic; a huge finite value also poisons comparisons
   // (a NaN never wins a peak search). The second round poisons the same
@@ -550,31 +554,20 @@ TEST(Workspace, DirtyArenaChangesNothing) {
     EXPECT_TRUE(same_bits(est.h, est_ref.h));
     EXPECT_TRUE(same_bits(est.snr_db, est_ref.snr_db));
 
-    const auto tone = fb.decode_tone(rx, dirty);
-    const auto tone_ref = fb.decode_tone(rx, fresh);
-    const std::span<const float> rx_fs(rx_f);
-    const auto tone_f = fb.decode_tone(rx_fs, dirty);
-    const auto tone_f_ref = fb.decode_tone(rx_fs, fresh);
-    for (const auto& [got, want] :
-         {std::pair{tone, tone_ref}, std::pair{tone_f, tone_f_ref}}) {
-      ASSERT_TRUE(got.has_value() && want.has_value());
-      EXPECT_EQ(got->bin, want->bin);
-      EXPECT_EQ(got->symbol_start, want->symbol_start);
-      EXPECT_TRUE(same_bits(got->peak_fraction, want->peak_fraction));
-    }
+    const auto tone = fb.decode_tone(rx_f, dirty);
+    const auto tone_ref = fb.decode_tone(rx_f, fresh);
+    ASSERT_TRUE(tone.has_value() && tone_ref.has_value());
+    EXPECT_EQ(tone->bin, tone_ref->bin);
+    EXPECT_EQ(tone->symbol_start, tone_ref->symbol_start);
+    EXPECT_TRUE(same_bits(tone->peak_fraction, tone_ref->peak_fraction));
 
-    const auto fbd = fb.decode_band(rx, dirty);
-    const auto fbd_ref = fb.decode_band(rx, fresh);
-    const auto fbd_f = fb.decode_band(rx_fs, dirty);
-    const auto fbd_f_ref = fb.decode_band(rx_fs, fresh);
-    for (const auto& [got, want] :
-         {std::pair{fbd, fbd_ref}, std::pair{fbd_f, fbd_f_ref}}) {
-      ASSERT_TRUE(got.has_value() && want.has_value());
-      EXPECT_EQ(got->band.begin_bin, want->band.begin_bin);
-      EXPECT_EQ(got->band.end_bin, want->band.end_bin);
-      EXPECT_EQ(got->symbol_start, want->symbol_start);
-      EXPECT_TRUE(same_bits(got->peak_fraction, want->peak_fraction));
-    }
+    const auto fbd = fb.decode_band(rx_f, dirty);
+    const auto fbd_ref = fb.decode_band(rx_f, fresh);
+    ASSERT_TRUE(fbd.has_value() && fbd_ref.has_value());
+    EXPECT_EQ(fbd->band.begin_bin, fbd_ref->band.begin_bin);
+    EXPECT_EQ(fbd->band.end_bin, fbd_ref->band.end_bin);
+    EXPECT_EQ(fbd->symbol_start, fbd_ref->symbol_start);
+    EXPECT_TRUE(same_bits(fbd->peak_fraction, fbd_ref->peak_fraction));
 
     DecodeOptions opts;
     opts.search_window = rx.size() - 4 * p.symbol_total_samples();

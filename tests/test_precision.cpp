@@ -1,16 +1,21 @@
-// Float-vs-double receive-front-end equivalence (the fp32 migration's
-// safety net):
-//   * BasicPreambleScanner<float> finds the same detections, at the same
-//     absolute positions, as the double scanner on channel captures — and
-//     stays bit-exact across 1 / 160 / 4800-sample chunkings;
+// The fp32 receive front end against the retired double-precision one.
+//
+// The library keeps one receive precision: the preamble scanner and the
+// tone decoders run only in fp32. The double front end they replaced is
+// kept here as recorded data — its detections and decodes on fixed
+// captures, recorded before it was deleted — and the fp32 code must still
+// reach its decisions:
+//   * PreambleScanner finds the recorded detections, at the same absolute
+//     positions, on channel captures — and stays bit-exact across 1 / 160
+//     / 4800-sample chunkings;
 //   * the same holds for every endpoint mic stream in the committed trace
 //     corpus (real multi-phase duplex timelines, not synthetic captures);
 //   * BasicCrossCorrelator<float> lands its normalized peak on the same lag
 //     as the double correlator, with the peak value inside fp32 tolerance;
-//   * the float decode_tone / decode_band overloads reach the double
-//     overloads' decisions (bin, band edges, symbol position).
+//   * decode_tone / decode_band reach the recorded decisions (bin, band
+//     edges, symbol position), which are the transmitted ones.
 //
-// Positions and counts must be EQUAL: the front end's decisions are
+// Positions, bins and counts must be EQUAL: the front end's decisions are
 // threshold crossings on the absolute sample grid, and both precisions sit
 // on the same grid. Only the continuous metrics get a tolerance.
 #include <gtest/gtest.h>
@@ -34,10 +39,18 @@
 namespace aqua {
 namespace {
 
-// Relative tolerance for metrics recomputed with a float signal path. The
-// decision accumulators stay double in both instantiations, so the error
+// Relative tolerance between a metric of the fp32 front end and the
+// double one's. The decision accumulators are double in both, so the error
 // is a handful of fp32 rounding steps on the inputs, not sqrt(N) growth.
 constexpr double kMetricRelTol = 2e-3;
+
+// One detection of the retired double-precision scanner, recorded on the
+// capture named where it is used (metrics as hex floats, bit for bit).
+struct RecordedDetection {
+  std::size_t start_index;
+  double sliding_metric;
+  double coarse_peak;
+};
 
 std::vector<float> narrowed(std::span<const double> x) {
   std::vector<float> out(x.size());
@@ -45,13 +58,12 @@ std::vector<float> narrowed(std::span<const double> x) {
   return out;
 }
 
-// Runs a scanner of sample type T over `rx` in fixed-size chunks.
-template <typename T>
+// Runs the scanner over `rx` in fixed-size chunks.
 std::vector<phy::PreambleDetection> scan_chunked(const phy::Preamble& pre,
-                                                 std::span<const T> rx,
+                                                 std::span<const float> rx,
                                                  std::size_t chunk,
                                                  dsp::Workspace& ws) {
-  phy::BasicPreambleScanner<T> scanner(pre);
+  phy::PreambleScanner scanner(pre);
   std::vector<phy::PreambleDetection> dets;
   for (std::size_t base = 0; base < rx.size(); base += chunk) {
     const std::size_t len = std::min(chunk, rx.size() - base);
@@ -60,9 +72,9 @@ std::vector<phy::PreambleDetection> scan_chunked(const phy::Preamble& pre,
   return dets;
 }
 
-void expect_equivalent(const std::vector<phy::PreambleDetection>& d,
-                       const std::vector<phy::PreambleDetection>& f,
-                       const std::string& what) {
+void expect_matches_recorded(std::span<const RecordedDetection> d,
+                             const std::vector<phy::PreambleDetection>& f,
+                             const std::string& what) {
   ASSERT_EQ(d.size(), f.size()) << what;
   for (std::size_t i = 0; i < d.size(); ++i) {
     EXPECT_EQ(d[i].start_index, f[i].start_index) << what << " det " << i;
@@ -92,14 +104,20 @@ TEST(PrecisionEquivalence, ScannerMatchesDoubleOnChannelCaptures) {
   phy::Preamble preamble(params);
   dsp::Workspace ws;
 
+  // `want`: the double scanner's detections, fed in 997-sample chunks.
   const struct {
     channel::Site site;
     double range_m;
     std::uint32_t seed;
+    RecordedDetection want;
   } links[] = {
-      {channel::Site::kLake, 10.0, 77},
-      {channel::Site::kBridge, 5.0, 55},
-      {channel::Site::kLake, 30.0, 91},  // lowest-SNR preset: metric ~0.2
+      {channel::Site::kLake, 10.0, 77,
+       {3370, 0x1.8d1ce921770eap-1, 0x1.34fb722a810cbp-1}},
+      {channel::Site::kBridge, 5.0, 55,
+       {3152, 0x1.bb67021a3f879p-1, 0x1.8f2dc72b4d4fp-1}},
+      // Lowest-SNR preset: the metric is ~0.43.
+      {channel::Site::kLake, 30.0, 91,
+       {4019, 0x1.ba6673521d5fbp-2, 0x1.27ca14e37c87cp-2}},
   };
   for (const auto& link : links) {
     channel::LinkConfig lc;
@@ -107,13 +125,11 @@ TEST(PrecisionEquivalence, ScannerMatchesDoubleOnChannelCaptures) {
     lc.range_m = link.range_m;
     lc.seed = link.seed;
     channel::UnderwaterChannel ch(lc);
-    const std::vector<double> rx = phase1_capture(ch, params, 32);
-    const std::vector<float> rxf = narrowed(rx);
+    const std::vector<float> rxf = narrowed(phase1_capture(ch, params, 32));
 
-    const auto d = scan_chunked<double>(preamble, rx, 997, ws);
-    const auto f = scan_chunked<float>(preamble, rxf, 997, ws);
-    ASSERT_GE(d.size(), 1u) << "seed " << link.seed;
-    expect_equivalent(d, f, "seed " + std::to_string(link.seed));
+    const auto f = scan_chunked(preamble, rxf, 997, ws);
+    expect_matches_recorded({&link.want, 1}, f,
+                            "seed " + std::to_string(link.seed));
   }
 }
 
@@ -125,13 +141,12 @@ TEST(PrecisionEquivalence, FloatScannerChunkInvariantBitExact) {
   lc.range_m = 5.0;
   lc.seed = 55;
   channel::UnderwaterChannel ch(lc);
-  const std::vector<double> rx = phase1_capture(ch, params, 32);
-  const std::vector<float> rxf = narrowed(rx);
+  const std::vector<float> rxf = narrowed(phase1_capture(ch, params, 32));
 
   dsp::Workspace ws;
-  const auto d1 = scan_chunked<float>(preamble, {rxf}, 1, ws);
-  const auto d160 = scan_chunked<float>(preamble, {rxf}, 160, ws);
-  const auto d4800 = scan_chunked<float>(preamble, {rxf}, 4800, ws);
+  const auto d1 = scan_chunked(preamble, rxf, 1, ws);
+  const auto d160 = scan_chunked(preamble, rxf, 160, ws);
+  const auto d4800 = scan_chunked(preamble, rxf, 4800, ws);
   ASSERT_EQ(d1.size(), 1u);
   ASSERT_EQ(d160.size(), 1u);
   ASSERT_EQ(d4800.size(), 1u);
@@ -144,9 +159,11 @@ TEST(PrecisionEquivalence, FloatScannerChunkInvariantBitExact) {
   EXPECT_EQ(d1[0].coarse_peak, d160[0].coarse_peak);
   EXPECT_EQ(d1[0].coarse_peak, d4800[0].coarse_peak);
 
-  // And the positions are the double scanner's positions.
-  const auto ref = scan_chunked<double>(preamble, {rx}, 4800, ws);
-  expect_equivalent(ref, d4800, "chunk 4800");
+  // And the positions are the double scanner's, which was chunk-invariant
+  // too (recorded at chunk 4800).
+  const RecordedDetection want{3152, 0x1.bb67021a3f879p-1,
+                               0x1.8f2dc72b4d4fp-1};
+  expect_matches_recorded({&want, 1}, d4800, "chunk 4800");
 }
 
 // Reassembles one endpoint's full-rate mic timeline from its push records.
@@ -164,34 +181,60 @@ std::vector<double> mic_stream(const obs::Trace& trace, int endpoint) {
   return out;
 }
 
+// The double scanner's detections on each endpoint mic stream of the
+// committed corpus, fed in 4800-sample chunks. Regenerating the corpus
+// changes the streams, so it needs these re-derived.
+struct RecordedStream {
+  const char* file;
+  int endpoint;
+  std::vector<RecordedDetection> detections;
+};
+
+const std::vector<RecordedStream>& recorded_corpus() {
+  static const std::vector<RecordedStream> streams = {
+      {"dropped_feedback_retransmit.aqt", 0,
+       {{3153, 0x1.bbc58d2f23428p-1, 0x1.8eb888edd25afp-1},
+        {183304, 0x1.bb024e03be42ep-1, 0x1.8ef20484f1b17p-1}}},
+      {"duplex_bridge_exchange.aqt", 0, {}},
+      {"duplex_bridge_exchange.aqt", 1,
+       {{8403, 0x1.baac917d4d4c8p-1, 0x1.8de19f76547c9p-1}}},
+      {"partial_preamble_false_detect.aqt", 0,
+       {{3153, 0x1.b10ddc1c3136p-1, 0x1.7155e0bebc525p-1}}},
+  };
+  return streams;
+}
+
 TEST(PrecisionEquivalence, TraceCorpusScansMatchAcrossPrecisions) {
   const std::filesystem::path dir(AQUA_TRACE_DIR);
   ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
   std::size_t streams_checked = 0;
-  std::size_t detections_seen = 0;
   dsp::Workspace ws;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".aqt") continue;
+    const std::string file = entry.path().filename().string();
     const obs::Trace trace = obs::read_trace(entry.path().string());
     for (int ep : trace.endpoints()) {
       const core::ModemConfig* cfg = trace.endpoint_config(ep);
       ASSERT_NE(cfg, nullptr);
       const std::vector<double> rx = mic_stream(trace, ep);
       if (rx.empty()) continue;
+      const std::string what = file + " ep " + std::to_string(ep);
+      const auto rec = std::find_if(
+          recorded_corpus().begin(), recorded_corpus().end(),
+          [&](const RecordedStream& r) {
+            return file == r.file && ep == r.endpoint;
+          });
+      ASSERT_NE(rec, recorded_corpus().end())
+          << what << " has no recorded double-scanner reference";
       phy::Preamble preamble(cfg->params);
-      const std::vector<float> rxf = narrowed(rx);
-      const auto d = scan_chunked<double>(preamble, {rx}, 4800, ws);
-      const auto f = scan_chunked<float>(preamble, {rxf}, 4800, ws);
-      expect_equivalent(
-          d, f, entry.path().filename().string() + " ep " + std::to_string(ep));
+      const auto f = scan_chunked(preamble, narrowed(rx), 4800, ws);
+      expect_matches_recorded(rec->detections, f, what);
       ++streams_checked;
-      detections_seen += d.size();
     }
   }
-  // The committed corpus has multi-endpoint duplex sessions; if this drops
-  // to zero the corpus (or its location) changed and the test went blind.
-  EXPECT_GE(streams_checked, 4u);
-  EXPECT_GE(detections_seen, 2u);
+  // Every recorded stream was found: if this drops, the corpus (or its
+  // location) changed and the test went blind.
+  EXPECT_EQ(streams_checked, recorded_corpus().size());
 }
 
 TEST(PrecisionEquivalence, CorrelatorPeakSameLagWithinTolerance) {
@@ -233,32 +276,25 @@ TEST(PrecisionEquivalence, ToneAndBandDecodersAgree) {
   channel::UnderwaterChannel ch(lc);
   dsp::Workspace ws;
 
+  // The double decoders' answers on these two captures, recorded.
   const std::size_t tone_bin = 17;
-  const std::vector<double> tone_rx =
-      ch.transmit(codec.encode_tone(tone_bin), 0.05, 0.1);
-  const auto tone_d = codec.decode_tone(tone_rx, ws);
-  const auto tone_f = codec.decode_tone(
-      std::span<const float>(narrowed(tone_rx)), ws);
-  ASSERT_TRUE(tone_d.has_value());
-  ASSERT_TRUE(tone_f.has_value());
-  EXPECT_EQ(tone_f->bin, tone_d->bin);
-  EXPECT_EQ(tone_f->symbol_start, tone_d->symbol_start);
-  EXPECT_NEAR(tone_f->peak_fraction, tone_d->peak_fraction, kMetricRelTol);
+  const auto tone = codec.decode_tone(
+      narrowed(ch.transmit(codec.encode_tone(tone_bin), 0.05, 0.1)), ws);
+  ASSERT_TRUE(tone.has_value());
+  EXPECT_EQ(tone->bin, tone_bin);  // the transmitted tone
+  EXPECT_EQ(tone->symbol_start, 3272u);
+  EXPECT_NEAR(tone->peak_fraction, 0x1.5901e0ad49936p-1, kMetricRelTol);
 
   phy::BandSelection band;
   band.begin_bin = 4;
   band.end_bin = 41;
-  const std::vector<double> band_rx =
-      ch.transmit(codec.encode_band(band), 0.05, 0.1);
-  const auto band_d = codec.decode_band(band_rx, ws);
-  const auto band_f = codec.decode_band(
-      std::span<const float>(narrowed(band_rx)), ws);
-  ASSERT_TRUE(band_d.has_value());
-  ASSERT_TRUE(band_f.has_value());
-  EXPECT_EQ(band_f->band.begin_bin, band_d->band.begin_bin);
-  EXPECT_EQ(band_f->band.end_bin, band_d->band.end_bin);
-  EXPECT_EQ(band_f->symbol_start, band_d->symbol_start);
-  EXPECT_NEAR(band_f->peak_fraction, band_d->peak_fraction, kMetricRelTol);
+  const auto fb = codec.decode_band(
+      narrowed(ch.transmit(codec.encode_band(band), 0.05, 0.1)), ws);
+  ASSERT_TRUE(fb.has_value());
+  EXPECT_EQ(fb->band.begin_bin, band.begin_bin);  // the transmitted band
+  EXPECT_EQ(fb->band.end_bin, band.end_bin);
+  EXPECT_EQ(fb->symbol_start, 3304u);
+  EXPECT_NEAR(fb->peak_fraction, 0x1.8894d8214a493p-1, kMetricRelTol);
 }
 
 }  // namespace

@@ -187,29 +187,28 @@ const std::size_t kKernelSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9,
 // random phasor rows: the scalar table's sums must match a naive per-sample
 // axpy within rounding of the fused updates, and every target must match
 // the scalar table bit for bit.
-template <typename T>
 void expect_sdft_update_contract(double tol, std::uint64_t seed) {
   const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
   ASSERT_NE(scalar, nullptr);
   const auto random_t = [](std::size_t n, std::uint64_t sd) {
-    return convert_samples<T>(random_real(n, sd));
+    return convert_samples<float>(random_real(n, sd));
   };
   for (const std::size_t width : kKernelSizes) {
     for (const std::size_t samples : {std::size_t{1}, std::size_t{7}}) {
       SCOPED_TRACE(testing::Message() << "width " << width << " samples "
                                       << samples);
-      const std::vector<T> acc0 = random_t(width, seed + width);
-      const std::vector<T> rows = random_t(samples * width, seed + 100);
-      const std::vector<T> x_old = random_t(samples, seed + 200);
-      const std::vector<T> x_new = random_t(samples, seed + 300);
+      const std::vector<float> acc0 = random_t(width, seed + width);
+      const std::vector<float> rows = random_t(samples * width, seed + 100);
+      const std::vector<float> x_old = random_t(samples, seed + 200);
+      const std::vector<float> x_new = random_t(samples, seed + 300);
 
-      std::vector<T> ref = acc0;
-      simd::sdft_update(*scalar, ref.data(), rows.data(), x_old.data(),
-                        x_new.data(), samples, width);
+      std::vector<float> ref = acc0;
+      scalar->sdft_update_f(ref.data(), rows.data(), x_old.data(),
+                            x_new.data(), samples, width);
       // Naive cross-check of the recurrence semantics.
-      std::vector<T> naive = acc0;
+      std::vector<float> naive = acc0;
       for (std::size_t i = 0; i < samples; ++i) {
-        const T d = x_new[i] - x_old[i];
+        const float d = x_new[i] - x_old[i];
         for (std::size_t j = 0; j < width; ++j) {
           naive[j] += d * rows[i * width + j];
         }
@@ -219,9 +218,9 @@ void expect_sdft_update_contract(double tol, std::uint64_t seed) {
             << "sum " << j;
       }
       for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<T> got = acc0;
-        simd::sdft_update(*k, got.data(), rows.data(), x_old.data(),
-                          x_new.data(), samples, width);
+        std::vector<float> got = acc0;
+        k->sdft_update_f(got.data(), rows.data(), x_old.data(),
+                         x_new.data(), samples, width);
         for (std::size_t j = 0; j < width; ++j) {
           EXPECT_EQ(got[j], ref[j]) << k->name << " sum " << j;
         }
@@ -236,10 +235,8 @@ TEST(Simd, ActiveTableIsRunnable) {
   EXPECT_NE(k.dot, nullptr);
   EXPECT_NE(k.fir, nullptr);
   EXPECT_NE(k.cmul_inplace, nullptr);
-  EXPECT_NE(k.sdft_update, nullptr);
   EXPECT_NE(k.fft_pass, nullptr);
   EXPECT_NE(k.dot_f, nullptr);
-  EXPECT_NE(k.fir_f, nullptr);
   EXPECT_NE(k.cmul_inplace_f, nullptr);
   EXPECT_NE(k.sdft_update_f, nullptr);
   EXPECT_NE(k.fft_pass_f, nullptr);
@@ -318,10 +315,6 @@ TEST(Simd, CmulBitIdenticalAcrossTargetsAndCorrect) {
   }
 }
 
-TEST(Simd, SdftUpdateBitIdenticalAcrossTargetsAndCorrect) {
-  expect_sdft_update_contract<double>(1e-12, 800);
-}
-
 // --- Single-precision kernel twins: same contracts at 2x the lanes. ------
 
 TEST(Simd, DotFloatBitIdenticalAcrossTargetsAndCorrect) {
@@ -341,24 +334,6 @@ TEST(Simd, DotFloatBitIdenticalAcrossTargetsAndCorrect) {
     for (const simd::Kernels* k : runnable_targets()) {
       const float got = k->dot_f(a.data(), b.data(), n);
       EXPECT_EQ(got, ref) << k->name << " n " << n;
-    }
-  }
-}
-
-TEST(Simd, FirFloatMatchesDotPerOutputOnEveryTarget) {
-  for (const std::size_t t : kFirTaps) {
-    for (const std::size_t n : kFirOutputs) {
-      const std::vector<float> a = random_realf(t, 1600 + t);
-      const std::vector<float> x = random_realf(n + t - 1, 1700 + n);
-      for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<float> got(n + 1, -1.0f);
-        k->fir_f(a.data(), x.data(), got.data(), t, n);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got[i], k->dot_f(a.data(), x.data() + i, t))
-              << k->name << " taps " << t << " outputs " << n << " i " << i;
-        }
-        EXPECT_EQ(got[n], -1.0f) << k->name << " wrote past the run";
-      }
     }
   }
 }
@@ -389,7 +364,7 @@ TEST(Simd, CmulFloatBitIdenticalAcrossTargetsAndCorrect) {
 }
 
 TEST(Simd, SdftUpdateFloatBitIdenticalAcrossTargetsAndCorrect) {
-  expect_sdft_update_contract<float>(1e-4, 1800);
+  expect_sdft_update_contract(1e-4, 1800);
 }
 
 // --- The whole-transform FFT pass kernel. --------------------------------
