@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,8 +22,6 @@
 
 namespace aqua::bench {
 
-/// Batch aggregates now live in the sim layer so the sweep runner and the
-/// serial benches accumulate the exact same statistics.
 using BatchStats = sim::BatchStats;
 
 namespace detail {
@@ -100,15 +97,6 @@ inline int sweep_threads(int argc, char** argv) {
   return 0;
 }
 
-/// Runs `n` packets through fresh sessions (new channel realization per
-/// packet, like re-submerging the phones every few packets in the paper).
-inline BatchStats run_batch(const core::SessionConfig& base, int n,
-                            std::uint64_t seed_base,
-                            std::size_t payload_bits = 16) {
-  dsp::Workspace ws;
-  return sim::run_packet_range(base, 0, n, seed_base, payload_bits, ws);
-}
-
 /// Prints one session-QoE summary line: delivery ratio, message-latency
 /// percentiles (p50/p95/p99, seconds on the shared sample timeline), and
 /// transmit failures (retransmission pressure). Every value is derived
@@ -147,28 +135,6 @@ inline void print_cdf(const char* label, std::vector<double> values) {
                 static_cast<double>(i + 1) / static_cast<double>(values.size()));
   }
   std::printf("\n");
-}
-
-/// The paper's fixed-bandwidth baselines: 1-4 kHz (60 bins), 1-2.5 kHz
-/// (30 bins), 1-1.5 kHz (10 bins).
-struct FixedScheme {
-  const char* name;
-  phy::BandSelection band;
-};
-
-inline std::vector<FixedScheme> fixed_schemes() {
-  return {{"fixed 3.0 kHz (1-4 kHz)", {0, 59, false}},
-          {"fixed 1.5 kHz (1-2.5 kHz)", {0, 29, false}},
-          {"fixed 0.5 kHz (1-1.5 kHz)", {0, 9, false}}};
-}
-
-/// fixed_schemes() in the grid's (name, band) form, with "adaptive" first.
-inline std::vector<std::pair<std::string, std::optional<phy::BandSelection>>>
-grid_schemes_with_adaptive() {
-  std::vector<std::pair<std::string, std::optional<phy::BandSelection>>> out;
-  out.emplace_back("adaptive", std::nullopt);
-  for (const FixedScheme& s : fixed_schemes()) out.emplace_back(s.name, s.band);
-  return out;
 }
 
 }  // namespace aqua::bench

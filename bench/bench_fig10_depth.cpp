@@ -1,52 +1,31 @@
 // Fig. 10 reproduction: effect of depth at the museum site (9 m water
 // column), 5 m horizontal range, device depths 2/5/7 m. (a) CDF of
 // selected bitrate, (b) PER adaptive vs fixed bandwidth.
+// Points: bench::fig10_depth(); --threads N sizes the sweep pool.
 #include <cstdio>
 
-#include "bench_common.h"
+#include "figures.h"
 
 using namespace aqua;
 
-int main() {
+int main(int argc, char** argv) {
   const int n = bench::packets_per_config(12);
-  const double depths[] = {2.0, 5.0, 7.0};
+  const std::vector<bench::BatchStats> stats = bench::run_figure(
+      bench::fig10_depth(), n, bench::sweep_threads(argc, argv));
+  constexpr std::size_t kCols = std::size(bench::kFig10Depths);
 
   std::printf("=== Fig. 10a: CDF of selected bitrate vs depth (museum) ===\n");
-  std::vector<bench::BatchStats> adaptive;
-  for (double depth : depths) {
-    core::SessionConfig cfg;
-    cfg.forward.site = channel::site_preset(channel::Site::kMuseum);
-    cfg.forward.range_m = 5.0;
-    cfg.forward.tx_depth_m = depth;
-    cfg.forward.rx_depth_m = depth;
-    bench::BatchStats s =
-        bench::run_batch(cfg, n, 11000 + static_cast<int>(depth) * 23);
+  for (std::size_t c = 0; c < kCols; ++c) {
     char label[32];
-    std::snprintf(label, sizeof label, "depth %.0f m", depth);
-    bench::print_cdf(label, s.bitrates);
-    adaptive.push_back(std::move(s));
+    std::snprintf(label, sizeof label, "depth %.0f m", bench::kFig10Depths[c]);
+    bench::print_cdf(label, stats[c].bitrates);
   }
 
   std::printf("\n=== Fig. 10b: PER vs depth, adaptive vs fixed ===\n");
   std::printf("%-28s %10s %10s %10s\n", "scheme", "2 m", "5 m", "7 m");
-  std::printf("%-28s", "adaptive (ours)");
-  for (const auto& s : adaptive) std::printf(" %9.1f%%", 100.0 * s.per());
-  std::printf("\n");
-  for (const bench::FixedScheme& scheme : bench::fixed_schemes()) {
-    std::printf("%-28s", scheme.name);
-    for (double depth : depths) {
-      core::SessionConfig cfg;
-      cfg.forward.site = channel::site_preset(channel::Site::kMuseum);
-      cfg.forward.range_m = 5.0;
-      cfg.forward.tx_depth_m = depth;
-      cfg.forward.rx_depth_m = depth;
-      cfg.fixed_band = scheme.band;
-      const bench::BatchStats s =
-          bench::run_batch(cfg, n, 11500 + static_cast<int>(depth) * 29);
-      std::printf(" %9.1f%%", 100.0 * s.per());
-    }
-    std::printf("\n");
-  }
+  bench::print_scheme_rows(stats, kCols, [](const auto& s) {
+    std::printf(" %9.1f%%", 100.0 * s.per());
+  });
   std::printf("\n(paper: 2 m and 7 m — near surface and near bottom — are the "
               "hardest multipath; adaptive stays lowest at every depth)\n");
   return 0;

@@ -1,25 +1,18 @@
 // Fig. 11 reproduction: deeper water test — bay site (15 m water), phones
 // at ~12 m depth, hard polycarbonate case. Prints the selected-bitrate CDF;
 // the paper reports a median of 133 bps.
+// Points: bench::fig11_deep(); --threads N sizes the sweep pool.
 #include <cstdio>
 
-#include "bench_common.h"
+#include "figures.h"
 
 using namespace aqua;
 
-int main() {
+int main(int argc, char** argv) {
   const int n = bench::packets_per_config(12);
-  core::SessionConfig cfg;
-  cfg.forward.site = channel::site_preset(channel::Site::kBay);
-  cfg.forward.range_m = 3.5;  // either side of a two-person kayak
-  cfg.forward.tx_depth_m = 12.0;
-  cfg.forward.rx_depth_m = 12.0;
-  cfg.forward.tx_device = channel::DeviceProfile(
-      channel::DeviceModel::kGalaxyS9, 1, channel::CaseType::kHardCase);
-  cfg.forward.rx_device = channel::DeviceProfile(
-      channel::DeviceModel::kGalaxyS9, 2, channel::CaseType::kHardCase);
-
-  const bench::BatchStats deep = bench::run_batch(cfg, n, 12000);
+  const std::vector<bench::BatchStats> stats = bench::run_figure(
+      bench::fig11_deep(), n, bench::sweep_threads(argc, argv));
+  const bench::BatchStats& deep = stats[0];
   bench::print_cdf("bay, 12 m deep, hard case", deep.bitrates);
   std::printf("median bitrate: %.1f bps (paper: 133 bps)\n",
               deep.median_bitrate());
@@ -27,14 +20,8 @@ int main() {
               deep.detection_rate());
 
   // Ablation: the same geometry with the soft pouch shows the casing cost.
-  core::SessionConfig soft = cfg;
-  soft.forward.tx_device = channel::DeviceProfile(
-      channel::DeviceModel::kGalaxyS9, 1, channel::CaseType::kSoftPouch);
-  soft.forward.rx_device = channel::DeviceProfile(
-      channel::DeviceModel::kGalaxyS9, 2, channel::CaseType::kSoftPouch);
-  const bench::BatchStats pouch = bench::run_batch(soft, n, 12100);
   std::printf("soft-pouch ablation median bitrate: %.1f bps "
               "(hard case should be markedly lower)\n",
-              pouch.median_bitrate());
+              stats[1].median_bitrate());
   return 0;
 }

@@ -1,62 +1,45 @@
 // Fig. 12 reproduction: range evaluation at the lake (5-30 m): (a) bitrate
 // CDF vs distance, (b) coded-bit BER, (c) PER adaptive vs fixed bandwidth,
 // and (d) long-range FSK BER at the beach up to 113 m for 5/10/20 bps.
+// Points of (a)-(c): bench::fig12_range(); --threads N sizes the sweep pool.
 #include <cstdio>
 #include <random>
 
-#include "bench_common.h"
+#include "figures.h"
 #include "phy/fsk.h"
 
 using namespace aqua;
 
-int main() {
+int main(int argc, char** argv) {
   const int n = bench::packets_per_config(10);
-  const double ranges[] = {5.0, 10.0, 20.0, 30.0};
+  const std::vector<bench::BatchStats> stats = bench::run_figure(
+      bench::fig12_range(), n, bench::sweep_threads(argc, argv));
+  const auto& ranges = bench::kFig12Ranges;
+  constexpr std::size_t kCols = std::size(bench::kFig12Ranges);
 
   std::printf("=== Fig. 12a: CDF of selected bitrate vs distance (lake) ===\n");
-  std::vector<bench::BatchStats> adaptive;
-  for (double r : ranges) {
-    core::SessionConfig cfg;
-    cfg.forward.site = channel::site_preset(channel::Site::kLake);
-    cfg.forward.range_m = r;
-    bench::BatchStats s =
-        bench::run_batch(cfg, n, 13000 + static_cast<int>(r) * 37);
+  for (std::size_t c = 0; c < kCols; ++c) {
     char label[32];
-    std::snprintf(label, sizeof label, "%.0f m", r);
-    bench::print_cdf(label, s.bitrates);
+    std::snprintf(label, sizeof label, "%.0f m", ranges[c]);
+    bench::print_cdf(label, stats[c].bitrates);
     std::printf("  median %.1f bps (paper: 633.3 at 5 m, 133.3 at 30 m)\n",
-                s.median_bitrate());
-    adaptive.push_back(std::move(s));
+                stats[c].median_bitrate());
   }
 
   std::printf("\n=== Fig. 12b,c: BER and PER vs distance ===\n");
   std::printf("%-28s", "scheme");
   for (double r : ranges) std::printf("      %3.0fm-BER  %3.0fm-PER", r, r);
-  std::printf("\n%-28s", "adaptive (ours)");
-  for (const auto& s : adaptive) {
-    std::printf("      %8.3f  %7.1f%%", s.coded_ber(), 100.0 * s.per());
-  }
   std::printf("\n");
-  for (const bench::FixedScheme& scheme : bench::fixed_schemes()) {
-    std::printf("%-28s", scheme.name);
-    for (double r : ranges) {
-      core::SessionConfig cfg;
-      cfg.forward.site = channel::site_preset(channel::Site::kLake);
-      cfg.forward.range_m = r;
-      cfg.fixed_band = scheme.band;
-      const bench::BatchStats s =
-          bench::run_batch(cfg, n, 13500 + static_cast<int>(r) * 41);
-      std::printf("      %8.3f  %7.1f%%", s.coded_ber(), 100.0 * s.per());
-    }
-    std::printf("\n");
-  }
+  bench::print_scheme_rows(stats, kCols, [](const auto& s) {
+    std::printf("      %8.3f  %7.1f%%", s.coded_ber(), 100.0 * s.per());
+  });
   std::printf("(paper: fixed 1.5/3 kHz reach 100%% PER by 30 m; adaptive ~7%%)\n");
 
   std::printf("\n=== session QoE vs distance (adaptive) ===\n");
-  for (std::size_t i = 0; i < adaptive.size(); ++i) {
+  for (std::size_t c = 0; c < kCols; ++c) {
     char label[32];
-    std::snprintf(label, sizeof label, "lake %.0f m", ranges[i]);
-    bench::print_qoe_line(label, adaptive[i]);
+    std::snprintf(label, sizeof label, "lake %.0f m", ranges[c]);
+    bench::print_qoe_line(label, stats[c]);
   }
 
   std::printf("\n=== Fig. 12d: long-range FSK BER at the beach ===\n");

@@ -1,59 +1,41 @@
 // Fig. 14 reproduction: effect of mobility at the lake, 5 m. (a) CDF of
 // selected bitrate static/slow/fast, (b) PER, (c) uncoded BER with and
-// without differential coding.
+// without differential coding. Points: bench::fig14_mobility() and
+// bench::fig14c_differential(); --threads N sizes the sweep pool.
 #include <cstdio>
 
-#include "bench_common.h"
+#include "figures.h"
 
 using namespace aqua;
 
-int main() {
+int main(int argc, char** argv) {
   const int n = bench::packets_per_config(10);
-  const std::pair<channel::MotionKind, const char*> kinds[] = {
-      {channel::MotionKind::kStatic, "static"},
-      {channel::MotionKind::kSlow, "slow (2.5 m/s^2)"},
-      {channel::MotionKind::kFast, "fast (5.1 m/s^2)"},
-  };
+  const int threads = bench::sweep_threads(argc, argv);
+  const auto& motions = bench::kFig14Motions;
 
   std::printf("=== Fig. 14a,b: bitrate CDF and PER vs mobility ===\n");
-  std::vector<bench::BatchStats> per_motion;
-  for (const auto& [kind, label] : kinds) {
-    core::SessionConfig cfg;
-    cfg.forward.site = channel::site_preset(channel::Site::kLake);
-    cfg.forward.range_m = 5.0;
-    cfg.forward.motion = kind;
-    bench::BatchStats s =
-        bench::run_batch(cfg, n, 15000 + 7 * static_cast<int>(kind));
-    bench::print_cdf(label, s.bitrates);
+  const std::vector<bench::BatchStats> per_motion =
+      bench::run_figure(bench::fig14_mobility(), n, threads);
+  for (std::size_t i = 0; i < per_motion.size(); ++i) {
+    const bench::BatchStats& s = per_motion[i];
+    bench::print_cdf(motions[i].second, s.bitrates);
     std::printf("  median %.0f bps, PER %.1f%%\n", s.median_bitrate(),
                 100.0 * s.per());
-    per_motion.push_back(std::move(s));
   }
   std::printf("(paper: medians 640/433/336 bps; PER 1.2%% -> 7.6%%)\n");
 
   std::printf("\n=== session QoE vs mobility ===\n");
   for (std::size_t i = 0; i < per_motion.size(); ++i) {
-    bench::print_qoe_line(kinds[i].second, per_motion[i]);
+    bench::print_qoe_line(motions[i].second, per_motion[i]);
   }
 
   std::printf("\n=== Fig. 14c: uncoded BER with vs without differential coding ===\n");
   std::printf("%-18s %16s %16s\n", "motion", "differential", "no differential");
-  for (const auto& [kind, label] : kinds) {
-    std::printf("%-18s", label);
-    for (bool diff : {true, false}) {
-      core::SessionConfig cfg;
-      cfg.forward.site = channel::site_preset(channel::Site::kLake);
-      cfg.forward.range_m = 5.0;
-      cfg.forward.motion = kind;
-      cfg.decode.use_differential = diff;
-      // Longer payload so within-packet channel drift matters (the paper's
-      // point: the channel changes between the first and last symbol).
-      const bench::BatchStats s = bench::run_batch(
-          cfg, n, 15500 + 11 * static_cast<int>(kind) + (diff ? 0 : 1),
-          /*payload_bits=*/128);
-      std::printf(" %15.4f", s.coded_ber());
-    }
-    std::printf("\n");
+  const std::vector<bench::BatchStats> coding =
+      bench::run_figure(bench::fig14c_differential(), n, threads);
+  for (std::size_t i = 0; i < std::size(motions); ++i) {
+    std::printf("%-18s %15.4f %15.4f\n", motions[i].second,
+                coding[2 * i].coded_ber(), coding[2 * i + 1].coded_ber());
   }
   std::printf("(paper: without differential coding BER exceeds 10%% under "
               "motion; with it BER stays near 1%%)\n");

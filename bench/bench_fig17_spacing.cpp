@@ -1,24 +1,22 @@
 // Fig. 17 reproduction: effect of OFDM subcarrier spacing (50/25/10 Hz) at
 // the lake, 5 m and 20 m. Prints bitrate CDFs and PER per spacing.
+// Points: bench::fig17_spacing(); --threads N sizes the sweep pool.
 #include <cstdio>
 
-#include "bench_common.h"
+#include "figures.h"
 
 using namespace aqua;
 
-int main() {
+int main(int argc, char** argv) {
   const int n = bench::packets_per_config(8);
+  const std::vector<bench::BatchStats> stats = bench::run_figure(
+      bench::fig17_spacing(), n, bench::sweep_threads(argc, argv));
   std::printf("%10s %8s %14s %10s %12s\n", "spacing", "range", "median bps",
               "PER", "detection");
-  for (double spacing : {50.0, 25.0, 10.0}) {
-    for (double range : {5.0, 20.0}) {
-      core::SessionConfig cfg;
-      cfg.params = phy::OfdmParams::with_spacing(spacing);
-      cfg.forward.site = channel::site_preset(channel::Site::kLake);
-      cfg.forward.range_m = range;
-      const bench::BatchStats s = bench::run_batch(
-          cfg, n,
-          18000 + static_cast<int>(spacing) * 13 + static_cast<int>(range));
+  std::size_t k = 0;
+  for (double spacing : bench::kFig17Spacings) {
+    for (double range : bench::kFig17Ranges) {
+      const bench::BatchStats& s = stats[k++];
       std::printf("%7.0f Hz %6.0f m %14.1f %9.1f%% %11.2f\n", spacing, range,
                   s.median_bitrate(), 100.0 * s.per(), s.detection_rate());
     }

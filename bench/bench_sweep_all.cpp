@@ -1,8 +1,8 @@
-// Runs every figure's configuration grid in one process on the
-// sim::SweepRunner worker pool: the fig. 8 range sweep, the fig. 9
-// environment x band-scheme grid, the fig. 12 range x band-scheme grid,
-// the fig. 13-style SNR-offset sweep, the fig. 14 mobility sweep, and a
-// full cross-site matrix covering the remaining session-level figures.
+// Runs every packet-level figure's points in one process on the
+// sim::SweepRunner worker pool: the declarations of figs. 9, 10, 11,
+// 12a-c, 14a,b, 14c, 15 and 17 in figures.h, one table per figure. These
+// are the same points, seeds and payloads the figure benches run, so at
+// equal packet counts each row matches its figure bench's stats.
 //
 // Output is a deterministic function of the grids and seeds alone:
 // aggregate stats are bit-identical for any --threads N (or
@@ -31,27 +31,27 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
+#include "figures.h"
 
 using namespace aqua;
 
 namespace {
 
-void print_results(const char* title,
-                   const std::vector<sim::ScenarioResult>& results) {
-  std::printf("=== %s ===\n", title);
-  std::printf("%-44s %6s %6s %8s %9s %10s %8s %16s %4s\n", "scenario", "sent",
+void print_results(const bench::Figure& fig,
+                   const std::vector<sim::BatchStats>& stats) {
+  std::printf("=== %s ===\n", fig.title.c_str());
+  std::printf("%-52s %6s %6s %8s %9s %10s %8s %16s %4s\n", "point", "sent",
               "deliv", "PER", "codedBER", "median-bps", "detect",
               "lat p50/p95/p99", "rtx");
-  for (const sim::ScenarioResult& r : results) {
+  for (std::size_t k = 0; k < stats.size(); ++k) {
+    const sim::BatchStats& s = stats[k];
     std::printf(
-        "%-44s %6d %6d %7.1f%% %9.4f %10.1f %7.0f%% %4.2f/%4.2f/%4.2fs %4llu\n",
-        sim::scenario_label(r.scenario).c_str(), r.stats.sent,
-        r.stats.delivered, 100.0 * r.stats.per(), r.stats.coded_ber(),
-        r.stats.median_bitrate(), 100.0 * r.stats.detection_rate(),
-        r.stats.latency_percentile_s(50.0), r.stats.latency_percentile_s(95.0),
-        r.stats.latency_percentile_s(99.0),
-        static_cast<unsigned long long>(r.stats.qoe.counter("tx_failed")));
+        "%-52s %6d %6d %7.1f%% %9.4f %10.1f %7.0f%% %4.2f/%4.2f/%4.2fs %4llu\n",
+        fig.points[k].label.c_str(), s.sent, s.delivered, 100.0 * s.per(),
+        s.coded_ber(), s.median_bitrate(), 100.0 * s.detection_rate(),
+        s.latency_percentile_s(50.0), s.latency_percentile_s(95.0),
+        s.latency_percentile_s(99.0),
+        static_cast<unsigned long long>(s.qoe.counter("tx_failed")));
   }
   std::printf("\n");
 }
@@ -59,11 +59,9 @@ void print_results(const char* title,
 struct GridTiming {
   std::string name;
   std::size_t scenarios = 0;
-  long long packets = 0;
-  std::uint64_t samples = 0;
   double wall_s = 0.0;
-  // Grid-level QoE aggregate (deterministic) + DSP stage timing
-  // (wall-clock), both merged across the grid's scenarios.
+  // Grid-level aggregate (deterministic stats and QoE) + DSP stage timing
+  // (wall-clock), both merged across the grid's points.
   sim::BatchStats agg;
 };
 
@@ -107,13 +105,8 @@ std::string commit_label() {
 
 // One series entry: this run's machine, commit and numbers.
 std::string entry_json(int packets_per_scenario, int threads,
-                       const std::vector<GridTiming>& grids) {
-  GridTiming total;
-  for (const GridTiming& g : grids) {
-    total.packets += g.packets;
-    total.samples += g.samples;
-    total.wall_s += g.wall_s;
-  }
+                       const std::vector<GridTiming>& grids,
+                       const GridTiming& total) {
   std::ostringstream os;
   char buf[512];
   os << "    {\n";
@@ -127,15 +120,15 @@ std::string entry_json(int packets_per_scenario, int threads,
     const GridTiming& g = grids[i];
     std::snprintf(buf, sizeof buf,
                   "        {\"name\": \"%s\", \"scenarios\": %zu, "
-                  "\"packets\": %lld, \"samples\": %llu, \"wall_s\": %.3f, "
+                  "\"packets\": %d, \"samples\": %llu, \"wall_s\": %.3f, "
                   "\"packets_per_s\": %.2f, \"samples_per_s\": %.0f,\n"
                   "         \"delivery_ratio\": %.4f, "
                   "\"latency_p50_s\": %.4f, \"latency_p95_s\": %.4f, "
                   "\"latency_p99_s\": %.4f, \"tx_failed\": %llu,\n",
-                  g.name.c_str(), g.scenarios, g.packets,
-                  static_cast<unsigned long long>(g.samples), g.wall_s,
-                  rate(static_cast<double>(g.packets), g.wall_s),
-                  rate(static_cast<double>(g.samples), g.wall_s),
+                  g.name.c_str(), g.scenarios, g.agg.sent,
+                  static_cast<unsigned long long>(g.agg.samples), g.wall_s,
+                  rate(g.agg.sent, g.wall_s),
+                  rate(static_cast<double>(g.agg.samples), g.wall_s),
                   g.agg.delivery_ratio(), g.agg.latency_percentile_s(50.0),
                   g.agg.latency_percentile_s(95.0),
                   g.agg.latency_percentile_s(99.0),
@@ -163,13 +156,13 @@ std::string entry_json(int packets_per_scenario, int threads,
   }
   os << "      ],\n";
   std::snprintf(buf, sizeof buf,
-                "      \"total\": {\"packets\": %lld, \"samples\": %llu, "
+                "      \"total\": {\"packets\": %d, \"samples\": %llu, "
                 "\"wall_s\": %.3f, \"packets_per_s\": %.2f, "
                 "\"samples_per_s\": %.0f}\n",
-                total.packets, static_cast<unsigned long long>(total.samples),
-                total.wall_s,
-                rate(static_cast<double>(total.packets), total.wall_s),
-                rate(static_cast<double>(total.samples), total.wall_s));
+                total.agg.sent,
+                static_cast<unsigned long long>(total.agg.samples),
+                total.wall_s, rate(total.agg.sent, total.wall_s),
+                rate(static_cast<double>(total.agg.samples), total.wall_s));
   os << buf << "    }";
   return os.str();
 }
@@ -182,22 +175,31 @@ std::string read_file(const char* path) {
   return ss.str();
 }
 
-// Total samples_per_s of the LAST series entry recorded for `machine`, or
-// 0.0 when the series holds none (first run on this machine, or a fresh
-// file). String-level scan, matching how write_json treats the file.
+// Total samples_per_s of the LAST series entry recorded for `machine` over
+// exactly `grids` (their names, in run order), or 0.0 when the series holds
+// none. Totals over different grid sets measure different workloads, so
+// they are never compared. String-level scan, matching how write_json
+// treats the file: an entry runs from its "machine" key to the next one.
 double last_total_samples_per_s(const std::string& series,
-                                const std::string& machine) {
+                                const std::string& machine,
+                                const std::vector<std::string>& grids) {
   const std::string key = "\"machine\": \"" + machine + "\"";
+  const std::string name_key = "{\"name\": \"";
+  const std::string rate_key = "\"samples_per_s\": ";
   double last = 0.0;
-  for (std::size_t pos = series.find(key); pos != std::string::npos;
-       pos = series.find(key, pos + key.size())) {
-    const std::size_t total = series.find("\"total\": {", pos);
-    if (total == std::string::npos) break;
-    const std::size_t rate_key = series.find("\"samples_per_s\": ", total);
-    if (rate_key == std::string::npos) break;
-    last = std::strtod(
-        series.c_str() + rate_key + sizeof("\"samples_per_s\": ") - 1,
-        nullptr);
+  for (std::size_t pos = series.find(key, series.find("\"series\""));
+       pos != std::string::npos; pos = series.find(key, pos + key.size())) {
+    const std::size_t next = series.find("\"machine\": ", pos + key.size());
+    const std::string entry = series.substr(pos, next - pos);
+    std::vector<std::string> names;
+    for (std::size_t g = entry.find(name_key); g != std::string::npos;
+         g = entry.find(name_key, g)) {
+      g += name_key.size();
+      names.push_back(entry.substr(g, entry.find('"', g) - g));
+    }
+    const std::size_t rate = entry.find(rate_key, entry.find("\"total\": {"));
+    if (names != grids || rate == std::string::npos) continue;
+    last = std::strtod(entry.c_str() + rate + rate_key.size(), nullptr);
   }
   return last;
 }
@@ -232,17 +234,10 @@ std::string series_labels(const std::string& series) {
 // anything unrecognized is left untouched (with a warning) rather than
 // silently destroying the perf history it might hold.
 void write_json(const char* path, int packets_per_scenario, int threads,
-                const std::vector<GridTiming>& grids) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      existing = ss.str();
-    }
-  }
-  const std::string entry = entry_json(packets_per_scenario, threads, grids);
+                const std::vector<GridTiming>& grids, const GridTiming& total) {
+  const std::string existing = read_file(path);
+  const std::string entry =
+      entry_json(packets_per_scenario, threads, grids, total);
   const auto is_space = [](char c) {
     return c == ' ' || c == '\t' || c == '\n' || c == '\r';
   };
@@ -322,84 +317,19 @@ int main(int argc, char** argv) {
               runner.threads());
 
   std::vector<GridTiming> timings;
-  const auto run_grid = [&](const char* title, const sim::ScenarioGrid& grid,
-                            std::uint64_t seed_base) {
-    const std::vector<sim::Scenario> scenarios = grid.expand();
+  for (const bench::Figure& fig : bench::packet_figures()) {
     const auto t0 = std::chrono::steady_clock::now();  // lint: det-ok(benches measure wall time by definition; results go to stderr, not into any signal)
-    const std::vector<sim::ScenarioResult> results =
-        runner.run(scenarios, n, seed_base);
+    const std::vector<sim::BatchStats> stats =
+        runner.run_points(fig.points, n, fig.payload_bits);
     const auto t1 = std::chrono::steady_clock::now();  // lint: det-ok(benches measure wall time by definition)
-    print_results(title, results);
+    print_results(fig, stats);
 
     GridTiming t;
-    t.name = title;
-    t.scenarios = scenarios.size();
+    t.name = fig.title;
+    t.scenarios = fig.points.size();
     t.wall_s = std::chrono::duration<double>(t1 - t0).count();
-    for (const sim::ScenarioResult& r : results) {
-      t.packets += r.stats.sent;
-      t.samples += r.stats.samples;
-      t.agg.merge(r.stats);
-    }
+    for (const sim::BatchStats& s : stats) t.agg.merge(s);
     timings.push_back(std::move(t));
-  };
-
-  // Fig. 8: bridge, 5/10/20 m, full fixed band (the BER-vs-SNR setting).
-  {
-    sim::ScenarioGrid grid;
-    grid.sites = {channel::Site::kBridge};
-    grid.ranges_m = {5.0, 10.0, 20.0};
-    grid.schemes = {{"fixed 3.0 kHz (1-4 kHz)", phy::BandSelection{0, 59, false}}};
-    run_grid("fig08 grid: bridge range sweep, full band", grid,
-             /*seed_base=*/8000);
-  }
-
-  // Fig. 9: bridge/park/lake at 5 m, adaptive vs the fixed baselines.
-  {
-    sim::ScenarioGrid grid;
-    grid.sites = {channel::Site::kBridge, channel::Site::kPark,
-                  channel::Site::kLake};
-    grid.schemes = bench::grid_schemes_with_adaptive();
-    run_grid("fig09 grid: environments x band scheme at 5 m", grid,
-             /*seed_base=*/9000);
-  }
-
-  // Fig. 12: lake range sweep, adaptive vs fixed.
-  {
-    sim::ScenarioGrid grid;
-    grid.sites = {channel::Site::kLake};
-    grid.ranges_m = {5.0, 10.0, 20.0, 30.0};
-    grid.schemes = bench::grid_schemes_with_adaptive();
-    run_grid("fig12 grid: lake range x band scheme", grid, /*seed_base=*/12000);
-  }
-
-  // Fig. 13-style: SNR margin sweep (noise level shifted +/- around the
-  // lake preset).
-  {
-    sim::ScenarioGrid grid;
-    grid.sites = {channel::Site::kLake};
-    grid.snr_offsets_db = {-6.0, 0.0, 6.0};
-    run_grid("fig13 grid: lake SNR-offset sweep at 5 m", grid,
-             /*seed_base=*/13000);
-  }
-
-  // Fig. 14: mobility at the lake.
-  {
-    sim::ScenarioGrid grid;
-    grid.sites = {channel::Site::kLake};
-    grid.motions = {channel::MotionKind::kStatic, channel::MotionKind::kSlow,
-                    channel::MotionKind::kFast};
-    run_grid("fig14 grid: lake mobility sweep at 5 m", grid,
-             /*seed_base=*/14000);
-  }
-
-  // Cross-site matrix: all six sites x two ranges, adaptive (covers the
-  // remaining session-level figures' environments in one table).
-  {
-    sim::ScenarioGrid grid;
-    grid.sites = channel::all_sites();
-    grid.ranges_m = {5.0, 10.0};
-    run_grid("all-sites matrix: site x range, adaptive", grid,
-             /*seed_base=*/17000);
   }
 
   // Grid-level QoE summary (deterministic, so it may live on stdout).
@@ -411,37 +341,35 @@ int main(int argc, char** argv) {
 
   // Timing summary on stderr only: stdout must stay bit-identical across
   // runs and thread counts (the CI determinism check diffs it).
-  double total_wall = 0.0;
-  long long total_packets = 0;
-  std::uint64_t total_samples = 0;
-  sim::BatchStats pipeline_total;
-  for (const GridTiming& t : timings) {
+  const auto print_timing = [](const GridTiming& t) {
     std::fprintf(stderr, "timing: %-46s %7.2fs  %8.2f pkt/s  %12.0f samp/s\n",
-                 t.name.c_str(), t.wall_s,
-                 rate(static_cast<double>(t.packets), t.wall_s),
-                 rate(static_cast<double>(t.samples), t.wall_s));
-    total_wall += t.wall_s;
-    total_packets += t.packets;
-    total_samples += t.samples;
-    pipeline_total.pipeline.merge(t.agg.pipeline);
+                 t.name.c_str(), t.wall_s, rate(t.agg.sent, t.wall_s),
+                 rate(static_cast<double>(t.agg.samples), t.wall_s));
+  };
+  GridTiming total;
+  total.name = "TOTAL";
+  for (const GridTiming& t : timings) {
+    print_timing(t);
+    total.wall_s += t.wall_s;
+    total.agg.merge(t.agg);
   }
-  bench::print_pipeline_timing("TOTAL", pipeline_total);
-  std::fprintf(stderr, "timing: %-46s %7.2fs  %8.2f pkt/s  %12.0f samp/s\n",
-               "TOTAL", total_wall,
-               rate(static_cast<double>(total_packets), total_wall),
-               rate(static_cast<double>(total_samples), total_wall));
+  bench::print_pipeline_timing("TOTAL", total.agg);
+  print_timing(total);
 
   if (const char* path = bench::json_path(argc, argv)) {
     // Hard regression gate: compare this run's total samples/s against the
-    // LAST same-machine entry already in the series (recorded before this
-    // run appends). A drop beyond the tolerance fails the process, so CI
-    // turns red instead of quietly recording the regression.
+    // LAST entry already in the series (recorded before this run appends)
+    // from the same machine over the same grids. A drop beyond the
+    // tolerance fails the process, so CI turns red instead of quietly
+    // recording the regression.
     // $AQUA_BENCH_TOLERANCE overrides the allowed fractional drop (default
     // 0.15); values >= 1 effectively disable the gate for noisy hosts.
     const std::string series = read_file(path);
     const std::string machine = machine_label();
-    const double baseline = last_total_samples_per_s(series, machine);
-    write_json(path, n, runner.threads(), timings);
+    std::vector<std::string> grids;
+    for (const GridTiming& t : timings) grids.push_back(t.name);
+    const double baseline = last_total_samples_per_s(series, machine, grids);
+    write_json(path, n, runner.threads(), timings, total);
     std::fprintf(stderr, "timing: wrote %s\n", path);
 
     double tolerance = 0.15;
@@ -450,7 +378,8 @@ int main(int argc, char** argv) {
       const double v = std::strtod(t, &end);
       if (end != t && v >= 0.0) tolerance = v;
     }
-    const double current = rate(static_cast<double>(total_samples), total_wall);
+    const double current =
+        rate(static_cast<double>(total.agg.samples), total.wall_s);
     if (baseline > 0.0 && current < baseline * (1.0 - tolerance)) {
       std::fprintf(stderr,
                    "FAIL: total throughput %.0f samples/s is %.1f%% below "
@@ -468,9 +397,9 @@ int main(int argc, char** argv) {
     } else {
       // Nothing to compare against: say so rather than pass in silence.
       std::fprintf(stderr,
-                   "timing: gate OFF: no entry labelled \"%s\" (series "
-                   "labels: %s; set AQUA_BENCH_MACHINE to compare against "
-                   "one)\n",
+                   "timing: gate OFF: no entry labelled \"%s\" ran this "
+                   "run's grids (series labels: %s; set AQUA_BENCH_MACHINE "
+                   "to compare against one)\n",
                    machine.c_str(), series_labels(series).c_str());
     }
   }

@@ -25,12 +25,6 @@ constexpr std::size_t kIdWaitSymbols = 5;
 // fires and the feedback start would quantize to the caller's block size.
 constexpr std::size_t kDetectionLagAllowance = 16800;
 
-// The scanner's decision lag (correlation block + confirmation span) plus
-// the ID window bounds how far behind rx_pos_ a detection can still need
-// raw samples; retaining less than this would drop packets regardless of
-// what the caller asked for.
-constexpr std::size_t kMinSearchBuffer = 36000;
-
 std::size_t compact_threshold() { return std::size_t{1} << 15; }
 
 }  // namespace
@@ -44,9 +38,7 @@ Modem::Modem(const ModemConfig& config, dsp::Workspace& ws)
       scanner_(preamble_),
       feedback_(config.params),
       modem_(config.params),
-      ofdm_(config.params) {
-  config_.search_buffer = std::max(config_.search_buffer, kMinSearchBuffer);
-}
+      ofdm_(config.params) {}
 
 bool Modem::tx_idle() const {
   return tx_state_ == TxState::kIdle && tx_messages_.empty() &&
@@ -358,6 +350,11 @@ void Modem::trim_buffer() {
   if (!detections_.empty()) {
     keep_from = std::min(keep_from, detections_.front().start_index);
   }
+  // A detection the scanner has yet to emit starts at or after
+  // decided_through(); its preamble and ID samples must still be here when
+  // it does, however far the scanner's decision lag (which grows with the
+  // symbol length) reaches past search_buffer.
+  keep_from = std::min(keep_from, scanner_.decided_through());
   if (rx_state_ == RxState::kAwaitingData) {
     keep_from = std::min(keep_from, data_origin_);
   }

@@ -94,8 +94,8 @@ struct ModemConfig {
   std::uint8_t my_id = 32;           ///< active-bin index we answer to
   std::size_t payload_bits = 16;     ///< fixed app packet size (two signals)
   bool send_ack = true;  ///< rx: ACK decoded packets; tx: wait for the ACK
-  /// Raw samples retained while searching. Clamped up so the ring always
-  /// covers the scanner's bounded decision lag plus the ID/SNR windows.
+  /// Raw samples retained while searching. The ring also always keeps
+  /// what a pending or not-yet-decided detection will read.
   std::size_t search_buffer = 48000;
   /// Fixed-bandwidth baseline: both endpoints skip the feedback exchange
   /// and use this band (the paper's 1-4 / 1-2.5 / 1-1.5 kHz baselines).

@@ -104,6 +104,45 @@ void edge_noise_profile(const Ofdm& ofdm, std::span<const float> signal,
   for (double& v : noise) v = std::max(v, floor_val);
 }
 
+// The front half both decoders share: bandpass `raw` into scratch, take
+// the edge noise profile, and run one moving-DFT pass that computes
+// exactly the rows the search reads (every search position and each of its
+// repeats). Then calls visit(start, powers) for each search position in
+// order, with its repeats combined and whitened per bin. Does nothing when
+// `raw` is shorter than the kRepeats symbols a search position spans.
+template <typename Visit>
+void search_positions(const dsp::BasicFftFilter<float>& bandpass,
+                      const Ofdm& ofdm, std::span<const float> raw,
+                      dsp::Workspace& ws, Visit&& visit) {
+  const OfdmParams& params = ofdm.params();
+  const std::size_t n = params.symbol_samples();
+  const std::size_t bins = params.num_bins();
+  const std::size_t sym_total = params.symbol_total_samples();
+  const std::size_t span_needed = (FeedbackCodec::kRepeats - 1) * sym_total + n;
+  if (raw.size() < span_needed) return;
+  // Sub-kHz ambient noise (and machinery tones) otherwise leak into the
+  // band-edge FFT bins through the rectangular-window sidelobes and
+  // masquerade as a transmitted tone.
+  dsp::Scratch<float> filtered_s(ws, raw.size());
+  bandpass.filter_same_into(raw, filtered_s.span(), ws);
+  std::span<const float> signal = filtered_s.span();
+
+  dsp::ScratchReal noise_s(ws, bins);
+  edge_noise_profile(ofdm, signal, noise_s.span(), ws);
+
+  const dsp::PowerGrid grid = search_grid(signal.size(), sym_total,
+                                          span_needed);
+  dsp::Scratch<float> win_s(ws, grid.starts * grid.repeats * bins);
+  dsp::moving_dft_power(signal, n, params.first_bin(), bins, grid,
+                        win_s.span(), ws);
+
+  dsp::ScratchReal powers_s(ws, bins);
+  for (std::size_t j = 0; j < grid.starts; ++j) {
+    combine_repeats(win_s.span(), noise_s.span(), j, powers_s.span());
+    visit(j * grid.step, *powers_s);
+  }
+}
+
 std::vector<double> repeat_symbol(const std::vector<double>& sym,
                                   std::size_t repeats) {
   std::vector<double> out;
@@ -140,40 +179,10 @@ std::vector<double> FeedbackCodec::encode_tone(std::size_t bin) const {
 
 std::optional<FeedbackDecode> FeedbackCodec::decode_band(
     std::span<const float> raw, dsp::Workspace& ws) const {
-  const std::size_t n = params_.symbol_samples();
-  const std::size_t bins = params_.num_bins();
-  if (raw.size() < n) return std::nullopt;
-  // Sub-kHz ambient noise (and machinery tones) otherwise leak into the
-  // band-edge FFT bins through the rectangular-window sidelobes and
-  // masquerade as a transmitted tone.
-  dsp::Scratch<float> filtered_s(ws, raw.size());
-  bandpass_.filter_same_into(raw, filtered_s.span(), ws);
-  std::span<const float> signal = filtered_s.span();
-
-  dsp::ScratchReal noise_s(ws, bins);
-  edge_noise_profile(ofdm_, signal, noise_s.span(), ws);
-  std::span<const double> noise = noise_s.span();
-
-  const std::size_t sym_total = params_.symbol_total_samples();
-  const std::size_t span_needed = (kRepeats - 1) * sym_total + n;
-  if (signal.size() < span_needed) return std::nullopt;
-
-  // One moving-DFT pass computes exactly the rows the search reads: every
-  // search position and each of its repeats.
-  const dsp::PowerGrid grid = search_grid(signal.size(), sym_total,
-                                          span_needed);
-  dsp::Scratch<float> win_s(ws, grid.starts * grid.repeats * bins);
-  dsp::moving_dft_power(signal, n, params_.first_bin(), bins, grid,
-                        win_s.span(), ws);
-  std::span<const float> win = win_s.span();
-
   std::optional<FeedbackDecode> best;
   double best_peak_sum = 0.0;
-  dsp::ScratchReal powers_s(ws, bins);
-  std::vector<double>& powers = *powers_s;
-  for (std::size_t j = 0; j < grid.starts; ++j) {
-    const std::size_t start = j * grid.step;
-    combine_repeats(win, noise, j, powers);
+  search_positions(bandpass_, ofdm_, raw, ws,
+                   [&](std::size_t start, std::vector<double>& powers) {
     // Top-2 whitened (per-bin SNR) powers.
     double total = 0.0;
     std::size_t i1 = 0, i2 = 0;
@@ -188,11 +197,11 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band(
         p2 = p; i2 = k;
       }
     }
-    if (total <= 1e-18) continue;
+    if (total <= 1e-18) return;
     // peak_sum below is p1 or p1 + p2, never above this bound, so a window
     // whose bound already misses the fraction fails the test below whatever
     // `single` decides: skip it before paying for the median.
-    if ((p1 + std::max(p2, 0.0)) / total < kMinPeakFraction) continue;
+    if ((p1 + std::max(p2, 0.0)) / total < kMinPeakFraction) return;
     // A single-bin band (begin == end) puts everything in one bin. The
     // second peak then sits at the noise floor — compare it against the
     // median of the remaining bins rather than against p1, because a wide
@@ -210,7 +219,7 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band(
                         (bin_dist <= 1 && p2 < 0.02 * p1);
     const double peak_sum = p1 + (single ? 0.0 : p2);
     const double frac = peak_sum / total;
-    if (frac < kMinPeakFraction) continue;
+    if (frac < kMinPeakFraction) return;
     BandSelection band;
     band.begin_bin = single ? i1 : std::min(i1, i2);
     band.end_bin = single ? i1 : std::max(i1, i2);
@@ -221,43 +230,16 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band(
       best = FeedbackDecode{band, start, frac};
       best_peak_sum = peak_sum;
     }
-  }
+  });
   return best;
 }
 
 std::optional<ToneDecode> FeedbackCodec::decode_tone(
     std::span<const float> raw, dsp::Workspace& ws) const {
-  const std::size_t n = params_.symbol_samples();
-  const std::size_t bins = params_.num_bins();
-  if (raw.size() < n) return std::nullopt;
-  dsp::Scratch<float> filtered_s(ws, raw.size());
-  bandpass_.filter_same_into(raw, filtered_s.span(), ws);
-  std::span<const float> signal = filtered_s.span();
-
-  dsp::ScratchReal noise_s(ws, bins);
-  edge_noise_profile(ofdm_, signal, noise_s.span(), ws);
-  std::span<const double> noise = noise_s.span();
-
-  const std::size_t sym_total = params_.symbol_total_samples();
-  const std::size_t span_needed = (kRepeats - 1) * sym_total + n;
-  if (signal.size() < span_needed) return std::nullopt;
-
-  // One moving-DFT pass computes exactly the rows the search reads: every
-  // search position and each of its repeats.
-  const dsp::PowerGrid grid = search_grid(signal.size(), sym_total,
-                                          span_needed);
-  dsp::Scratch<float> win_s(ws, grid.starts * grid.repeats * bins);
-  dsp::moving_dft_power(signal, n, params_.first_bin(), bins, grid,
-                        win_s.span(), ws);
-  std::span<const float> win = win_s.span();
-
   std::optional<ToneDecode> best;
   double best_peak = 0.0;
-  dsp::ScratchReal powers_s(ws, bins);
-  std::vector<double>& powers = *powers_s;
-  for (std::size_t j = 0; j < grid.starts; ++j) {
-    const std::size_t start = j * grid.step;
-    combine_repeats(win, noise, j, powers);
+  search_positions(bandpass_, ofdm_, raw, ws,
+                   [&](std::size_t start, const std::vector<double>& powers) {
     double total = 0.0;
     double p1 = -1.0;
     std::size_t i1 = 0;
@@ -269,14 +251,14 @@ std::optional<ToneDecode> FeedbackCodec::decode_tone(
         i1 = k;
       }
     }
-    if (total <= 1e-18) continue;
+    if (total <= 1e-18) return;
     const double frac = p1 / total;
-    if (frac < kMinPeakFraction) continue;
+    if (frac < kMinPeakFraction) return;
     if (!best || p1 > best_peak) {
       best = ToneDecode{i1, start, frac};
       best_peak = p1;
     }
-  }
+  });
   return best;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "channel/shard_pool.h"
@@ -55,61 +56,68 @@ void SweepRunner::parallel_for(
   });
 }
 
-std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& grid,
-                                             int packets,
-                                             std::uint64_t seed_base,
-                                             std::size_t payload_bits) const {
+std::vector<BatchStats> SweepRunner::run_points(
+    const std::vector<SweepPoint>& points, int packets,
+    std::size_t payload_bits) const {
   struct Chunk {
-    std::size_t scenario;
+    std::size_t point;
     int begin;
     int end;
   };
   std::vector<Chunk> chunks;
-  for (std::size_t s = 0; s < grid.size(); ++s) {
+  for (std::size_t p = 0; p < points.size(); ++p) {
     for (int b = 0; b < packets; b += chunk_packets_) {
-      chunks.push_back({s, b, std::min(packets, b + chunk_packets_)});
+      chunks.push_back({p, b, std::min(packets, b + chunk_packets_)});
     }
   }
 
   // One slot per chunk; workers never share a slot.
   std::vector<BatchStats> partial(chunks.size());
-  std::vector<core::SessionConfig> configs;
-  configs.reserve(grid.size());
-  for (const Scenario& s : grid) configs.push_back(session_config(s));
-
   parallel_for(
       chunks.size(),
       [&](std::size_t i, std::mt19937_64&, dsp::Workspace& ws) {
         const Chunk& c = chunks[i];
-        const std::uint64_t chunk_seed = seed_base + c.scenario * 7919;
+        const SweepPoint& point = points[c.point];
         // A requested capture matches exactly one chunk; the sink lives
         // entirely on this worker for that one item.
-        const bool capturing = capture_ && capture_->scenario == c.scenario &&
-                               capture_->packet >= c.begin &&
-                               capture_->packet < c.end;
-        if (!capturing) {
-          partial[i] = run_packet_range(configs[c.scenario], c.begin, c.end,
-                                        chunk_seed, payload_bits, ws);
-          return;
-        }
-        obs::TraceCapture capture;
-        capture.meta("scenario", scenario_label(grid[c.scenario]));
-        capture.meta("seed_base", std::to_string(chunk_seed));
-        capture.meta("packet", std::to_string(capture_->packet));
-        capture.meta("payload_bits", std::to_string(payload_bits));
+        std::optional<obs::TraceCapture> capture;
         PacketHooks hooks;
-        hooks.sink = &capture;
-        hooks.sink_packet = capture_->packet;
-        partial[i] = run_packet_range(configs[c.scenario], c.begin, c.end,
-                                      chunk_seed, payload_bits, ws, hooks);
-        capture.save(capture_->path);
-      },
-      seed_base);
+        if (capture_ && capture_->scenario == c.point &&
+            capture_->packet >= c.begin && capture_->packet < c.end) {
+          capture.emplace();
+          capture->meta("scenario", point.label);
+          capture->meta("seed_base", std::to_string(point.seed));
+          capture->meta("packet", std::to_string(capture_->packet));
+          capture->meta("payload_bits", std::to_string(payload_bits));
+          hooks.sink = &*capture;
+          hooks.sink_packet = capture_->packet;
+        }
+        partial[i] = run_packet_range(point.config, c.begin, c.end, point.seed,
+                                      payload_bits, ws, hooks);
+        if (capture) capture->save(capture_->path);
+      });
 
-  std::vector<ScenarioResult> results(grid.size());
-  for (std::size_t s = 0; s < grid.size(); ++s) results[s].scenario = grid[s];
+  std::vector<BatchStats> results(points.size());
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    results[chunks[i].scenario].stats.merge(partial[i]);
+    results[chunks[i].point].merge(partial[i]);
+  }
+  return results;
+}
+
+std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& grid,
+                                             int packets,
+                                             std::uint64_t seed_base,
+                                             std::size_t payload_bits) const {
+  std::vector<SweepPoint> points;
+  points.reserve(grid.size());
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    points.push_back({scenario_label(grid[k]), session_config(grid[k]),
+                      seed_base + k * 7919});
+  }
+  std::vector<BatchStats> stats = run_points(points, packets, payload_bits);
+  std::vector<ScenarioResult> results(grid.size());
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    results[k] = {grid[k], std::move(stats[k])};
   }
   return results;
 }

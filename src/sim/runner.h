@@ -11,9 +11,9 @@
 //   * items write only to their own pre-allocated result slot;
 //   * aggregation walks the slots in item order after the pool drains.
 //
-// run() applies this to a ScenarioGrid: each scenario's packet batch is cut
-// into fixed-size chunks, the chunks execute anywhere in the pool, and the
-// partial BatchStats merge back in chunk order.
+// run_points() applies this to a list of sweep points: each point's packet
+// batch is cut into fixed-size chunks, the chunks execute anywhere in the
+// pool, and the partial BatchStats merge back in chunk order.
 #pragma once
 
 #include <cstddef>
@@ -29,28 +29,37 @@
 
 namespace aqua::sim {
 
-/// Capture one packet of one run() grid point into a .aqt trace (obs/).
+/// Capture one packet of one sweep point into a .aqt trace (obs/).
 /// A packet lives in exactly one work-item chunk, so the capture sink is
 /// created and used entirely inside that chunk's worker callback — no
 /// cross-thread sharing, and enabling a capture never perturbs the sweep's
 /// deterministic statistics.
 struct SweepCapture {
   std::string path;          ///< output .aqt file
-  std::size_t scenario = 0;  ///< index into the expanded grid
-  int packet = 0;            ///< packet index within the scenario batch
+  std::size_t scenario = 0;  ///< index into the run's point list
+  int packet = 0;            ///< packet index within the point's batch
 };
 
 /// Worker-pool configuration.
 struct RunnerOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   int threads = 0;
-  /// Packets per work item when chunking a scenario batch.
+  /// Packets per work item when chunking a point's batch.
   int chunk_packets = 4;
-  /// Optional single-packet trace capture during run().
+  /// Optional single-packet trace capture during a run.
   std::optional<SweepCapture> capture = std::nullopt;
 };
 
-/// Aggregate result for one grid point.
+/// One packet batch of a sweep: packets [0, n) of `config`, seeded from
+/// `seed` (run_packet_range's seed_base). `label` names the point in tables
+/// and in a capture's metadata.
+struct SweepPoint {
+  std::string label;
+  core::SessionConfig config;
+  std::uint64_t seed = 0;
+};
+
+/// Aggregate result for one Scenario of run().
 struct ScenarioResult {
   Scenario scenario;
   BatchStats stats;
@@ -80,9 +89,16 @@ class SweepRunner {
                                dsp::Workspace&)>& fn,
       std::uint64_t seed_base = 0) const;
 
-  /// Runs `packets` packets for every scenario in `grid`, chunked across
-  /// the pool. Scenario k uses seed_base + k * 7919 for its packet batch.
-  /// Aggregate stats are bit-identical for any thread count.
+  /// Runs `packets` packets of every point, chunked across the pool.
+  /// Result k is run_packet_range(points[k].config, 0, packets,
+  /// points[k].seed, payload_bits) bit for bit, for any thread count and
+  /// chunk size.
+  std::vector<BatchStats> run_points(const std::vector<SweepPoint>& points,
+                                     int packets,
+                                     std::size_t payload_bits = 16) const;
+
+  /// run_points() over `grid`: scenario k runs session_config(grid[k])
+  /// seeded from seed_base + k * 7919, labelled scenario_label(grid[k]).
   std::vector<ScenarioResult> run(const std::vector<Scenario>& grid,
                                   int packets, std::uint64_t seed_base,
                                   std::size_t payload_bits = 16) const;

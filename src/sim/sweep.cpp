@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <random>
 
 namespace aqua::sim {
@@ -26,31 +25,6 @@ double BatchStats::median_bitrate() const {
   std::vector<double> v = bitrates;
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
-}
-
-std::vector<Scenario> ScenarioGrid::expand() const {
-  std::vector<Scenario> out;
-  out.reserve(sites.size() * ranges_m.size() * snr_offsets_db.size() *
-              motions.size() * schemes.size());
-  for (channel::Site site : sites) {
-    for (double range : ranges_m) {
-      for (double snr : snr_offsets_db) {
-        for (channel::MotionKind motion : motions) {
-          for (const auto& [name, band] : schemes) {
-            Scenario s;
-            s.site = site;
-            s.range_m = range;
-            s.snr_offset_db = snr;
-            s.motion = motion;
-            s.fixed_band = band;
-            s.scheme = name;
-            out.push_back(std::move(s));
-          }
-        }
-      }
-    }
-  }
-  return out;
 }
 
 std::string motion_name(channel::MotionKind kind) {

@@ -1,13 +1,12 @@
-// Scenario-sweep configuration grid for the figure-reproduction workloads.
+// Packet-batch execution and statistics for the figure-reproduction
+// sweeps.
 //
-// Every evaluation in the paper is a walk over the same few axes:
-// environment (site), transmitter-receiver range, ambient-noise level
-// (equivalently an SNR offset), mobility regime, and optionally one of the
-// fixed-bandwidth baseline schemes. A ScenarioGrid names the axis values
-// once; expand() produces the cross product as a flat, deterministically
-// ordered list of Scenarios that the SweepRunner (runner.h) fans out over a
-// worker pool. Packet-level execution is factored so that any chunking of a
-// batch merges to bit-identical aggregate statistics.
+// A sweep point is one session configuration run for a batch of packets
+// (runner.h). run_packet_range executes any slice of a batch, factored so
+// that any chunking of the batch merges to bit-identical aggregate
+// statistics. Scenario names a point on the site / range / SNR offset /
+// mobility / band-scheme axes that most of the paper's evaluations walk;
+// session_config() turns it into the configuration a point runs.
 #pragma once
 
 #include <cstddef>
@@ -92,22 +91,6 @@ struct Scenario {
   std::optional<phy::BandSelection> fixed_band;
   /// Display name for the band scheme ("adaptive" when fixed_band unset).
   std::string scheme = "adaptive";
-};
-
-/// Axis values whose cross product defines a sweep.
-struct ScenarioGrid {
-  std::vector<channel::Site> sites{channel::Site::kBridge};
-  std::vector<double> ranges_m{5.0};
-  std::vector<double> snr_offsets_db{0.0};
-  std::vector<channel::MotionKind> motions{channel::MotionKind::kStatic};
-  /// Band schemes as (name, fixed band) pairs; {"adaptive", nullopt} runs
-  /// the adaptive system.
-  std::vector<std::pair<std::string, std::optional<phy::BandSelection>>>
-      schemes{{"adaptive", std::nullopt}};
-
-  /// Cross product in site-major order (sites, then ranges, then SNR
-  /// offsets, then motions, then schemes).
-  std::vector<Scenario> expand() const;
 };
 
 /// Human-readable mobility-regime name.

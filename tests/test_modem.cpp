@@ -222,6 +222,34 @@ TEST(Modem, PushGranularityInvariance) {
   EXPECT_EQ(fingerprint(e4800), f);
 }
 
+TEST(Modem, LongSymbolNumerologyKeepsUndecidedSamples) {
+  // At 10 Hz spacing the scanner decides a preamble more than search_buffer
+  // samples after it starts. The receiver must still hold that preamble
+  // and its ID symbol when the detection arrives: a modem that never trims
+  // (search_buffer past the capture) is the reference.
+  const phy::OfdmParams params = phy::OfdmParams::with_spacing(10.0);
+  channel::LinkConfig lc;
+  lc.site = channel::site_preset(channel::Site::kBridge);
+  lc.range_m = 5.0;
+  lc.seed = 55;
+  channel::UnderwaterChannel fwd(lc);
+  const std::vector<double> timeline = phase1_capture(fwd, params, 32, 1.0);
+
+  core::ModemConfig mc;
+  mc.params = params;
+  mc.my_id = 32;
+  core::ModemConfig keep_all = mc;
+  keep_all.search_buffer = 4 * timeline.size();
+  const std::vector<core::ModemEvent> events = push_chunked(mc, timeline, 480);
+  bool addressed = false;
+  for (const core::ModemEvent& e : events) {
+    if (e.type == core::ModemEvent::Type::kAddressedToUs) addressed = true;
+  }
+  EXPECT_TRUE(addressed);
+  EXPECT_EQ(fingerprint(events),
+            fingerprint(push_chunked(keep_all, timeline, 480)));
+}
+
 TEST(Modem, NonFiniteMicSamplesNeverSurface) {
   // A NaN or Inf from the microphone must not reach a metric, and must
   // never turn into a "decoded" packet carrying the wrong bits.

@@ -391,9 +391,8 @@ TEST(SessionQoE, LatencyIsOnTheSharedTimeline) {
 }
 
 TEST(SweepQoE, AggregationBitIdenticalForAnyThreadCount) {
-  sim::ScenarioGrid grid;
-  grid.snr_offsets_db = {6.0};
-  const std::vector<sim::Scenario> scenarios = grid.expand();
+  std::vector<sim::Scenario> scenarios(1);
+  scenarios[0].snr_offset_db = 6.0;
 
   sim::SweepRunner one(sim::RunnerOptions{.threads = 1, .chunk_packets = 1});
   sim::SweepRunner four(sim::RunnerOptions{.threads = 4, .chunk_packets = 1});
@@ -426,9 +425,8 @@ TEST(SweepQoE, AggregationBitIdenticalForAnyThreadCount) {
 TEST(SweepQoE, RunnerCaptureProducesReplayableTrace) {
   dsp::Workspace ws;
   const std::string path = testing::TempDir() + "sweep_capture.aqt";
-  sim::ScenarioGrid grid;
-  grid.snr_offsets_db = {6.0};
-  const std::vector<sim::Scenario> scenarios = grid.expand();
+  std::vector<sim::Scenario> scenarios(1);
+  scenarios[0].snr_offset_db = 6.0;
 
   sim::RunnerOptions opts;
   opts.threads = 2;

@@ -1,6 +1,6 @@
-// Scenario-sweep engine: grid expansion, deterministic chunked batch
-// execution, thread-count invariance of the sweep, and the contract of the
-// worker pool it runs on.
+// Scenario-sweep engine: scenario configs and labels, deterministic chunked
+// batch execution, thread-count invariance of the sweep, and the contract
+// of the worker pool it runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,27 +28,7 @@ bool stats_equal(const BatchStats& a, const BatchStats& b) {
          a.samples == b.samples;
 }
 
-TEST(ScenarioGrid, ExpandsCrossProductInAxisOrder) {
-  ScenarioGrid grid;
-  grid.sites = {channel::Site::kBridge, channel::Site::kLake};
-  grid.ranges_m = {5.0, 20.0};
-  grid.motions = {channel::MotionKind::kStatic, channel::MotionKind::kFast};
-  grid.schemes = {{"adaptive", std::nullopt},
-                  {"fixed", phy::BandSelection{0, 29, false}}};
-  const std::vector<Scenario> s = grid.expand();
-  ASSERT_EQ(s.size(), 16u);
-  // Site-major: the first 8 scenarios are all at the bridge.
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(s[i].site, channel::Site::kBridge);
-  // Scheme is the innermost axis.
-  EXPECT_EQ(s[0].scheme, "adaptive");
-  EXPECT_EQ(s[1].scheme, "fixed");
-  EXPECT_TRUE(s[1].fixed_band.has_value());
-  EXPECT_DOUBLE_EQ(s[0].range_m, 5.0);
-  EXPECT_DOUBLE_EQ(s[4].range_m, 20.0);
-  EXPECT_EQ(s[2].motion, channel::MotionKind::kFast);
-}
-
-TEST(ScenarioGrid, SessionConfigAppliesAxes) {
+TEST(Scenario, SessionConfigAppliesAxes) {
   Scenario s;
   s.site = channel::Site::kLake;
   s.range_m = 17.0;
@@ -66,7 +46,7 @@ TEST(ScenarioGrid, SessionConfigAppliesAxes) {
   EXPECT_DOUBLE_EQ(cfg.forward.site.noise.level_db, reference - 6.0);
 }
 
-TEST(ScenarioGrid, LabelNamesEveryNonDefaultAxis) {
+TEST(Scenario, LabelNamesEveryNonDefaultAxis) {
   Scenario s;
   s.site = channel::Site::kLake;
   s.range_m = 20.0;
@@ -209,9 +189,8 @@ TEST(ShardPool, SingleWorkerRunsOnTheCallingThread) {
 }
 
 TEST(SweepRunner, AggregateStatsAreThreadCountInvariant) {
-  ScenarioGrid grid;
-  grid.sites = {channel::Site::kBridge, channel::Site::kLake};
-  const std::vector<Scenario> scenarios = grid.expand();
+  std::vector<Scenario> scenarios(2);
+  scenarios[1].site = channel::Site::kLake;
   constexpr int kPackets = 3;
   constexpr std::uint64_t kSeed = 9000;
 
@@ -234,6 +213,38 @@ TEST(SweepRunner, AggregateStatsAreThreadCountInvariant) {
   // The bridge link at 5 m is the paper's easiest setting; the sweep should
   // actually deliver packets there, not just agree on zeros.
   EXPECT_GT(serial[0].stats.delivered, 0);
+}
+
+TEST(SweepRunner, RunPointsIsOneSerialBatchPerPoint) {
+  // Point k's stats are one serial run_packet_range over [0, packets) of
+  // its config and seed, whatever the chunking; run() is run_points() over
+  // the scenarios' configs, seeded seed_base + k * 7919.
+  std::vector<Scenario> scenarios(2);
+  scenarios[1].site = channel::Site::kLake;
+  scenarios[1].fixed_band = phy::BandSelection{0, 29, false};
+  scenarios[1].scheme = "fixed";
+  constexpr int kPackets = 3;
+  constexpr std::uint64_t kSeed = 777;
+  std::vector<SweepPoint> points;
+  for (std::size_t k = 0; k < scenarios.size(); ++k) {
+    points.push_back({scenario_label(scenarios[k]),
+                      session_config(scenarios[k]), kSeed + k * 7919});
+  }
+  const SweepRunner runner(RunnerOptions{.threads = 2, .chunk_packets = 2});
+  const std::vector<BatchStats> pooled = runner.run_points(points, kPackets);
+  const std::vector<ScenarioResult> adapted =
+      runner.run(scenarios, kPackets, kSeed);
+  ASSERT_EQ(pooled.size(), points.size());
+  ASSERT_EQ(adapted.size(), points.size());
+  dsp::Workspace ws;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const BatchStats serial = run_packet_range(points[k].config, 0, kPackets,
+                                               points[k].seed, 16, ws);
+    EXPECT_EQ(pooled[k].sent, kPackets);
+    EXPECT_TRUE(stats_equal(pooled[k], serial)) << points[k].label;
+    EXPECT_TRUE(stats_equal(adapted[k].stats, serial)) << points[k].label;
+    EXPECT_EQ(adapted[k].scenario.scheme, scenarios[k].scheme);
+  }
 }
 
 }  // namespace
