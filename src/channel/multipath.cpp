@@ -124,6 +124,12 @@ void build_tap_table(const std::vector<Path>& paths, double sample_rate_hz,
   table.sinc.clear();
   table.window.clear();
   const auto len = static_cast<std::ptrdiff_t>(table.length);
+  // Windowed sinc (Hann over the kernel extent) at u = i - tap_center. One
+  // tap to the next, u grows by exactly 1: sin(pi u) only flips sign, and
+  // the Hann phase pi u / (half + 1) turns by a fixed step.
+  const double hann_rate = dsp::kPi / (static_cast<double>(half) + 1.0);
+  const double step_re = std::cos(hann_rate);
+  const double step_im = std::sin(hann_rate);
   for (const Path& p : paths) {
     table.delays.push_back(p.delay_s);
     const double tap_center = (p.delay_s - t0) * sample_rate_hz +
@@ -135,15 +141,23 @@ void build_tap_table(const std::vector<Path>& paths, double sample_rate_hz,
     const std::ptrdiff_t hi =
         std::min(center + static_cast<std::ptrdiff_t>(half), len - 1);
     table.first.push_back(static_cast<std::size_t>(lo));
+    // u_lo less its nearest integer is exact, and keeps sin(pi u) accurate
+    // relative to u on the tap nearest a grid-aligned centre.
+    const double u_lo = static_cast<double>(lo) - tap_center;
+    const double whole = std::round(u_lo);
+    double sin_pi_u = std::sin(dsp::kPi * (u_lo - whole));
+    if (static_cast<long long>(whole) % 2 != 0) sin_pi_u = -sin_pi_u;
+    double hann_re = std::cos(hann_rate * u_lo);
+    double hann_im = std::sin(hann_rate * u_lo);
     for (std::ptrdiff_t i = lo; i <= hi; ++i) {
       const double u = static_cast<double>(i) - tap_center;
-      // Windowed sinc (Hann over the kernel extent).
-      table.sinc.push_back(std::abs(u) < 1e-12
-                               ? 1.0
-                               : std::sin(dsp::kPi * u) / (dsp::kPi * u));
-      const double w =
-          0.5 + 0.5 * std::cos(dsp::kPi * u / (static_cast<double>(half) + 1.0));
-      table.window.push_back(std::max(w, 0.0));
+      table.sinc.push_back(std::abs(u) < 1e-12 ? 1.0
+                                               : sin_pi_u / (dsp::kPi * u));
+      table.window.push_back(std::max(0.5 + 0.5 * hann_re, 0.0));
+      sin_pi_u = -sin_pi_u;
+      const double re = hann_re * step_re - hann_im * step_im;
+      hann_im = hann_im * step_re + hann_re * step_im;
+      hann_re = re;
     }
     table.offset.push_back(table.sinc.size());
   }

@@ -1,6 +1,8 @@
 #include "channel/noise.h"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace aqua::channel {
 
@@ -46,12 +48,27 @@ void NoiseRng::refill() {
   pos_ = 0;
 }
 
-double NoiseRng::uniform() {
-  const std::uint64_t w = next();
-  const double hi = static_cast<double>(static_cast<std::uint32_t>(w >> 32));
-  const double lo = static_cast<double>(static_cast<std::uint32_t>(w));
+double NoiseRng::uniform_of(std::uint64_t word) {
+  const double hi = static_cast<double>(static_cast<std::uint32_t>(word >> 32));
+  const double lo = static_cast<double>(static_cast<std::uint32_t>(word));
   const double u = (hi * 0x1p32 + lo) * 0x1p-64;
   return u >= 1.0 ? std::nextafter(1.0, 0.0) : u;
+}
+
+std::uint64_t NoiseRng::uniform_threshold(double p) {
+  // Binary search for the first word at or above p; the last word's
+  // uniform_of() is nextafter(1, 0), which no p < 1 exceeds.
+  std::uint64_t lo = 0;
+  std::uint64_t hi = ~std::uint64_t{0};
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (uniform_of(mid) >= p) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
 }
 
 double NoiseRng::normal() {
@@ -110,7 +127,20 @@ NoiseGenerator::NoiseGenerator(const NoiseParams& params,
       rng_(seed),
       burst_rng_(seed * 0x9E3779B97F4A7C15ULL + 0x6A09E667F3BCC909ULL),
       shaping_taps_(design_shaping_filter(params, sample_rate_hz)),
-      shaping_(shaping_taps_) {
+      shaping_(shaping_taps_),
+      wander_(0.13 / sample_rate_hz, 0.0) {
+  if (params_.bubble_rate_hz > 0.0) {
+    const double p_burst = params_.bubble_rate_hz * (1.0 / sample_rate_hz_);
+    if (!(p_burst < 1.0)) {
+      throw std::invalid_argument(
+          "NoiseGenerator: bubble_rate_hz must be below the sample rate");
+    }
+    burst_threshold_ = NoiseRng::uniform_threshold(p_burst);
+  }
+  for (std::size_t j = 0; j < params_.boat_tones_hz.size(); ++j) {
+    tones_.emplace_back(params_.boat_tones_hz[j] / sample_rate_hz_,
+                        0.7 * static_cast<double>(j));
+  }
   // Calibrate the shaped floor RMS empirically once (deterministic warmup
   // with a private RNG so the stream itself is unaffected).
   NoiseRng warm_rng(seed ^ 0xABCDEF);
@@ -137,41 +167,73 @@ std::vector<double> NoiseGenerator::generate(std::size_t n) {
 }
 
 void NoiseGenerator::generate(std::span<double> out) {
-  const std::size_t n = out.size();
-  white_.resize(n);
+  white_.resize(out.size());
   for (double& v : white_) v = rng_.normal();
   shaping_.process(white_, out);
   for (double& v : out) v *= gain_;
+  if (params_.bubble_rate_hz > 0.0) add_bursts(out);
+  if (!tones_.empty()) add_tones(out);
+  sample_ += out.size();
+}
 
+void NoiseGenerator::add_bursts(std::span<double> out) {
+  // Impulsive bubble bursts: Poisson arrivals, exponentially decaying
+  // envelopes of white noise (spiky, which is what stresses plain
+  // cross-correlation detection in the paper). An arrival is one uniform
+  // draw below bubble_rate_hz * dt, decided on its word.
   const double dt = 1.0 / sample_rate_hz_;
-  const double p_burst = params_.bubble_rate_hz * dt;
   const double burst_decay = std::exp(-dt / 0.008);  // per-sample envelope
-  for (std::size_t i = 0; i < n; ++i) {
-    // Impulsive bubble bursts: Poisson arrivals, exponentially decaying
-    // envelopes of white noise (spiky, which is what stresses plain
-    // cross-correlation detection in the paper).
-    if (params_.bubble_rate_hz > 0.0 && burst_rng_.uniform() < p_burst) {
+  for (double& v : out) {
+    if (burst_rng_.next() < burst_threshold_) {
       burst_remaining_ = 0.02 + 0.03 * burst_rng_.uniform();
       burst_env_ = params_.bubble_gain * floor_rms_;
     }
     if (burst_remaining_ > 0.0) {
-      out[i] += burst_env_ * burst_rng_.normal();
+      v += burst_env_ * burst_rng_.normal();
       burst_env_ *= burst_decay;
       burst_remaining_ -= dt;
     }
-    // Boat machinery tones with slow random amplitude wander.
-    if (!params_.boat_tones_hz.empty()) {
-      double tone_sum = 0.0;
-      for (std::size_t j = 0; j < params_.boat_tones_hz.size(); ++j) {
-        const double f = params_.boat_tones_hz[j];
-        tone_sum += std::sin(dsp::kTwoPi * f * t_ +
-                             0.7 * static_cast<double>(j));
-      }
-      const double wander = 0.75 + 0.25 * std::sin(dsp::kTwoPi * 0.13 * t_);
-      out[i] += params_.boat_tone_gain * floor_rms_ * wander * tone_sum /
-                static_cast<double>(params_.boat_tones_hz.size());
+  }
+}
+
+NoiseGenerator::Rotor::Rotor(double cycles, double phase0)
+    : cycles_per_sample(cycles),
+      phase(phase0),
+      step_re(std::cos(dsp::kTwoPi * cycles)),
+      step_im(std::sin(dsp::kTwoPi * cycles)) {}
+
+void NoiseGenerator::Rotor::anchor(std::uint64_t k) {
+  // The exact phase at k, reduced to whole cycles before it meets sin/cos.
+  const double cycles = cycles_per_sample * static_cast<double>(k);
+  const double theta = dsp::kTwoPi * (cycles - std::floor(cycles)) + phase;
+  re = std::cos(theta);
+  im = std::sin(theta);
+}
+
+void NoiseGenerator::add_tones(std::span<double> out) {
+  // Boat machinery tones with slow random amplitude wander.
+  const double scale = params_.boat_tone_gain * floor_rms_ /
+                       static_cast<double>(tones_.size());
+  std::size_t i = 0;
+  while (i < out.size()) {
+    const std::uint64_t k = sample_ + i;
+    const std::uint64_t into = k % kToneAnchorSamples;
+    if (into == 0) {
+      for (Rotor& r : tones_) r.anchor(k);
+      wander_.anchor(k);
     }
-    t_ += dt;
+    const std::size_t end = std::min<std::size_t>(
+        out.size(), i + static_cast<std::size_t>(kToneAnchorSamples - into));
+    for (; i < end; ++i) {
+      double tone_sum = 0.0;
+      for (Rotor& r : tones_) {
+        tone_sum += r.im;
+        r.advance();
+      }
+      const double wander = 0.75 + 0.25 * wander_.im;
+      wander_.advance();
+      out[i] += scale * wander * tone_sum;
+    }
   }
 }
 

@@ -63,7 +63,16 @@ class NoiseRng {
   }
 
   /// `std::uniform_real_distribution<double>(0, 1)` on this engine.
-  double uniform();
+  double uniform() { return uniform_of(next()); }
+
+  /// The value uniform() returns when the word it draws is `word`.
+  /// Non-decreasing in `word`.
+  static double uniform_of(std::uint64_t word);
+
+  /// The smallest word whose uniform_of() is not below `p`, for p < 1:
+  /// `uniform() < p` decides exactly as `next() < uniform_threshold(p)`
+  /// and consumes the same word.
+  static std::uint64_t uniform_threshold(double p);
 
   /// `std::normal_distribution<double>(0, 1)` on this engine.
   double normal();
@@ -83,9 +92,15 @@ class NoiseRng {
 /// chunking-invariant: generate(a) followed by generate(b) produces the
 /// same samples as generate(a + b). The noise floor and the impulsive
 /// bursts draw from separate RNG streams, so the per-call draw counts of
-/// one cannot shift the other's sequence.
+/// one cannot shift the other's sequence. The boat tones and their
+/// amplitude wander are unit phasors rotated once per sample and
+/// re-anchored from their exact phase at fixed points of the absolute
+/// sample grid, so where a call starts cannot change them either.
 class NoiseGenerator {
  public:
+  /// Throws std::invalid_argument unless bubble_rate_hz is below the
+  /// sample rate (a burst may start on any sample, with probability
+  /// bubble_rate_hz / sample_rate_hz).
   NoiseGenerator(const NoiseParams& params, double sample_rate_hz,
                  std::uint64_t seed);
 
@@ -106,7 +121,30 @@ class NoiseGenerator {
 
   const NoiseParams& params() const { return params_; }
 
+  /// Samples between the tone phasors' re-anchors on the absolute grid.
+  static constexpr std::uint64_t kToneAnchorSamples = 1024;
+
  private:
+  /// e^{i(2 pi cycles_per_sample k + phase)} at absolute sample k.
+  struct Rotor {
+    Rotor(double cycles, double phase0);
+    /// Sets the value to sample k's from the exact phase.
+    void anchor(std::uint64_t k);
+    /// Rotates the value on to the next sample's.
+    void advance() {
+      const double r = re * step_re - im * step_im;
+      im = im * step_re + re * step_im;
+      re = r;
+    }
+    double cycles_per_sample;
+    double phase;
+    double step_re, step_im;    ///< one sample's rotation
+    double re = 1.0, im = 0.0;  ///< value at the next sample
+  };
+
+  void add_bursts(std::span<double> out);
+  void add_tones(std::span<double> out);
+
   NoiseParams params_;
   double sample_rate_hz_;
   NoiseRng rng_;        ///< noise-floor stream (n normals per call)
@@ -116,9 +154,12 @@ class NoiseGenerator {
   std::vector<double> white_;         ///< per-call white-noise scratch
   double floor_rms_ = 0.0;
   double gain_ = 1.0;              ///< white->target-RMS scale factor
-  double t_ = 0.0;                 ///< running time for tone phases
+  std::uint64_t sample_ = 0;       ///< absolute index of the next sample
+  std::uint64_t burst_threshold_ = 0;  ///< burst when a word is below it
   double burst_remaining_ = 0.0;   ///< seconds left in the active burst
   double burst_env_ = 0.0;
+  std::vector<Rotor> tones_;       ///< one per boat tone
+  Rotor wander_;                   ///< the tones' 0.13 Hz amplitude wander
 
   static std::vector<double> design_shaping_filter(const NoiseParams& p,
                                                    double fs);

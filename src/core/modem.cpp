@@ -1,7 +1,6 @@
 #include "core/modem.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "dsp/types.h"
@@ -57,18 +56,24 @@ void Modem::set_trace_sink(obs::TraceSink* sink, int endpoint_id) {
   if (sink_) sink_->on_endpoint(sink_endpoint_, config_);
 }
 
-std::span<const double> Modem::raw(std::uint64_t from, std::size_t len) const {
-  assert(from >= buffer_base_);
+std::optional<std::span<const double>> Modem::raw(std::uint64_t from,
+                                                  std::size_t len) const {
+  if (from < buffer_base_ || from - buffer_base_ > buffer_.size() ||
+      len > buffer_.size() - (from - buffer_base_)) {
+    return std::nullopt;
+  }
   return std::span<const double>(buffer_).subspan(
       static_cast<std::size_t>(from - buffer_base_), len);
 }
 
-std::span<const float> Modem::raw_rx(std::uint64_t from,
-                                     std::size_t len) const {
+std::optional<std::span<const float>> Modem::raw_rx(std::uint64_t from,
+                                                    std::size_t len) const {
+  const std::optional<std::span<const double>> window = raw(from, len);
+  if (!window) return std::nullopt;
   // lint: alloc-ok(member scratch: capacity persists across calls, so steady state reuses the buffer)
   rx_window_.resize(len);
-  dsp::narrow_samples(raw(from, len), rx_window_);
-  return rx_window_;
+  dsp::narrow_samples(*window, rx_window_);
+  return std::span<const float>(rx_window_);
 }
 
 void Modem::enqueue_tx(std::span<const double> wave) {
@@ -193,15 +198,17 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
     std::optional<phy::ToneDecode> id;
     {
       obs::StageTimer t(metrics_, "dsp.tone");
-      id = feedback_.decode_tone(raw_rx(pre_end, kIdWaitSymbols * sym_total),
-                                 ws_);
+      if (const auto window = raw_rx(pre_end, kIdWaitSymbols * sym_total)) {
+        id = feedback_.decode_tone(*window, ws_);
+      }
     }
     if (!id || id->bin != config_.my_id) return true;
+    const auto preamble = raw(det.start_index, preamble_.core_samples());
+    if (!preamble) return true;
 
     obs::StageTimer chanest_timer(metrics_, "dsp.chanest");
-    const phy::ChannelEstimate est =
-        phy::estimate_channel(ofdm_, raw(det.start_index, preamble_.core_samples()),
-                              preamble_.cazac_bins(), ws_);
+    const phy::ChannelEstimate est = phy::estimate_channel(
+        ofdm_, *preamble, preamble_.cazac_bins(), ws_);
     chanest_timer.stop();
     band_ = config_.fixed_band
                 ? *config_.fixed_band
@@ -247,10 +254,13 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
       static_cast<std::size_t>(data_deadline_ - data_origin_);
   phy::DecodeOptions opts = config_.decode;
   opts.search_window = window > region ? window - region : 0;
-  obs::StageTimer decode_timer(metrics_, "dsp.data_decode");
-  const phy::DataDecodeResult res = modem_.decode(
-      raw(data_origin_, window), band_, config_.payload_bits, opts, ws_);
-  decode_timer.stop();
+  phy::DataDecodeResult res;
+  {
+    obs::StageTimer t(metrics_, "dsp.data_decode");
+    if (const auto samples = raw(data_origin_, window)) {
+      res = modem_.decode(*samples, band_, config_.payload_bits, opts, ws_);
+    }
+  }
 
   ModemEvent ev;
   ev.stream_pos = data_deadline_;
@@ -284,7 +294,9 @@ bool Modem::tx_step(std::vector<ModemEvent>& events) {
     std::optional<phy::FeedbackDecode> dec;
     {
       obs::StageTimer t(metrics_, "dsp.feedback");
-      dec = feedback_.decode_band(raw_rx(fb_deadline_ - window, window), ws_);
+      if (const auto samples = raw_rx(fb_deadline_ - window, window)) {
+        dec = feedback_.decode_band(*samples, ws_);
+      }
     }
     if (!dec) {
       ModemEvent ev;
@@ -326,7 +338,9 @@ bool Modem::tx_step(std::vector<ModemEvent>& events) {
     std::optional<phy::ToneDecode> got;
     if (window > 0) {
       obs::StageTimer t(metrics_, "dsp.tone");
-      got = feedback_.decode_tone(raw_rx(data_end_, window), ws_);
+      if (const auto samples = raw_rx(data_end_, window)) {
+        got = feedback_.decode_tone(*samples, ws_);
+      }
     }
     ModemEvent done;
     done.type = ModemEvent::Type::kTxComplete;

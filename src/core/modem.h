@@ -185,12 +185,17 @@ class Modem {
     std::uint8_t dest_id = 0;
   };
 
-  std::span<const double> raw(std::uint64_t from, std::size_t len) const;
+  /// The buffered mic samples [from, from + len), or nullopt when any of
+  /// them lies outside the ring (already trimmed, or not yet pushed): the
+  /// stage that asked fails instead of reading past the ring.
+  std::optional<std::span<const double>> raw(std::uint64_t from,
+                                             std::size_t len) const;
   /// Same window as raw(), narrowed to float for the receive front end
   /// (the sanctioned mic-boundary conversion).
   /// The returned span aliases a member scratch vector — consume it before
   /// the next raw_rx() call.
-  std::span<const float> raw_rx(std::uint64_t from, std::size_t len) const;
+  std::optional<std::span<const float>> raw_rx(std::uint64_t from,
+                                                std::size_t len) const;
   void enqueue_tx(std::span<const double> wave);
   /// Queues `wave` to start exactly tx_latency after `decision_pos` on the
   /// shared clock (zero-padding the queue up to it); returns the absolute

@@ -173,7 +173,6 @@ BasicFftFilter<T>::Stream::Stream(const BasicFftFilter& filter,
 
 template <typename T>
 void BasicFftFilter<T>::Stream::reset() {
-  // lint: alloc-ok(restart-time reconfiguration; assign reuses the ring's capacity after the first call)
   pending_.assign(filter_->kernel_size() - 1, T(0.0));
   consumed_ = 0;
   produced_ = 0;

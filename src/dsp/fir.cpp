@@ -226,7 +226,6 @@ void StreamingFir::process(std::span<const double> in,
 }
 
 void StreamingFir::reset() {
-  // lint: alloc-ok(refills the tap-count - 1 history inside the capacity the constructor allocated; never grows)
   buf_.assign(taps_.size() - 1, 0.0);
 }
 

@@ -246,12 +246,15 @@ TEST(Noise, BubbleBurstsAreImpulsive) {
 TEST(Noise, EveryPresetMatchesGoldenOverRaggedChunks) {
   // Each site's ambient process (floor, bubble bursts, boat tones) pushed
   // in ragged chunks must equal the same second generated in one call:
-  // odd chunks leave a saved normal variate pending across calls. The
+  // odd chunks leave a saved normal variate pending across calls, and the
+  // 1024-sample tone anchors fall inside chunks. The Bridge, Beach and Bay
   // hashes were recorded from the std::mt19937_64 +
-  // std::normal_distribution implementation NoiseRng replaced.
+  // std::normal_distribution implementation NoiseRng replaced; the Park,
+  // Lake and Museum hashes from the phasor tones (whose sum
+  // Noise.ToneTermTracksPerSampleSine checks against the per-sample sine).
   const std::uint64_t golden[] = {
-      0x18bfc9e9bd457439ULL, 0x0906741ee5261425ULL, 0x4ebd7d5353c0ecacULL,
-      0xe847b8e2257b559bULL, 0xdcef9577a704a018ULL, 0xd4a48b46c432d096ULL};
+      0x18bfc9e9bd457439ULL, 0x4e5cafcc163acad0ULL, 0x107dedb10b850655ULL,
+      0xe847b8e2257b559bULL, 0x37065cb8e1e8df4aULL, 0xd4a48b46c432d096ULL};
   const std::size_t sizes[] = {1, 479, 480, 7, 4096, 333, 2, 960};
   const std::vector<Site> sites = all_sites();
   ASSERT_EQ(sites.size(), std::size(golden));
@@ -299,6 +302,94 @@ TEST(Noise, RngMatchesLibstdcxxBitForBit) {
     }
     for (int i = 0; i < 1000; ++i) mismatches += fast.next() == ref() ? 0 : 1;
     EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Noise, ToneTermTracksPerSampleSine) {
+  // The boat tones and their wander as the generator once rendered them, a
+  // std::sin per tone per sample on a running time t += dt, against the
+  // phasor tones re-anchored every kToneAnchorSamples. The generator's
+  // tone term is its output minus a tone-free twin's (same seed, so the
+  // same floor and bursts). Over 10 s pushed in ragged chunks, most of
+  // which straddle an anchor, it must stay within 1e-6 of the tone
+  // amplitude of that formula, whose running time drifts by ~1.2e-7 of
+  // the amplitude by 10 s, and within 1e-10 of the same sines taken at the
+  // exact time k / fs.
+  constexpr std::size_t k = NoiseGenerator::kToneAnchorSamples;
+  const std::size_t sizes[] = {1, k - 1, 2, 4 * k, 777, k + 1, 3, 2 * k, 480};
+  const std::size_t total = 480000;
+  for (const Site site : {Site::kPark, Site::kLake, Site::kMuseum}) {
+    const NoiseParams np = site_preset(site).noise;
+    ASSERT_FALSE(np.boat_tones_hz.empty());
+    NoiseParams quiet = np;
+    quiet.boat_tones_hz.clear();
+    NoiseGenerator with(np, 48000.0, 9);
+    NoiseGenerator without(quiet, 48000.0, 9);
+    const double amp = np.boat_tone_gain * with.floor_rms();
+    const auto tone_at = [&](double t) {
+      double tone_sum = 0.0;
+      for (std::size_t j = 0; j < np.boat_tones_hz.size(); ++j) {
+        tone_sum += std::sin(dsp::kTwoPi * np.boat_tones_hz[j] * t +
+                             0.7 * static_cast<double>(j));
+      }
+      const double wander = 0.75 + 0.25 * std::sin(dsp::kTwoPi * 0.13 * t);
+      return amp * wander * tone_sum /
+             static_cast<double>(np.boat_tones_hz.size());
+    };
+    const double dt = 1.0 / 48000.0;
+    double t = 0.0;
+    double off_running = 0.0;
+    double off_exact = 0.0;
+    for (std::size_t b = 0, c = 0; b < total; ++c) {
+      const std::size_t n = std::min(sizes[c % std::size(sizes)], total - b);
+      const std::vector<double> a = with.generate(n);
+      const std::vector<double> z = without.generate(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double tone = a[i] - z[i];
+        off_running = std::max(off_running, std::abs(tone - tone_at(t)));
+        const double exact_t = static_cast<double>(b + i) / 48000.0;
+        off_exact = std::max(off_exact, std::abs(tone - tone_at(exact_t)));
+        t += dt;
+      }
+      b += n;
+    }
+    EXPECT_LE(off_running, 1e-6 * amp) << site_name(site);
+    EXPECT_LE(off_exact, 1e-10 * amp) << site_name(site);
+  }
+}
+
+// A generator that hands out one fixed word, to ask libstdc++'s
+// uniform_real_distribution what it makes of that word.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word = 0;
+  result_type operator()() const { return word; }
+};
+
+TEST(Noise, BurstThresholdDecidesAsUniformDraw) {
+  // A bubble burst starts when a uniform draw falls below p; the generator
+  // compares the drawn word against uniform_threshold(p) instead. Both must
+  // decide alike on the words around the threshold and on random words, at
+  // every site's burst probability and at the edges of (0, 1).
+  std::vector<double> probs = {0.0, 1e-300, 1e-3, 0.3, 0.5, 0.999999,
+                               std::nextafter(1.0, 0.0)};
+  for (const Site site : all_sites()) {
+    probs.push_back(site_preset(site).noise.bubble_rate_hz * (1.0 / 48000.0));
+  }
+  std::mt19937_64 rng(23);
+  for (const double p : probs) {
+    const std::uint64_t threshold = NoiseRng::uniform_threshold(p);
+    const auto check = [&](std::uint64_t word) {
+      FixedWord engine{word};
+      std::uniform_real_distribution<double> uni(0.0, 1.0);
+      const double u = uni(engine);
+      EXPECT_EQ(NoiseRng::uniform_of(word), u) << word;
+      EXPECT_EQ(word < threshold, u < p) << "p " << p << " word " << word;
+    };
+    for (std::uint64_t d = 0; d <= 4; ++d) check(threshold - 2 + d);
+    for (int i = 0; i < 2000; ++i) check(rng());
   }
 }
 
@@ -502,7 +593,8 @@ TEST(UnderwaterChannel, SilentBlocksRenderTheSameStreamBitForBit) {
   // draw, or the second burst renders through the wrong surface. The
   // golden count and hash were recorded with the per-block real-FFT
   // convolution (whose roundoff reaches a few samples a direct sum leaves
-  // exactly zero); skipping silent blocks must not move them.
+  // exactly zero) and the recurrence-built tap table; skipping silent
+  // blocks must not move them.
   LinkConfig lc;
   lc.site = site_preset(Site::kBay);
   lc.range_m = 8.0;
@@ -522,8 +614,8 @@ TEST(UnderwaterChannel, SilentBlocksRenderTheSameStreamBitForBit) {
   EXPECT_GT(s.silent_blocks(), 40u);  // the 0.5 s gap and the tail
   const auto nonzero = std::count_if(out.begin(), out.end(),
                                      [](double v) { return v != 0.0; });
-  EXPECT_EQ(nonzero, 29245);
-  EXPECT_EQ(bits_hash(out), 0x5ce0a0b57e2a3b94ULL);
+  EXPECT_EQ(nonzero, 29235);
+  EXPECT_EQ(bits_hash(out), 0xd328655a18da1759ULL);
 }
 
 TEST(UnderwaterChannel, PacedRenderingIsChunkingInvariant) {
@@ -550,7 +642,7 @@ TEST(UnderwaterChannel, PacedRenderingIsChunkingInvariant) {
     ASSERT_EQ(out.size() - before, n);
     b += n;
   }
-  EXPECT_EQ(bits_hash(out), 0x5ce0a0b57e2a3b94ULL);
+  EXPECT_EQ(bits_hash(out), 0xd328655a18da1759ULL);
 }
 
 TEST(UnderwaterChannel, InternalSilenceKeepsTransmitLengthAndBits) {
@@ -558,7 +650,8 @@ TEST(UnderwaterChannel, InternalSilenceKeepsTransmitLengthAndBits) {
   // solved. On this drifting link the longest falls inside the 1 s gap,
   // so a skipped block that forgot its response length would shorten the
   // output. The golden lengths predate the skip; the hashes were
-  // recorded with the per-block real-FFT convolution.
+  // recorded with the per-block real-FFT convolution and the
+  // recurrence-built tap table.
   LinkConfig lc;
   lc.site = site_preset(Site::kLake);
   lc.range_m = 10.0;
@@ -571,8 +664,8 @@ TEST(UnderwaterChannel, InternalSilenceKeepsTransmitLengthAndBits) {
   const std::vector<double> y2 = ch.transmit(x);
   EXPECT_EQ(y1.size(), 61299u);
   EXPECT_EQ(y2.size(), 61302u);
-  EXPECT_EQ(bits_hash(y1), 0x0dac120f3ca3d069ULL);
-  EXPECT_EQ(bits_hash(y2), 0x14fbf48ed2ecbe67ULL);
+  EXPECT_EQ(bits_hash(y1), 0x9e4474728e5193beULL);
+  EXPECT_EQ(bits_hash(y2), 0xace60fdc910b8bb0ULL);
 }
 
 TEST(UnderwaterChannel, BlockConvolutionMatchesDirectSum) {
@@ -673,6 +766,59 @@ TEST(Multipath, TapCacheMatchesReferenceRenderer) {
   }
   ASSERT_NE(counts[0], counts[1]);
   EXPECT_EQ(check_tap_cache(sets, ref), 40u);
+}
+
+TEST(Multipath, TapTableMatchesDirectWindowedSinc) {
+  // build_tap_table takes each path's sinc numerator by sign alternation
+  // and its Hann weight by rotation from one anchor. Every tap must stay
+  // within 1e-12 of the direct per-tap formula, over random delays and
+  // over delays on the sample grid (where the centre tap is the u = 0
+  // special case).
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> extra(0.0, 0.02);
+  const double fs = 48000.0;
+  const double ref_delay = 0.01;
+  const std::size_t half = 16;
+  TapTable table;
+  double worst = 0.0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Path> paths(1 + static_cast<std::size_t>(trial) % 12);
+    for (Path& p : paths) {
+      const double e = extra(rng);
+      p.delay_s = ref_delay + (trial % 4 == 0 ? std::round(e * fs) / fs : e);
+      p.amplitude = 1.0;
+    }
+    build_tap_table(paths, fs, ref_delay, table);
+    ASSERT_EQ(table.first.size(), paths.size());
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+      const double tap_center =
+          (paths[k].delay_s - ref_delay) * fs + static_cast<double>(half);
+      const auto center = static_cast<std::ptrdiff_t>(std::llround(tap_center));
+      const std::ptrdiff_t lo =
+          std::max<std::ptrdiff_t>(center - static_cast<std::ptrdiff_t>(half), 0);
+      const std::ptrdiff_t hi =
+          std::min(center + static_cast<std::ptrdiff_t>(half),
+                   static_cast<std::ptrdiff_t>(table.length) - 1);
+      ASSERT_EQ(table.first[k], static_cast<std::size_t>(lo));
+      ASSERT_EQ(table.offset[k + 1] - table.offset[k],
+                static_cast<std::size_t>(hi - lo + 1));
+      for (std::ptrdiff_t i = lo; i <= hi; ++i) {
+        const double u = static_cast<double>(i) - tap_center;
+        const double sinc = std::abs(u) < 1e-12
+                                ? 1.0
+                                : std::sin(dsp::kPi * u) / (dsp::kPi * u);
+        const double w = std::max(
+            0.5 + 0.5 * std::cos(dsp::kPi * u /
+                                 (static_cast<double>(half) + 1.0)),
+            0.0);
+        const std::size_t t =
+            table.offset[k] + static_cast<std::size_t>(i - lo);
+        worst = std::max({worst, std::abs(table.sinc[t] - sinc),
+                          std::abs(table.window[t] - w)});
+      }
+    }
+  }
+  EXPECT_LE(worst, 1e-12);
 }
 
 TEST(UnderwaterChannel, StreamOutputIsExactZeroPastDrainBound) {

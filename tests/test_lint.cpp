@@ -210,6 +210,24 @@ TEST(LintHotChain, BoundaryExemptionAbsorbsHotness) {
   expect_clean("hot_chain_good.cpp");
 }
 
+TEST(LintHotChain, ProjectFieldReceiverKeepsTheChain) {
+  // `history_.reset()` and `slot_.live.reset()` on project-typed fields
+  // reach the allocating History::reset.
+  const std::vector<Finding> findings =
+      lint_file(fixture("std_receiver_bad.cpp"));
+  ASSERT_EQ(count_rule(findings, "hot-alloc"), 1) << describe(findings);
+  EXPECT_NE(findings.front().message.find("Scanner::scan -> History::reset"),
+            std::string::npos)
+      << describe(findings);
+}
+
+TEST(LintHotChain, StdFieldReceiverReachesNoProjectFunction) {
+  // `pending_.reset()` on a std::optional field and `slot_.live.reset()` on
+  // a std::unique_ptr one call the library, not the project's
+  // History::reset of the same name.
+  expect_clean("std_receiver_good.cpp");
+}
+
 TEST(LintRawString, PositionsSurviveRawStrings) {
   // The fixture's raw string contains `//` and `/*` openers; positions for
   // code after it must come from the lexer, not a comment-stripper guess.

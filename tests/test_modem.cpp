@@ -283,6 +283,34 @@ TEST(Modem, NonFiniteMicSamplesNeverSurface) {
   }
 }
 
+TEST(Modem, ListenWindowOutsideTheRingFailsWithoutReading) {
+  // The sender's feedback and ACK windows start on its speaker clock. A
+  // sender whose mic ran far ahead of its speaker (pushed, never pulled)
+  // trimmed those positions from its ring before it sent, so each window
+  // lies outside the ring when its deadline comes. The stage must fail
+  // with no decoded event instead of reading past the ring (which the
+  // sanitizer build would also catch).
+  const std::vector<std::uint8_t> bits(16, 1);
+  const std::vector<double> quiet(4800, 0.0);
+  for (const bool fixed : {false, true}) {
+    core::ModemConfig mc;
+    if (fixed) mc.fixed_band = phy::BandSelection{10, 30, false};
+    core::Modem m(mc);
+    for (int i = 0; i < 50; ++i) EXPECT_TRUE(m.push(quiet).empty());
+    m.send(bits, 32);
+    std::vector<core::ModemEvent> events;
+    for (int i = 0; i < 4 && events.empty(); ++i) events = m.push(quiet);
+    ASSERT_EQ(events.size(), 1u) << "fixed band " << fixed;
+    if (fixed) {
+      EXPECT_EQ(events[0].type, core::ModemEvent::Type::kTxComplete);
+      EXPECT_FALSE(events[0].ack_received);
+    } else {
+      EXPECT_EQ(events[0].type, core::ModemEvent::Type::kTxFailed);
+    }
+    EXPECT_EQ(m.tx_state(), core::Modem::TxState::kIdle);
+  }
+}
+
 TEST(Modem, ResponderWaveformsAnchoredToTheTimeline) {
   // A responder's speaker output (here: Bob's feedback symbol) must start
   // at an absolute position on the shared clock, not wherever the

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace aqua::lint {
 
@@ -60,6 +61,41 @@ HotInfo propagate_hot(const std::vector<CallGraphTu>& tus) {
     by_name[fs.name].push_back(id);
   }
 
+  // Fields declared with a `std::` type: a call on one (`pending_.reset()`
+  // on a std::optional) reaches no project function. Keyed "Cls::field"
+  // for the caller's own fields; by bare name for another object's
+  // (`slot.live.reset()`), where the owning class is unknown, and then
+  // only when no class declares that name with a project type.
+  std::unordered_set<std::string> std_fields;
+  std::unordered_set<std::string> std_names;
+  std::unordered_set<std::string> project_names;
+  for (const CallGraphTu& tu : tus) {
+    for (const FieldSym& f : tu.sym->fields) {
+      if (f.std_type) {
+        std_fields.insert(f.class_name + "::" + f.field);
+        std_names.insert(f.field);
+      } else {
+        project_names.insert(f.field);
+      }
+    }
+  }
+  const auto calls_library = [&](const SymbolTable& sym,
+                                 const CallSiteSym& cs) {
+    if (cs.receiver.empty()) return false;
+    if (cs.receiver_nested) {
+      return std_names.contains(cs.receiver) &&
+             !project_names.contains(cs.receiver);
+    }
+    // A lambda calls with its enclosing member function's fields.
+    std::size_t owner = cs.caller;
+    while (sym.functions[owner].is_lambda &&
+           sym.functions[owner].parent != kNpos) {
+      owner = sym.functions[owner].parent;
+    }
+    return std_fields.contains(sym.functions[owner].class_name + "::" +
+                               cs.receiver);
+  };
+
   std::vector<std::vector<std::size_t>> edges(nodes.size());
 
   // A lambda defined inside a hot body executes on the hot path (the
@@ -77,6 +113,7 @@ HotInfo propagate_hot(const std::vector<CallGraphTu>& tus) {
       if (cs.caller == kNpos) continue;
       auto it = by_name.find(cs.callee);
       if (it == by_name.end()) continue;
+      if (calls_library(sym, cs)) continue;
       const std::size_t caller_id = node_of[t][cs.caller];
       // With a spelled `Cls::` qualifier, prefer candidates of that class;
       // if none match, the qualifier was a namespace and every candidate

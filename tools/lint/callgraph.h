@@ -11,7 +11,9 @@
 // project function named `f` (filtered by the `Cls::` qualifier when one
 // is spelled and matches). That over-approximates — which is the right
 // direction for a lint — and under-approximates dynamic dispatch, which
-// the `// lint-call: Target` comment escape covers.
+// the `// lint-call: Target` comment escape covers. One receiver is known
+// for sure: `field_.f(...)` on a field declared with a `std::` type calls
+// the library, so it binds to nothing.
 //
 // A function annotated `// lint: hot-alloc-ok(reason)` at its definition
 // is exempt: propagation stops there (its body is not marked hot and its

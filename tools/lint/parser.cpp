@@ -24,6 +24,19 @@ const std::unordered_set<std::string_view> kForeignNamespaces = {
     "literals",
 };
 
+// Identifiers that open a class-body statement which declares no field
+// and need not hold a `(` (class heads are consumed before the field scan).
+const std::unordered_set<std::string_view> kNonFieldHeads = {
+    "public", "private", "protected", "using", "typedef", "friend",
+    "template",
+};
+
+// Specifiers that may precede a field's type.
+const std::unordered_set<std::string_view> kDeclSpecifiers = {
+    "mutable", "static", "const", "constexpr", "inline", "volatile",
+    "thread_local",
+};
+
 bool params_take_workspace(const std::vector<Token>& toks, std::size_t open,
                            std::size_t close) {
   for (std::size_t i = open + 1; i + 1 < close; ++i) {
@@ -200,6 +213,40 @@ SymbolTable parse_symbols(const std::vector<Token>& toks, const Matches& m,
         }
       }
       continue;
+    }
+
+    // Field declarations: `[mutable|static|...] Type name_ [= init];` at the
+    // start of a statement directly inside a class body. A `(` outside
+    // template arguments makes it a member function instead.
+    if (t.kind == Tok::kIdent && !kNonFieldHeads.contains(t.text) && i > 0 &&
+        (is_punct(toks[i - 1], ";") || is_punct(toks[i - 1], "{") ||
+         is_punct(toks[i - 1], "}") || is_punct(toks[i - 1], ":")) &&
+        !innermost_class().empty() && innermost_function() == kNpos) {
+      std::size_t j = i;
+      while (j < toks.size() && kDeclSpecifiers.contains(toks[j].text)) ++j;
+      FieldSym field;
+      field.class_name = std::string(innermost_class());
+      field.std_type = j + 1 < toks.size() && is_ident(toks[j], "std") &&
+                       is_punct(toks[j + 1], "::");
+      for (; j < toks.size(); ++j) {
+        const Token& d = toks[j];
+        if (is_punct(d, "<")) {
+          const std::size_t past = skip_template_args(toks, j);
+          if (past != j) j = past - 1;
+          continue;
+        }
+        if (is_punct(d, "(")) {
+          field.field.clear();
+          break;
+        }
+        if (is_punct(d, ";") || is_punct(d, "=") || is_punct(d, "{") ||
+            is_punct(d, "}") || is_punct(d, "[") || is_punct(d, ":") ||
+            is_punct(d, ",") || is_ident(d, "AQUA_GUARDED_BY")) {
+          break;
+        }
+        if (d.kind == Tok::kIdent) field.field = std::string(d.text);
+      }
+      if (!field.field.empty()) out.fields.push_back(std::move(field));
     }
 
     if (!is_punct(t, "{")) continue;
@@ -483,6 +530,15 @@ SymbolTable parse_symbols(const std::vector<Token>& toks, const Matches& m,
       if (is_ident(p, "new")) continue;  // ctor call via new: not an edge
       if (is_punct(p, ".") || is_punct(p, "->")) {
         cs.member_call = true;
+        // `obj.callee(`, `this->obj.callee(` or `x.obj.callee(`.
+        if (is_punct(p, ".") && i > 1 && toks[i - 2].kind == Tok::kIdent &&
+            !(i > 2 && is_punct(toks[i - 3], "::"))) {
+          cs.receiver = std::string(toks[i - 2].text);
+          cs.receiver_nested =
+              i > 2 && (is_punct(toks[i - 3], ".") ||
+                        (is_punct(toks[i - 3], "->") &&
+                         !(i > 3 && is_ident(toks[i - 4], "this"))));
+        }
       } else if (is_punct(p, "::") && i > 1 &&
                  toks[i - 2].kind == Tok::kIdent) {
         if (kForeignNamespaces.contains(toks[i - 2].text)) continue;

@@ -8,11 +8,13 @@
 //     with their parameter-list and body token ranges, whether the
 //     parameter list takes a `Workspace&` (the hot-path seed), and the
 //     enclosing class;
-//   - class/struct scopes and fields annotated `AQUA_GUARDED_BY(mutex)`;
+//   - class/struct scopes, their field declarations (noting which have a
+//     `std::` type), and fields annotated `AQUA_GUARDED_BY(mutex)`;
 //   - namespace-scope variable declarations (for the global-state rule),
 //     classified const/constexpr, atomic, static, thread_local;
 //   - call sites inside each function body, by callee name with an
-//     optional `Cls::` qualifier, plus explicit `// lint-call: <name>`
+//     optional `Cls::` qualifier or `obj.` receiver, plus explicit
+//     `// lint-call: <name>`
 //     escape-hatch edges for calls the heuristic cannot see (function
 //     pointers, virtual dispatch, macro-hidden calls).
 //
@@ -82,6 +84,15 @@ struct GuardedFieldSym {
   int col = 0;
 };
 
+/// A class field declaration. When its type is spelled `std::...`, as in
+/// `std::optional<Det> pending_;`, a call on it (`pending_.reset()`) is a
+/// library call, never one of the project's functions.
+struct FieldSym {
+  std::string class_name;
+  std::string field;
+  bool std_type = false;
+};
+
 /// A call site inside a function body: `callee(...)`, `Cls::callee(...)`,
 /// `obj.callee(...)`, or an explicit `// lint-call: callee` edge.
 struct CallSiteSym {
@@ -89,6 +100,12 @@ struct CallSiteSym {
   std::string callee;          ///< unqualified callee name
   std::string qualifier;       ///< `X::callee` qualifier (class or ns), or ""
   bool member_call = false;    ///< spelled `obj.callee(` / `ptr->callee(`
+  /// `obj` in `obj.callee(`, `this->obj.callee(` or `x.obj.callee(`, else
+  /// "". Not recorded through `->`: a pointer's pointee type is unknown.
+  std::string receiver;
+  /// The receiver is a field of another object (`x.obj.callee(`), not of
+  /// the caller's own class.
+  bool receiver_nested = false;
   bool explicit_edge = false;  ///< from a `// lint-call:` comment
   int line = 0;
   int col = 0;
@@ -115,6 +132,7 @@ struct ThreadLocalSym {
 struct SymbolTable {
   std::vector<FunctionSym> functions;
   std::vector<GuardedFieldSym> guarded_fields;
+  std::vector<FieldSym> fields;
   std::vector<CallSiteSym> calls;
   std::vector<GlobalSym> globals;
   std::vector<ThreadLocalSym> thread_locals;
