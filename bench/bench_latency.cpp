@@ -4,8 +4,11 @@
 // and <20 ms per symbol for decoding) and end-to-end messaging airtime.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 
+#include "dsp/fft.h"
+#include "dsp/fft_filter.h"
 #include "dsp/fir.h"
 #include "phy/bandselect.h"
 #include "phy/chanest.h"
@@ -134,6 +137,56 @@ void BM_MessageAirtime(benchmark::State& state) {
   state.counters["info_bitrate_bps"] = p.reported_bitrate_bps(width);
 }
 BENCHMARK(BM_MessageAirtime)->Arg(4)->Arg(19)->Arg(60);
+
+// One packed real-FFT round trip (forward, then inverse) at the sizes the
+// receive front end (fp32 overlap-save blocks) and the estimation path
+// (fp64) run.
+template <typename T>
+void BM_RfftRoundTrip(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::mt19937_64 rng(8);
+  std::normal_distribution<T> g(T(0), T(1));
+  std::vector<T> x(n);
+  for (auto& v : x) v = g(rng);
+  const dsp::BasicRfftPlan<T>& plan = dsp::rplan_of<T>(n);
+  std::vector<std::complex<T>> spec(plan.spectrum_size());
+  std::vector<T> back(n);
+  dsp::Workspace ws;
+  for (auto _ : state) {
+    plan.forward(x, spec, ws);
+    plan.inverse(spec, back, ws);
+    benchmark::DoNotOptimize(back.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RfftRoundTrip<float>)->Arg(2048)->Arg(16384);
+BENCHMARK(BM_RfftRoundTrip<double>)->Arg(2048)->Arg(4096);
+
+// The preamble scanner's correlation stream: 480-sample (10 ms) pushes
+// through the fp32 overlap-save engine holding the reversed 7680-tap core
+// template, as PreambleScanner builds it.
+void BM_FftFilterStreamPush(benchmark::State& state) {
+  const phy::OfdmParams p;
+  const phy::Preamble pre(p);
+  std::vector<double> core = pre.core_template();
+  std::reverse(core.begin(), core.end());
+  const dsp::BasicFftFilter<float> engine(dsp::convert_samples<float>(core),
+                                          dsp::kMaxStreamStep);
+  dsp::BasicFftFilter<float>::Stream stream(engine);
+  std::mt19937_64 rng(9);
+  std::normal_distribution<float> g(0.0f, 1.0f);
+  std::vector<float> chunk(480);
+  for (auto& v : chunk) v = g(rng);
+  std::vector<float> out;
+  dsp::Workspace ws;
+  for (auto _ : state) {
+    out.clear();
+    benchmark::DoNotOptimize(stream.push(chunk, out, ws));
+  }
+  state.counters["taps"] = static_cast<double>(engine.kernel_size());
+  state.counters["block"] = static_cast<double>(stream.fft_size());
+}
+BENCHMARK(BM_FftFilterStreamPush);
 
 }  // namespace
 

@@ -22,6 +22,18 @@ std::complex<T> round_to(const cplx& v) {
   return {static_cast<T>(v.real()), static_cast<T>(v.imag())};
 }
 
+// A complex buffer viewed as its interleaved (re, im) pairs: the
+// array-oriented access std::complex guarantees. The transforms run on
+// pairs so the packed real FFT can hand them real buffers directly.
+template <typename T>
+std::span<const T> pairs(std::span<const std::complex<T>> c) {
+  return {reinterpret_cast<const T*>(c.data()), 2 * c.size()};
+}
+template <typename T>
+std::span<T> pairs(std::span<std::complex<T>> c) {
+  return {reinterpret_cast<T*>(c.data()), 2 * c.size()};
+}
+
 }  // namespace
 
 std::size_t next_pow2(std::size_t n) {
@@ -41,9 +53,9 @@ BasicFftPlan<T>::BasicFftPlan(std::size_t n) : n_(n) {
   std::size_t log2m = 0;
   while ((std::size_t{1} << log2m) < m_) ++log2m;
   for (std::size_t i = 0; i < m_; ++i) {
-    std::size_t r = 0;
+    std::uint32_t r = 0;
     for (std::size_t b = 0; b < log2m; ++b) {
-      if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2m - 1 - b);
+      if (i & (std::size_t{1} << b)) r |= std::uint32_t{1} << (log2m - 1 - b);
     }
     bitrev_[i] = r;
   }
@@ -80,39 +92,33 @@ BasicFftPlan<T>::BasicFftPlan(std::size_t n) : n_(n) {
       b[k] = std::conj(chirp_[k]);
       b[m_ - k] = std::conj(chirp_[k]);
     }
-    radix2(b, b, /*invert=*/false);
+    radix2(pairs<T>(std::span<const C>(b)), pairs<T>(std::span<C>(b)),
+           /*invert=*/false);
     chirp_fft_ = std::move(b);
   }
 }
 
 template <typename T>
-void BasicFftPlan<T>::radix2(std::span<const C> in, std::span<C> out,
+void BasicFftPlan<T>::radix2(std::span<const T> in, std::span<T> out,
                              bool invert) const {
   // Must fail loudly in release builds too: transforming with a mismatched
   // plan would silently produce garbage spectra.
-  if (in.size() != m_ || out.size() != m_) {
+  if (in.size() != 2 * m_ || out.size() != 2 * m_) {
     // lint: throw-ok(caller-bug guard before the butterfly pass; never fires on well-formed input)
     throw std::invalid_argument("FftPlan: radix-2 work size mismatch");
   }
-  // Bit-reversal: a gather when out-of-place, pairwise swaps in place.
-  if (in.data() != out.data()) {
-    for (std::size_t i = 0; i < m_; ++i) out[i] = in[bitrev_[i]];
-  } else {
-    for (std::size_t i = 0; i < m_; ++i) {
-      const std::size_t j = bitrev_[i];
-      if (i < j) std::swap(out[i], out[j]);
-    }
-  }
-  // Every butterfly stage in one SIMD kernel call: each stage's twiddles
-  // are contiguous in stage_tw_, and the kernel's unfused multiply tree
-  // reproduces the historical std::complex product bit for bit.
-  simd::fft_pass(simd::active(), out.data(), m_, stage_tw_.data(), invert);
+  // The bit-reversal permutation and every butterfly stage in one SIMD
+  // kernel call: each stage's twiddles are contiguous in stage_tw_, and the
+  // kernel's unfused multiply tree reproduces the historical std::complex
+  // product bit for bit.
+  simd::fft_pass(simd::active(), in.data(), out.data(), m_, bitrev_.data(),
+                 stage_tw_.data(), invert);
 }
 
 template <typename T>
-void BasicFftPlan<T>::transform(std::span<const C> in, std::span<C> out,
+void BasicFftPlan<T>::transform(std::span<const T> in, std::span<T> out,
                                 bool invert, Workspace& ws) const {
-  if (in.size() != n_ || out.size() != n_) {
+  if (in.size() != 2 * n_ || out.size() != 2 * n_) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
     throw std::invalid_argument("FftPlan: buffer size mismatch");
   }
@@ -121,36 +127,47 @@ void BasicFftPlan<T>::transform(std::span<const C> in, std::span<C> out,
     return;
   }
   // Bluestein: X[k] = conj-chirp convolution. For the inverse transform we
-  // conjugate input and output of the forward machinery.
+  // conjugate input and output of the forward machinery. The two work
+  // buffers let both radix-2 passes gather out of place.
   Scratch<C> a_s(ws, m_);
+  Scratch<C> b_s(ws, m_);
   std::span<C> a = a_s.span();
+  std::span<C> b = b_s.span();
   for (std::size_t k = 0; k < n_; ++k) {
-    const C x = invert ? std::conj(in[k]) : in[k];
-    a[k] = x * chirp_[k];
+    const C x{in[2 * k], in[2 * k + 1]};
+    a[k] = (invert ? std::conj(x) : x) * chirp_[k];
   }
   std::fill(a.begin() + static_cast<std::ptrdiff_t>(n_), a.end(), C{});
-  radix2(a, a, /*invert=*/false);
-  simd::cmul_inplace(simd::active(), a.data(), chirp_fft_.data(), m_);
-  radix2(a, a, /*invert=*/true);
+  radix2(pairs<T>(std::span<const C>(a)), pairs<T>(b), /*invert=*/false);
+  simd::cmul_inplace(simd::active(), b.data(), chirp_fft_.data(), m_);
+  radix2(pairs<T>(std::span<const C>(b)), pairs<T>(a), /*invert=*/true);
   const T scale = T(1.0) / static_cast<T>(m_);
   for (std::size_t k = 0; k < n_; ++k) {
     C y = a[k] * scale * chirp_[k];
-    out[k] = invert ? std::conj(y) : y;
+    if (invert) y = std::conj(y);
+    out[2 * k] = y.real();
+    out[2 * k + 1] = y.imag();
   }
+}
+
+template <typename T>
+void BasicFftPlan<T>::inverse_pairs(std::span<const T> in, std::span<T> out,
+                                    Workspace& ws) const {
+  transform(in, out, /*invert=*/true, ws);
+  simd::scale(simd::active(), out.data(), out.size(),
+              T(1.0) / static_cast<T>(n_));
 }
 
 template <typename T>
 void BasicFftPlan<T>::forward(std::span<const C> in, std::span<C> out,
                               Workspace& ws) const {
-  transform(in, out, /*invert=*/false, ws);
+  transform(pairs(in), pairs(out), /*invert=*/false, ws);
 }
 
 template <typename T>
 void BasicFftPlan<T>::inverse(std::span<const C> in, std::span<C> out,
                               Workspace& ws) const {
-  transform(in, out, /*invert=*/true, ws);
-  const T scale = T(1.0) / static_cast<T>(n_);
-  for (C& v : out) v *= scale;
+  inverse_pairs(pairs(in), pairs(out), ws);
 }
 
 template <typename T>
@@ -181,38 +198,25 @@ void BasicRfftPlan<T>::forward(std::span<const T> in, std::span<C> out,
     throw std::invalid_argument("RfftPlan: buffer size mismatch");
   }
   if (full_ != nullptr) {
-    Scratch<C> tmp_s(ws, n_);
     Scratch<C> spec_s(ws, n_);
-    std::span<C> tmp = tmp_s.span();
-    for (std::size_t i = 0; i < n_; ++i) tmp[i] = {in[i], T(0.0)};
-    full_->forward(tmp, spec_s.span(), ws);
-    std::copy_n(spec_s->begin(), out.size(), out.begin());
+    std::span<C> spec = spec_s.span();
+    for (std::size_t i = 0; i < n_; ++i) spec[i] = {in[i], T(0.0)};
+    full_->forward(spec, spec, ws);
+    std::copy_n(spec.begin(), out.size(), out.begin());
     return;
   }
-  // Pack adjacent samples into one half-size complex signal and transform.
-  Scratch<C> z_s(ws, h_);
+  // The real samples ARE the half-size complex signal z[k] = (x[2k],
+  // x[2k+1]): the transform reads them as pairs, straight into its
+  // bit-reversal gather. Then the untwiddle kernel splits Z into the
+  // spectra of the even/odd sample streams (E = (Z_k + conj(Z_{h-k}))/2,
+  // O = -j (Z_k - conj(Z_{h-k}))/2) and recombines X_k = E + W^k O with
+  // W = e^{-j 2 pi / n}, in the exact tree of the inline std::complex
+  // product without its NaN recovery branch (non-finite mic input is
+  // zeroed at Modem::push).
   Scratch<C> zf_s(ws, h_);
-  std::span<C> z = z_s.span();
-  for (std::size_t k = 0; k < h_; ++k) z[k] = {in[2 * k], in[2 * k + 1]};
-  std::span<C> zf = zf_s.span();
-  half_->forward(z, zf, ws);
-  // Untwiddle: split Z into the spectra of the even/odd sample streams
-  // (E = (Z_k + conj(Z_{h-k}))/2, O = -j (Z_k - conj(Z_{h-k}))/2) and
-  // recombine as X_k = E + W^k O with W = e^{-j 2 pi / n}. The products
-  // are spelled in plain real arithmetic: for finite values this is the
-  // exact tree of the inline std::complex product, without its NaN
-  // recovery branch (non-finite mic input is zeroed at Modem::push).
-  out[0] = {zf[0].real() + zf[0].imag(), T(0.0)};
-  out[h_] = {zf[0].real() - zf[0].imag(), T(0.0)};
-  const T half_scale = T(0.5);
-  for (std::size_t k = 1; k < h_; ++k) {
-    const T zr = zf[k].real(), zi = zf[k].imag();
-    const T cr = zf[h_ - k].real(), ci = -zf[h_ - k].imag();  // conj
-    const T er = half_scale * (zr + cr), ei = half_scale * (zi + ci);
-    const T o_re = half_scale * (zi - ci), o_im = -half_scale * (zr - cr);
-    const T wr = twiddle_[k].real(), wi = twiddle_[k].imag();
-    out[k] = {er + (wr * o_re - wi * o_im), ei + (wr * o_im + wi * o_re)};
-  }
+  half_->transform(in, pairs(zf_s.span()), /*invert=*/false, ws);
+  simd::rfft_untwiddle(simd::active(), zf_s->data(), out.data(),
+                       twiddle_.data(), h_);
 }
 
 template <typename T>
@@ -224,39 +228,24 @@ void BasicRfftPlan<T>::inverse(std::span<const C> in, std::span<T> out,
   }
   if (full_ != nullptr) {
     Scratch<C> spec_s(ws, n_);
-    Scratch<C> time_s(ws, n_);
     std::span<C> spec = spec_s.span();
     spec[0] = in[0];
     for (std::size_t k = 1; k <= n_ / 2; ++k) {
       spec[k] = in[k];
       spec[n_ - k] = std::conj(in[k]);
     }
-    full_->inverse(spec, time_s.span(), ws);
-    for (std::size_t i = 0; i < n_; ++i) out[i] = (*time_s)[i].real();
+    full_->inverse(spec, spec, ws);
+    for (std::size_t i = 0; i < n_; ++i) out[i] = spec[i].real();
     return;
   }
-  // Exact inverse of the forward untwiddle: E = (X_k + conj(X_{h-k}))/2,
-  // W^k O = (X_k - conj(X_{h-k}))/2, Z_k = E + j conj(W^k) (W^k O); then
-  // one half-size inverse transform un-interleaves the samples.
+  // Exact inverse of the forward untwiddle (E = (X_k + conj(X_{h-k}))/2,
+  // W^k O = (X_k - conj(X_{h-k}))/2, Z_k = E + j conj(W^k) (W^k O)); the
+  // half-size inverse then writes its pairs straight into the real output,
+  // which un-interleaves the samples.
   Scratch<C> zf_s(ws, h_);
-  Scratch<C> z_s(ws, h_);
-  std::span<C> zf = zf_s.span();
-  const T half_scale = T(0.5);
-  for (std::size_t k = 0; k < h_; ++k) {
-    const T xr = in[k].real(), xi = in[k].imag();
-    const T cr = in[h_ - k].real(), ci = -in[h_ - k].imag();  // conj
-    const T er = half_scale * (xr + cr), ei = half_scale * (xi + ci);
-    const T pr = half_scale * (xr - cr), pi = half_scale * (xi - ci);  // W^k O
-    const T wr = twiddle_[k].real(), wi = -twiddle_[k].imag();  // conj(W^k)
-    const T o_re = wr * pr - wi * pi, o_im = wr * pi + wi * pr;  // O
-    zf[k] = {er - o_im, ei + o_re};  // E + j O
-  }
-  std::span<C> z = z_s.span();
-  half_->inverse(zf, z, ws);
-  for (std::size_t k = 0; k < h_; ++k) {
-    out[2 * k] = z[k].real();
-    out[2 * k + 1] = z[k].imag();
-  }
+  simd::irfft_untwiddle(simd::active(), in.data(), zf_s->data(),
+                        twiddle_.data(), h_);
+  half_->inverse_pairs(pairs(std::span<const C>(zf_s.span())), out, ws);
 }
 
 template class BasicFftPlan<double>;

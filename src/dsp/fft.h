@@ -1,7 +1,8 @@
 // Fast Fourier transforms implemented from scratch.
 //
-// Power-of-two sizes use an iterative radix-2 Cooley-Tukey kernel whose
-// butterfly stages run through the runtime SIMD dispatch (dsp/simd.h); every
+// Power-of-two sizes use an iterative radix-2 Cooley-Tukey kernel: one
+// runtime-dispatched SIMD call (dsp/simd.h) gathers the bit-reversed points
+// and runs every butterfly stage; every
 // other size (e.g. the 960-point OFDM symbol used by the modem) goes through
 // Bluestein's chirp-z algorithm built on top of the radix-2 kernel. Plans are
 // cached per size so repeated transforms only pay for twiddle generation once;
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <complex>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -51,17 +53,22 @@ class BasicFftPlan {
   void inverse(std::span<const C> in, std::span<C> out, Workspace& ws) const;
 
  private:
-  // Bit-reverses `in` into `out` (in place when they alias), then runs
-  // every butterfly stage in one SIMD pass kernel call.
-  void radix2(std::span<const C> in, std::span<C> out, bool invert) const;
-  void transform(std::span<const C> in, std::span<C> out, bool invert,
+  // The transforms run on interleaved (re, im) pairs, so the packed real
+  // FFT can hand its real input and output buffers over without copies.
+  // radix2 permutes `in` into `out` (in place when they are the same
+  // buffer) and runs every butterfly stage: one SIMD fft_pass call.
+  void radix2(std::span<const T> in, std::span<T> out, bool invert) const;
+  void transform(std::span<const T> in, std::span<T> out, bool invert,
                  Workspace& ws) const;
+  // transform plus the 1/N scale.
+  void inverse_pairs(std::span<const T> in, std::span<T> out,
+                     Workspace& ws) const;
 
   std::size_t n_ = 0;
   bool pow2_ = false;
   // Radix-2 machinery (for n_ itself when pow2_, else for bluestein size m_).
   std::size_t m_ = 0;                // power-of-two work size
-  std::vector<std::size_t> bitrev_;  // bit-reversal permutation for m_
+  std::vector<std::uint32_t> bitrev_;  // bit-reversal permutation for m_
   // Per-stage contiguous twiddles for the SIMD pass kernel: the stage
   // with half-block `h` owns entries [h-1, 2h-1) = w_m^{k * (m/2h)} for
   // k < h; m-1 entries total.
@@ -70,6 +77,8 @@ class BasicFftPlan {
   std::vector<C> chirp_;      // e^{-j pi k^2 / n}
   std::vector<C> chirp_fft_;  // FFT of the zero-padded conjugate chirp
 
+  template <typename>
+  friend class BasicRfftPlan;     // runs the half-size transform on pairs
   friend struct FftPlanTestPeer;  // white-box access for the throw test
 };
 
@@ -81,7 +90,12 @@ extern template class BasicFftPlan<float>;
 /// Packed real-input FFT plan: an n-point real transform computed as one
 /// n/2-point complex transform of the even/odd-interleaved samples plus an
 /// O(n) untwiddle pass — half the transform work and half the spectrum
-/// footprint of the complex path, for the price of one twiddle table.
+/// footprint of the complex path, for the price of one twiddle table. The
+/// half-size transform reads the real input as pairs in place (and the
+/// inverse writes its pairs straight into the real output), and the
+/// untwiddles and the inverse's 1/N run as SIMD kernels, so a call leases
+/// one half-size scratch buffer and copies nothing. Any element alignment
+/// of the real buffers works.
 ///
 /// Real signals are the common case here (every waveform entering
 /// `FftFilter`, `CrossCorrelator` and the OFDM modulator is real), so the

@@ -204,14 +204,15 @@ std::size_t BasicFftFilter<T>::Stream::push(std::span<const T> x,
   // chunking-invariant. An all-zero window convolves to exact zeros, so it
   // skips the transforms (emitting +0.0 where the FFT may give -0.0).
   while (pending_.size() - head >= m_) {
-    const auto window = pending_.begin() + static_cast<std::ptrdiff_t>(head);
-    if (std::all_of(window, window + static_cast<std::ptrdiff_t>(m_),
+    const std::span<const T> window(pending_.data() + head, m_);
+    if (std::all_of(window.begin(), window.end(),
                     [](T v) { return v == T(0.0); })) {
       std::fill_n(seg.begin() + static_cast<std::ptrdiff_t>(taps - 1), step_,
                   T(0.0));
     } else {
-      std::copy_n(window, m_, seg.begin());
-      plan_->forward(seg, spec, ws);
+      // The forward transform reads the window in place (at any element
+      // offset); only the inverse needs the scratch block.
+      plan_->forward(window, spec, ws);
       simd::cmul_inplace(simd::active(), spec.data(), kfft.data(),
                          spec.size());
       plan_->inverse(spec, seg, ws);

@@ -1,9 +1,10 @@
 // Scalar reference kernels and the runtime dispatch decision.
 //
 // This translation unit is compiled with -ffp-contract=off (see
-// CMakeLists.txt) so the FFT pass kernels' plain mul/add trees cannot be
-// contracted into fused multiply-adds on targets whose baseline has FMA
-// (AArch64); fusion is only ever spelled explicitly via std::fma.
+// CMakeLists.txt) so the FFT pass and untwiddle kernels' plain mul/add
+// trees cannot be contracted into fused multiply-adds on targets whose
+// baseline has FMA (AArch64); fusion is only ever spelled explicitly via
+// std::fma.
 #include "dsp/simd.h"
 
 #include <cmath>
@@ -21,9 +22,10 @@ namespace {
 // Scalar reference kernels. These spell out the exact expression tree every
 // vector implementation must reproduce: std::fma where the vector units fuse,
 // fixed-lane accumulation (4 double / 8 float) with a fixed reduction order,
-// and an unfused mul/add tree in the FFT butterflies (the historical
-// std::complex product, kept so double FFT outputs are bit-identical to the
-// scalar era; spelled once, in simd_internal.h, as fft_pass_ref).
+// and an unfused mul/add tree in the FFT butterflies and real-FFT
+// untwiddles (the historical std::complex product, kept so double FFT
+// outputs are bit-identical to the scalar era; spelled once, in
+// simd_internal.h, as fft_pass_ref and the *_untwiddle_ref templates).
 // ---------------------------------------------------------------------------
 
 void scalar_cmul_inplace(cplx* y, const cplx* x, std::size_t n) {
@@ -84,10 +86,16 @@ constexpr Kernels kScalarKernels{"scalar",
                                  scalar_dot,
                                  scalar_fir,
                                  fft_pass_ref<double>,
+                                 rfft_untwiddle_ref<double>,
+                                 irfft_untwiddle_ref<double>,
+                                 scale_ref<double>,
                                  scalar_cmul_inplace_f,
                                  scalar_dot_f,
                                  sdft_update_ref,
-                                 fft_pass_ref<float>};
+                                 fft_pass_ref<float>,
+                                 rfft_untwiddle_ref<float>,
+                                 irfft_untwiddle_ref<float>,
+                                 scale_ref<float>};
 
 // Widest supported target among those compiled in, in preference order.
 const Kernels* detect() {

@@ -14,6 +14,9 @@
 
 #include <immintrin.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 
 namespace aqua::dsp::simd {
@@ -100,67 +103,244 @@ void avx2_fir(const double* a, const double* x, double* out, std::size_t t,
   for (; o < n; ++o) out[o] = avx2_dot(a, x + o, t);
 }
 
-// One butterfly per complex lane: v = b * w with the legacy unfused tree
-// (separate mul then addsub — no contraction; even lanes br*wr - bi*wi,
-// odd lanes bi*wr + br*wi), then a' = a + v, b' = a - v.
-inline void bfly(__m256d& a, __m256d& b, __m256d w) {
-  const __m256d wr = _mm256_movedup_pd(w);          // [wr0 wr0 wr1 wr1]
-  const __m256d wi = _mm256_permute_pd(w, 0b1111);  // [wi0 wi0 wi1 wi1]
-  const __m256d bs = _mm256_permute_pd(b, 0b0101);  // [bi0 br0 bi1 br1]
-  const __m256d v = _mm256_addsub_pd(_mm256_mul_pd(b, wr),
-                                     _mm256_mul_pd(bs, wi));
+// Complex-lane helpers: re/im swapped in every complex lane, and sign
+// masks whose XOR negates the real (even) or imaginary (odd) lanes exactly.
+inline __m256d swap_ri(__m256d x) { return _mm256_permute_pd(x, 0b0101); }
+inline __m256d neg_even_pd() { return _mm256_set_pd(0.0, -0.0, 0.0, -0.0); }
+inline __m256d neg_odd_pd() { return _mm256_set_pd(-0.0, 0.0, -0.0, 0.0); }
+
+// A twiddle vector split for the products: real parts duplicated across
+// each complex lane, and imaginary parts duplicated with the sign of the
+// cross product folded in by XOR, so one plain add finishes the product:
+// `flip` = neg_even gives [br*wr + bi*(-wi), bi*wr + br*wi], which is the
+// legacy unfused [br*wr - bi*wi, bi*wr + br*wi] exactly (b * (-wi) ==
+// -(b * wi) and x + (-y) == x - y in IEEE arithmetic); flip = neg_odd
+// gives the same tree for conj(w). No contraction: separate mul, then add.
+struct TwPd {
+  __m256d re, im;
+};
+inline TwPd split(__m256d w, __m256d flip) {
+  return {_mm256_movedup_pd(w),
+          _mm256_xor_pd(_mm256_permute_pd(w, 0b1111), flip)};
+}
+inline TwPd load_tw(const double* p, __m256d flip) {
+  return split(_mm256_loadu_pd(p), flip);
+}
+
+// v = b * w per complex lane in the legacy unfused tree.
+inline __m256d cmul_tree(__m256d b, TwPd w) {
+  return _mm256_add_pd(_mm256_mul_pd(b, w.re),
+                       _mm256_mul_pd(swap_ri(b), w.im));
+}
+
+// One butterfly per complex lane: v = b * w, then a' = a + v, b' = a - v.
+inline void bfly(__m256d& a, __m256d& b, TwPd w) {
+  const __m256d v = cmul_tree(b, w);
   const __m256d u = a;
   a = _mm256_add_pd(u, v);
   b = _mm256_sub_pd(u, v);
+}
+
+// The same helpers in single precision.
+inline __m256 swap_ri(__m256 x) { return _mm256_permute_ps(x, 0b10110001); }
+inline __m256 neg_even_ps() {
+  return _mm256_castpd_ps(_mm256_set1_pd(
+      std::bit_cast<double>(std::uint64_t{0x0000000080000000ull})));
+}
+inline __m256 neg_odd_ps() {
+  return _mm256_castpd_ps(_mm256_set1_pd(
+      std::bit_cast<double>(std::uint64_t{0x8000000000000000ull})));
+}
+
+struct TwPs {
+  __m256 re, im;
+};
+inline TwPs split(__m256 w, __m256 flip) {
+  return {_mm256_moveldup_ps(w), _mm256_xor_ps(_mm256_movehdup_ps(w), flip)};
+}
+inline TwPs load_tw(const float* p, __m256 flip) {
+  return split(_mm256_loadu_ps(p), flip);
+}
+
+inline __m256 cmul_tree(__m256 b, TwPs w) {
+  return _mm256_add_ps(_mm256_mul_ps(b, w.re),
+                       _mm256_mul_ps(swap_ri(b), w.im));
+}
+
+inline void bfly(__m256& a, __m256& b, TwPs w) {
+  const __m256 v = cmul_tree(b, w);
+  const __m256 u = a;
+  a = _mm256_add_ps(u, v);
+  b = _mm256_sub_ps(u, v);
 }
 
 // permute2f128 selectors: low 128-bit halves of (x, y), high halves.
 constexpr int kLowHalves = 0x20;   // [x.lo y.lo]
 constexpr int kHighHalves = 0x31;  // [x.hi y.hi]
 
-// Two complex doubles per register. The 1-point half-blocks are narrower
-// than a register, so that stage gathers two blocks into each (a, b)
-// register pair and scatters them back; every wider stage runs its blocks
-// straight from memory.
-void avx2_fft_pass(cplx* data, std::size_t m, const cplx* stage_tw,
-                   bool conj_w) {
-  if (m < 4) {
-    fft_pass_ref(data, m, stage_tw, conj_w);
-    return;
-  }
-  auto* d = reinterpret_cast<double*>(data);
-  const auto* tw = reinterpret_cast<const double*>(stage_tw);
-  // XOR-ing the imaginary lanes with -0.0 conjugates exactly (sign flip).
-  const __m256d conj_mask = conj_w ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
-                                   : _mm256_setzero_pd();
-  {
-    const __m128d w1 = _mm_loadu_pd(tw);
-    const __m256d w = _mm256_xor_pd(_mm256_set_m128d(w1, w1), conj_mask);
-    for (std::size_t s = 0; s < m; s += 4) {
-      const __m256d z0 = _mm256_loadu_pd(d + 2 * s);
-      const __m256d z1 = _mm256_loadu_pd(d + 2 * s + 4);
-      __m256d a = _mm256_permute2f128_pd(z0, z1, kLowHalves);
-      __m256d b = _mm256_permute2f128_pd(z0, z1, kHighHalves);
-      bfly(a, b, w);
-      _mm256_storeu_pd(d + 2 * s, _mm256_permute2f128_pd(a, b, kLowHalves));
-      _mm256_storeu_pd(d + 2 * s + 4,
-                       _mm256_permute2f128_pd(a, b, kHighHalves));
-    }
-  }
-  for (std::size_t half = 2; half < m; half <<= 1) {
-    const double* w = tw + 2 * (half - 1);
-    for (std::size_t s = 0; s < m; s += 2 * half) {
-      double* ad = d + 2 * s;
-      double* bd = ad + 2 * half;
-      for (std::size_t k = 0; k < 2 * half; k += 4) {
-        __m256d a = _mm256_loadu_pd(ad + k);
-        __m256d b = _mm256_loadu_pd(bd + k);
-        bfly(a, b, _mm256_xor_pd(_mm256_loadu_pd(w + k), conj_mask));
-        _mm256_storeu_pd(ad + k, a);
-        _mm256_storeu_pd(bd + k, b);
+// Full-width loads and stores of either precision.
+inline __m256d load(const double* p) { return _mm256_loadu_pd(p); }
+inline __m256 load(const float* p) { return _mm256_loadu_ps(p); }
+inline void store(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
+inline void store(float* p, __m256 v) { _mm256_storeu_ps(p, v); }
+
+// The stages from half-block `half` up, two at a time (the first pass
+// leaves an even count): each block of four quarter-vectors is loaded
+// once, runs stage h's two butterflies, then stage 2h's two, and is stored
+// once. T is the sample type, V its register.
+template <typename T, typename V>
+void avx2_wide_stages(T* d, std::size_t m, const T* tw, V flip,
+                      std::size_t half) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(T);
+  for (; half < m; half *= 4) {
+    const T* wa = tw + 2 * (half - 1);
+    const T* wb = tw + 2 * (2 * half - 1);
+    for (std::size_t s = 0; s < m; s += 4 * half) {
+      T* q = d + 2 * s;
+      const std::size_t q1 = 2 * half, q2 = 4 * half, q3 = 6 * half;
+      for (std::size_t k = 0; k < 2 * half; k += kLanes) {
+        V a0 = load(q + k);
+        V a1 = load(q + q1 + k);
+        V a2 = load(q + q2 + k);
+        V a3 = load(q + q3 + k);
+        const auto w = load_tw(wa + k, flip);
+        bfly(a0, a1, w);
+        bfly(a2, a3, w);
+        bfly(a0, a2, load_tw(wb + k, flip));
+        bfly(a1, a3, load_tw(wb + 2 * half + k, flip));
+        store(q + k, a0);
+        store(q + q1 + k, a1);
+        store(q + q2 + k, a2);
+        store(q + q3 + k, a3);
       }
     }
   }
+}
+
+// Two complex doubles per register. Each 4-point block arrives as
+// a = points 0, 2 and b = points 1, 3 — loaded straight from their
+// bit-reversed source positions, or split from the block permuted in
+// place — and runs stages 1 and 2 in registers (one exchange of 128-bit
+// halves between them restores natural order). When the remaining stage
+// count would be odd, two such blocks also run stage 4 between them, so
+// the wider stages all pair up. Out of place, the blocks are visited in
+// bit-reversed order (block q starts at point bitrev[q]): consecutive
+// blocks then read the same cache lines.
+void avx2_fft_pass(const double* in, double* d, std::size_t m,
+                   const std::uint32_t* bitrev, const cplx* stage_tw,
+                   bool conj_w) {
+  if (m < 4) {
+    fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
+    return;
+  }
+  const auto* tw = reinterpret_cast<const double*>(stage_tw);
+  const __m256d flip = conj_w ? neg_odd_pd() : neg_even_pd();
+  const __m128d w1x = _mm_loadu_pd(tw);
+  const TwPd w1 = split(_mm256_set_m128d(w1x, w1x), flip);
+  const TwPd w2 = load_tw(tw + 2, flip);
+  const bool pair_blocks = std::countr_zero(m) % 2 != 0;  // 2 + 1 + even
+  const std::size_t block = pair_blocks ? 8 : 4;
+  const TwPd w4lo = pair_blocks ? load_tw(tw + 6, flip) : w2;
+  const TwPd w4hi = pair_blocks ? load_tw(tw + 10, flip) : w2;
+  const auto stages = [&](__m256d& a, __m256d& b) {
+    bfly(a, b, w1);
+    const __m256d lo = _mm256_permute2f128_pd(a, b, kLowHalves);
+    b = _mm256_permute2f128_pd(a, b, kHighHalves);
+    a = lo;
+    bfly(a, b, w2);
+  };
+  const auto run = [&](std::size_t s, auto&& load) {
+    __m256d a0, b0;
+    load(s, a0, b0);
+    stages(a0, b0);
+    if (pair_blocks) {
+      __m256d a1, b1;
+      load(s + 4, a1, b1);
+      stages(a1, b1);
+      bfly(a0, a1, w4lo);
+      bfly(b0, b1, w4hi);
+      _mm256_storeu_pd(d + 2 * s + 8, a1);
+      _mm256_storeu_pd(d + 2 * s + 12, b1);
+    }
+    _mm256_storeu_pd(d + 2 * s, a0);
+    _mm256_storeu_pd(d + 2 * s + 4, b0);
+  };
+  if (in != d) {
+    const auto gather = [&](std::size_t s, __m256d& a, __m256d& b) {
+      const auto point = [&](std::size_t i) {
+        return in + 2 * static_cast<std::size_t>(bitrev[i]);
+      };
+      a = _mm256_loadu2_m128d(point(s + 2), point(s));
+      b = _mm256_loadu2_m128d(point(s + 3), point(s + 1));
+    };
+    for (std::size_t q = 0; q < m / block; ++q) run(bitrev[q], gather);
+  } else {
+    bitrev_ref(in, d, m, bitrev);
+    const auto split_halves = [&](std::size_t s, __m256d& a, __m256d& b) {
+      const __m256d z0 = _mm256_loadu_pd(d + 2 * s);
+      const __m256d z1 = _mm256_loadu_pd(d + 2 * s + 4);
+      a = _mm256_permute2f128_pd(z0, z1, kLowHalves);
+      b = _mm256_permute2f128_pd(z0, z1, kHighHalves);
+    };
+    for (std::size_t s = 0; s < m; s += block) run(s, split_halves);
+  }
+  avx2_wide_stages(d, m, tw, flip, block);
+}
+
+// Packed real-FFT untwiddles, two bins per register: the mirrored bins
+// h - k come from one load with its 128-bit halves exchanged, the products
+// keep the butterfly's unfused tree, and conjugation is a sign-bit XOR.
+void avx2_rfft_untwiddle(const cplx* z, cplx* out, const cplx* tw,
+                         std::size_t h) {
+  rfft_untwiddle_edges(z, out, h);
+  const auto* zd = reinterpret_cast<const double*>(z);
+  const auto* wd = reinterpret_cast<const double*>(tw);
+  auto* od = reinterpret_cast<double*>(out);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d half_pm = _mm256_set_pd(-0.5, 0.5, -0.5, 0.5);
+  std::size_t k = 1;
+  for (; k + 2 <= h; k += 2) {
+    const __m256d zv = _mm256_loadu_pd(zd + 2 * k);
+    const __m256d r = _mm256_loadu_pd(zd + 2 * (h - k - 1));
+    const __m256d c =
+        _mm256_xor_pd(_mm256_permute2f128_pd(r, r, 0x01), neg_odd_pd());
+    const __m256d e = _mm256_mul_pd(half, _mm256_add_pd(zv, c));
+    const __m256d o = _mm256_mul_pd(half_pm, swap_ri(_mm256_sub_pd(zv, c)));
+    _mm256_storeu_pd(
+        od + 2 * k,
+        _mm256_add_pd(e, cmul_tree(o, load_tw(wd + 2 * k, neg_even_pd()))));
+  }
+  rfft_untwiddle_bins_ref(z, out, tw, h, k, h);
+}
+
+void avx2_irfft_untwiddle(const cplx* x, cplx* z, const cplx* tw,
+                          std::size_t h) {
+  const auto* xd = reinterpret_cast<const double*>(x);
+  const auto* wd = reinterpret_cast<const double*>(tw);
+  auto* zd = reinterpret_cast<double*>(z);
+  const __m256d half = _mm256_set1_pd(0.5);
+  std::size_t k = 0;
+  for (; k + 2 <= h; k += 2) {
+    const __m256d xv = _mm256_loadu_pd(xd + 2 * k);
+    const __m256d r = _mm256_loadu_pd(xd + 2 * (h - k - 1));
+    const __m256d c =
+        _mm256_xor_pd(_mm256_permute2f128_pd(r, r, 0x01), neg_odd_pd());
+    const __m256d e = _mm256_mul_pd(half, _mm256_add_pd(xv, c));
+    const __m256d p = _mm256_mul_pd(half, _mm256_sub_pd(xv, c));
+    // O = conj(W^k) * P, then (er - o_im, ei + o_re).
+    const __m256d o = cmul_tree(p, load_tw(wd + 2 * k, neg_odd_pd()));
+    _mm256_storeu_pd(zd + 2 * k, _mm256_addsub_pd(e, swap_ri(o)));
+  }
+  irfft_untwiddle_bins_ref(x, z, tw, h, k, h);
+}
+
+void avx2_scale(double* x, std::size_t n, double s) {
+  const __m256d sv = _mm256_set1_pd(s);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), sv));
+  }
+  scale_ref(x + i, n - i, s);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,85 +412,143 @@ void avx2_sdft_update_f(float* acc, const float* rows, const float* x_old,
                    width);
 }
 
-inline void bfly(__m256& a, __m256& b, __m256 w) {
-  const __m256 wr = _mm256_moveldup_ps(w);
-  const __m256 wi = _mm256_movehdup_ps(w);
-  const __m256 bs = _mm256_permute_ps(b, 0b10110001);
-  const __m256 v = _mm256_addsub_ps(_mm256_mul_ps(b, wr),
-                                    _mm256_mul_ps(bs, wi));
-  const __m256 u = a;
-  a = _mm256_add_ps(u, v);
-  b = _mm256_sub_ps(u, v);
-}
-
-// Four complex floats per register: the 1- and 2-point half-blocks are
-// narrower than a register. A complex float is one 64-bit unit, so
-// half = 1 pairs 64-bit units (unpacklo/hi_pd) and half = 2 moves 128-bit
-// halves (as double's half = 1).
-void avx2_fft_pass_f(cplxf* data, std::size_t m, const cplxf* stage_tw,
+// Four complex floats per register; a complex float is one 64-bit unit.
+// Each 8-point block arrives as a = points 0, 2, 4, 6 and b = points
+// 1, 3, 5, 7 and runs stages 1, 2 and 4 in registers — an in-lane unpack
+// pairs stage 2's points, an exchange of 128-bit halves stage 4's and
+// leaves natural order; pairs of blocks add stage 8 when the remaining
+// stage count would be odd. Blocks are visited as in the double pass.
+void avx2_fft_pass_f(const float* in, float* d, std::size_t m,
+                     const std::uint32_t* bitrev, const cplxf* stage_tw,
                      bool conj_w) {
   if (m < 8) {
-    fft_pass_ref(data, m, stage_tw, conj_w);
+    fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
     return;
   }
-  auto* d = reinterpret_cast<float*>(data);
   const auto* tw = reinterpret_cast<const float*>(stage_tw);
-  const __m256 conj_mask =
-      conj_w ? _mm256_set_ps(-0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f,
-                             0.0f)
-             : _mm256_setzero_ps();
-  const auto load = [d](std::size_t i) {
-    return _mm256_castps_pd(_mm256_loadu_ps(d + 2 * i));
+  const __m256 flip = conj_w ? neg_odd_ps() : neg_even_ps();
+  double w0 = 0.0;  // stage 1's complex twiddle as one 64-bit unit
+  std::memcpy(&w0, tw, sizeof w0);
+  const TwPs w1 = split(_mm256_castpd_ps(_mm256_set1_pd(w0)), flip);
+  const __m128 w2x = _mm_loadu_ps(tw + 2);  // stage_tw[1, 3)
+  const TwPs w2 = split(_mm256_set_m128(w2x, w2x), flip);
+  const TwPs w4 = load_tw(tw + 6, flip);  // stage_tw[3, 7)
+  const bool pair_blocks = std::countr_zero(m) % 2 == 0;  // 3 + 1 + even
+  const std::size_t block = pair_blocks ? 16 : 8;
+  const TwPs w8lo = pair_blocks ? load_tw(tw + 14, flip) : w4;
+  const TwPs w8hi = pair_blocks ? load_tw(tw + 22, flip) : w4;
+  const auto stages = [&](__m256& a, __m256& b) {
+    bfly(a, b, w1);
+    __m256d x = _mm256_castps_pd(a), y = _mm256_castps_pd(b);
+    a = _mm256_castpd_ps(_mm256_unpacklo_pd(x, y));  // points 0 1 4 5
+    b = _mm256_castpd_ps(_mm256_unpackhi_pd(x, y));  // points 2 3 6 7
+    bfly(a, b, w2);
+    x = _mm256_castps_pd(a);
+    y = _mm256_castps_pd(b);
+    a = _mm256_castpd_ps(_mm256_permute2f128_pd(x, y, kLowHalves));
+    b = _mm256_castpd_ps(_mm256_permute2f128_pd(x, y, kHighHalves));
+    bfly(a, b, w4);
   };
-  const auto store = [d](std::size_t i, __m256d v) {
-    _mm256_storeu_ps(d + 2 * i, _mm256_castpd_ps(v));
+  const auto run = [&](std::size_t s, auto&& load) {
+    __m256 a0, b0;
+    load(s, a0, b0);
+    stages(a0, b0);
+    if (pair_blocks) {
+      __m256 a1, b1;
+      load(s + 8, a1, b1);
+      stages(a1, b1);
+      bfly(a0, a1, w8lo);
+      bfly(b0, b1, w8hi);
+      _mm256_storeu_ps(d + 2 * s + 16, a1);
+      _mm256_storeu_ps(d + 2 * s + 24, b1);
+    }
+    _mm256_storeu_ps(d + 2 * s, a0);
+    _mm256_storeu_ps(d + 2 * s + 8, b0);
   };
-  const auto butterfly = [&](__m256d& a, __m256d& b, __m256 w) {
-    __m256 af = _mm256_castpd_ps(a);
-    __m256 bf = _mm256_castpd_ps(b);
-    bfly(af, bf, _mm256_xor_ps(w, conj_mask));
-    a = _mm256_castps_pd(af);
-    b = _mm256_castps_pd(bf);
-  };
-  {
-    double w0 = 0.0;  // the complex twiddle's 64 bits
-    std::memcpy(&w0, tw, sizeof w0);
-    const __m256 w = _mm256_castpd_ps(_mm256_set1_pd(w0));
-    for (std::size_t s = 0; s < m; s += 8) {
-      const __m256d z0 = load(s), z1 = load(s + 4);
-      __m256d a = _mm256_unpacklo_pd(z0, z1);
-      __m256d b = _mm256_unpackhi_pd(z0, z1);
-      butterfly(a, b, w);
-      store(s, _mm256_unpacklo_pd(a, b));
-      store(s + 4, _mm256_unpackhi_pd(a, b));
-    }
+  if (in != d) {
+    // A point is one 64-bit unit, loaded on its own (any alignment) and
+    // paired up: cheaper than a hardware gather on most cores.
+    const auto two = [&](std::size_t i) {  // points i, i + 2
+      return _mm_unpacklo_epi64(
+          _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i])),
+          _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i + 2])));
+    };
+    const auto gather = [&](std::size_t s, __m256& a, __m256& b) {
+      a = _mm256_castsi256_ps(_mm256_inserti128_si256(
+          _mm256_castsi128_si256(two(s)), two(s + 4), 1));
+      b = _mm256_castsi256_ps(_mm256_inserti128_si256(
+          _mm256_castsi128_si256(two(s + 1)), two(s + 5), 1));
+    };
+    for (std::size_t q = 0; q < m / block; ++q) run(bitrev[q], gather);
+  } else {
+    bitrev_ref(in, d, m, bitrev);
+    const auto dealt = [&](std::size_t s, __m256& a, __m256& b) {
+      const __m256d z0 = _mm256_castps_pd(_mm256_loadu_ps(d + 2 * s));
+      const __m256d z1 = _mm256_castps_pd(_mm256_loadu_ps(d + 2 * s + 8));
+      // [z0_0 z0_2 z1_0 z1_2] and [z0_1 z0_3 z1_1 z1_3]
+      a = _mm256_castpd_ps(
+          _mm256_permute4x64_pd(_mm256_unpacklo_pd(z0, z1), 0xD8));
+      b = _mm256_castpd_ps(
+          _mm256_permute4x64_pd(_mm256_unpackhi_pd(z0, z1), 0xD8));
+    };
+    for (std::size_t s = 0; s < m; s += block) run(s, dealt);
   }
-  {
-    const __m128 w2 = _mm_loadu_ps(tw + 2);  // stage_tw[1, 3)
-    const __m256 w = _mm256_set_m128(w2, w2);
-    for (std::size_t s = 0; s < m; s += 8) {
-      const __m256d z0 = load(s), z1 = load(s + 4);
-      __m256d a = _mm256_permute2f128_pd(z0, z1, kLowHalves);
-      __m256d b = _mm256_permute2f128_pd(z0, z1, kHighHalves);
-      butterfly(a, b, w);
-      store(s, _mm256_permute2f128_pd(a, b, kLowHalves));
-      store(s + 4, _mm256_permute2f128_pd(a, b, kHighHalves));
-    }
+  avx2_wide_stages(d, m, tw, flip, block);
+}
+
+// Four bins per register; the mirrored bins come from one load reversed by
+// 64-bit unit.
+void avx2_rfft_untwiddle_f(const cplxf* z, cplxf* out, const cplxf* tw,
+                           std::size_t h) {
+  rfft_untwiddle_edges(z, out, h);
+  const auto* zf = reinterpret_cast<const float*>(z);
+  const auto* wf = reinterpret_cast<const float*>(tw);
+  auto* of = reinterpret_cast<float*>(out);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 half_pm = _mm256_castpd_ps(_mm256_set1_pd(
+      std::bit_cast<double>(std::array<float, 2>{0.5f, -0.5f})));
+  std::size_t k = 1;
+  for (; k + 4 <= h; k += 4) {
+    const __m256 zv = _mm256_loadu_ps(zf + 2 * k);
+    const __m256d r = _mm256_castps_pd(_mm256_loadu_ps(zf + 2 * (h - k - 3)));
+    const __m256 c = _mm256_xor_ps(
+        _mm256_castpd_ps(_mm256_permute4x64_pd(r, 0x1B)), neg_odd_ps());
+    const __m256 e = _mm256_mul_ps(half, _mm256_add_ps(zv, c));
+    const __m256 o = _mm256_mul_ps(half_pm, swap_ri(_mm256_sub_ps(zv, c)));
+    _mm256_storeu_ps(
+        of + 2 * k,
+        _mm256_add_ps(e, cmul_tree(o, load_tw(wf + 2 * k, neg_even_ps()))));
   }
-  for (std::size_t half = 4; half < m; half <<= 1) {
-    const float* w = tw + 2 * (half - 1);
-    for (std::size_t s = 0; s < m; s += 2 * half) {
-      float* ad = d + 2 * s;
-      float* bd = ad + 2 * half;
-      for (std::size_t k = 0; k < 2 * half; k += 8) {
-        __m256 a = _mm256_loadu_ps(ad + k);
-        __m256 b = _mm256_loadu_ps(bd + k);
-        bfly(a, b, _mm256_xor_ps(_mm256_loadu_ps(w + k), conj_mask));
-        _mm256_storeu_ps(ad + k, a);
-        _mm256_storeu_ps(bd + k, b);
-      }
-    }
+  rfft_untwiddle_bins_ref(z, out, tw, h, k, h);
+}
+
+void avx2_irfft_untwiddle_f(const cplxf* x, cplxf* z, const cplxf* tw,
+                            std::size_t h) {
+  const auto* xf = reinterpret_cast<const float*>(x);
+  const auto* wf = reinterpret_cast<const float*>(tw);
+  auto* zf = reinterpret_cast<float*>(z);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  std::size_t k = 0;
+  for (; k + 4 <= h; k += 4) {
+    const __m256 xv = _mm256_loadu_ps(xf + 2 * k);
+    const __m256d r = _mm256_castps_pd(_mm256_loadu_ps(xf + 2 * (h - k - 3)));
+    const __m256 c = _mm256_xor_ps(
+        _mm256_castpd_ps(_mm256_permute4x64_pd(r, 0x1B)), neg_odd_ps());
+    const __m256 e = _mm256_mul_ps(half, _mm256_add_ps(xv, c));
+    const __m256 p = _mm256_mul_ps(half, _mm256_sub_ps(xv, c));
+    const __m256 o = cmul_tree(p, load_tw(wf + 2 * k, neg_odd_ps()));
+    _mm256_storeu_ps(zf + 2 * k, _mm256_addsub_ps(e, swap_ri(o)));
   }
+  irfft_untwiddle_bins_ref(x, z, tw, h, k, h);
+}
+
+void avx2_scale_f(float* x, std::size_t n, float s) {
+  const __m256 sv = _mm256_set1_ps(s);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), sv));
+  }
+  scale_ref(x + i, n - i, s);
 }
 
 constexpr Kernels kAvx2Kernels{"avx2",
@@ -318,10 +556,16 @@ constexpr Kernels kAvx2Kernels{"avx2",
                                avx2_dot,
                                avx2_fir,
                                avx2_fft_pass,
+                               avx2_rfft_untwiddle,
+                               avx2_irfft_untwiddle,
+                               avx2_scale,
                                avx2_cmul_inplace_f,
                                avx2_dot_f,
                                avx2_sdft_update_f,
-                               avx2_fft_pass_f};
+                               avx2_fft_pass_f,
+                               avx2_rfft_untwiddle_f,
+                               avx2_irfft_untwiddle_f,
+                               avx2_scale_f};
 
 }  // namespace
 

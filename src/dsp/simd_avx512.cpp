@@ -11,16 +11,19 @@
 // gets the full width. The element-independent kernels (cmul_inplace,
 // sdft_update, fft_pass) have no cross-element state, so they get the full
 // 512-bit width; their per-element expression trees match the scalar
-// reference exactly. AVX-512 has no addsub instruction, so the butterfly's
-// alternating sub/add is spelled as an XOR sign flip of the even (real)
-// lanes followed by a plain add — IEEE-exact, x + (-y) == x - y.
+// reference exactly. AVX-512 has no addsub instruction, so the complex
+// products' alternating sub/add is spelled as a plain add of a cross term
+// whose sign was folded into the twiddle by XOR — IEEE-exact, since
+// b * (-w) == -(b * w) and x + (-y) == x - y.
 #include "dsp/simd_internal.h"
 
 #if defined(AQUA_SIMD_HAVE_AVX512)
 
 #include <immintrin.h>
 
-#include <cstring>
+#include <array>
+#include <bit>
+#include <cstdint>
 
 namespace aqua::dsp::simd {
 
@@ -108,100 +111,265 @@ void avx512_fir(const double* a, const double* x, double* out,
   for (; o < n; ++o) out[o] = avx512_dot(a, x + o, t);
 }
 
-// One butterfly per complex lane: v = b * w with the legacy unfused tree,
-// then a' = a + v, b' = a - v. `w` arrives already conjugated if asked.
-inline void bfly(__m512d& a, __m512d& b, __m512d w) {
-  // Flips the even (real) lanes of the cross product so a plain add
-  // reproduces addsub: [br*wr - bi*wi, bi*wr + br*wi].
-  const __m512d neg_even =
-      _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
-  const __m512d wr = _mm512_movedup_pd(w);
-  const __m512d wi = _mm512_permute_pd(w, 0xFF);
-  const __m512d bs = _mm512_permute_pd(b, 0x55);  // [bi br ...]
-  const __m512d t = _mm512_xor_pd(_mm512_mul_pd(bs, wi), neg_even);
-  const __m512d v = _mm512_add_pd(_mm512_mul_pd(b, wr), t);
+// Complex-lane helpers: re/im swapped in every complex lane, and sign
+// masks whose XOR negates the real (even) or imaginary (odd) lanes exactly.
+inline __m512d swap_ri(__m512d x) { return _mm512_permute_pd(x, 0x55); }
+inline __m512d neg_even_pd() {
+  return _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
+}
+inline __m512d neg_odd_pd() {
+  return _mm512_set_pd(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0);
+}
+
+// A twiddle vector split for the products: real parts duplicated across
+// each complex lane, and imaginary parts duplicated with the sign of the
+// cross product folded in by XOR. AVX-512 has no addsub, so `flip` =
+// neg_even negates the real lanes' cross term and a plain add follows:
+// [br*wr + bi*(-wi), bi*wr + br*wi] is [br*wr - bi*wi, bi*wr + br*wi]
+// exactly (b * (-wi) == -(b * wi) and x + (-y) == x - y in IEEE
+// arithmetic). flip = neg_odd gives the same tree for conj(w).
+struct TwPd {
+  __m512d re, im;
+};
+inline TwPd split(__m512d w, __m512d flip) {
+  return {_mm512_movedup_pd(w),
+          _mm512_xor_pd(_mm512_permute_pd(w, 0xFF), flip)};
+}
+inline TwPd load_tw(const double* p, __m512d flip) {
+  return split(_mm512_loadu_pd(p), flip);
+}
+
+// v = b * w per complex lane in the legacy unfused tree.
+inline __m512d cmul_tree(__m512d b, TwPd w) {
+  return _mm512_add_pd(_mm512_mul_pd(b, w.re),
+                       _mm512_mul_pd(swap_ri(b), w.im));
+}
+
+// One butterfly per complex lane: v = b * w, then a' = a + v, b' = a - v.
+inline void bfly(__m512d& a, __m512d& b, TwPd w) {
+  const __m512d v = cmul_tree(b, w);
   const __m512d u = a;
   a = _mm512_add_pd(u, v);
   b = _mm512_sub_pd(u, v);
 }
 
-// Interleaves 128-bit units of two registers: lo = [a0 b0 a1 b1],
-// hi = [a2 b2 a3 b3] (indices count 64-bit elements; 8+ selects b).
-inline __m512d zip128_lo(__m512d a, __m512d b) {
-  return _mm512_permutex2var_pd(a, _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0),
-                                b);
+// The same helpers in single precision.
+inline __m512 swap_ri(__m512 x) { return _mm512_permute_ps(x, 0b10110001); }
+inline __m512 neg_even_ps() {
+  return _mm512_castpd_ps(_mm512_set1_pd(std::bit_cast<double>(
+      std::uint64_t{0x0000000080000000ull})));
 }
-inline __m512d zip128_hi(__m512d a, __m512d b) {
-  return _mm512_permutex2var_pd(
-      a, _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4), b);
+inline __m512 neg_odd_ps() {
+  return _mm512_castpd_ps(_mm512_set1_pd(std::bit_cast<double>(
+      std::uint64_t{0x8000000000000000ull})));
 }
 
-// 128-bit-unit shuffles of _mm512_shuffle_f64x2 / _f32x4: even units of
-// (x, y), odd units, low halves, high halves.
-constexpr int kEvenUnits = 0x88;  // [x0 x2 y0 y2]
-constexpr int kOddUnits = 0xDD;   // [x1 x3 y1 y3]
-constexpr int kLowHalves = 0x44;  // [x0 x1 y0 y1]
-constexpr int kHighHalves = 0xEE; // [x2 x3 y2 y3]
+struct TwPs {
+  __m512 re, im;
+};
+inline TwPs split(__m512 w, __m512 flip) {
+  return {_mm512_moveldup_ps(w), _mm512_xor_ps(_mm512_movehdup_ps(w), flip)};
+}
+inline TwPs load_tw(const float* p, __m512 flip) {
+  return split(_mm512_loadu_ps(p), flip);
+}
 
-// Four complex doubles per register. Half-blocks of 1 and 2 points are
-// narrower than a register, so those stages gather 4 and 2 blocks into
-// each (a, b) register pair and scatter them back; every wider stage runs
-// its blocks straight from memory.
-void avx512_fft_pass(cplx* data, std::size_t m, const cplx* stage_tw,
-                     bool conj_w) {
-  if (m < 8) {
-    fft_pass_ref(data, m, stage_tw, conj_w);
-    return;
-  }
-  auto* d = reinterpret_cast<double*>(data);
-  const auto* tw = reinterpret_cast<const double*>(stage_tw);
-  // XOR with -0.0 on the imaginary lanes conjugates exactly (sign flip).
-  const __m512d conj_mask =
-      conj_w ? _mm512_set_pd(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0)
-             : _mm512_setzero_pd();
-  // half = 1: blocks (c0 c1), (c2 c3), ... — a = even points, b = odd.
-  {
-    const __m512d w = _mm512_xor_pd(
-        _mm512_broadcast_f64x2(_mm_loadu_pd(tw)), conj_mask);
-    for (std::size_t s = 0; s < m; s += 8) {
-      const __m512d z0 = _mm512_loadu_pd(d + 2 * s);
-      const __m512d z1 = _mm512_loadu_pd(d + 2 * s + 8);
-      __m512d a = _mm512_shuffle_f64x2(z0, z1, kEvenUnits);
-      __m512d b = _mm512_shuffle_f64x2(z0, z1, kOddUnits);
-      bfly(a, b, w);
-      _mm512_storeu_pd(d + 2 * s, zip128_lo(a, b));
-      _mm512_storeu_pd(d + 2 * s + 8, zip128_hi(a, b));
-    }
-  }
-  // half = 2: blocks (c0 c1 | c2 c3), ... — twiddles stage_tw[1, 3).
-  {
-    const __m512d w = _mm512_xor_pd(
-        _mm512_broadcast_f64x4(_mm256_loadu_pd(tw + 2)), conj_mask);
-    for (std::size_t s = 0; s < m; s += 8) {
-      const __m512d z0 = _mm512_loadu_pd(d + 2 * s);
-      const __m512d z1 = _mm512_loadu_pd(d + 2 * s + 8);
-      __m512d a = _mm512_shuffle_f64x2(z0, z1, kLowHalves);
-      __m512d b = _mm512_shuffle_f64x2(z0, z1, kHighHalves);
-      bfly(a, b, w);
-      _mm512_storeu_pd(d + 2 * s, _mm512_shuffle_f64x2(a, b, kLowHalves));
-      _mm512_storeu_pd(d + 2 * s + 8,
-                       _mm512_shuffle_f64x2(a, b, kHighHalves));
-    }
-  }
-  for (std::size_t half = 4; half < m; half <<= 1) {
-    const double* w = tw + 2 * (half - 1);
-    for (std::size_t s = 0; s < m; s += 2 * half) {
-      double* ad = d + 2 * s;
-      double* bd = ad + 2 * half;
-      for (std::size_t k = 0; k < 2 * half; k += 8) {
-        __m512d a = _mm512_loadu_pd(ad + k);
-        __m512d b = _mm512_loadu_pd(bd + k);
-        bfly(a, b, _mm512_xor_pd(_mm512_loadu_pd(w + k), conj_mask));
-        _mm512_storeu_pd(ad + k, a);
-        _mm512_storeu_pd(bd + k, b);
+inline __m512 cmul_tree(__m512 b, TwPs w) {
+  return _mm512_add_ps(_mm512_mul_ps(b, w.re),
+                       _mm512_mul_ps(swap_ri(b), w.im));
+}
+
+inline void bfly(__m512& a, __m512& b, TwPs w) {
+  const __m512 v = cmul_tree(b, w);
+  const __m512 u = a;
+  a = _mm512_add_ps(u, v);
+  b = _mm512_sub_ps(u, v);
+}
+
+// Splits a register pair into its even 128-bit units ([a0 a2 b0 b2]) and
+// its odd ones ([a1 a3 b1 b3]). On a block whose a holds the even points
+// and b the odd ones, this perfect shuffle turns one stage's butterfly
+// pairs into the next stage's, and the last one leaves natural order.
+inline void deal(__m512d& a, __m512d& b) {
+  const __m512d e = _mm512_shuffle_f64x2(a, b, 0x88);
+  b = _mm512_shuffle_f64x2(a, b, 0xDD);
+  a = e;
+}
+
+// Full-width loads and stores of either precision.
+inline __m512d load(const double* p) { return _mm512_loadu_pd(p); }
+inline __m512 load(const float* p) { return _mm512_loadu_ps(p); }
+inline void store(double* p, __m512d v) { _mm512_storeu_pd(p, v); }
+inline void store(float* p, __m512 v) { _mm512_storeu_ps(p, v); }
+
+// The stages from half-block `half` up, two at a time (the first pass
+// leaves an even count): each block of four quarter-vectors is loaded
+// once, runs stage h's two butterflies, then stage 2h's two, and is stored
+// once. T is the sample type, V its register.
+template <typename T, typename V>
+void avx512_wide_stages(T* d, std::size_t m, const T* tw, V flip,
+                        std::size_t half) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(T);
+  for (; half < m; half *= 4) {
+    const T* wa = tw + 2 * (half - 1);
+    const T* wb = tw + 2 * (2 * half - 1);
+    for (std::size_t s = 0; s < m; s += 4 * half) {
+      T* q = d + 2 * s;
+      const std::size_t q1 = 2 * half, q2 = 4 * half, q3 = 6 * half;
+      for (std::size_t k = 0; k < 2 * half; k += kLanes) {
+        V a0 = load(q + k);
+        V a1 = load(q + q1 + k);
+        V a2 = load(q + q2 + k);
+        V a3 = load(q + q3 + k);
+        const auto w = load_tw(wa + k, flip);
+        bfly(a0, a1, w);
+        bfly(a2, a3, w);
+        bfly(a0, a2, load_tw(wb + k, flip));
+        bfly(a1, a3, load_tw(wb + 2 * half + k, flip));
+        store(q + k, a0);
+        store(q + q1 + k, a1);
+        store(q + q2 + k, a2);
+        store(q + q3 + k, a3);
       }
     }
   }
+}
+
+// Four complex doubles per register. Each 8-point block of the permuted
+// signal arrives as a = points 0, 2, 4, 6 and b = points 1, 3, 5, 7 —
+// gathered straight from the source at their bit-reversed positions, or
+// dealt from the block permuted in place — and runs stages 1, 2 and 4 in
+// registers. When the remaining stage count would be odd, two such blocks
+// also run stage 8 between them, so the wider stages all pair up. Out of
+// place, the blocks are visited in bit-reversed order (block q starts at
+// point bitrev[q]): consecutive blocks then read the same cache lines.
+void avx512_fft_pass(const double* in, double* d, std::size_t m,
+                     const std::uint32_t* bitrev, const cplx* stage_tw,
+                     bool conj_w) {
+  if (m < 8) {
+    fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
+    return;
+  }
+  const auto* tw = reinterpret_cast<const double*>(stage_tw);
+  const __m512d flip = conj_w ? neg_odd_pd() : neg_even_pd();
+  // Stage twiddles laid out for the dealt lanes: stage 1's one factor in
+  // every unit, stage 2's two as [w0 w0 w1 w1], stage 4's four in order,
+  // stage 8's eight across two registers.
+  const TwPd w1 = split(_mm512_broadcast_f64x2(_mm_loadu_pd(tw)), flip);
+  const __m512d w2x = _mm512_broadcast_f64x4(_mm256_loadu_pd(tw + 2));
+  const TwPd w2 = split(_mm512_shuffle_f64x2(w2x, w2x, 0x50), flip);
+  const TwPd w4 = load_tw(tw + 6, flip);
+  const bool pair_blocks = std::countr_zero(m) % 2 == 0;  // 3 + 1 + even
+  const std::size_t block = pair_blocks ? 16 : 8;
+  const TwPd w8lo = pair_blocks ? load_tw(tw + 14, flip) : w4;
+  const TwPd w8hi = pair_blocks ? load_tw(tw + 22, flip) : w4;
+  const auto stages = [&](__m512d& a, __m512d& b) {
+    bfly(a, b, w1);
+    deal(a, b);
+    bfly(a, b, w2);
+    deal(a, b);
+    bfly(a, b, w4);
+  };
+  const auto run = [&](std::size_t s, auto&& load) {
+    __m512d a0, b0;
+    load(s, a0, b0);
+    stages(a0, b0);
+    if (pair_blocks) {
+      __m512d a1, b1;
+      load(s + 8, a1, b1);
+      stages(a1, b1);
+      bfly(a0, a1, w8lo);
+      bfly(b0, b1, w8hi);
+      _mm512_storeu_pd(d + 2 * s + 16, a1);
+      _mm512_storeu_pd(d + 2 * s + 24, b1);
+    }
+    _mm512_storeu_pd(d + 2 * s, a0);
+    _mm512_storeu_pd(d + 2 * s + 8, b0);
+  };
+  if (in != d) {
+    // One 128-bit load per point: on current cores four loads and three
+    // inserts beat a hardware gather of the same eight doubles.
+    const auto point = [&](std::size_t i) {
+      return in + 2 * static_cast<std::size_t>(bitrev[i]);
+    };
+    const auto four = [&](std::size_t i) {  // points i, i + 2, i + 4, i + 6
+      return _mm512_insertf64x4(
+          _mm512_castpd256_pd512(_mm256_loadu2_m128d(point(i + 2), point(i))),
+          _mm256_loadu2_m128d(point(i + 6), point(i + 4)), 1);
+    };
+    const auto gather = [&](std::size_t s, __m512d& a, __m512d& b) {
+      a = four(s);
+      b = four(s + 1);
+    };
+    for (std::size_t q = 0; q < m / block; ++q) run(bitrev[q], gather);
+  } else {
+    bitrev_ref(in, d, m, bitrev);
+    const auto dealt = [&](std::size_t s, __m512d& a, __m512d& b) {
+      a = _mm512_loadu_pd(d + 2 * s);
+      b = _mm512_loadu_pd(d + 2 * s + 8);
+      deal(a, b);
+    };
+    for (std::size_t s = 0; s < m; s += block) run(s, dealt);
+  }
+  avx512_wide_stages(d, m, tw, flip, block);
+}
+
+// Packed real-FFT untwiddles, four bins per register: the mirrored bins
+// h - k come from one load reversed by 128-bit unit, the products keep the
+// butterfly's unfused tree, and every negation is a sign-bit XOR.
+void avx512_rfft_untwiddle(const cplx* z, cplx* out, const cplx* tw,
+                           std::size_t h) {
+  rfft_untwiddle_edges(z, out, h);
+  const auto* zd = reinterpret_cast<const double*>(z);
+  const auto* wd = reinterpret_cast<const double*>(tw);
+  auto* od = reinterpret_cast<double*>(out);
+  const __m512d half = _mm512_set1_pd(0.5);
+  const __m512d half_pm = _mm512_set_pd(-0.5, 0.5, -0.5, 0.5, -0.5, 0.5,
+                                        -0.5, 0.5);
+  std::size_t k = 1;
+  for (; k + 4 <= h; k += 4) {
+    const __m512d zv = _mm512_loadu_pd(zd + 2 * k);
+    const __m512d r = _mm512_loadu_pd(zd + 2 * (h - k - 3));
+    const __m512d c =
+        _mm512_xor_pd(_mm512_shuffle_f64x2(r, r, 0x1B), neg_odd_pd());
+    const __m512d e = _mm512_mul_pd(half, _mm512_add_pd(zv, c));
+    const __m512d o = _mm512_mul_pd(half_pm, swap_ri(_mm512_sub_pd(zv, c)));
+    _mm512_storeu_pd(
+        od + 2 * k,
+        _mm512_add_pd(e, cmul_tree(o, load_tw(wd + 2 * k, neg_even_pd()))));
+  }
+  rfft_untwiddle_bins_ref(z, out, tw, h, k, h);
+}
+
+void avx512_irfft_untwiddle(const cplx* x, cplx* z, const cplx* tw,
+                            std::size_t h) {
+  const auto* xd = reinterpret_cast<const double*>(x);
+  const auto* wd = reinterpret_cast<const double*>(tw);
+  auto* zd = reinterpret_cast<double*>(z);
+  const __m512d half = _mm512_set1_pd(0.5);
+  std::size_t k = 0;
+  for (; k + 4 <= h; k += 4) {
+    const __m512d xv = _mm512_loadu_pd(xd + 2 * k);
+    const __m512d r = _mm512_loadu_pd(xd + 2 * (h - k - 3));
+    const __m512d c =
+        _mm512_xor_pd(_mm512_shuffle_f64x2(r, r, 0x1B), neg_odd_pd());
+    const __m512d e = _mm512_mul_pd(half, _mm512_add_pd(xv, c));
+    const __m512d p = _mm512_mul_pd(half, _mm512_sub_pd(xv, c));
+    // O = conj(W^k) * P, then (er - o_im, ei + o_re).
+    const __m512d o = cmul_tree(p, load_tw(wd + 2 * k, neg_odd_pd()));
+    _mm512_storeu_pd(
+        zd + 2 * k, _mm512_add_pd(e, _mm512_xor_pd(swap_ri(o), neg_even_pd())));
+  }
+  irfft_untwiddle_bins_ref(x, z, tw, h, k, h);
+}
+
+void avx512_scale(double* x, std::size_t n, double s) {
+  const __m512d sv = _mm512_set1_pd(s);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(x + i, _mm512_mul_pd(_mm512_loadu_pd(x + i), sv));
+  }
+  scale_ref(x + i, n - i, s);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,104 +449,166 @@ void avx512_sdft_update_f(float* acc, const float* rows, const float* x_old,
   _mm512_mask_storeu_ps(acc + j, m, a);
 }
 
-inline void bfly(__m512& a, __m512& b, __m512 w) {
-  const __m512 neg_even =
-      _mm512_set_ps(0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f,
-                    -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f);
-  const __m512 wr = _mm512_moveldup_ps(w);
-  const __m512 wi = _mm512_movehdup_ps(w);
-  const __m512 bs = _mm512_permute_ps(b, 0b10110001);
-  const __m512 t = _mm512_xor_ps(_mm512_mul_ps(bs, wi), neg_even);
-  const __m512 v = _mm512_add_ps(_mm512_mul_ps(b, wr), t);
-  const __m512 u = a;
-  a = _mm512_add_ps(u, v);
-  b = _mm512_sub_ps(u, v);
+// A complex float is one 64-bit unit: the single-precision deal splits a
+// register pair into its even and odd 64-bit units.
+inline void deal(__m512& a, __m512& b) {
+  const __m512d x = _mm512_castps_pd(a), y = _mm512_castps_pd(b);
+  a = _mm512_castpd_ps(_mm512_permutex2var_pd(
+      x, _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0), y));
+  b = _mm512_castpd_ps(_mm512_permutex2var_pd(
+      x, _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1), y));
 }
 
-// Eight complex floats per register: the 1-, 2- and 4-point half-blocks
-// are narrower than a register. A complex float is one 64-bit unit, so the
-// gathers reuse the double-precision unit shuffles: half = 1 pairs 64-bit
-// units (unpacklo/hi), half = 2 moves 128-bit units (as double's half = 1),
-// half = 4 moves 256-bit halves (as double's half = 2).
-void avx512_fft_pass_f(cplxf* data, std::size_t m, const cplxf* stage_tw,
+// The eight complex floats from tw spread so unit u holds tw[units[u]]:
+// the lane layout of a dealt in-register stage.
+inline TwPs spread_tw(const float* tw, __m512i units, __m512 flip) {
+  return split(_mm512_castpd_ps(_mm512_permutexvar_pd(
+      units, _mm512_castps_pd(_mm512_loadu_ps(tw)))), flip);
+}
+
+// Eight complex floats per register: each 16-point block arrives as its
+// even and its odd points and runs stages 1, 2, 4 and 8 in registers (the
+// deals bring it back to natural order); pairs of blocks add stage 16
+// when the remaining stage count would be odd. Blocks are visited as in
+// the double pass.
+void avx512_fft_pass_f(const float* in, float* d, std::size_t m,
+                       const std::uint32_t* bitrev, const cplxf* stage_tw,
                        bool conj_w) {
   if (m < 16) {
-    fft_pass_ref(data, m, stage_tw, conj_w);
+    fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
     return;
   }
-  auto* d = reinterpret_cast<float*>(data);
   const auto* tw = reinterpret_cast<const float*>(stage_tw);
-  const __m512 conj_mask =
-      conj_w ? _mm512_set_ps(-0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f,
-                             0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f,
-                             -0.0f, 0.0f)
-             : _mm512_setzero_ps();
-  const auto load = [d](std::size_t i) {
-    return _mm512_castps_pd(_mm512_loadu_ps(d + 2 * i));
+  const __m512 flip = conj_w ? neg_odd_ps() : neg_even_ps();
+  // Dealt lane layouts: stage 1's factor everywhere, stage 2's two as
+  // [w0 x4, w1 x4], stage 4's four as [w0 w0 w1 w1 ...], stage 8's eight
+  // in order, stage 16's sixteen across two registers.
+  const TwPs w1 = spread_tw(tw, _mm512_setzero_si512(), flip);
+  const TwPs w2 =
+      spread_tw(tw + 2, _mm512_set_epi64(1, 1, 1, 1, 0, 0, 0, 0), flip);
+  const TwPs w4 =
+      spread_tw(tw + 6, _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0), flip);
+  const TwPs w8 = load_tw(tw + 14, flip);
+  const bool pair_blocks = std::countr_zero(m) % 2 != 0;  // 4 + 1 + even
+  const std::size_t block = pair_blocks ? 32 : 16;
+  const TwPs w16lo = pair_blocks ? load_tw(tw + 30, flip) : w8;
+  const TwPs w16hi = pair_blocks ? load_tw(tw + 46, flip) : w8;
+  const auto stages = [&](__m512& a, __m512& b) {
+    bfly(a, b, w1);
+    deal(a, b);
+    bfly(a, b, w2);
+    deal(a, b);
+    bfly(a, b, w4);
+    deal(a, b);
+    bfly(a, b, w8);
   };
-  const auto store = [d](std::size_t i, __m512d v) {
-    _mm512_storeu_ps(d + 2 * i, _mm512_castpd_ps(v));
+  const auto run = [&](std::size_t s, auto&& load) {
+    __m512 a0, b0;
+    load(s, a0, b0);
+    stages(a0, b0);
+    if (pair_blocks) {
+      __m512 a1, b1;
+      load(s + 16, a1, b1);
+      stages(a1, b1);
+      bfly(a0, a1, w16lo);
+      bfly(b0, b1, w16hi);
+      _mm512_storeu_ps(d + 2 * s + 32, a1);
+      _mm512_storeu_ps(d + 2 * s + 48, b1);
+    }
+    _mm512_storeu_ps(d + 2 * s, a0);
+    _mm512_storeu_ps(d + 2 * s + 16, b0);
   };
-  const auto butterfly = [&](__m512d& a, __m512d& b, __m512 w) {
-    __m512 af = _mm512_castpd_ps(a);
-    __m512 bf = _mm512_castpd_ps(b);
-    bfly(af, bf, _mm512_xor_ps(w, conj_mask));
-    a = _mm512_castps_pd(af);
-    b = _mm512_castps_pd(bf);
-  };
-  // half = 1: a = even points, b = odd, twiddle stage_tw[0] everywhere.
-  {
-    double w0 = 0.0;  // the complex twiddle's 64 bits
-    std::memcpy(&w0, tw, sizeof w0);
-    const __m512 w = _mm512_castpd_ps(_mm512_set1_pd(w0));
-    for (std::size_t s = 0; s < m; s += 16) {
-      const __m512d z0 = load(s), z1 = load(s + 8);
-      __m512d a = _mm512_unpacklo_pd(z0, z1);
-      __m512d b = _mm512_unpackhi_pd(z0, z1);
-      butterfly(a, b, w);
-      store(s, _mm512_unpacklo_pd(a, b));
-      store(s + 8, _mm512_unpackhi_pd(a, b));
-    }
+  if (in != d) {
+    // A point is one 64-bit unit, loaded on its own (any alignment) and
+    // paired up: on current cores that beats a hardware gather.
+    const auto two = [&](std::size_t i) {  // points i, i + 2
+      return _mm_unpacklo_epi64(
+          _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i])),
+          _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i + 2])));
+    };
+    const auto eight = [&](std::size_t i) {  // points i, i + 2, ..., i + 14
+      const __m256i lo = _mm256_inserti128_si256(
+          _mm256_castsi128_si256(two(i)), two(i + 4), 1);
+      const __m256i hi = _mm256_inserti128_si256(
+          _mm256_castsi128_si256(two(i + 8)), two(i + 12), 1);
+      return _mm512_castsi512_ps(
+          _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1));
+    };
+    const auto gather = [&](std::size_t s, __m512& a, __m512& b) {
+      a = eight(s);
+      b = eight(s + 1);
+    };
+    for (std::size_t q = 0; q < m / block; ++q) run(bitrev[q], gather);
+  } else {
+    bitrev_ref(in, d, m, bitrev);
+    const auto dealt = [&](std::size_t s, __m512& a, __m512& b) {
+      a = _mm512_loadu_ps(d + 2 * s);
+      b = _mm512_loadu_ps(d + 2 * s + 16);
+      deal(a, b);
+    };
+    for (std::size_t s = 0; s < m; s += block) run(s, dealt);
   }
-  // half = 2: twiddles stage_tw[1, 3) in every 128-bit unit.
-  {
-    const __m512 w = _mm512_broadcast_f32x4(_mm_loadu_ps(tw + 2));
-    for (std::size_t s = 0; s < m; s += 16) {
-      const __m512d z0 = load(s), z1 = load(s + 8);
-      __m512d a = _mm512_shuffle_f64x2(z0, z1, kEvenUnits);
-      __m512d b = _mm512_shuffle_f64x2(z0, z1, kOddUnits);
-      butterfly(a, b, w);
-      store(s, zip128_lo(a, b));
-      store(s + 8, zip128_hi(a, b));
-    }
+  avx512_wide_stages(d, m, tw, flip, block);
+}
+
+// Eight bins per register; the mirrored bins come from one load reversed
+// by 64-bit unit.
+void avx512_rfft_untwiddle_f(const cplxf* z, cplxf* out, const cplxf* tw,
+                             std::size_t h) {
+  rfft_untwiddle_edges(z, out, h);
+  const auto* zf = reinterpret_cast<const float*>(z);
+  const auto* wf = reinterpret_cast<const float*>(tw);
+  auto* of = reinterpret_cast<float*>(out);
+  const __m512i reverse = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512 half_pm = _mm512_castpd_ps(_mm512_set1_pd(
+      std::bit_cast<double>(std::array<float, 2>{0.5f, -0.5f})));
+  std::size_t k = 1;
+  for (; k + 8 <= h; k += 8) {
+    const __m512 zv = _mm512_loadu_ps(zf + 2 * k);
+    const __m512 r = _mm512_loadu_ps(zf + 2 * (h - k - 7));
+    const __m512 c = _mm512_xor_ps(
+        _mm512_castpd_ps(_mm512_permutexvar_pd(reverse, _mm512_castps_pd(r))),
+        neg_odd_ps());
+    const __m512 e = _mm512_mul_ps(half, _mm512_add_ps(zv, c));
+    const __m512 o = _mm512_mul_ps(half_pm, swap_ri(_mm512_sub_ps(zv, c)));
+    _mm512_storeu_ps(
+        of + 2 * k,
+        _mm512_add_ps(e, cmul_tree(o, load_tw(wf + 2 * k, neg_even_ps()))));
   }
-  // half = 4: twiddles stage_tw[3, 7) in both 256-bit halves.
-  {
-    const __m512 w = _mm512_castpd_ps(_mm512_broadcast_f64x4(
-        _mm256_castps_pd(_mm256_loadu_ps(tw + 6))));
-    for (std::size_t s = 0; s < m; s += 16) {
-      const __m512d z0 = load(s), z1 = load(s + 8);
-      __m512d a = _mm512_shuffle_f64x2(z0, z1, kLowHalves);
-      __m512d b = _mm512_shuffle_f64x2(z0, z1, kHighHalves);
-      butterfly(a, b, w);
-      store(s, _mm512_shuffle_f64x2(a, b, kLowHalves));
-      store(s + 8, _mm512_shuffle_f64x2(a, b, kHighHalves));
-    }
+  rfft_untwiddle_bins_ref(z, out, tw, h, k, h);
+}
+
+void avx512_irfft_untwiddle_f(const cplxf* x, cplxf* z, const cplxf* tw,
+                              std::size_t h) {
+  const auto* xf = reinterpret_cast<const float*>(x);
+  const auto* wf = reinterpret_cast<const float*>(tw);
+  auto* zf = reinterpret_cast<float*>(z);
+  const __m512i reverse = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m512 half = _mm512_set1_ps(0.5f);
+  std::size_t k = 0;
+  for (; k + 8 <= h; k += 8) {
+    const __m512 xv = _mm512_loadu_ps(xf + 2 * k);
+    const __m512 r = _mm512_loadu_ps(xf + 2 * (h - k - 7));
+    const __m512 c = _mm512_xor_ps(
+        _mm512_castpd_ps(_mm512_permutexvar_pd(reverse, _mm512_castps_pd(r))),
+        neg_odd_ps());
+    const __m512 e = _mm512_mul_ps(half, _mm512_add_ps(xv, c));
+    const __m512 p = _mm512_mul_ps(half, _mm512_sub_ps(xv, c));
+    const __m512 o = cmul_tree(p, load_tw(wf + 2 * k, neg_odd_ps()));
+    _mm512_storeu_ps(
+        zf + 2 * k, _mm512_add_ps(e, _mm512_xor_ps(swap_ri(o), neg_even_ps())));
   }
-  for (std::size_t half = 8; half < m; half <<= 1) {
-    const float* w = tw + 2 * (half - 1);
-    for (std::size_t s = 0; s < m; s += 2 * half) {
-      float* ad = d + 2 * s;
-      float* bd = ad + 2 * half;
-      for (std::size_t k = 0; k < 2 * half; k += 16) {
-        __m512 a = _mm512_loadu_ps(ad + k);
-        __m512 b = _mm512_loadu_ps(bd + k);
-        bfly(a, b, _mm512_xor_ps(_mm512_loadu_ps(w + k), conj_mask));
-        _mm512_storeu_ps(ad + k, a);
-        _mm512_storeu_ps(bd + k, b);
-      }
-    }
+  irfft_untwiddle_bins_ref(x, z, tw, h, k, h);
+}
+
+void avx512_scale_f(float* x, std::size_t n, float s) {
+  const __m512 sv = _mm512_set1_ps(s);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(x + i, _mm512_mul_ps(_mm512_loadu_ps(x + i), sv));
   }
+  scale_ref(x + i, n - i, s);
 }
 
 constexpr Kernels kAvx512Kernels{"avx512",
@@ -386,10 +616,16 @@ constexpr Kernels kAvx512Kernels{"avx512",
                                  avx512_dot,
                                  avx512_fir,
                                  avx512_fft_pass,
+                                 avx512_rfft_untwiddle,
+                                 avx512_irfft_untwiddle,
+                                 avx512_scale,
                                  avx512_cmul_inplace_f,
                                  avx512_dot_f,
                                  avx512_sdft_update_f,
-                                 avx512_fft_pass_f};
+                                 avx512_fft_pass_f,
+                                 avx512_rfft_untwiddle_f,
+                                 avx512_irfft_untwiddle_f,
+                                 avx512_scale_f};
 
 }  // namespace
 

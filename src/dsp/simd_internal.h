@@ -5,43 +5,142 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 
 #include "dsp/simd.h"
 
 namespace aqua::dsp::simd {
 
-// Reference radix-2 butterflies over one half-block of n points: the tree
-// every fft_pass reproduces (see Kernels::fft_pass). The vector targets
-// run it for transforms too short for their registers. `static` gives each
-// kernel TU its own copy, compiled under that TU's flags.
+// Reference bit-reversal permutation of m points stored as (re, im) pairs:
+// a gather when out of place, pairwise swaps in place (see
+// Kernels::fft_pass). Pairs are copied as values, so any element alignment
+// works. `static` gives each kernel TU its own copy, compiled under that
+// TU's flags.
 template <typename T>
-static inline void butterfly_ref(std::complex<T>* a, std::complex<T>* b,
-                                 const std::complex<T>* w, std::size_t n,
-                                 bool conj_w) {
-  const T s = conj_w ? T(-1) : T(1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const T wr = w[i].real(), wi = s * w[i].imag();
-    const T br = b[i].real(), bi = b[i].imag();
-    const T vr = br * wr - bi * wi;
-    const T vi = br * wi + bi * wr;
-    const T ur = a[i].real(), ui = a[i].imag();
-    a[i] = {ur + vr, ui + vi};
-    b[i] = {ur - vr, ui - vi};
+static inline void bitrev_ref(const T* in, T* out, std::size_t m,
+                              const std::uint32_t* bitrev) {
+  if (in != out) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t j = bitrev[i];
+      out[2 * i] = in[2 * j];
+      out[2 * i + 1] = in[2 * j + 1];
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t j = bitrev[i];
+    if (i < j) {
+      std::swap(out[2 * i], out[2 * j]);
+      std::swap(out[2 * i + 1], out[2 * j + 1]);
+    }
   }
 }
 
-// The whole pass, stage by stage and block by block: the scalar table's
-// fft_pass entries.
+// Reference radix-2 butterflies over one half-block of n points: the tree
+// every fft_pass reproduces (see Kernels::fft_pass).
 template <typename T>
-static inline void fft_pass_ref(std::complex<T>* data, std::size_t m,
+static inline void butterfly_ref(T* a, T* b, const std::complex<T>* w,
+                                 std::size_t n, bool conj_w) {
+  const T s = conj_w ? T(-1) : T(1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const T wr = w[i].real(), wi = s * w[i].imag();
+    const T br = b[2 * i], bi = b[2 * i + 1];
+    const T vr = br * wr - bi * wi;
+    const T vi = br * wi + bi * wr;
+    const T ur = a[2 * i], ui = a[2 * i + 1];
+    a[2 * i] = ur + vr;
+    a[2 * i + 1] = ui + vi;
+    b[2 * i] = ur - vr;
+    b[2 * i + 1] = ui - vi;
+  }
+}
+
+// The whole transform, permutation then stage by stage and block by block:
+// the scalar (and NEON) tables' fft_pass entries and the vector targets'
+// short-size path.
+template <typename T>
+static inline void fft_pass_ref(const T* in, T* out, std::size_t m,
+                                const std::uint32_t* bitrev,
                                 const std::complex<T>* stage_tw,
                                 bool conj_w) {
+  bitrev_ref(in, out, m, bitrev);
   for (std::size_t half = 1; half < m; half <<= 1) {
     for (std::size_t s = 0; s < m; s += 2 * half) {
-      butterfly_ref(data + s, data + s + half, stage_tw + (half - 1), half,
-                    conj_w);
+      butterfly_ref(out + 2 * s, out + 2 * (s + half), stage_tw + (half - 1),
+                    half, conj_w);
     }
   }
+}
+
+// Reference forward untwiddle of bins [k0, k1), 0 < k0 <= k1 <= h (see
+// Kernels::rfft_untwiddle). The sign flips are unary negations, which the
+// vector targets spell as exact XORs.
+template <typename T>
+static inline void rfft_untwiddle_bins_ref(const std::complex<T>* z,
+                                           std::complex<T>* out,
+                                           const std::complex<T>* tw,
+                                           std::size_t h, std::size_t k0,
+                                           std::size_t k1) {
+  const T half = T(0.5);
+  for (std::size_t k = k0; k < k1; ++k) {
+    const T zr = z[k].real(), zi = z[k].imag();
+    const T cr = z[h - k].real(), ci = -z[h - k].imag();  // conj
+    const T er = half * (zr + cr), ei = half * (zi + ci);
+    const T o_re = half * (zi - ci), o_im = -half * (zr - cr);
+    const T wr = tw[k].real(), wi = tw[k].imag();
+    out[k] = {er + (wr * o_re - wi * o_im), ei + (wr * o_im + wi * o_re)};
+  }
+}
+
+// The DC and Nyquist bins every target writes the same way.
+template <typename T>
+static inline void rfft_untwiddle_edges(const std::complex<T>* z,
+                                        std::complex<T>* out, std::size_t h) {
+  out[0] = {z[0].real() + z[0].imag(), T(0)};
+  out[h] = {z[0].real() - z[0].imag(), T(0)};
+}
+
+template <typename T>
+static inline void rfft_untwiddle_ref(const std::complex<T>* z,
+                                      std::complex<T>* out,
+                                      const std::complex<T>* tw,
+                                      std::size_t h) {
+  rfft_untwiddle_edges(z, out, h);
+  rfft_untwiddle_bins_ref(z, out, tw, h, 1, h);
+}
+
+// Reference inverse untwiddle of points [k0, k1), k1 <= h (see
+// Kernels::irfft_untwiddle).
+template <typename T>
+static inline void irfft_untwiddle_bins_ref(const std::complex<T>* x,
+                                            std::complex<T>* z,
+                                            const std::complex<T>* tw,
+                                            std::size_t h, std::size_t k0,
+                                            std::size_t k1) {
+  const T half = T(0.5);
+  for (std::size_t k = k0; k < k1; ++k) {
+    const T xr = x[k].real(), xi = x[k].imag();
+    const T cr = x[h - k].real(), ci = -x[h - k].imag();  // conj
+    const T er = half * (xr + cr), ei = half * (xi + ci);
+    const T pr = half * (xr - cr), pi = half * (xi - ci);  // W^k O
+    const T wr = tw[k].real(), wi = -tw[k].imag();         // conj(W^k)
+    const T o_re = wr * pr - wi * pi, o_im = wr * pi + wi * pr;  // O
+    z[k] = {er - o_im, ei + o_re};  // E + j O
+  }
+}
+
+template <typename T>
+static inline void irfft_untwiddle_ref(const std::complex<T>* x,
+                                       std::complex<T>* z,
+                                       const std::complex<T>* tw,
+                                       std::size_t h) {
+  irfft_untwiddle_bins_ref(x, z, tw, h, 0, h);
+}
+
+template <typename T>
+static inline void scale_ref(T* x, std::size_t n, T s) {
+  for (std::size_t i = 0; i < n; ++i) x[i] = x[i] * s;
 }
 
 // Reference sliding-DFT run over the first `cols` of `width` running sums

@@ -93,11 +93,13 @@ void neon_fir(const double* a, const double* x, double* out, std::size_t t,
   for (; o < n; ++o) out[o] = neon_dot(a, x + o, t);
 }
 
-// The whole radix-2 pass. One complex double fills a register, so every
-// stage runs its blocks straight from memory, one butterfly per point.
-void neon_fft_pass(cplx* data, std::size_t m, const cplx* stage_tw,
+// The whole radix-2 pass: the reference permutation, then the stages. One
+// complex double fills a register, so every stage runs its blocks straight
+// from memory, one butterfly per point.
+void neon_fft_pass(const double* in, double* d, std::size_t m,
+                   const std::uint32_t* bitrev, const cplx* stage_tw,
                    bool conj_w) {
-  auto* d = reinterpret_cast<double*>(data);
+  bitrev_ref(in, d, m, bitrev);
   const auto* tw = reinterpret_cast<const double*>(stage_tw);
   // XOR-ing with -0.0 flips signs exactly: conj_mask negates the imaginary
   // lane of w, neg_even negates the real lane of the cross product so a
@@ -226,13 +228,15 @@ inline void bfly(float32x4_t& a, float32x4_t& b, float32x4_t w) {
 // Two complex floats per register: the 1-point half-blocks are narrower
 // than a register, so that stage pairs two blocks' 64-bit points into each
 // (a, b) register pair (zip1/zip2) and back; wider stages run from memory.
-void neon_fft_pass_f(cplxf* data, std::size_t m, const cplxf* stage_tw,
+// The permutation is the reference one.
+void neon_fft_pass_f(const float* in, float* d, std::size_t m,
+                     const std::uint32_t* bitrev, const cplxf* stage_tw,
                      bool conj_w) {
   if (m < 4) {
-    fft_pass_ref(data, m, stage_tw, conj_w);
+    fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
     return;
   }
-  auto* d = reinterpret_cast<float*>(data);
+  bitrev_ref(in, d, m, bitrev);
   const auto* tw = reinterpret_cast<const float*>(stage_tw);
   const uint32x4_t conj_mask = conj_w
                                    ? uint32x4_t{0u, 0x80000000u, 0u,
@@ -274,15 +278,23 @@ void neon_fft_pass_f(cplxf* data, std::size_t m, const cplxf* stage_tw,
   }
 }
 
+// The real-FFT glue runs the scalar reference (compiled here, under this
+// TU's flags): NEON versions are left for a host that can test them.
 constexpr Kernels kNeonKernels{"neon",
                                neon_cmul_inplace,
                                neon_dot,
                                neon_fir,
                                neon_fft_pass,
+                               rfft_untwiddle_ref<double>,
+                               irfft_untwiddle_ref<double>,
+                               scale_ref<double>,
                                neon_cmul_inplace_f,
                                neon_dot_f,
                                neon_sdft_update_f,
-                               neon_fft_pass_f};
+                               neon_fft_pass_f,
+                               rfft_untwiddle_ref<float>,
+                               irfft_untwiddle_ref<float>,
+                               scale_ref<float>};
 
 }  // namespace
 

@@ -16,7 +16,9 @@ namespace aqua::dsp {
 // (which no public path can violate) still gets a throw test.
 struct FftPlanTestPeer {
   static void radix2(const FftPlan& plan, std::vector<cplx>& data) {
-    plan.radix2(data, data, /*invert=*/false);
+    const std::span<double> pairs(reinterpret_cast<double*>(data.data()),
+                                  2 * data.size());
+    plan.radix2(pairs, pairs, /*invert=*/false);
   }
 };
 
@@ -258,6 +260,43 @@ std::uint64_t real_hash() {
     h = fnv1a(back.data(), n * sizeof(back[0]), h);
   }
   return h;
+}
+
+// The packed transform reads its real input (and the inverse writes its
+// real output) as complex pairs in place, so a buffer starting one element
+// off — an odd offset, as an overlap-save window sliding by an odd step
+// has — must give the same bits as the same samples in a fresh buffer.
+template <typename T>
+void expect_offset_buffers_hash_equal() {
+  Workspace ws;
+  for (const std::size_t n : kGoldenSizes) {
+    const BasicRfftPlan<T> plan(n);
+    const std::vector<T> shifted = golden_reals<T>(n + 1, 600 + n);
+    const std::span<const T> x = std::span<const T>(shifted).subspan(1);
+    const std::vector<T> fresh(x.begin(), x.end());
+    std::vector<std::complex<T>> from_offset(plan.spectrum_size());
+    std::vector<std::complex<T>> from_fresh(plan.spectrum_size());
+    plan.forward(x, from_offset, ws);
+    plan.forward(fresh, from_fresh, ws);
+    EXPECT_EQ(fnv1a(from_offset.data(), from_offset.size() * sizeof(T) * 2,
+                    kFnvBasis),
+              fnv1a(from_fresh.data(), from_fresh.size() * sizeof(T) * 2,
+                    kFnvBasis))
+        << "forward, n " << n;
+
+    std::vector<T> back_shifted(n + 1);
+    std::vector<T> back_fresh(n);
+    plan.inverse(from_fresh, std::span<T>(back_shifted).subspan(1), ws);
+    plan.inverse(from_fresh, back_fresh, ws);
+    EXPECT_EQ(fnv1a(back_shifted.data() + 1, n * sizeof(T), kFnvBasis),
+              fnv1a(back_fresh.data(), n * sizeof(T), kFnvBasis))
+        << "inverse, n " << n;
+  }
+}
+
+TEST(Rfft, OddOffsetBuffersHashEqualToFreshCopies) {
+  expect_offset_buffers_hash_equal<double>();
+  expect_offset_buffers_hash_equal<float>();
 }
 
 TEST(FftGolden, ComplexDoubleOutputsUnchanged) {

@@ -240,6 +240,12 @@ TEST(Simd, ActiveTableIsRunnable) {
   EXPECT_NE(k.cmul_inplace_f, nullptr);
   EXPECT_NE(k.sdft_update_f, nullptr);
   EXPECT_NE(k.fft_pass_f, nullptr);
+  EXPECT_NE(k.rfft_untwiddle, nullptr);
+  EXPECT_NE(k.irfft_untwiddle, nullptr);
+  EXPECT_NE(k.scale, nullptr);
+  EXPECT_NE(k.rfft_untwiddle_f, nullptr);
+  EXPECT_NE(k.irfft_untwiddle_f, nullptr);
+  EXPECT_NE(k.scale_f, nullptr);
   // The scalar table must always be reachable.
   ASSERT_NE(simd::kernels_for(simd::Isa::kScalar), nullptr);
 }
@@ -405,6 +411,49 @@ std::vector<std::complex<T>> pass_input(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
+// Both complex values equal bit for bit, signs of zeros included.
+template <typename T>
+::testing::AssertionResult same_bits(std::complex<T> got,
+                                     std::complex<T> want) {
+  if (std::signbit(got.real()) == std::signbit(want.real()) &&
+      got.real() == want.real() &&
+      std::signbit(got.imag()) == std::signbit(want.imag()) &&
+      got.imag() == want.imag()) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << got << " != " << want;
+}
+
+// Interleaved (re, im) pairs of a complex vector, as the pass kernel reads
+// and writes them.
+template <typename T>
+const T* pairs_of(const std::vector<std::complex<T>>& v) {
+  return reinterpret_cast<const T*>(v.data());
+}
+template <typename T>
+T* pairs_of(std::vector<std::complex<T>>& v) {
+  return reinterpret_cast<T*>(v.data());
+}
+
+// The bit-reversal permutation of m points, spelled independently of the
+// FFT plan's table.
+std::vector<std::uint32_t> bit_reversal(std::size_t m) {
+  std::size_t bits = 0;
+  while ((std::size_t{1} << bits) < m) ++bits;
+  std::vector<std::uint32_t> r(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::uint32_t v = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      if ((i >> b) & 1u) v |= std::uint32_t{1} << (bits - 1 - b);
+    }
+    r[i] = v;
+  }
+  return r;
+}
+
+// The stages against the reference: the points go in already
+// bit-reversed, so the in-place permutation (an involution) hands every
+// target's butterflies the reference's input order.
 template <typename T, typename Pass>
 void expect_fft_pass_matches_reference(Pass pass_of, std::uint64_t seed) {
   for (std::size_t m = 1; m <= (std::size_t{1} << 14); m <<= 1) {
@@ -412,20 +461,18 @@ void expect_fft_pass_matches_reference(Pass pass_of, std::uint64_t seed) {
     // m - 1 stage twiddles (at least one so .data() is dereferenceable).
     const std::vector<std::complex<T>> tw =
         pass_input<T>(std::max<std::size_t>(m - 1, 1), seed + 7 * m);
+    const std::vector<std::uint32_t> rev = bit_reversal(m);
+    std::vector<std::complex<T>> reversed(m);
+    for (std::size_t i = 0; i < m; ++i) reversed[i] = x0[rev[i]];
     for (const bool conj_w : {false, true}) {
       std::vector<std::complex<T>> ref = x0;
       fft_pass_reference(ref, tw, conj_w);
       for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<std::complex<T>> got = x0;
-        pass_of(*k)(got.data(), m, tw.data(), conj_w);
+        std::vector<std::complex<T>> got = reversed;
+        pass_of(*k)(pairs_of(got), pairs_of(got), m, rev.data(), tw.data(),
+                    conj_w);
         for (std::size_t i = 0; i < m; ++i) {
-          ASSERT_EQ(std::signbit(got[i].real()), std::signbit(ref[i].real()))
-              << k->name << " m " << m << " conj " << conj_w << " i " << i;
-          ASSERT_EQ(got[i].real(), ref[i].real())
-              << k->name << " m " << m << " conj " << conj_w << " i " << i;
-          ASSERT_EQ(std::signbit(got[i].imag()), std::signbit(ref[i].imag()))
-              << k->name << " m " << m << " conj " << conj_w << " i " << i;
-          ASSERT_EQ(got[i].imag(), ref[i].imag())
+          ASSERT_TRUE(same_bits(got[i], ref[i]))
               << k->name << " m " << m << " conj " << conj_w << " i " << i;
         }
       }
@@ -441,6 +488,178 @@ TEST(Simd, FftPassBitIdenticalToReferenceOnEveryTarget) {
 TEST(Simd, FftPassFloatBitIdenticalToReferenceOnEveryTarget) {
   expect_fft_pass_matches_reference<float>(
       [](const simd::Kernels& k) { return k.fft_pass_f; }, 2100);
+}
+
+// The permutation fused into the first stages: every target, out of place
+// (reading the source at its bit-reversed positions, also from a source
+// one element off its natural alignment) and in place, must equal an
+// explicit bit-reversal followed by the per-element reference.
+template <typename T, typename Pass>
+void expect_fft_pass_gather_matches_reference(Pass pass_of,
+                                              std::uint64_t seed) {
+  for (std::size_t m = 1; m <= (std::size_t{1} << 15); m <<= 1) {
+    const std::vector<std::complex<T>> x0 = pass_input<T>(m, seed + m);
+    const std::vector<std::complex<T>> tw =
+        pass_input<T>(std::max<std::size_t>(m - 1, 1), seed + 7 * m);
+    const std::vector<std::uint32_t> rev = bit_reversal(m);
+    // The same points as pairs starting one element into a buffer.
+    std::vector<T> shifted(2 * m + 1);
+    std::copy_n(pairs_of(x0), 2 * m, shifted.begin() + 1);
+    for (const bool conj_w : {false, true}) {
+      std::vector<std::complex<T>> ref(m);
+      for (std::size_t i = 0; i < m; ++i) ref[i] = x0[rev[i]];
+      fft_pass_reference(ref, tw, conj_w);
+      for (const simd::Kernels* k : runnable_targets()) {
+        std::vector<std::complex<T>> gathered(m);
+        pass_of(*k)(pairs_of(x0), pairs_of(gathered), m, rev.data(),
+                    tw.data(), conj_w);
+        std::vector<std::complex<T>> offset(m);
+        pass_of(*k)(shifted.data() + 1, pairs_of(offset), m, rev.data(),
+                    tw.data(), conj_w);
+        std::vector<std::complex<T>> in_place = x0;
+        pass_of(*k)(pairs_of(in_place), pairs_of(in_place), m, rev.data(),
+                    tw.data(), conj_w);
+        for (std::size_t i = 0; i < m; ++i) {
+          ASSERT_TRUE(same_bits(gathered[i], ref[i]))
+              << k->name << " out of place, m " << m << " conj " << conj_w
+              << " i " << i;
+          ASSERT_TRUE(same_bits(offset[i], ref[i]))
+              << k->name << " offset source, m " << m << " conj " << conj_w
+              << " i " << i;
+          ASSERT_TRUE(same_bits(in_place[i], ref[i]))
+              << k->name << " in place, m " << m << " conj " << conj_w
+              << " i " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, FftPassGatherBitIdenticalToBitReversalThenReference) {
+  expect_fft_pass_gather_matches_reference<double>(
+      [](const simd::Kernels& k) { return k.fft_pass; }, 3100);
+}
+
+TEST(Simd, FftPassFloatGatherBitIdenticalToBitReversalThenReference) {
+  expect_fft_pass_gather_matches_reference<float>(
+      [](const simd::Kernels& k) { return k.fft_pass_f; }, 4100);
+}
+
+// --- The packed real FFT's untwiddle and scale kernels. ------------------
+
+// Half sizes: every h through 64 (all vector tails), the powers of two to
+// 2^14 with their neighbours, and the OFDM symbol's 480.
+std::vector<std::size_t> untwiddle_sizes() {
+  std::vector<std::size_t> hs;
+  for (std::size_t h = 1; h <= 64; ++h) hs.push_back(h);
+  for (std::size_t p = 128; p <= (std::size_t{1} << 14); p <<= 1) {
+    hs.insert(hs.end(), {p - 1, p, p + 1});
+  }
+  hs.push_back(480);
+  return hs;
+}
+
+// The contracts of Kernels::rfft_untwiddle and irfft_untwiddle, spelled per
+// element in the historical std::complex trees (this TU is built with
+// -ffp-contract=off).
+template <typename T>
+std::vector<std::complex<T>> rfft_untwiddle_reference(
+    const std::vector<std::complex<T>>& z,
+    const std::vector<std::complex<T>>& tw, std::size_t h) {
+  std::vector<std::complex<T>> out(h + 1);
+  out[0] = {z[0].real() + z[0].imag(), T(0)};
+  out[h] = {z[0].real() - z[0].imag(), T(0)};
+  for (std::size_t k = 1; k < h; ++k) {
+    const std::complex<T> c = std::conj(z[h - k]);
+    const T er = T(0.5) * (z[k].real() + c.real());
+    const T ei = T(0.5) * (z[k].imag() + c.imag());
+    const T o_re = T(0.5) * (z[k].imag() - c.imag());
+    const T o_im = T(-0.5) * (z[k].real() - c.real());
+    out[k] = {er + (tw[k].real() * o_re - tw[k].imag() * o_im),
+              ei + (tw[k].real() * o_im + tw[k].imag() * o_re)};
+  }
+  return out;
+}
+
+template <typename T>
+std::vector<std::complex<T>> irfft_untwiddle_reference(
+    const std::vector<std::complex<T>>& x,
+    const std::vector<std::complex<T>>& tw, std::size_t h) {
+  std::vector<std::complex<T>> z(h);
+  for (std::size_t k = 0; k < h; ++k) {
+    const std::complex<T> c = std::conj(x[h - k]);
+    const std::complex<T> w = std::conj(tw[k]);
+    const T er = T(0.5) * (x[k].real() + c.real());
+    const T ei = T(0.5) * (x[k].imag() + c.imag());
+    const T pr = T(0.5) * (x[k].real() - c.real());
+    const T pi = T(0.5) * (x[k].imag() - c.imag());
+    const T o_re = w.real() * pr - w.imag() * pi;
+    const T o_im = w.real() * pi + w.imag() * pr;
+    z[k] = {er - o_im, ei + o_re};
+  }
+  return z;
+}
+
+template <typename T, typename Forward, typename Inverse>
+void expect_untwiddles_match_reference(Forward fwd_of, Inverse inv_of,
+                                       std::uint64_t seed) {
+  for (const std::size_t h : untwiddle_sizes()) {
+    const std::vector<std::complex<T>> z = pass_input<T>(h + 1, seed + h);
+    const std::vector<std::complex<T>> tw =
+        pass_input<T>(h + 1, seed + 3 * h);
+    const std::vector<std::complex<T>> fwd = rfft_untwiddle_reference(z, tw, h);
+    const std::vector<std::complex<T>> inv =
+        irfft_untwiddle_reference(z, tw, h);
+    for (const simd::Kernels* k : runnable_targets()) {
+      std::vector<std::complex<T>> got(h + 1);
+      fwd_of(*k)(z.data(), got.data(), tw.data(), h);
+      for (std::size_t i = 0; i <= h; ++i) {
+        ASSERT_TRUE(same_bits(got[i], fwd[i]))
+            << k->name << " forward, h " << h << " bin " << i;
+      }
+      std::vector<std::complex<T>> back(h);
+      inv_of(*k)(z.data(), back.data(), tw.data(), h);
+      for (std::size_t i = 0; i < h; ++i) {
+        ASSERT_TRUE(same_bits(back[i], inv[i]))
+            << k->name << " inverse, h " << h << " point " << i;
+      }
+    }
+  }
+}
+
+TEST(Simd, RfftUntwiddlesBitIdenticalToReferenceOnEveryTarget) {
+  expect_untwiddles_match_reference<double>(
+      [](const simd::Kernels& k) { return k.rfft_untwiddle; },
+      [](const simd::Kernels& k) { return k.irfft_untwiddle; }, 5100);
+}
+
+TEST(Simd, RfftUntwiddlesFloatBitIdenticalToReferenceOnEveryTarget) {
+  expect_untwiddles_match_reference<float>(
+      [](const simd::Kernels& k) { return k.rfft_untwiddle_f; },
+      [](const simd::Kernels& k) { return k.irfft_untwiddle_f; }, 6100);
+}
+
+template <typename T, typename Scale>
+void expect_scale_matches_reference(Scale scale_of, std::uint64_t seed) {
+  const T s = T(1) / T(3);
+  for (const std::size_t n : kKernelSizes) {
+    const std::vector<std::complex<T>> x0 = pass_input<T>(n, seed + n);
+    for (const simd::Kernels* k : runnable_targets()) {
+      std::vector<std::complex<T>> got = x0;
+      scale_of(*k)(pairs_of(got), 2 * n, s);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_bits(got[i], {x0[i].real() * s, x0[i].imag() * s}))
+            << k->name << " n " << n << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(Simd, ScaleBitIdenticalToReferenceOnEveryTarget) {
+  expect_scale_matches_reference<double>(
+      [](const simd::Kernels& k) { return k.scale; }, 7100);
+  expect_scale_matches_reference<float>(
+      [](const simd::Kernels& k) { return k.scale_f; }, 8100);
 }
 
 }  // namespace
