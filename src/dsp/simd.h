@@ -104,7 +104,8 @@ struct Kernels {
   /// bit-reversal permutation `bitrev` (bitrev[i] = i with its log2(m)
   /// bits reversed; the vector targets rely on its structure): out point
   /// i = in point bitrev[i] when `in` and `out` differ (they must not
-  /// otherwise overlap), pairwise swaps when they are the same pointer.
+  /// otherwise overlap), pairwise swaps when they are the same pointer
+  /// (the vector targets run the reference then: no hot path is in place).
   /// Then the stages, in order half = 1,
   /// 2, 4, ..., m/2; the stage with half-block h reads its twiddles
   /// w[k] = stage_tw[h - 1 + k], k < h. Each block of 2h points starting

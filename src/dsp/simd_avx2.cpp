@@ -178,58 +178,32 @@ inline void bfly(__m256& a, __m256& b, TwPs w) {
 constexpr int kLowHalves = 0x20;   // [x.lo y.lo]
 constexpr int kHighHalves = 0x31;  // [x.hi y.hi]
 
-// Full-width loads and stores of either precision.
-inline __m256d load(const double* p) { return _mm256_loadu_pd(p); }
-inline __m256 load(const float* p) { return _mm256_loadu_ps(p); }
-inline void store(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
-inline void store(float* p, __m256 v) { _mm256_storeu_ps(p, v); }
-
-// The stages from half-block `half` up, two at a time (the first pass
-// leaves an even count): each block of four quarter-vectors is loaded
-// once, runs stage h's two butterflies, then stage 2h's two, and is stored
-// once. T is the sample type, V its register.
-template <typename T, typename V>
-void avx2_wide_stages(T* d, std::size_t m, const T* tw, V flip,
-                      std::size_t half) {
-  constexpr std::size_t kLanes = sizeof(V) / sizeof(T);
-  for (; half < m; half *= 4) {
-    const T* wa = tw + 2 * (half - 1);
-    const T* wb = tw + 2 * (2 * half - 1);
-    for (std::size_t s = 0; s < m; s += 4 * half) {
-      T* q = d + 2 * s;
-      const std::size_t q1 = 2 * half, q2 = 4 * half, q3 = 6 * half;
-      for (std::size_t k = 0; k < 2 * half; k += kLanes) {
-        V a0 = load(q + k);
-        V a1 = load(q + q1 + k);
-        V a2 = load(q + q2 + k);
-        V a3 = load(q + q3 + k);
-        const auto w = load_tw(wa + k, flip);
-        bfly(a0, a1, w);
-        bfly(a2, a3, w);
-        bfly(a0, a2, load_tw(wb + k, flip));
-        bfly(a1, a3, load_tw(wb + 2 * half + k, flip));
-        store(q + k, a0);
-        store(q + q1 + k, a1);
-        store(q + q2 + k, a2);
-        store(q + q3 + k, a3);
-      }
-    }
+// The register ops fused_fft_pass (simd_internal.h) runs, in either
+// precision.
+struct Avx2Ops {
+  static __m256d load(const double* p) { return _mm256_loadu_pd(p); }
+  static __m256 load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
+  static void store(float* p, __m256 v) { _mm256_storeu_ps(p, v); }
+  template <typename T, typename V>
+  static auto load_tw(const T* p, V flip) {
+    return simd::load_tw(p, flip);
   }
-}
+  template <typename V, typename W>
+  static void bfly(V& a, V& b, W w) {
+    simd::bfly(a, b, w);
+  }
+};
 
 // Two complex doubles per register. Each 4-point block arrives as
-// a = points 0, 2 and b = points 1, 3 — loaded straight from their
-// bit-reversed source positions, or split from the block permuted in
-// place — and runs stages 1 and 2 in registers (one exchange of 128-bit
-// halves between them restores natural order). When the remaining stage
-// count would be odd, two such blocks also run stage 4 between them, so
-// the wider stages all pair up. Out of place, the blocks are visited in
-// bit-reversed order (block q starts at point bitrev[q]): consecutive
-// blocks then read the same cache lines.
+// a = points 0, 2 and b = points 1, 3, loaded straight from their
+// bit-reversed source positions, and runs stages 1 and 2 in registers (one
+// exchange of 128-bit halves between them restores natural order); the
+// rest is fused_fft_pass. In place it is the reference.
 void avx2_fft_pass(const double* in, double* d, std::size_t m,
                    const std::uint32_t* bitrev, const cplx* stage_tw,
                    bool conj_w) {
-  if (m < 4) {
+  if (m < 4 || in == d) {
     fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
     return;
   }
@@ -238,10 +212,13 @@ void avx2_fft_pass(const double* in, double* d, std::size_t m,
   const __m128d w1x = _mm_loadu_pd(tw);
   const TwPd w1 = split(_mm256_set_m128d(w1x, w1x), flip);
   const TwPd w2 = load_tw(tw + 2, flip);
-  const bool pair_blocks = std::countr_zero(m) % 2 != 0;  // 2 + 1 + even
-  const std::size_t block = pair_blocks ? 8 : 4;
-  const TwPd w4lo = pair_blocks ? load_tw(tw + 6, flip) : w2;
-  const TwPd w4hi = pair_blocks ? load_tw(tw + 10, flip) : w2;
+  const auto gather = [&](std::size_t s, __m256d& a, __m256d& b) {
+    const auto point = [&](std::size_t i) {
+      return in + 2 * static_cast<std::size_t>(bitrev[i]);
+    };
+    a = _mm256_loadu2_m128d(point(s + 2), point(s));
+    b = _mm256_loadu2_m128d(point(s + 3), point(s + 1));
+  };
   const auto stages = [&](__m256d& a, __m256d& b) {
     bfly(a, b, w1);
     const __m256d lo = _mm256_permute2f128_pd(a, b, kLowHalves);
@@ -249,42 +226,7 @@ void avx2_fft_pass(const double* in, double* d, std::size_t m,
     a = lo;
     bfly(a, b, w2);
   };
-  const auto run = [&](std::size_t s, auto&& load) {
-    __m256d a0, b0;
-    load(s, a0, b0);
-    stages(a0, b0);
-    if (pair_blocks) {
-      __m256d a1, b1;
-      load(s + 4, a1, b1);
-      stages(a1, b1);
-      bfly(a0, a1, w4lo);
-      bfly(b0, b1, w4hi);
-      _mm256_storeu_pd(d + 2 * s + 8, a1);
-      _mm256_storeu_pd(d + 2 * s + 12, b1);
-    }
-    _mm256_storeu_pd(d + 2 * s, a0);
-    _mm256_storeu_pd(d + 2 * s + 4, b0);
-  };
-  if (in != d) {
-    const auto gather = [&](std::size_t s, __m256d& a, __m256d& b) {
-      const auto point = [&](std::size_t i) {
-        return in + 2 * static_cast<std::size_t>(bitrev[i]);
-      };
-      a = _mm256_loadu2_m128d(point(s + 2), point(s));
-      b = _mm256_loadu2_m128d(point(s + 3), point(s + 1));
-    };
-    for (std::size_t q = 0; q < m / block; ++q) run(bitrev[q], gather);
-  } else {
-    bitrev_ref(in, d, m, bitrev);
-    const auto split_halves = [&](std::size_t s, __m256d& a, __m256d& b) {
-      const __m256d z0 = _mm256_loadu_pd(d + 2 * s);
-      const __m256d z1 = _mm256_loadu_pd(d + 2 * s + 4);
-      a = _mm256_permute2f128_pd(z0, z1, kLowHalves);
-      b = _mm256_permute2f128_pd(z0, z1, kHighHalves);
-    };
-    for (std::size_t s = 0; s < m; s += block) run(s, split_halves);
-  }
-  avx2_wide_stages(d, m, tw, flip, block);
+  fused_fft_pass<Avx2Ops>(d, m, bitrev, tw, flip, gather, stages);
 }
 
 // Packed real-FFT untwiddles, two bins per register: the mirrored bins
@@ -414,14 +356,13 @@ void avx2_sdft_update_f(float* acc, const float* rows, const float* x_old,
 
 // Four complex floats per register; a complex float is one 64-bit unit.
 // Each 8-point block arrives as a = points 0, 2, 4, 6 and b = points
-// 1, 3, 5, 7 and runs stages 1, 2 and 4 in registers — an in-lane unpack
+// 1, 3, 5, 7 and runs stages 1, 2 and 4 in registers: an in-lane unpack
 // pairs stage 2's points, an exchange of 128-bit halves stage 4's and
-// leaves natural order; pairs of blocks add stage 8 when the remaining
-// stage count would be odd. Blocks are visited as in the double pass.
+// leaves natural order. The rest is fused_fft_pass, as in the double pass.
 void avx2_fft_pass_f(const float* in, float* d, std::size_t m,
                      const std::uint32_t* bitrev, const cplxf* stage_tw,
                      bool conj_w) {
-  if (m < 8) {
+  if (m < 8 || in == d) {
     fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
     return;
   }
@@ -433,10 +374,19 @@ void avx2_fft_pass_f(const float* in, float* d, std::size_t m,
   const __m128 w2x = _mm_loadu_ps(tw + 2);  // stage_tw[1, 3)
   const TwPs w2 = split(_mm256_set_m128(w2x, w2x), flip);
   const TwPs w4 = load_tw(tw + 6, flip);  // stage_tw[3, 7)
-  const bool pair_blocks = std::countr_zero(m) % 2 == 0;  // 3 + 1 + even
-  const std::size_t block = pair_blocks ? 16 : 8;
-  const TwPs w8lo = pair_blocks ? load_tw(tw + 14, flip) : w4;
-  const TwPs w8hi = pair_blocks ? load_tw(tw + 22, flip) : w4;
+  // A point is one 64-bit unit, loaded on its own (any alignment) and
+  // paired up: cheaper than a hardware gather on most cores.
+  const auto two = [&](std::size_t i) {  // points i, i + 2
+    return _mm_unpacklo_epi64(
+        _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i])),
+        _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i + 2])));
+  };
+  const auto gather = [&](std::size_t s, __m256& a, __m256& b) {
+    a = _mm256_castsi256_ps(_mm256_inserti128_si256(
+        _mm256_castsi128_si256(two(s)), two(s + 4), 1));
+    b = _mm256_castsi256_ps(_mm256_inserti128_si256(
+        _mm256_castsi128_si256(two(s + 1)), two(s + 5), 1));
+  };
   const auto stages = [&](__m256& a, __m256& b) {
     bfly(a, b, w1);
     __m256d x = _mm256_castps_pd(a), y = _mm256_castps_pd(b);
@@ -449,51 +399,7 @@ void avx2_fft_pass_f(const float* in, float* d, std::size_t m,
     b = _mm256_castpd_ps(_mm256_permute2f128_pd(x, y, kHighHalves));
     bfly(a, b, w4);
   };
-  const auto run = [&](std::size_t s, auto&& load) {
-    __m256 a0, b0;
-    load(s, a0, b0);
-    stages(a0, b0);
-    if (pair_blocks) {
-      __m256 a1, b1;
-      load(s + 8, a1, b1);
-      stages(a1, b1);
-      bfly(a0, a1, w8lo);
-      bfly(b0, b1, w8hi);
-      _mm256_storeu_ps(d + 2 * s + 16, a1);
-      _mm256_storeu_ps(d + 2 * s + 24, b1);
-    }
-    _mm256_storeu_ps(d + 2 * s, a0);
-    _mm256_storeu_ps(d + 2 * s + 8, b0);
-  };
-  if (in != d) {
-    // A point is one 64-bit unit, loaded on its own (any alignment) and
-    // paired up: cheaper than a hardware gather on most cores.
-    const auto two = [&](std::size_t i) {  // points i, i + 2
-      return _mm_unpacklo_epi64(
-          _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i])),
-          _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i + 2])));
-    };
-    const auto gather = [&](std::size_t s, __m256& a, __m256& b) {
-      a = _mm256_castsi256_ps(_mm256_inserti128_si256(
-          _mm256_castsi128_si256(two(s)), two(s + 4), 1));
-      b = _mm256_castsi256_ps(_mm256_inserti128_si256(
-          _mm256_castsi128_si256(two(s + 1)), two(s + 5), 1));
-    };
-    for (std::size_t q = 0; q < m / block; ++q) run(bitrev[q], gather);
-  } else {
-    bitrev_ref(in, d, m, bitrev);
-    const auto dealt = [&](std::size_t s, __m256& a, __m256& b) {
-      const __m256d z0 = _mm256_castps_pd(_mm256_loadu_ps(d + 2 * s));
-      const __m256d z1 = _mm256_castps_pd(_mm256_loadu_ps(d + 2 * s + 8));
-      // [z0_0 z0_2 z1_0 z1_2] and [z0_1 z0_3 z1_1 z1_3]
-      a = _mm256_castpd_ps(
-          _mm256_permute4x64_pd(_mm256_unpacklo_pd(z0, z1), 0xD8));
-      b = _mm256_castpd_ps(
-          _mm256_permute4x64_pd(_mm256_unpackhi_pd(z0, z1), 0xD8));
-    };
-    for (std::size_t s = 0; s < m; s += block) run(s, dealt);
-  }
-  avx2_wide_stages(d, m, tw, flip, block);
+  fused_fft_pass<Avx2Ops>(d, m, bitrev, tw, flip, gather, stages);
 }
 
 // Four bins per register; the mirrored bins come from one load reversed by

@@ -196,73 +196,56 @@ inline void deal(__m512d& a, __m512d& b) {
   a = e;
 }
 
-// Full-width loads and stores of either precision.
-inline __m512d load(const double* p) { return _mm512_loadu_pd(p); }
-inline __m512 load(const float* p) { return _mm512_loadu_ps(p); }
-inline void store(double* p, __m512d v) { _mm512_storeu_pd(p, v); }
-inline void store(float* p, __m512 v) { _mm512_storeu_ps(p, v); }
-
-// The stages from half-block `half` up, two at a time (the first pass
-// leaves an even count): each block of four quarter-vectors is loaded
-// once, runs stage h's two butterflies, then stage 2h's two, and is stored
-// once. T is the sample type, V its register.
-template <typename T, typename V>
-void avx512_wide_stages(T* d, std::size_t m, const T* tw, V flip,
-                        std::size_t half) {
-  constexpr std::size_t kLanes = sizeof(V) / sizeof(T);
-  for (; half < m; half *= 4) {
-    const T* wa = tw + 2 * (half - 1);
-    const T* wb = tw + 2 * (2 * half - 1);
-    for (std::size_t s = 0; s < m; s += 4 * half) {
-      T* q = d + 2 * s;
-      const std::size_t q1 = 2 * half, q2 = 4 * half, q3 = 6 * half;
-      for (std::size_t k = 0; k < 2 * half; k += kLanes) {
-        V a0 = load(q + k);
-        V a1 = load(q + q1 + k);
-        V a2 = load(q + q2 + k);
-        V a3 = load(q + q3 + k);
-        const auto w = load_tw(wa + k, flip);
-        bfly(a0, a1, w);
-        bfly(a2, a3, w);
-        bfly(a0, a2, load_tw(wb + k, flip));
-        bfly(a1, a3, load_tw(wb + 2 * half + k, flip));
-        store(q + k, a0);
-        store(q + q1 + k, a1);
-        store(q + q2 + k, a2);
-        store(q + q3 + k, a3);
-      }
-    }
+// The register ops fused_fft_pass (simd_internal.h) runs, in either
+// precision.
+struct Avx512Ops {
+  static __m512d load(const double* p) { return _mm512_loadu_pd(p); }
+  static __m512 load(const float* p) { return _mm512_loadu_ps(p); }
+  static void store(double* p, __m512d v) { _mm512_storeu_pd(p, v); }
+  static void store(float* p, __m512 v) { _mm512_storeu_ps(p, v); }
+  template <typename T, typename V>
+  static auto load_tw(const T* p, V flip) {
+    return simd::load_tw(p, flip);
   }
-}
+  template <typename V, typename W>
+  static void bfly(V& a, V& b, W w) {
+    simd::bfly(a, b, w);
+  }
+};
 
-// Four complex doubles per register. Each 8-point block of the permuted
-// signal arrives as a = points 0, 2, 4, 6 and b = points 1, 3, 5, 7 —
-// gathered straight from the source at their bit-reversed positions, or
-// dealt from the block permuted in place — and runs stages 1, 2 and 4 in
-// registers. When the remaining stage count would be odd, two such blocks
-// also run stage 8 between them, so the wider stages all pair up. Out of
-// place, the blocks are visited in bit-reversed order (block q starts at
-// point bitrev[q]): consecutive blocks then read the same cache lines.
+// Four complex doubles per register. Each 8-point block arrives as
+// a = points 0, 2, 4, 6 and b = points 1, 3, 5, 7, gathered straight from
+// the source at their bit-reversed positions, and runs stages 1, 2 and 4
+// in registers; the rest is fused_fft_pass. In place it is the reference.
 void avx512_fft_pass(const double* in, double* d, std::size_t m,
                      const std::uint32_t* bitrev, const cplx* stage_tw,
                      bool conj_w) {
-  if (m < 8) {
+  if (m < 8 || in == d) {
     fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
     return;
   }
   const auto* tw = reinterpret_cast<const double*>(stage_tw);
   const __m512d flip = conj_w ? neg_odd_pd() : neg_even_pd();
   // Stage twiddles laid out for the dealt lanes: stage 1's one factor in
-  // every unit, stage 2's two as [w0 w0 w1 w1], stage 4's four in order,
-  // stage 8's eight across two registers.
+  // every unit, stage 2's two as [w0 w0 w1 w1], stage 4's four in order.
   const TwPd w1 = split(_mm512_broadcast_f64x2(_mm_loadu_pd(tw)), flip);
   const __m512d w2x = _mm512_broadcast_f64x4(_mm256_loadu_pd(tw + 2));
   const TwPd w2 = split(_mm512_shuffle_f64x2(w2x, w2x, 0x50), flip);
   const TwPd w4 = load_tw(tw + 6, flip);
-  const bool pair_blocks = std::countr_zero(m) % 2 == 0;  // 3 + 1 + even
-  const std::size_t block = pair_blocks ? 16 : 8;
-  const TwPd w8lo = pair_blocks ? load_tw(tw + 14, flip) : w4;
-  const TwPd w8hi = pair_blocks ? load_tw(tw + 22, flip) : w4;
+  // One 128-bit load per point: on current cores four loads and three
+  // inserts beat a hardware gather of the same eight doubles.
+  const auto point = [&](std::size_t i) {
+    return in + 2 * static_cast<std::size_t>(bitrev[i]);
+  };
+  const auto four = [&](std::size_t i) {  // points i, i + 2, i + 4, i + 6
+    return _mm512_insertf64x4(
+        _mm512_castpd256_pd512(_mm256_loadu2_m128d(point(i + 2), point(i))),
+        _mm256_loadu2_m128d(point(i + 6), point(i + 4)), 1);
+  };
+  const auto gather = [&](std::size_t s, __m512d& a, __m512d& b) {
+    a = four(s);
+    b = four(s + 1);
+  };
   const auto stages = [&](__m512d& a, __m512d& b) {
     bfly(a, b, w1);
     deal(a, b);
@@ -270,48 +253,7 @@ void avx512_fft_pass(const double* in, double* d, std::size_t m,
     deal(a, b);
     bfly(a, b, w4);
   };
-  const auto run = [&](std::size_t s, auto&& load) {
-    __m512d a0, b0;
-    load(s, a0, b0);
-    stages(a0, b0);
-    if (pair_blocks) {
-      __m512d a1, b1;
-      load(s + 8, a1, b1);
-      stages(a1, b1);
-      bfly(a0, a1, w8lo);
-      bfly(b0, b1, w8hi);
-      _mm512_storeu_pd(d + 2 * s + 16, a1);
-      _mm512_storeu_pd(d + 2 * s + 24, b1);
-    }
-    _mm512_storeu_pd(d + 2 * s, a0);
-    _mm512_storeu_pd(d + 2 * s + 8, b0);
-  };
-  if (in != d) {
-    // One 128-bit load per point: on current cores four loads and three
-    // inserts beat a hardware gather of the same eight doubles.
-    const auto point = [&](std::size_t i) {
-      return in + 2 * static_cast<std::size_t>(bitrev[i]);
-    };
-    const auto four = [&](std::size_t i) {  // points i, i + 2, i + 4, i + 6
-      return _mm512_insertf64x4(
-          _mm512_castpd256_pd512(_mm256_loadu2_m128d(point(i + 2), point(i))),
-          _mm256_loadu2_m128d(point(i + 6), point(i + 4)), 1);
-    };
-    const auto gather = [&](std::size_t s, __m512d& a, __m512d& b) {
-      a = four(s);
-      b = four(s + 1);
-    };
-    for (std::size_t q = 0; q < m / block; ++q) run(bitrev[q], gather);
-  } else {
-    bitrev_ref(in, d, m, bitrev);
-    const auto dealt = [&](std::size_t s, __m512d& a, __m512d& b) {
-      a = _mm512_loadu_pd(d + 2 * s);
-      b = _mm512_loadu_pd(d + 2 * s + 8);
-      deal(a, b);
-    };
-    for (std::size_t s = 0; s < m; s += block) run(s, dealt);
-  }
-  avx512_wide_stages(d, m, tw, flip, block);
+  fused_fft_pass<Avx512Ops>(d, m, bitrev, tw, flip, gather, stages);
 }
 
 // Packed real-FFT untwiddles, four bins per register: the mirrored bins
@@ -468,13 +410,12 @@ inline TwPs spread_tw(const float* tw, __m512i units, __m512 flip) {
 
 // Eight complex floats per register: each 16-point block arrives as its
 // even and its odd points and runs stages 1, 2, 4 and 8 in registers (the
-// deals bring it back to natural order); pairs of blocks add stage 16
-// when the remaining stage count would be odd. Blocks are visited as in
-// the double pass.
+// deals bring it back to natural order). The rest is fused_fft_pass, as
+// in the double pass.
 void avx512_fft_pass_f(const float* in, float* d, std::size_t m,
                        const std::uint32_t* bitrev, const cplxf* stage_tw,
                        bool conj_w) {
-  if (m < 16) {
+  if (m < 16 || in == d) {
     fft_pass_ref(in, d, m, bitrev, stage_tw, conj_w);
     return;
   }
@@ -482,17 +423,32 @@ void avx512_fft_pass_f(const float* in, float* d, std::size_t m,
   const __m512 flip = conj_w ? neg_odd_ps() : neg_even_ps();
   // Dealt lane layouts: stage 1's factor everywhere, stage 2's two as
   // [w0 x4, w1 x4], stage 4's four as [w0 w0 w1 w1 ...], stage 8's eight
-  // in order, stage 16's sixteen across two registers.
+  // in order.
   const TwPs w1 = spread_tw(tw, _mm512_setzero_si512(), flip);
   const TwPs w2 =
       spread_tw(tw + 2, _mm512_set_epi64(1, 1, 1, 1, 0, 0, 0, 0), flip);
   const TwPs w4 =
       spread_tw(tw + 6, _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0), flip);
   const TwPs w8 = load_tw(tw + 14, flip);
-  const bool pair_blocks = std::countr_zero(m) % 2 != 0;  // 4 + 1 + even
-  const std::size_t block = pair_blocks ? 32 : 16;
-  const TwPs w16lo = pair_blocks ? load_tw(tw + 30, flip) : w8;
-  const TwPs w16hi = pair_blocks ? load_tw(tw + 46, flip) : w8;
+  // A point is one 64-bit unit, loaded on its own (any alignment) and
+  // paired up: on current cores that beats a hardware gather.
+  const auto two = [&](std::size_t i) {  // points i, i + 2
+    return _mm_unpacklo_epi64(
+        _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i])),
+        _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i + 2])));
+  };
+  const auto eight = [&](std::size_t i) {  // points i, i + 2, ..., i + 14
+    const __m256i lo = _mm256_inserti128_si256(
+        _mm256_castsi128_si256(two(i)), two(i + 4), 1);
+    const __m256i hi = _mm256_inserti128_si256(
+        _mm256_castsi128_si256(two(i + 8)), two(i + 12), 1);
+    return _mm512_castsi512_ps(
+        _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1));
+  };
+  const auto gather = [&](std::size_t s, __m512& a, __m512& b) {
+    a = eight(s);
+    b = eight(s + 1);
+  };
   const auto stages = [&](__m512& a, __m512& b) {
     bfly(a, b, w1);
     deal(a, b);
@@ -502,53 +458,7 @@ void avx512_fft_pass_f(const float* in, float* d, std::size_t m,
     deal(a, b);
     bfly(a, b, w8);
   };
-  const auto run = [&](std::size_t s, auto&& load) {
-    __m512 a0, b0;
-    load(s, a0, b0);
-    stages(a0, b0);
-    if (pair_blocks) {
-      __m512 a1, b1;
-      load(s + 16, a1, b1);
-      stages(a1, b1);
-      bfly(a0, a1, w16lo);
-      bfly(b0, b1, w16hi);
-      _mm512_storeu_ps(d + 2 * s + 32, a1);
-      _mm512_storeu_ps(d + 2 * s + 48, b1);
-    }
-    _mm512_storeu_ps(d + 2 * s, a0);
-    _mm512_storeu_ps(d + 2 * s + 16, b0);
-  };
-  if (in != d) {
-    // A point is one 64-bit unit, loaded on its own (any alignment) and
-    // paired up: on current cores that beats a hardware gather.
-    const auto two = [&](std::size_t i) {  // points i, i + 2
-      return _mm_unpacklo_epi64(
-          _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i])),
-          _mm_loadu_si64(in + 2 * static_cast<std::size_t>(bitrev[i + 2])));
-    };
-    const auto eight = [&](std::size_t i) {  // points i, i + 2, ..., i + 14
-      const __m256i lo = _mm256_inserti128_si256(
-          _mm256_castsi128_si256(two(i)), two(i + 4), 1);
-      const __m256i hi = _mm256_inserti128_si256(
-          _mm256_castsi128_si256(two(i + 8)), two(i + 12), 1);
-      return _mm512_castsi512_ps(
-          _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1));
-    };
-    const auto gather = [&](std::size_t s, __m512& a, __m512& b) {
-      a = eight(s);
-      b = eight(s + 1);
-    };
-    for (std::size_t q = 0; q < m / block; ++q) run(bitrev[q], gather);
-  } else {
-    bitrev_ref(in, d, m, bitrev);
-    const auto dealt = [&](std::size_t s, __m512& a, __m512& b) {
-      a = _mm512_loadu_ps(d + 2 * s);
-      b = _mm512_loadu_ps(d + 2 * s + 16);
-      deal(a, b);
-    };
-    for (std::size_t s = 0; s < m; s += block) run(s, dealt);
-  }
-  avx512_wide_stages(d, m, tw, flip, block);
+  fused_fft_pass<Avx512Ops>(d, m, bitrev, tw, flip, gather, stages);
 }
 
 // Eight bins per register; the mirrored bins come from one load reversed

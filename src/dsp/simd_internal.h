@@ -2,6 +2,7 @@
 // translation units. Not part of the public dsp API.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstddef>
@@ -69,6 +70,83 @@ static inline void fft_pass_ref(const T* in, T* out, std::size_t m,
     for (std::size_t s = 0; s < m; s += 2 * half) {
       butterfly_ref(out + 2 * s, out + 2 * (s + half), stage_tw + (half - 1),
                     half, conj_w);
+    }
+  }
+}
+
+// The vector targets' out-of-place fft_pass (see Kernels::fft_pass), for
+// m >= kLanes, where a register V holds kLanes values of T, i.e. half a
+// block of kLanes points. Each block is gathered from its bit-reversed
+// source positions as a = its even points, b = its odd points
+// (`gather(s, a, b)` for the block starting at point s) and runs every
+// stage narrower than kLanes in registers (`narrow_stages(a, b)`). When
+// the stage count left over is odd, two such blocks also run stage kLanes
+// between them, so the wider stages all pair up. Blocks are visited in
+// bit-reversed order (block q starts at point bitrev[q]), so consecutive
+// blocks read the same cache lines. The wider stages then run two at a
+// time: each group of four quarter-vectors is loaded once, runs stage h's
+// two butterflies, then stage 2h's two, and is stored once. `Ops` holds
+// the calling TU's register ops (load, store, load_tw, bfly), so each TU
+// instantiates this under its own flags.
+template <typename Ops, typename T, typename V, typename Gather,
+          typename Narrow>
+static inline void fused_fft_pass(T* d, std::size_t m,
+                                  const std::uint32_t* bitrev, const T* tw,
+                                  V flip, Gather&& gather,
+                                  Narrow&& narrow_stages) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(T);
+  const bool pair_blocks =
+      std::countr_zero(m) % 2 != std::countr_zero(kLanes) % 2;
+  const std::size_t block = pair_blocks ? 2 * kLanes : kLanes;
+  if (pair_blocks) {
+    const T* w = tw + 2 * (kLanes - 1);  // stage kLanes, two registers
+    const auto wlo = Ops::load_tw(w, flip);
+    const auto whi = Ops::load_tw(w + kLanes, flip);
+    for (std::size_t q = 0; q < m / block; ++q) {
+      const std::size_t s = bitrev[q];
+      V a0, b0, a1, b1;
+      gather(s, a0, b0);
+      narrow_stages(a0, b0);
+      gather(s + kLanes, a1, b1);
+      narrow_stages(a1, b1);
+      Ops::bfly(a0, a1, wlo);
+      Ops::bfly(b0, b1, whi);
+      Ops::store(d + 2 * s, a0);
+      Ops::store(d + 2 * s + kLanes, b0);
+      Ops::store(d + 2 * s + 2 * kLanes, a1);
+      Ops::store(d + 2 * s + 3 * kLanes, b1);
+    }
+  } else {
+    for (std::size_t q = 0; q < m / block; ++q) {
+      const std::size_t s = bitrev[q];
+      V a, b;
+      gather(s, a, b);
+      narrow_stages(a, b);
+      Ops::store(d + 2 * s, a);
+      Ops::store(d + 2 * s + kLanes, b);
+    }
+  }
+  for (std::size_t half = block; half < m; half *= 4) {
+    const T* wa = tw + 2 * (half - 1);
+    const T* wb = tw + 2 * (2 * half - 1);
+    for (std::size_t s = 0; s < m; s += 4 * half) {
+      T* q = d + 2 * s;
+      const std::size_t q1 = 2 * half, q2 = 4 * half, q3 = 6 * half;
+      for (std::size_t k = 0; k < 2 * half; k += kLanes) {
+        V a0 = Ops::load(q + k);
+        V a1 = Ops::load(q + q1 + k);
+        V a2 = Ops::load(q + q2 + k);
+        V a3 = Ops::load(q + q3 + k);
+        const auto w = Ops::load_tw(wa + k, flip);
+        Ops::bfly(a0, a1, w);
+        Ops::bfly(a2, a3, w);
+        Ops::bfly(a0, a2, Ops::load_tw(wb + k, flip));
+        Ops::bfly(a1, a3, Ops::load_tw(wb + 2 * half + k, flip));
+        Ops::store(q + k, a0);
+        Ops::store(q + q1 + k, a1);
+        Ops::store(q + q2 + k, a2);
+        Ops::store(q + q3 + k, a3);
+      }
     }
   }
 }

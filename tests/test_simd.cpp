@@ -452,8 +452,8 @@ std::vector<std::uint32_t> bit_reversal(std::size_t m) {
 }
 
 // The stages against the reference: the points go in already
-// bit-reversed, so the in-place permutation (an involution) hands every
-// target's butterflies the reference's input order.
+// bit-reversed, so the out-of-place permutation (an involution) hands
+// every target's butterflies the reference's input order.
 template <typename T, typename Pass>
 void expect_fft_pass_matches_reference(Pass pass_of, std::uint64_t seed) {
   for (std::size_t m = 1; m <= (std::size_t{1} << 14); m <<= 1) {
@@ -468,9 +468,9 @@ void expect_fft_pass_matches_reference(Pass pass_of, std::uint64_t seed) {
       std::vector<std::complex<T>> ref = x0;
       fft_pass_reference(ref, tw, conj_w);
       for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<std::complex<T>> got = reversed;
-        pass_of(*k)(pairs_of(got), pairs_of(got), m, rev.data(), tw.data(),
-                    conj_w);
+        std::vector<std::complex<T>> got(m);
+        pass_of(*k)(pairs_of(reversed), pairs_of(got), m, rev.data(),
+                    tw.data(), conj_w);
         for (std::size_t i = 0; i < m; ++i) {
           ASSERT_TRUE(same_bits(got[i], ref[i]))
               << k->name << " m " << m << " conj " << conj_w << " i " << i;
