@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <random>
 
+#include "channel/environment.h"
+#include "channel/noise.h"
 #include "dsp/fft.h"
 #include "dsp/fft_filter.h"
 #include "dsp/fir.h"
@@ -187,6 +189,26 @@ void BM_FftFilterStreamPush(benchmark::State& state) {
   state.counters["block"] = static_cast<double>(stream.fft_size());
 }
 BENCHMARK(BM_FftFilterStreamPush);
+
+// One microphone's ambient noise per 10 ms medium block: 480 samples of
+// a site's floor (normal draws shaped on the overlap-save stream), bursts
+// and tones, as AcousticMedium::fill_mic renders it.
+void BM_NoiseGenerate(benchmark::State& state) {
+  const auto site = static_cast<channel::Site>(state.range(0));
+  channel::NoiseGenerator gen(channel::site_preset(site).noise, 48000.0, 3);
+  std::vector<double> block(480);
+  dsp::Workspace ws;
+  for (int i = 0; i < 100; ++i) gen.generate(block, ws);
+  for (auto _ : state) {
+    gen.generate(block, ws);
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(channel::site_name(site));
+}
+BENCHMARK(BM_NoiseGenerate)
+    ->Arg(static_cast<int>(channel::Site::kBridge))
+    ->Arg(static_cast<int>(channel::Site::kLake));
 
 }  // namespace
 

@@ -213,8 +213,9 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
             out.begin() + static_cast<std::ptrdiff_t>(lead + path.extra_latency()));
 
   if (noise_) {
-    std::vector<double> nz = noise_->generate(out.size());
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += nz[i];
+    dsp::ScratchReal nz(ws, out.size());
+    noise_->generate(nz.span(), ws);
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] += nz.span()[i];
   }
   time_s_ += static_cast<double>(out.size()) / fs;
   return out;
@@ -223,7 +224,10 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
 std::vector<double> UnderwaterChannel::ambient(std::size_t n) {
   time_s_ += static_cast<double>(n) / config_.sample_rate_hz;
   if (!noise_) return std::vector<double>(n, 0.0);
-  return noise_->generate(n);
+  std::vector<double> out(n);
+  dsp::Workspace ws;
+  noise_->generate(out, ws);
+  return out;
 }
 
 UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,

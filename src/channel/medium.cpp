@@ -272,10 +272,10 @@ void AcousticMedium::update_live_paths(
 }
 
 void AcousticMedium::fill_mic(std::size_t m, std::vector<double>& dst,
-                              std::size_t n) {
+                              std::size_t n, dsp::Workspace& ws) {
   if (mics_[m]) {
     dst.resize(n);
-    mics_[m]->generate(dst);
+    mics_[m]->generate(dst, ws);
   } else {
     dst.assign(n, 0.0);
   }
@@ -326,11 +326,11 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
   // what never changes a sample (each path's stream and scratch are its
   // own, and the mix below reads them in canonical order).
   pool_->run([&](int w) {
+    dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
     for (std::size_t m = next_mic_.fetch_add(1, std::memory_order_relaxed);
          m < eps; m = next_mic_.fetch_add(1, std::memory_order_relaxed)) {
-      fill_mic(m, rx[m], n);
+      fill_mic(m, rx[m], n, worker_ws);
     }
-    dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
     std::uint64_t rendered = 0;
     std::uint64_t silent = 0;
     for (std::size_t k = next_path_.fetch_add(1, std::memory_order_relaxed);

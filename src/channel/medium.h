@@ -210,7 +210,8 @@ class AcousticMedium {
   /// contents); returns the multipath blocks its stream skipped as silent.
   std::uint64_t render_slot(PathSlot& slot, std::span<const double> tx_block,
                             std::vector<double>& out, dsp::Workspace& ws);
-  void fill_mic(std::size_t m, std::vector<double>& dst, std::size_t n);
+  void fill_mic(std::size_t m, std::vector<double>& dst, std::size_t n,
+                dsp::Workspace& ws);
 
   double fs_;
   MediumConfig config_;

@@ -4,7 +4,18 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dsp/fir.h"
+
 namespace aqua::channel {
+
+namespace {
+
+// Bound on the shaping stream's block: the 512-tap filter then runs
+// 2048-point transforms (1537 outputs each), which cost the same per
+// output as 4096 points and hold under half the memory per generator.
+constexpr std::size_t kShapingMaxStep = 2048;
+
+}  // namespace
 
 NoiseRng::NoiseRng(std::uint64_t seed) {
   // std::mersenne_twister_engine::seed with mt19937_64's initialization
@@ -126,8 +137,9 @@ NoiseGenerator::NoiseGenerator(const NoiseParams& params,
       sample_rate_hz_(sample_rate_hz),
       rng_(seed),
       burst_rng_(seed * 0x9E3779B97F4A7C15ULL + 0x6A09E667F3BCC909ULL),
-      shaping_taps_(design_shaping_filter(params, sample_rate_hz)),
-      shaping_(shaping_taps_),
+      shaping_(std::make_unique<const dsp::FftFilter>(
+          design_shaping_filter(params, sample_rate_hz), kShapingMaxStep)),
+      stream_(*shaping_),
       wander_(0.13 / sample_rate_hz, 0.0) {
   if (params_.bubble_rate_hz > 0.0) {
     const double p_burst = params_.bubble_rate_hz * (1.0 / sample_rate_hz_);
@@ -144,11 +156,12 @@ NoiseGenerator::NoiseGenerator(const NoiseParams& params,
   // Calibrate the shaped floor RMS empirically once (deterministic warmup
   // with a private RNG so the stream itself is unaffected).
   NoiseRng warm_rng(seed ^ 0xABCDEF);
-  dsp::StreamingFir warm(shaping_taps_);
   std::vector<double> white(8192);
   for (double& v : white) v = warm_rng.normal();
-  std::vector<double> shaped = warm.process(white);
-  const double raw_rms = dsp::rms(shaped);
+  dsp::Workspace ws;
+  const std::vector<double> shaped = shaping_->convolve(white, ws);
+  const double raw_rms =
+      dsp::rms(std::span<const double>(shaped).first(white.size()));
   const double target = noise_floor_rms(params_);
   floor_rms_ = target;
   gain_ = raw_rms > 0.0 ? target / raw_rms : 0.0;
@@ -156,21 +169,37 @@ NoiseGenerator::NoiseGenerator(const NoiseParams& params,
 
 double NoiseGenerator::psd_one_sided(double freq_hz) const {
   const double mag =
-      std::abs(dsp::fir_response(shaping_taps_, freq_hz, sample_rate_hz_));
+      std::abs(dsp::fir_response(shaping_taps(), freq_hz, sample_rate_hz_));
   return 2.0 / sample_rate_hz_ * gain_ * gain_ * mag * mag;
 }
 
 std::vector<double> NoiseGenerator::generate(std::size_t n) {
   std::vector<double> out(n);
-  generate(out);
+  dsp::Workspace ws;
+  generate(out, ws);
   return out;
 }
 
-void NoiseGenerator::generate(std::span<double> out) {
-  white_.resize(out.size());
-  for (double& v : white_) v = rng_.normal();
-  shaping_.process(white_, out);
-  for (double& v : out) v *= gain_;
+void NoiseGenerator::generate(std::span<double> out, dsp::Workspace& ws) {
+  std::size_t i = 0;
+  while (i < out.size()) {
+    if (served_ == shaped_.size()) {
+      // Shape the next block: one push of step() normals completes
+      // exactly one overlap-save block.
+      dsp::ScratchReal white(ws, stream_.step());
+      for (double& v : white.span()) v = rng_.normal();
+      shaped_.clear();
+      stream_.push(white.span(), shaped_, ws);
+      served_ = 0;
+    }
+    const std::size_t take =
+        std::min(out.size() - i, shaped_.size() - served_);
+    for (std::size_t j = 0; j < take; ++j) {
+      out[i + j] = gain_ * shaped_[served_ + j];
+    }
+    served_ += take;
+    i += take;
+  }
   if (params_.bubble_rate_hz > 0.0) add_bursts(out);
   if (!tones_.empty()) add_tones(out);
   sample_ += out.size();

@@ -7,11 +7,13 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "dsp/fir.h"
+#include "dsp/fft_filter.h"
 #include "dsp/types.h"
+#include "dsp/workspace.h"
 
 namespace aqua::channel {
 
@@ -90,7 +92,11 @@ class NoiseRng {
 
 /// Streaming colored-noise generator. Deterministic for a given seed, and
 /// chunking-invariant: generate(a) followed by generate(b) produces the
-/// same samples as generate(a + b). The noise floor and the impulsive
+/// same samples as generate(a + b). The floor is white normals shaped by a
+/// 512-tap filter on the overlap-save stream: the normals are drawn one
+/// stream block at a time, on the absolute sample grid, and each call is
+/// served from blocks already shaped (the input is synthetic, so drawing
+/// ahead adds no lag). The noise floor and the impulsive
 /// bursts draw from separate RNG streams, so the per-call draw counts of
 /// one cannot shift the other's sequence. The boat tones and their
 /// amplitude wander are unit phasors rotated once per sample and
@@ -107,13 +113,18 @@ class NoiseGenerator {
   /// Produces the next `n` samples of ambient noise.
   std::vector<double> generate(std::size_t n);
 
-  /// Writes the next out.size() samples of ambient noise into `out`
-  /// (same samples as generate(out.size()), without allocating once the
-  /// internal white-noise buffer has grown to the block size).
-  void generate(std::span<double> out);
+  /// Writes the next out.size() samples of ambient noise into `out` (same
+  /// samples as generate(out.size())), leasing the white-noise block from
+  /// `ws`; allocates nothing once `ws` has served one block.
+  void generate(std::span<double> out, dsp::Workspace& ws);
 
   /// RMS of the shaped noise floor (excluding bursts/tones).
   double floor_rms() const { return floor_rms_; }
+
+  /// The floor's shaping filter (before the calibration gain).
+  const std::vector<double>& shaping_taps() const {
+    return shaping_->kernel();
+  }
 
   /// One-sided power spectral density of the noise floor at `freq_hz`
   /// (per Hz), excluding bursts and tones. Used for analytic SNR checks.
@@ -147,11 +158,14 @@ class NoiseGenerator {
 
   NoiseParams params_;
   double sample_rate_hz_;
-  NoiseRng rng_;        ///< noise-floor stream (n normals per call)
+  NoiseRng rng_;        ///< noise-floor stream (step() normals per block)
   NoiseRng burst_rng_;  ///< burst arrivals + burst noise
-  std::vector<double> shaping_taps_;  ///< designed once, at construction
-  dsp::StreamingFir shaping_;
-  std::vector<double> white_;         ///< per-call white-noise scratch
+  /// The shaping filter, designed once; heap-held so the stream's pointer
+  /// to it survives moving the generator.
+  std::unique_ptr<const dsp::FftFilter> shaping_;
+  dsp::FftFilter::Stream stream_;
+  std::vector<double> shaped_;  ///< the current shaped block (unscaled)
+  std::size_t served_ = 0;      ///< samples of shaped_ already handed out
   double floor_rms_ = 0.0;
   double gain_ = 1.0;              ///< white->target-RMS scale factor
   std::uint64_t sample_ = 0;       ///< absolute index of the next sample

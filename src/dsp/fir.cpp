@@ -1,8 +1,6 @@
 #include "dsp/fir.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 #include "dsp/fft.h"
@@ -90,21 +88,6 @@ std::vector<double> design_from_magnitude(std::span<const double> magnitude,
   return h;
 }
 
-std::vector<double> design_fractional_delay(double delay_samples,
-                                            std::size_t taps) {
-  if (taps == 0) throw std::invalid_argument("fractional_delay: taps == 0");
-  if (delay_samples < 0.0 ||
-      delay_samples >= static_cast<double>(taps)) {
-    throw std::invalid_argument("fractional_delay: delay out of [0, taps)");
-  }
-  std::vector<double> w = make_window(WindowType::kBlackman, taps);
-  std::vector<double> h(taps);
-  for (std::size_t i = 0; i < taps; ++i) {
-    h[i] = sinc(static_cast<double>(i) - delay_samples) * w[i];
-  }
-  return h;
-}
-
 std::vector<double> convolve(std::span<const double> x,
                              std::span<const double> h) {
   if (x.empty() || h.empty()) return {};
@@ -181,52 +164,6 @@ std::vector<double> filter_same(std::span<const double> x,
   std::vector<double> out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = full[i + delay];
   return out;
-}
-
-StreamingFir::StreamingFir(std::vector<double> taps)
-    : taps_(std::move(taps)) {
-  if (taps_.empty()) throw std::invalid_argument("StreamingFir: empty taps");
-  rtaps_.assign(taps_.rbegin(), taps_.rend());
-  buf_.assign(taps_.size() - 1, 0.0);  // zero prehistory: causal filter
-}
-
-std::vector<double> StreamingFir::process(std::span<const double> in) {
-  // lint: alloc-ok(sim-side streaming API returns its block by value; not on the modem decode path)
-  std::vector<double> out(in.size());
-  process(in, out);
-  return out;
-}
-
-void StreamingFir::process(std::span<const double> in,
-                           std::span<double> out) {
-  if (out.size() != in.size()) {
-    // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
-    throw std::invalid_argument("StreamingFir: output size mismatch");
-  }
-  if (in.empty()) return;
-  const std::size_t t = taps_.size();
-  const std::size_t hist = t - 1;  // buf_ holds t-1 samples between calls
-  // Materialize [history | block] once (capacity persists across calls):
-  // every output i is then one contiguous window dot
-  //   y[i] = sum_k rtaps[k] * buf[i + k] = sum_j taps[j] * v[i - j],
-  // a pure function of its absolute input window — which keeps the stream
-  // chunking-invariant on every dispatch target.
-  // lint: alloc-ok(capacity persists across calls; resize stays within it after warm-up)
-  buf_.resize(hist + in.size());
-  std::copy(in.begin(), in.end(),
-            buf_.begin() + static_cast<std::ptrdiff_t>(hist));
-  simd::active().fir(rtaps_.data(), buf_.data(), out.data(), t, in.size());
-  // Retain the trailing t-1 samples as the next call's history (memmove:
-  // the ranges overlap when the block is shorter than the history).
-  if (hist > 0) {
-    std::memmove(buf_.data(), buf_.data() + in.size(), hist * sizeof(double));
-  }
-  // lint: alloc-ok(shrinking resize; never reallocates)
-  buf_.resize(hist);
-}
-
-void StreamingFir::reset() {
-  buf_.assign(taps_.size() - 1, 0.0);
 }
 
 cplx fir_response(std::span<const double> taps, double freq_hz,

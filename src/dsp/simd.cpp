@@ -74,17 +74,9 @@ float scalar_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-// The FIR reference is the definition itself: one dot per output. The
-// vector targets advance several outputs per pass and must match it.
-void scalar_fir(const double* a, const double* x, double* out, std::size_t t,
-                std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = scalar_dot(a, x + i, t);
-}
-
 constexpr Kernels kScalarKernels{"scalar",
                                  scalar_cmul_inplace,
                                  scalar_dot,
-                                 scalar_fir,
                                  fft_pass_ref<double>,
                                  rfft_untwiddle_ref<double>,
                                  irfft_untwiddle_ref<double>,

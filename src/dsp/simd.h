@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD kernels for the hot inner loops.
 //
 // The zero-allocation DSP core reduced every hot path to tight
-// span-over-span passes; this header names those passes as six kernel
+// span-over-span passes; this header names those passes as five kernel
 // families and selects the widest implementation the running CPU supports
 // once at startup (AVX-512 or AVX2+FMA on x86-64, NEON on AArch64,
 // portable scalar anywhere):
@@ -11,13 +11,6 @@
 //     and of every Bluestein transform.
 //   * `dot` — the FIR dot product: the preamble sliding segment metric
 //     and short-template direct correlation.
-//   * `fir` — a run of FIR outputs, each one `dot` over a window sliding
-//     by one sample: `StreamingFir::process` (ambient-noise shaping and
-//     carrier sense). The vector targets run it
-//     lane-major: one register of consecutive outputs per dot lane, each
-//     tap broadcast once for the whole run, so the FMA chains run side by
-//     side (throughput- rather than latency-bound) while each output keeps
-//     `dot`'s exact tree.
 //   * `sdft_update` — the sliding-DFT bin update: a run of consecutive
 //     samples of `moving_dft_power`'s running recurrence, one fused
 //     multiply-add per active bin (real and imaginary part) per sample
@@ -40,9 +33,8 @@
 // Each family has exactly the precisions the library runs: `cmul_inplace`,
 // `dot`, `fft_pass` and the real-FFT glue have a double entry and a float
 // entry (`*_f`, twice the lanes at the same vector width — the point of the
-// single-precision receive front end); `fir` is double only (the medium's
-// noise shaping and carrier sense) and `sdft_update` float only (the tone
-// decoders).
+// single-precision receive front end); `sdft_update` is float only (the
+// tone decoders).
 //
 // Every implementation of a kernel computes the SAME floating-point
 // expression tree — fixed lane-accumulator structure (4 double / 8 float
@@ -92,12 +84,6 @@ struct Kernels {
   /// Element i accumulates into lane (i mod 4); lanes reduce as
   /// (l0 + l1) + (l2 + l3). Identical tree on every target.
   double (*dot)(const double* a, const double* b, std::size_t n);
-
-  /// FIR run: out[i] = dot(a, x + i, t) for i < n, bit for bit (every
-  /// output keeps dot's lane structure and reduction). Reads
-  /// x[0, n + t - 1).
-  void (*fir)(const double* a, const double* x, double* out, std::size_t t,
-              std::size_t n);
 
   /// One whole radix-2 transform of `m` (a power of two) points stored as
   /// interleaved (re, im) pairs at any element alignment. First the

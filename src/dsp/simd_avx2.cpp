@@ -58,51 +58,6 @@ double avx2_dot(const double* a, const double* b, std::size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-// fir runs lane-major: a run of 4 * G consecutive outputs keeps one
-// accumulator per (dot lane l, group g), whose element r holds lane l of
-// output o + 4g + r. Tap i adds broadcast(a[i]) * x[o + 4g + r + i] to
-// lane i mod 4 in ascending i, and the lanes reduce as (l0 + l1) +
-// (l2 + l3): dot's exact tree for every output, with each tap broadcast
-// shared by the whole run and 4 * G independent FMA chains in flight.
-template <std::size_t G>
-void avx2_fir_run(const double* a, const double* x, double* out,
-                  std::size_t t) {
-  __m256d acc[4][G];
-  for (std::size_t l = 0; l < 4; ++l) {
-    for (std::size_t g = 0; g < G; ++g) acc[l][g] = _mm256_setzero_pd();
-  }
-  const auto tap = [&](std::size_t l, std::size_t i) {
-    const __m256d av = _mm256_set1_pd(a[i]);
-    for (std::size_t g = 0; g < G; ++g) {
-      acc[l][g] = _mm256_fmadd_pd(av, _mm256_loadu_pd(x + i + 4 * g),
-                                  acc[l][g]);
-    }
-  };
-  const std::size_t t4 = t & ~std::size_t{3};
-  for (std::size_t i = 0; i < t4; i += 4) {
-    tap(0, i);
-    tap(1, i + 1);
-    tap(2, i + 2);
-    tap(3, i + 3);
-  }
-  for (std::size_t l = 0; l < 3; ++l) {
-    if (t4 + l < t) tap(l, t4 + l);
-  }
-  for (std::size_t g = 0; g < G; ++g) {
-    _mm256_storeu_pd(out + 4 * g,
-                     _mm256_add_pd(_mm256_add_pd(acc[0][g], acc[1][g]),
-                                   _mm256_add_pd(acc[2][g], acc[3][g])));
-  }
-}
-
-void avx2_fir(const double* a, const double* x, double* out, std::size_t t,
-             std::size_t n) {
-  std::size_t o = 0;
-  for (; o + 8 <= n; o += 8) avx2_fir_run<2>(a, x + o, out + o, t);
-  for (; o + 4 <= n; o += 4) avx2_fir_run<1>(a, x + o, out + o, t);
-  for (; o < n; ++o) out[o] = avx2_dot(a, x + o, t);
-}
-
 // Complex-lane helpers: re/im swapped in every complex lane, and sign
 // masks whose XOR negates the real (even) or imaginary (odd) lanes exactly.
 inline __m256d swap_ri(__m256d x) { return _mm256_permute_pd(x, 0b0101); }
@@ -460,7 +415,6 @@ void avx2_scale_f(float* x, std::size_t n, float s) {
 constexpr Kernels kAvx2Kernels{"avx2",
                                avx2_cmul_inplace,
                                avx2_dot,
-                               avx2_fir,
                                avx2_fft_pass,
                                avx2_rfft_untwiddle,
                                avx2_irfft_untwiddle,

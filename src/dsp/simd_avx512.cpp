@@ -6,15 +6,13 @@
 // Bit-identity discipline: the dot kernel keeps the FIXED lane-accumulator
 // structure of the scalar reference (4 double / 8 float lanes), so it runs
 // at 256-bit width — widening the accumulator to 512 bits would change the
-// reduction tree and the results. fir keeps that tree per output but turns
-// it lane-major (one register of consecutive outputs per dot lane), so it
-// gets the full width. The element-independent kernels (cmul_inplace,
-// sdft_update, fft_pass) have no cross-element state, so they get the full
-// 512-bit width; their per-element expression trees match the scalar
-// reference exactly. AVX-512 has no addsub instruction, so the complex
-// products' alternating sub/add is spelled as a plain add of a cross term
-// whose sign was folded into the twiddle by XOR — IEEE-exact, since
-// b * (-w) == -(b * w) and x + (-y) == x - y.
+// reduction tree and the results. The element-independent kernels
+// (cmul_inplace, sdft_update, fft_pass) have no cross-element state, so
+// they get the full 512-bit width; their per-element expression trees match
+// the scalar reference exactly. AVX-512 has no addsub instruction, so the
+// complex products' alternating sub/add is spelled as a plain add of a
+// cross term whose sign was folded into the twiddle by XOR — IEEE-exact,
+// since b * (-w) == -(b * w) and x + (-y) == x - y.
 #include "dsp/simd_internal.h"
 
 #if defined(AQUA_SIMD_HAVE_AVX512)
@@ -64,51 +62,6 @@ double avx512_dot(const double* a, const double* b, std::size_t n) {
     lane[i & 3] = __builtin_fma(a[i], b[i], lane[i & 3]);
   }
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-// fir runs lane-major: a run of 8 * G consecutive outputs keeps one
-// 512-bit accumulator per (dot lane l, group g), whose element r holds lane
-// l of output o + 8g + r. Tap i adds broadcast(a[i]) * x[o + 8g + r + i]
-// to lane i mod 4 in ascending i, and the lanes reduce as
-// (l0 + l1) + (l2 + l3): dot's exact tree for every output, with each tap
-// broadcast shared by the whole run and 4 * G independent FMA chains.
-template <std::size_t G>
-void avx512_fir_run(const double* a, const double* x, double* out,
-                    std::size_t t) {
-  __m512d acc[4][G];
-  for (std::size_t l = 0; l < 4; ++l) {
-    for (std::size_t g = 0; g < G; ++g) acc[l][g] = _mm512_setzero_pd();
-  }
-  const auto tap = [&](std::size_t l, std::size_t i) {
-    const __m512d av = _mm512_set1_pd(a[i]);
-    for (std::size_t g = 0; g < G; ++g) {
-      acc[l][g] = _mm512_fmadd_pd(av, _mm512_loadu_pd(x + i + 8 * g),
-                                  acc[l][g]);
-    }
-  };
-  const std::size_t t4 = t & ~std::size_t{3};
-  for (std::size_t i = 0; i < t4; i += 4) {
-    tap(0, i);
-    tap(1, i + 1);
-    tap(2, i + 2);
-    tap(3, i + 3);
-  }
-  for (std::size_t l = 0; l < 3; ++l) {
-    if (t4 + l < t) tap(l, t4 + l);
-  }
-  for (std::size_t g = 0; g < G; ++g) {
-    _mm512_storeu_pd(out + 8 * g,
-                     _mm512_add_pd(_mm512_add_pd(acc[0][g], acc[1][g]),
-                                   _mm512_add_pd(acc[2][g], acc[3][g])));
-  }
-}
-
-void avx512_fir(const double* a, const double* x, double* out,
-                std::size_t t, std::size_t n) {
-  std::size_t o = 0;
-  for (; o + 16 <= n; o += 16) avx512_fir_run<2>(a, x + o, out + o, t);
-  for (; o + 8 <= n; o += 8) avx512_fir_run<1>(a, x + o, out + o, t);
-  for (; o < n; ++o) out[o] = avx512_dot(a, x + o, t);
 }
 
 // Complex-lane helpers: re/im swapped in every complex lane, and sign
@@ -524,7 +477,6 @@ void avx512_scale_f(float* x, std::size_t n, float s) {
 constexpr Kernels kAvx512Kernels{"avx512",
                                  avx512_cmul_inplace,
                                  avx512_dot,
-                                 avx512_fir,
                                  avx512_fft_pass,
                                  avx512_rfft_untwiddle,
                                  avx512_irfft_untwiddle,

@@ -51,48 +51,6 @@ double neon_dot(const double* a, const double* b, std::size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-// fir advances kFirRun outputs per pass over the taps. Each output owns the
-// two accumulators of dot's 4-lane structure and sees exactly dot's
-// sequence of fused multiply-adds; the tap pair is loaded once per step
-// for all of them, and the independent FMA chains overlap in the pipeline.
-// Leftover outputs fall back to dot.
-constexpr std::size_t kFirRun = 4;
-
-void neon_fir(const double* a, const double* x, double* out, std::size_t t,
-              std::size_t n) {
-  const std::size_t t4 = t & ~std::size_t{3};
-  std::size_t o = 0;
-  for (; o + kFirRun <= n; o += kFirRun) {
-    float64x2_t acc01[kFirRun];
-    float64x2_t acc23[kFirRun];
-    for (std::size_t r = 0; r < kFirRun; ++r) {
-      acc01[r] = vdupq_n_f64(0.0);
-      acc23[r] = vdupq_n_f64(0.0);
-    }
-    for (std::size_t i = 0; i < t4; i += 4) {
-      const float64x2_t a01 = vld1q_f64(a + i);
-      const float64x2_t a23 = vld1q_f64(a + i + 2);
-      for (std::size_t r = 0; r < kFirRun; ++r) {
-        const double* b = x + o + r + i;
-        acc01[r] = vfmaq_f64(acc01[r], a01, vld1q_f64(b));
-        acc23[r] = vfmaq_f64(acc23[r], a23, vld1q_f64(b + 2));
-      }
-    }
-    for (std::size_t r = 0; r < kFirRun; ++r) {
-      const double* b = x + o + r;
-      double lane[4] = {vgetq_lane_f64(acc01[r], 0),
-                        vgetq_lane_f64(acc01[r], 1),
-                        vgetq_lane_f64(acc23[r], 0),
-                        vgetq_lane_f64(acc23[r], 1)};
-      for (std::size_t i = t4; i < t; ++i) {
-        lane[i & 3] = __builtin_fma(a[i], b[i], lane[i & 3]);
-      }
-      out[o + r] = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-    }
-  }
-  for (; o < n; ++o) out[o] = neon_dot(a, x + o, t);
-}
-
 // The whole radix-2 pass: the reference permutation, then the stages. One
 // complex double fills a register, so every stage runs its blocks straight
 // from memory, one butterfly per point.
@@ -283,7 +241,6 @@ void neon_fft_pass_f(const float* in, float* d, std::size_t m,
 constexpr Kernels kNeonKernels{"neon",
                                neon_cmul_inplace,
                                neon_dot,
-                               neon_fir,
                                neon_fft_pass,
                                rfft_untwiddle_ref<double>,
                                irfft_untwiddle_ref<double>,

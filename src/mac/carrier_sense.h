@@ -10,7 +10,7 @@
 #include <span>
 #include <vector>
 
-#include "dsp/fir.h"
+#include "dsp/fft_filter.h"
 
 namespace aqua::mac {
 
@@ -19,6 +19,7 @@ class CarrierSense {
  public:
   /// `measure_interval_s` is the paper's 80 ms; `threshold_margin_db` is
   /// how far above the calibrated noise floor the busy threshold sits.
+  /// Throws std::invalid_argument when the interval rounds to no samples.
   CarrierSense(double sample_rate_hz = 48000.0,
                double measure_interval_s = 0.08,
                double threshold_margin_db = 6.0);
@@ -38,17 +39,15 @@ class CarrierSense {
   double last_level() const { return last_level_; }
   std::size_t interval_samples() const { return interval_samples_; }
 
-  /// One-shot helper: average 1-4 kHz band power of a block.
-  double band_level(std::span<const double> samples);
-
  private:
-  double sample_rate_hz_;
   std::size_t interval_samples_;
   double threshold_margin_db_;
   double threshold_ = 0.0;
   double last_level_ = 0.0;
-  dsp::StreamingFir bandpass_;
-  std::vector<double> pending_;  ///< samples of the current interval
+  dsp::FftFilter bandpass_;
+  /// Raw input: the bandpass's history (its last kernel_size() - 1
+  /// samples, zeros at start) followed by the current interval so far.
+  std::vector<double> pending_;
 };
 
 }  // namespace aqua::mac

@@ -247,14 +247,14 @@ TEST(Noise, EveryPresetMatchesGoldenOverRaggedChunks) {
   // Each site's ambient process (floor, bubble bursts, boat tones) pushed
   // in ragged chunks must equal the same second generated in one call:
   // odd chunks leave a saved normal variate pending across calls, and the
-  // 1024-sample tone anchors fall inside chunks. The Bridge, Beach and Bay
-  // hashes were recorded from the std::mt19937_64 +
-  // std::normal_distribution implementation NoiseRng replaced; the Park,
-  // Lake and Museum hashes from the phasor tones (whose sum
-  // Noise.ToneTermTracksPerSampleSine checks against the per-sample sine).
+  // 1024-sample tone anchors fall inside chunks, as do the 1537-sample
+  // blocks of the shaping stream. The hashes were recorded from the
+  // overlap-save shaping; Noise.OverlapSaveShapingMatchesDirectFir bounds
+  // its floor against the direct FIR, Noise.RngMatchesLibstdcxxBitForBit
+  // pins the draws and Noise.ToneTermTracksPerSampleSine the tones.
   const std::uint64_t golden[] = {
-      0x18bfc9e9bd457439ULL, 0x4e5cafcc163acad0ULL, 0x107dedb10b850655ULL,
-      0xe847b8e2257b559bULL, 0x37065cb8e1e8df4aULL, 0xd4a48b46c432d096ULL};
+      0x630e11d939dabe03ULL, 0x27a2d9a64e714bc1ULL, 0xe44249229f7f25d4ULL,
+      0x5114b44585ad7efaULL, 0x3cabb1dfc26c4107ULL, 0xd7458d85b19e9e93ULL};
   const std::size_t sizes[] = {1, 479, 480, 7, 4096, 333, 2, 960};
   const std::vector<Site> sites = all_sites();
   ASSERT_EQ(sites.size(), std::size(golden));
@@ -271,6 +271,55 @@ TEST(Noise, EveryPresetMatchesGoldenOverRaggedChunks) {
     NoiseGenerator whole(np, 48000.0, 21);
     EXPECT_EQ(got, whole.generate(48000)) << site_name(sites[s]);
     EXPECT_EQ(bits_hash(got), golden[s]) << site_name(sites[s]);
+  }
+}
+
+TEST(Noise, OverlapSaveShapingMatchesDirectFir) {
+  // The floor is the site's shaping taps run over NoiseRng(seed)'s normals
+  // from zero history, times one calibration gain. The overlap-save stream
+  // only rounds differently from the direct dot product, so over ragged
+  // chunks around the stream's 1537-sample block the generator must match
+  // a direct FIR of the same draws, scaled by the least-squares gain, to
+  // 1e-12 of the output RMS.
+  const std::size_t sizes[] = {1, 479, 480, 1537, 1538, 5000};
+  const std::size_t total = 30000;
+  for (const Site site : all_sites()) {
+    NoiseParams np = site_preset(site).noise;
+    np.bubble_rate_hz = 0.0;
+    np.boat_tones_hz.clear();
+    NoiseGenerator gen(np, 48000.0, 17);
+    dsp::Workspace ws;
+    std::vector<double> got(total);
+    for (std::size_t b = 0, c = 0; b < total; ++c) {
+      const std::size_t n = std::min(sizes[c % std::size(sizes)], total - b);
+      gen.generate(std::span<double>(got).subspan(b, n), ws);
+      b += n;
+    }
+    const std::vector<double>& h = gen.shaping_taps();
+    ASSERT_EQ(h.size(), 512u);
+    NoiseRng rng(17);
+    std::vector<double> white(total);
+    for (double& v : white) v = rng.normal();
+    std::vector<double> direct(total, 0.0);
+    for (std::size_t p = 0; p < total; ++p) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < h.size() && j <= p; ++j) {
+        acc += h[j] * white[p - j];
+      }
+      direct[p] = acc;
+    }
+    double gd = 0.0;
+    double dd = 0.0;
+    for (std::size_t p = 0; p < total; ++p) {
+      gd += got[p] * direct[p];
+      dd += direct[p] * direct[p];
+    }
+    const double gain = gd / dd;
+    double worst = 0.0;
+    for (std::size_t p = 0; p < total; ++p) {
+      worst = std::max(worst, std::abs(got[p] - gain * direct[p]));
+    }
+    EXPECT_LE(worst, 1e-12 * dsp::rms(got)) << site_name(site);
   }
 }
 

@@ -64,21 +64,6 @@ TEST(Fir, FrequencySamplingHitsRequestedMagnitudes) {
   EXPECT_LT(out_band, 0.1);
 }
 
-TEST(Fir, FractionalDelayDelaysByFraction) {
-  const double delay = 8.3;
-  const std::vector<double> h = design_fractional_delay(delay, 17);
-  // A slow sinusoid through the filter shifts by `delay` samples.
-  std::vector<double> x(400);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(kTwoPi * 0.01 * static_cast<double>(i));
-  }
-  const std::vector<double> y = convolve(x, h);
-  for (std::size_t i = 100; i < 300; ++i) {
-    const double expect = std::sin(kTwoPi * 0.01 * (static_cast<double>(i) - delay));
-    EXPECT_NEAR(y[i], expect, 0.01);
-  }
-}
-
 TEST(Fir, ConvolveMatchesManual) {
   const std::vector<double> x = {1.0, 2.0, 3.0};
   const std::vector<double> h = {1.0, -1.0};
@@ -107,26 +92,6 @@ TEST(Fir, FftConvolutionMatchesDirect) {
       if (i >= j && i - j < x.size()) acc += x[i - j] * h[j];
     }
     EXPECT_NEAR(y[i], acc, 1e-6);
-  }
-}
-
-TEST(Fir, StreamingMatchesBatch) {
-  std::mt19937_64 rng(5);
-  std::normal_distribution<double> g(0.0, 1.0);
-  std::vector<double> x(1000), h(33);
-  for (auto& v : x) v = g(rng);
-  for (auto& v : h) v = g(rng);
-  StreamingFir fir{std::vector<double>(h)};
-  std::vector<double> streamed;
-  for (std::size_t base = 0; base < x.size(); base += 77) {
-    const std::size_t len = std::min<std::size_t>(77, x.size() - base);
-    auto block = fir.process(std::span<const double>(x).subspan(base, len));
-    streamed.insert(streamed.end(), block.begin(), block.end());
-  }
-  const std::vector<double> full = convolve(x, h);
-  ASSERT_EQ(streamed.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(streamed[i], full[i], 1e-9) << "sample " << i;
   }
 }
 

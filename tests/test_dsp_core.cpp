@@ -1,6 +1,6 @@
 // Zero-allocation DSP core: Workspace arenas, the overlap-save FftFilter
 // engine, the moving-window DFT bank, template-cached correlation, and the
-// running-sum regressions (sliding_energy drift, StreamingFir ring history).
+// running-sum regression (sliding_energy drift).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -489,46 +489,6 @@ TEST(SlidingEnergy, LoudThenSilentCaptureHasNoResidue) {
   for (std::size_t i = 12000; i < e.size(); i += 501) {
     ASSERT_LT(e[i], 1e-6) << "window " << i;
   }
-}
-
-// --- StreamingFir ring history. ------------------------------------------
-
-TEST(StreamingFir, TinyBlocksMatchBatchConvolution) {
-  // Blocks shorter than the filter history exercise the in-place shift
-  // path; the streamed output must still be bit-compatible with the batch
-  // filter.
-  std::mt19937_64 rng(41);
-  std::normal_distribution<double> g(0.0, 1.0);
-  std::vector<double> x(500), h(33);
-  for (auto& v : x) v = g(rng);
-  for (auto& v : h) v = g(rng);
-  StreamingFir fir{std::vector<double>(h)};
-  std::vector<double> streamed;
-  std::size_t base = 0;
-  const std::size_t sizes[] = {1, 3, 40, 7, 2, 100, 5};
-  std::size_t pick = 0;
-  while (base < x.size()) {
-    const std::size_t len =
-        std::min(sizes[pick++ % std::size(sizes)], x.size() - base);
-    auto block = fir.process(std::span<const double>(x).subspan(base, len));
-    streamed.insert(streamed.end(), block.begin(), block.end());
-    base += len;
-  }
-  const std::vector<double> full = convolve(x, h);
-  ASSERT_EQ(streamed.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(streamed[i], full[i], 1e-9) << "sample " << i;
-  }
-}
-
-TEST(StreamingFir, EmptyBlockIsANoOp) {
-  StreamingFir fir{std::vector<double>{0.5, 0.25, 0.25}};
-  std::vector<double> first = fir.process(std::vector<double>{1.0, 2.0});
-  EXPECT_TRUE(fir.process(std::span<const double>{}).empty());
-  // History must be unchanged by the empty call: next output continues the
-  // stream exactly.
-  std::vector<double> next = fir.process(std::vector<double>{3.0});
-  EXPECT_NEAR(next[0], 0.5 * 3.0 + 0.25 * 2.0 + 0.25 * 1.0, 1e-12);
 }
 
 // --- Workspace reuse and the zero-allocation FFT paths. ------------------

@@ -2,12 +2,16 @@
 // session, SoS service) layers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
+#include <span>
 
 #include "core/aquaapp.h"
 #include "core/link_session.h"
 #include "core/messages.h"
 #include "dsp/chirp.h"
+#include "dsp/fir.h"
 #include "mac/carrier_sense.h"
 #include "mac/netsim.h"
 
@@ -54,6 +58,43 @@ TEST(CarrierSense, EightyMillisecondCadence) {
   std::vector<double> block(3840 * 3 + 100, 0.0);
   auto levels = cs.feed(block);
   EXPECT_EQ(levels.size(), 3u);
+}
+
+TEST(CarrierSense, LevelsMatchTheCausalBandpassOverRaggedFeeds) {
+  // Each level is the mean power of the causal 129-tap bandpass over one
+  // interval, with the filter's history carried across intervals and
+  // feeds. Fed in ragged chunks, the levels must match a direct filter of
+  // the whole signal to roundoff.
+  mac::CarrierSense cs;
+  std::mt19937_64 rng(4);
+  std::normal_distribution<double> g(0.0, 0.01);
+  std::vector<double> x(3840 * 4 + 517);
+  for (auto& v : x) v = g(rng);
+  std::vector<double> levels;
+  const std::size_t sizes[] = {1, 128, 3839, 7, 3841, 2000};
+  for (std::size_t b = 0, c = 0; b < x.size(); ++c) {
+    const std::size_t n = std::min(sizes[c % std::size(sizes)], x.size() - b);
+    const std::vector<double> got =
+        cs.feed(std::span<const double>(x).subspan(b, n));
+    levels.insert(levels.end(), got.begin(), got.end());
+    b += n;
+  }
+  ASSERT_EQ(levels.size(), 4u);
+  const std::vector<double> h =
+      dsp::design_bandpass(1000.0, 4000.0, 48000.0, 129);
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    double power = 0.0;
+    for (std::size_t p = k * 3840; p < (k + 1) * 3840; ++p) {
+      double y = 0.0;
+      for (std::size_t j = 0; j < h.size() && j <= p; ++j) {
+        y += h[j] * x[p - j];
+      }
+      power += y * y;
+    }
+    power /= 3840.0;
+    EXPECT_NEAR(levels[k], power, 1e-12 * power) << "interval " << k;
+  }
+  EXPECT_EQ(cs.last_level(), levels.back());
 }
 
 TEST(MacSim, CarrierSenseSlashesCollisions) {

@@ -233,7 +233,6 @@ TEST(Simd, ActiveTableIsRunnable) {
   const simd::Kernels& k = simd::active();
   EXPECT_NE(k.name, nullptr);
   EXPECT_NE(k.dot, nullptr);
-  EXPECT_NE(k.fir, nullptr);
   EXPECT_NE(k.cmul_inplace, nullptr);
   EXPECT_NE(k.fft_pass, nullptr);
   EXPECT_NE(k.dot_f, nullptr);
@@ -265,32 +264,6 @@ TEST(Simd, DotBitIdenticalAcrossTargetsAndCorrect) {
     for (const simd::Kernels* k : runnable_targets()) {
       const double got = k->dot(a.data(), b.data(), n);
       EXPECT_EQ(got, ref) << k->name << " n " << n;
-    }
-  }
-}
-
-// Tap counts and output runs around the lane (4 / 8) and per-pass output
-// (4 / 8 / 16 / 32) boundaries, runs that take every pass width down to
-// the per-output tail (25 = 16 + 8 + 1, 49 = 32 + 16 + 1), plus the
-// 512-tap noise-shaping filter.
-const std::size_t kFirTaps[] = {1, 3, 4, 5, 7, 8, 9, 17, 128, 129, 512};
-const std::size_t kFirOutputs[] = {0,  1,  3,  4,  7,  8,  9,
-                                   15, 16, 17, 25, 49, 480};
-
-TEST(Simd, FirMatchesDotPerOutputOnEveryTarget) {
-  for (const std::size_t t : kFirTaps) {
-    for (const std::size_t n : kFirOutputs) {
-      const std::vector<double> a = random_real(t, 600 + t);
-      const std::vector<double> x = random_real(n + t - 1, 700 + n);
-      for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<double> got(n + 1, -1.0);  // one guard slot past the end
-        k->fir(a.data(), x.data(), got.data(), t, n);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got[i], k->dot(a.data(), x.data() + i, t))
-              << k->name << " taps " << t << " outputs " << n << " i " << i;
-        }
-        EXPECT_EQ(got[n], -1.0) << k->name << " wrote past the run";
-      }
     }
   }
 }
