@@ -1,5 +1,6 @@
 // Fig. 17 reproduction: effect of OFDM subcarrier spacing (50/25/10 Hz) at
-// the lake, 5 m and 20 m. Prints bitrate CDFs and PER per spacing.
+// the lake, 5 m and 20 m. Prints the median bitrate, PER, detection rate
+// and how many packets' band feedback the sender decoded, per spacing.
 // Points: bench::fig17_spacing(); --threads N sizes the sweep pool.
 #include <cstdio>
 
@@ -11,14 +12,15 @@ int main(int argc, char** argv) {
   const int n = bench::packets_per_config(8);
   const std::vector<bench::BatchStats> stats = bench::run_figure(
       bench::fig17_spacing(), n, bench::sweep_threads(argc, argv));
-  std::printf("%10s %8s %14s %10s %12s\n", "spacing", "range", "median bps",
-              "PER", "detection");
+  std::printf("%10s %8s %14s %10s %12s %12s\n", "spacing", "range",
+              "median bps", "PER", "detection", "feedback_ok");
   std::size_t k = 0;
   for (double spacing : bench::kFig17Spacings) {
     for (double range : bench::kFig17Ranges) {
       const bench::BatchStats& s = stats[k++];
-      std::printf("%7.0f Hz %6.0f m %14.1f %9.1f%% %11.2f\n", spacing, range,
-                  s.median_bitrate(), 100.0 * s.per(), s.detection_rate());
+      std::printf("%7.0f Hz %6.0f m %14.1f %9.1f%% %11.2f %10d/%d\n",
+                  spacing, range, s.median_bitrate(), 100.0 * s.per(),
+                  s.detection_rate(), s.feedback_ok, s.sent);
     }
   }
   std::printf("\n(paper: ~1%% PER for every spacing at 5 m; at 20 m the 50 Hz "

@@ -1,7 +1,7 @@
 // Streaming front end vs. the rescan baseline.
 //
 // The pre-Modem realtime receiver re-filtered and re-correlated its whole
-// rolling capture (search_buffer samples) on every push, in double
+// rolling capture (a fixed retention) on every push, in double
 // precision, so per-push cost grew with the buffer. The PreambleScanner
 // filters and correlates each sample exactly once through stateful fp32
 // overlap-save streams, making per-push cost O(chunk · log B) regardless
@@ -14,7 +14,7 @@
 // library keeps only that fp32 front end, so the baseline keeps the old
 // double batch detector and its sliding metric locally (BatchDetector
 // below). The acceptance bar: streaming >= 2x over the rescan baseline at
-// the default 48000-sample buffer.
+// a 48000-sample buffer, the retention the old receiver defaulted to.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -86,11 +86,8 @@ PacketTrace LinkSession::send_packet(std::span<const std::uint8_t> info_bits) {
   alice_->send(info_bits, config_.bob_id);
 
   const std::size_t block = std::max<std::size_t>(config_.medium_block_samples, 1);
-  const double fs = config_.forward.sample_rate_hz;
-  // Hard cap well beyond a full exchange (phase 1 + feedback + data + ACK
-  // listen windows come to ~2 s of audio).
   const std::uint64_t cap =
-      medium_->clock() + static_cast<std::uint64_t>(10.0 * fs);
+      medium_->clock() + alice_->timing().exchange_bound(info_bits.size());
 
   // lint: alloc-ok(per-exchange block buffers: one setup per packet, amortized over ~2 s of simulated audio)
   std::vector<double> tx_a(block), tx_b(block);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "coding/convolutional.h"
 #include "dsp/types.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
@@ -16,22 +17,71 @@ namespace {
 // noise-estimation windows; deciding earlier mis-rejects weak IDs.
 constexpr std::size_t kIdWaitSymbols = 5;
 
-// The scanner confirms a preamble only once its correlation block and
-// confirmation span are complete — up to ~14k samples after the ID gate
-// above. The feedback's timeline anchor must sit at or beyond the worst
-// actual decision point (gate + this allowance + tx_latency covers
-// clocking blocks up to tx_latency), otherwise the anchor padding never
-// fires and the feedback start would quantize to the caller's block size.
-constexpr std::size_t kDetectionLagAllowance = 16800;
+// protocol_timing()'s terms counted in seconds. Speaker scheduling
+// latency of a response waveform:
+constexpr double kSpeakerLatencyS = 0.1;
+// Round trip at the longest figure range (30 m): one way is ~0.18 s there
+// (~0.16 s of device audio path, 20 ms of propagation), rounded up.
+constexpr double kMaxRoundTripS = 0.4;
+// Each window's guard: what it held beyond its named terms when the
+// protocol was tuned at 50 Hz (samples at 48 kHz). The anchor's is margin
+// over a worst-case bound; the listen windows' also cover multipath
+// spread, the decoders' edge-noise windows and drift under motion.
+constexpr double kAnchorGuardS = 3142.0 / 48000.0;
+constexpr double kFeedbackGuardS = 6865.0 / 48000.0;
+constexpr double kDataGuardS = 5146.0 / 48000.0;
+constexpr double kAckGuardS = 10800.0 / 48000.0;
 
 std::size_t compact_threshold() { return std::size_t{1} << 15; }
 
 }  // namespace
 
+ProtocolTiming protocol_timing(const phy::OfdmParams& params) {
+  const auto samples = [&](double seconds) {
+    return static_cast<std::size_t>(
+        std::llround(seconds * params.sample_rate_hz));
+  };
+  ProtocolTiming t;
+  t.symbol = params.symbol_total_samples();
+  const std::size_t core =
+      phy::OfdmParams::kPreambleSymbols * params.symbol_samples();
+  const std::size_t tone = phy::FeedbackCodec::kRepeats * t.symbol;
+  const std::size_t round_trip = samples(kMaxRoundTripS);
+  t.header = params.cp_samples() + core + tone;
+  t.id_wait = kIdWaitSymbols * t.symbol;
+  t.speaker_latency = samples(kSpeakerLatencyS);
+  // The ID gate lies core + id_wait past the detection start, which the
+  // scanner may decide up to its lag past.
+  const std::size_t lag = phy::PreambleScanner::max_decision_lag(params);
+  const std::size_t gate = core + t.id_wait;
+  t.feedback_anchor = (lag > gate ? lag - gate : 0) + samples(kAnchorGuardS);
+  // The receiver's preamble ends one ID airtime before the sender's header
+  // does (plus the one-way delay); its feedback starts id_wait + anchor +
+  // speaker latency later and plays for one tone airtime, the ID's length.
+  t.feedback_window = t.id_wait + t.feedback_anchor + t.speaker_latency +
+                      round_trip + samples(kFeedbackGuardS);
+  // From the preamble end, the data arrives one ID airtime plus the
+  // sender's speaker latency past the feedback window; delay cancels.
+  t.data_slack = tone + t.speaker_latency + samples(kDataGuardS);
+  // The receiver decodes data_slack past the data's end and its ACK (one
+  // tone airtime, again the ID's length) crosses back.
+  t.ack_window = t.data_slack + round_trip + samples(kAckGuardS);
+  return t;
+}
+
+std::size_t ProtocolTiming::exchange_bound(std::size_t payload_bits) const {
+  // DataModem's rate-2/3 code, one bin per symbol at worst, plus training.
+  const std::size_t data_symbols =
+      coding::coded_length(payload_bits, coding::CodeRate::kRate2_3) + 1;
+  return header + feedback_window + speaker_latency + data_symbols * symbol +
+         ack_window;
+}
+
 Modem::Modem(const ModemConfig& config) : Modem(config, own_ws_) {}
 
 Modem::Modem(const ModemConfig& config, dsp::Workspace& ws)
     : config_(config),
+      timing_(protocol_timing(config.params)),
       ws_(ws),
       preamble_(config.params),
       scanner_(preamble_),
@@ -83,7 +133,7 @@ void Modem::enqueue_tx(std::span<const double> wave) {
 
 std::uint64_t Modem::enqueue_tx_at(std::uint64_t decision_pos,
                                    std::span<const double> wave) {
-  const std::uint64_t target = decision_pos + config_.tx_latency;
+  const std::uint64_t target = decision_pos + timing_.speaker_latency;
   const std::uint64_t queue_end = tx_pos_ + tx_pending();
   if (target > queue_end) {
     // lint: alloc-ok(tx ring silence padding; same recycled deque blocks as enqueue_tx)
@@ -164,11 +214,11 @@ void Modem::start_next_message() {
         tx_bits_, *config_.fixed_band, config_.decode.use_differential);
     data_end_ = tx_pos_ + tx_pending() + data.size();
     enqueue_tx(data);
-    ack_deadline_ = data_end_ + (config_.send_ack ? config_.ack_window : 0);
+    ack_deadline_ = data_end_ + (config_.send_ack ? timing_.ack_window : 0);
     tx_state_ = TxState::kWaitAck;
     return;
   }
-  fb_deadline_ = phase1_end_ + config_.feedback_window;
+  fb_deadline_ = phase1_end_ + timing_.feedback_window;
   tx_state_ = TxState::kWaitFeedback;
 }
 
@@ -185,7 +235,7 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
     const std::uint64_t pre_end = det.start_index + preamble_.core_samples();
     // Decide only once the ID symbol plus the tone decoder's trailing
     // noise windows are buffered — an absolute-position gate.
-    if (rx_pos_ < pre_end + kIdWaitSymbols * sym_total) return false;
+    if (rx_pos_ < pre_end + timing_.id_wait) return false;
     detections_.pop_front();
 
     ModemEvent detected;
@@ -198,7 +248,7 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
     std::optional<phy::ToneDecode> id;
     {
       obs::StageTimer t(metrics_, "dsp.tone");
-      if (const auto window = raw_rx(pre_end, kIdWaitSymbols * sym_total)) {
+      if (const auto window = raw_rx(pre_end, timing_.id_wait)) {
         id = feedback_.decode_tone(*window, ws_);
       }
     }
@@ -230,7 +280,7 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
       // decision lag so its position on the shared timeline does not
       // depend on block boundaries.
       enqueue_tx_at(
-          pre_end + kIdWaitSymbols * sym_total + kDetectionLagAllowance,
+          pre_end + timing_.id_wait + timing_.feedback_anchor,
           feedback_.encode_band(band_));
     }
     rx_state_ = RxState::kAwaitingData;
@@ -238,8 +288,8 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
     const std::size_t rows =
         modem_.data_symbol_count(config_.payload_bits, band_.width());
     const std::size_t wait_fb =
-        config_.fixed_band ? 0 : config_.feedback_window;
-    data_deadline_ = pre_end + wait_fb + config_.data_slack +
+        config_.fixed_band ? 0 : timing_.feedback_window;
+    data_deadline_ = pre_end + wait_fb + timing_.data_slack +
                      (rows + 1) * sym_total;
     return true;
   }
@@ -290,7 +340,7 @@ bool Modem::rx_step(std::vector<ModemEvent>& events) {
 bool Modem::tx_step(std::vector<ModemEvent>& events) {
   if (tx_state_ == TxState::kWaitFeedback) {
     if (rx_pos_ < fb_deadline_) return false;
-    const std::size_t window = config_.feedback_window;
+    const std::size_t window = timing_.feedback_window;
     std::optional<phy::FeedbackDecode> dec;
     {
       obs::StageTimer t(metrics_, "dsp.feedback");
@@ -326,7 +376,7 @@ bool Modem::tx_step(std::vector<ModemEvent>& events) {
     // lint: alloc-ok(protocol events fire per packet, not per sample)
     events.push_back(std::move(sent));
 
-    ack_deadline_ = data_end_ + (config_.send_ack ? config_.ack_window : 0);
+    ack_deadline_ = data_end_ + (config_.send_ack ? timing_.ack_window : 0);
     tx_state_ = TxState::kWaitAck;
     return true;
   }
@@ -359,21 +409,19 @@ void Modem::trim_buffer() {
   // Keep everything any pending decision may still read — all bounds are
   // absolute stream positions, so trimming can never change what a decode
   // window contains.
-  std::uint64_t keep_from =
-      rx_pos_ > config_.search_buffer ? rx_pos_ - config_.search_buffer : 0;
-  if (!detections_.empty()) {
-    keep_from = std::min(keep_from, detections_.front().start_index);
-  }
   // A detection the scanner has yet to emit starts at or after
   // decided_through(); its preamble and ID samples must still be here when
   // it does, however far the scanner's decision lag (which grows with the
-  // symbol length) reaches past search_buffer.
-  keep_from = std::min(keep_from, scanner_.decided_through());
+  // symbol length) reaches.
+  std::uint64_t keep_from = std::min(rx_pos_, scanner_.decided_through());
+  if (!detections_.empty()) {
+    keep_from = std::min(keep_from, detections_.front().start_index);
+  }
   if (rx_state_ == RxState::kAwaitingData) {
     keep_from = std::min(keep_from, data_origin_);
   }
   if (tx_state_ == TxState::kWaitFeedback) {
-    const std::uint64_t start = fb_deadline_ - config_.feedback_window;
+    const std::uint64_t start = fb_deadline_ - timing_.feedback_window;
     keep_from = std::min(keep_from, start);
   }
   if (tx_state_ == TxState::kWaitAck) {

@@ -88,39 +88,53 @@ struct ModemEvent {
   bool ack_received = false;               ///< kTxComplete only
 };
 
-/// Duplex endpoint configuration.
+/// Duplex endpoint configuration. Protocol timing is not configured: it
+/// follows from `params` (protocol_timing()).
 struct ModemConfig {
   phy::OfdmParams params;
   std::uint8_t my_id = 32;           ///< active-bin index we answer to
   std::size_t payload_bits = 16;     ///< fixed app packet size (two signals)
   bool send_ack = true;  ///< rx: ACK decoded packets; tx: wait for the ACK
-  /// Raw samples retained while searching. The ring also always keeps
-  /// what a pending or not-yet-decided detection will read.
-  std::size_t search_buffer = 48000;
   /// Fixed-bandwidth baseline: both endpoints skip the feedback exchange
   /// and use this band (the paper's 1-4 / 1-2.5 / 1-1.5 kHz baselines).
   std::optional<phy::BandSelection> fixed_band;
   phy::DecodeOptions decode;
-  /// Transmit side: listen window (samples) for the band feedback after
-  /// the preamble+ID finishes playing out. Covers the receiver's bounded
-  /// detection latency (~0.4 s), its ID wait, its anchored feedback start
-  /// (detection-lag allowance + tx_latency), the feedback airtime and the
-  /// medium round trip (two direction latencies of ~0.18 s each).
-  std::size_t feedback_window = 52800;
-  /// Transmit side: listen window (samples) for the ACK after the data.
-  /// Covers the receiver's absolute data deadline (data_slack past the
-  /// feedback window it cannot observe) plus the ACK round trip.
-  std::size_t ack_window = 42000;
-  /// Receive side: slack added to the data deadline beyond the
-  /// transmitter's feedback window (propagation + processing latency).
-  std::size_t data_slack = 12000;
-  /// Speaker scheduling latency: a waveform answering a protocol decision
-  /// starts playing exactly `tx_latency` samples after the decision's
-  /// absolute gate position (the queue is zero-padded up to it). This pins
-  /// response timing to the sample timeline, so exchanges are invariant to
-  /// the block size the endpoints are clocked at (any block <= tx_latency).
-  std::size_t tx_latency = 4800;
 };
+
+/// The protocol's windows and latencies in samples, derived from the
+/// numerology by protocol_timing(): symbol-counted terms (preamble, ID
+/// wait, tone airtime, the scanner's decision lag) scale with the symbol;
+/// the speaker latency, the maximum-range round trip and each window's
+/// guard are fixed times.
+struct ProtocolTiming {
+  /// A response waveform starts exactly this long after its decision's
+  /// absolute gate (the queue is zero-padded up to it), so exchanges are
+  /// invariant to any clocking block <= speaker_latency.
+  std::size_t speaker_latency = 0;
+  /// rx: the ID decision gate past the preamble end (the ID symbol plus
+  /// the tone decoder's trailing noise windows).
+  std::size_t id_wait = 0;
+  /// rx: the feedback's anchor past the ID gate, beyond the scanner's
+  /// worst decision point so the feedback start never quantizes to the
+  /// caller's block.
+  std::size_t feedback_anchor = 0;
+  /// tx: band-feedback listen window after the preamble+ID plays out.
+  std::size_t feedback_window = 0;
+  /// rx: data deadline slack past the sender's feedback window.
+  std::size_t data_slack = 0;
+  /// tx: ACK listen window after the data plays out.
+  std::size_t ack_window = 0;
+  std::size_t header = 0;  ///< preamble+ID airtime
+  std::size_t symbol = 0;  ///< samples per symbol including the CP
+
+  /// Bound on send() (idle endpoint, mic and speaker clocks in lockstep)
+  /// to kTxComplete or kTxFailed for a `payload_bits` packet sent at one
+  /// bin per symbol, the narrowest band.
+  std::size_t exchange_bound(std::size_t payload_bits) const;
+};
+
+/// Derives every protocol window from the numerology.
+ProtocolTiming protocol_timing(const phy::OfdmParams& params);
 
 /// Duplex streaming protocol endpoint (either side of Fig. 5).
 class Modem {
@@ -158,10 +172,12 @@ class Modem {
   /// Total samples pushed / pulled (the endpoint's two clocks).
   std::uint64_t rx_position() const { return rx_pos_; }
   std::uint64_t tx_position() const { return tx_pos_; }
-  /// Raw samples currently buffered (bounded while searching).
+  /// Raw samples currently buffered (while searching, bounded by the
+  /// scanner's decision lag plus the lazy compaction slack).
   std::size_t buffered() const { return buffer_.size(); }
 
   const ModemConfig& config() const { return config_; }
+  const ProtocolTiming& timing() const { return timing_; }
 
   /// Adjusts the fixed app packet size (drives the receive-side data
   /// deadline). Takes effect for packets whose preamble has not been
@@ -197,9 +213,9 @@ class Modem {
   std::optional<std::span<const float>> raw_rx(std::uint64_t from,
                                                 std::size_t len) const;
   void enqueue_tx(std::span<const double> wave);
-  /// Queues `wave` to start exactly tx_latency after `decision_pos` on the
-  /// shared clock (zero-padding the queue up to it); returns the absolute
-  /// position where the waveform ends.
+  /// Queues `wave` to start exactly speaker_latency after `decision_pos`
+  /// on the shared clock (zero-padding the queue up to it); returns the
+  /// absolute position where the waveform ends.
   std::uint64_t enqueue_tx_at(std::uint64_t decision_pos,
                               std::span<const double> wave);
   void start_next_message();
@@ -208,6 +224,7 @@ class Modem {
   void trim_buffer();
 
   ModemConfig config_;
+  ProtocolTiming timing_;
   /// The arena when the owner injects none. Workspace is not movable, so
   /// neither is Modem, and ws_ never points into a moved-from modem.
   dsp::Workspace own_ws_;

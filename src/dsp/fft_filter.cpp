@@ -41,6 +41,10 @@ std::size_t choose_block(std::size_t taps, std::size_t max_step) {
 
 }  // namespace
 
+std::size_t overlap_save_step(std::size_t taps, std::size_t max_step) {
+  return choose_block(taps, max_step) - taps + 1;
+}
+
 template <typename T>
 BasicFftFilter<T>::BasicFftFilter(std::vector<T> kernel, std::size_t max_step)
     : kernel_(std::move(kernel)) {

@@ -54,6 +54,12 @@ inline constexpr std::size_t kOneShotDirectConvOpsThreshold = std::size_t{1}
 /// can afford. 16384 samples is ~0.34 s at 48 kHz.
 inline constexpr std::size_t kMaxStreamStep = std::size_t{1} << 14;
 
+/// The step() a BasicFftFilter over a `taps`-long kernel chooses under
+/// `max_step` (and so the worst-case output lag + 1 of a Stream over it),
+/// computed without building the engine. Latency budgets derive from it.
+std::size_t overlap_save_step(std::size_t taps,
+                              std::size_t max_step = kMaxStreamStep);
+
 /// Streaming-capable overlap-save convolution engine for one real kernel.
 template <typename T>
 class BasicFftFilter {

@@ -173,7 +173,6 @@ void put_config(std::vector<std::uint8_t>& out, const core::ModemConfig& c) {
   put_u8(out, c.my_id);
   put_u64(out, c.payload_bits);
   put_u8(out, c.send_ack ? 1 : 0);
-  put_u64(out, c.search_buffer);
   put_u8(out, c.fixed_band ? 1 : 0);
   if (c.fixed_band) {
     put_u64(out, c.fixed_band->begin_bin);
@@ -182,11 +181,6 @@ void put_config(std::vector<std::uint8_t>& out, const core::ModemConfig& c) {
   }
   put_u8(out, c.decode.use_equalizer ? 1 : 0);
   put_u8(out, c.decode.use_differential ? 1 : 0);
-  put_u64(out, c.decode.search_window);
-  put_u64(out, c.feedback_window);
-  put_u64(out, c.ack_window);
-  put_u64(out, c.data_slack);
-  put_u64(out, c.tx_latency);
 }
 
 core::ModemConfig get_config(Cursor& in) {
@@ -202,7 +196,6 @@ core::ModemConfig get_config(Cursor& in) {
   c.my_id = in.u8("config.my_id");
   c.payload_bits = in.u64("config.payload_bits");
   c.send_ack = in.u8("config.send_ack") != 0;
-  c.search_buffer = in.u64("config.search_buffer");
   if (in.u8("config.has_fixed_band") != 0) {
     phy::BandSelection band;
     band.begin_bin = in.u64("config.band_begin");
@@ -212,11 +205,6 @@ core::ModemConfig get_config(Cursor& in) {
   }
   c.decode.use_equalizer = in.u8("config.use_equalizer") != 0;
   c.decode.use_differential = in.u8("config.use_differential") != 0;
-  c.decode.search_window = in.u64("config.search_window");
-  c.feedback_window = in.u64("config.feedback_window");
-  c.ack_window = in.u64("config.ack_window");
-  c.data_slack = in.u64("config.data_slack");
-  c.tx_latency = in.u64("config.tx_latency");
   return c;
 }
 

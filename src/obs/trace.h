@@ -37,7 +37,10 @@
 namespace aqua::obs {
 
 /// Bump on any layout change; readers reject versions they don't know.
-inline constexpr std::uint32_t kAqtVersion = 1;
+/// Version 2 dropped the protocol windows (derived from the numerology
+/// since), the search buffer and the per-packet decode search window from
+/// the endpoint record.
+inline constexpr std::uint32_t kAqtVersion = 2;
 
 /// One record of the append-only log. Which fields are meaningful depends
 /// on `kind`; unused fields stay at their defaults (and serialize to

@@ -43,7 +43,7 @@ Preamble::Preamble(const OfdmParams& params)
       waveform_(build_waveform(params, one_symbol_)),
       bandpass_(dsp::convert_samples<float>(
           dsp::design_bandpass(params.band_low_hz, params.band_high_hz,
-                               params.sample_rate_hz, 129))),
+                               params.sample_rate_hz, kBandpassTaps))),
       core_samples_(OfdmParams::kPreambleSymbols * params.symbol_samples()) {}
 
 std::vector<double> Preamble::core_template() const {
@@ -158,6 +158,17 @@ std::uint64_t PreambleScanner::decided_through() const {
   const std::uint64_t settled = frontier > horizon ? frontier - horizon : 0;
   return pending_ ? std::min<std::uint64_t>(pending_->start_index, settled)
                   : settled;
+}
+
+std::size_t PreambleScanner::max_decision_lag(const OfdmParams& params) {
+  const std::size_t n = params.symbol_samples();
+  const std::size_t core = OfdmParams::kPreambleSymbols * n;
+  const std::size_t bandpass = dsp::overlap_save_step(Preamble::kBandpassTaps) +
+                               (Preamble::kBandpassTaps - 1) / 2;
+  const std::size_t correlation = dsp::overlap_save_step(core);
+  const std::size_t window = std::max<std::size_t>(n / 2, 1);
+  const std::size_t confirmation = 2 * core + n + Preamble::kSlidingStep;
+  return bandpass + correlation + window + confirmation;
 }
 
 double PreambleScanner::metric_at(std::uint64_t abs_index) const {

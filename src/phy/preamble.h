@@ -70,6 +70,8 @@ class Preamble {
   static constexpr double kCoarseThreshold = 0.20;
   /// Sliding-correlation step during confirmation (paper: 8).
   static constexpr std::size_t kSlidingStep = 8;
+  /// Receive bandpass length (taps).
+  static constexpr std::size_t kBandpassTaps = 129;
 
   /// The core correlation template (waveform without the cyclic prefix).
   std::vector<double> core_template() const;
@@ -118,6 +120,16 @@ class PreambleScanner {
 
   /// Every detection starting before this stream position has been emitted.
   std::uint64_t decided_through() const;
+
+  /// Worst-case decision lag at `params`, in samples: a detection starting
+  /// at stream position p is emitted by the scan() that consumes sample
+  /// p + lag, and decided_through() never trails consumed() by more. It is
+  /// the bandpass block and group delay, the correlation block, one
+  /// candidate window, and the confirmation span (two cores, a symbol and
+  /// the fine-pass step). The correlation block is a power of two, so the
+  /// lag does not scale linearly with the symbol (~0.55 s at 50 Hz, ~3.7 s
+  /// at 10 Hz).
+  static std::size_t max_decision_lag(const OfdmParams& params);
 
   void reset();
 

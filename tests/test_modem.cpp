@@ -6,16 +6,20 @@
 //   * non-finite mic samples never surface as a metric or a wrong payload;
 //   * the Modem-backed LinkSession is bit-identical for any medium block
 //     size;
+//   * protocol timing follows the numerology: a full exchange completes,
+//     and every send() ends, within the derived bound at 50, 25 and 10 Hz;
 //   * N modems attached to one AcousticMedium run the protocol as a
 //     network (mac::ModemNetwork).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
 #include <sstream>
 
 #include "channel/channel.h"
+#include "channel/medium.h"
 #include "core/link_session.h"
 #include "core/modem.h"
 #include "mac/netsim.h"
@@ -141,6 +145,48 @@ TEST(PreambleScanner, ChunkInvariantBitExact) {
   EXPECT_EQ(d1[0].sliding_metric, d4800[0].sliding_metric);
 }
 
+TEST(PreambleScanner, DecisionLagBoundsEveryNumerology) {
+  // max_decision_lag() is what protocol timing anchors the feedback past
+  // and what bounds the searching ring. Check it against the running
+  // scanner: every detection is emitted within it, decided_through()
+  // never trails by more, and the bound is not loose by a symbol.
+  for (const double spacing : {50.0, 25.0, 10.0}) {
+    const phy::OfdmParams params = phy::OfdmParams::with_spacing(spacing);
+    const phy::Preamble preamble(params);
+    const std::size_t lag = phy::PreambleScanner::max_decision_lag(params);
+    std::mt19937_64 rng(21);
+    std::normal_distribution<double> noise(0.0, 0.01);
+    std::vector<float> rx(preamble.waveform().size() + 2 * lag);
+    const std::size_t offset = 12345;
+    for (std::size_t i = 0; i < rx.size(); ++i) {
+      double v = noise(rng);
+      if (i >= offset && i - offset < preamble.waveform().size()) {
+        v += preamble.waveform()[i - offset];
+      }
+      rx[i] = static_cast<float>(v);
+    }
+    dsp::Workspace ws;
+    std::uint64_t worst_trail = 0;
+    for (const std::size_t chunk : {480u, 4099u}) {
+      phy::PreambleScanner scanner(preamble);
+      std::vector<phy::PreambleDetection> dets;
+      std::uint64_t trail = 0;
+      std::uint64_t emitted_at = 0;
+      for (std::size_t base = 0; base < rx.size(); base += chunk) {
+        const std::size_t len = std::min(chunk, rx.size() - base);
+        scanner.scan(std::span<const float>(rx).subspan(base, len), dets, ws);
+        trail = std::max(trail, scanner.consumed() - scanner.decided_through());
+        if (emitted_at == 0 && !dets.empty()) emitted_at = scanner.consumed();
+      }
+      ASSERT_EQ(dets.size(), 1u) << spacing << " Hz";
+      EXPECT_LE(emitted_at - dets[0].start_index, lag + chunk) << spacing;
+      EXPECT_LE(trail, lag) << spacing << " Hz, chunk " << chunk;
+      worst_trail = std::max(worst_trail, trail);
+    }
+    EXPECT_GE(worst_trail + params.symbol_samples(), lag) << spacing << " Hz";
+  }
+}
+
 // One continuous microphone timeline containing a full receive-side
 // exchange for Bob (id 32): phase 1, a feedback-round-trip gap, then the
 // data portion in the band he will have selected.
@@ -223,10 +269,11 @@ TEST(Modem, PushGranularityInvariance) {
 }
 
 TEST(Modem, LongSymbolNumerologyKeepsUndecidedSamples) {
-  // At 10 Hz spacing the scanner decides a preamble more than search_buffer
-  // samples after it starts. The receiver must still hold that preamble
-  // and its ID symbol when the detection arrives: a modem that never trims
-  // (search_buffer past the capture) is the reference.
+  // At 10 Hz spacing the scanner decides a preamble ~3.7 s after it
+  // starts. The receiver must still hold that preamble and its ID symbol
+  // when the detection arrives. The reference is one push of the whole
+  // capture: trimming runs only after a push's decisions, so that modem
+  // never trims a sample any decision reads.
   const phy::OfdmParams params = phy::OfdmParams::with_spacing(10.0);
   channel::LinkConfig lc;
   lc.site = channel::site_preset(channel::Site::kBridge);
@@ -238,8 +285,6 @@ TEST(Modem, LongSymbolNumerologyKeepsUndecidedSamples) {
   core::ModemConfig mc;
   mc.params = params;
   mc.my_id = 32;
-  core::ModemConfig keep_all = mc;
-  keep_all.search_buffer = 4 * timeline.size();
   const std::vector<core::ModemEvent> events = push_chunked(mc, timeline, 480);
   bool addressed = false;
   for (const core::ModemEvent& e : events) {
@@ -247,7 +292,7 @@ TEST(Modem, LongSymbolNumerologyKeepsUndecidedSamples) {
   }
   EXPECT_TRUE(addressed);
   EXPECT_EQ(fingerprint(events),
-            fingerprint(push_chunked(keep_all, timeline, 480)));
+            fingerprint(push_chunked(mc, timeline, timeline.size())));
 }
 
 TEST(Modem, NonFiniteMicSamplesNeverSurface) {
@@ -383,6 +428,164 @@ TEST(Modem, LinkSessionInvariantToMediumBlockSize) {
   }
   EXPECT_TRUE(a.preamble_detected);
   EXPECT_TRUE(a.packet_ok);
+}
+
+TEST(Modem, ProtocolTimingPinnedAtDefaultNumerology) {
+  // The derivation reproduces the windows the protocol was tuned with at
+  // 50 Hz, so every 50 Hz figure and the trace corpus stay bit-identical.
+  const core::ProtocolTiming t = core::protocol_timing(phy::OfdmParams{});
+  EXPECT_EQ(t.speaker_latency, 4800u);
+  EXPECT_EQ(t.feedback_anchor, 16800u);
+  EXPECT_EQ(t.feedback_window, 52800u);
+  EXPECT_EQ(t.data_slack, 12000u);
+  EXPECT_EQ(t.ack_window, 42000u);
+}
+
+TEST(Modem, FeedbackAnchorClearsTheScannerLagAtEverySpacing) {
+  // The receiver's feedback anchor must lie past the latest point the
+  // scanner can decide a detection, else the speaker padding never fires
+  // and the feedback start quantizes to the clocking block. The lag grows
+  // faster than the symbol (power-of-two correlation block), so scaling
+  // the 50 Hz anchor by the symbol length falls short at 10 Hz.
+  for (const double spacing : {50.0, 25.0, 10.0}) {
+    const phy::OfdmParams params = phy::OfdmParams::with_spacing(spacing);
+    const core::ProtocolTiming t = core::protocol_timing(params);
+    const std::size_t id_gate =
+        phy::OfdmParams::kPreambleSymbols * params.symbol_samples() +
+        t.id_wait;
+    EXPECT_GE(id_gate + t.feedback_anchor,
+              phy::PreambleScanner::max_decision_lag(params))
+        << spacing << " Hz";
+  }
+}
+
+// Clocks two modems at `spacing` over a Lake 5 m duplex link in lockstep
+// `block`-sample blocks until Alice's send() is `bound` samples old, plus
+// one block. Returns each side's events, Bob's speaker stream and the
+// medium clock at send().
+struct SpacingExchange {
+  std::vector<core::ModemEvent> alice, bob;
+  std::vector<double> bob_speaker;
+  std::uint64_t send_clock = 0;
+  std::size_t bound = 0;
+  core::Modem::RxState bob_state = core::Modem::RxState::kAwaitingData;
+};
+
+SpacingExchange exchange_at(double spacing, std::size_t block,
+                            const std::vector<std::uint8_t>& payload) {
+  channel::AcousticMedium medium(48000.0);
+  channel::LinkConfig lc;
+  lc.site = channel::site_preset(channel::Site::kLake);
+  lc.range_m = 5.0;
+  lc.seed = 17;
+  channel::add_duplex_link(medium, lc);
+  core::ModemConfig mc;
+  mc.params = phy::OfdmParams::with_spacing(spacing);
+  mc.payload_bits = payload.size();
+  core::ModemConfig alice_cfg = mc;
+  alice_cfg.my_id = 28;
+  core::ModemConfig bob_cfg = mc;
+  bob_cfg.my_id = 32;
+  dsp::Workspace ws;
+  core::Modem alice(alice_cfg, ws);
+  core::Modem bob(bob_cfg, ws);
+
+  SpacingExchange x;
+  x.send_clock = medium.clock();
+  x.bound = alice.timing().exchange_bound(payload.size());
+  alice.send(payload, 32);
+  std::vector<double> ta(block), tb(block);
+  const std::vector<std::span<const double>> tx{ta, tb};
+  std::vector<std::vector<double>> rx;
+  while (medium.clock() < x.send_clock + x.bound + block) {
+    alice.pull_tx(std::span<double>(ta));
+    bob.pull_tx(std::span<double>(tb));
+    x.bob_speaker.insert(x.bob_speaker.end(), tb.begin(), tb.end());
+    medium.step(tx, rx, ws);
+    for (auto& e : alice.push(rx[0])) x.alice.push_back(std::move(e));
+    for (auto& e : bob.push(rx[1])) x.bob.push_back(std::move(e));
+  }
+  x.bob_state = bob.rx_state();
+  return x;
+}
+
+const core::ModemEvent* first_of(const std::vector<core::ModemEvent>& events,
+                                 core::ModemEvent::Type type) {
+  for (const core::ModemEvent& e : events) {
+    if (e.type == type) return &e;
+  }
+  return nullptr;
+}
+
+TEST(Modem, ExchangeCompletesAtEverySubcarrierSpacing) {
+  // Fig. 17's numerologies: the windows follow the symbol, so a clean
+  // exchange completes at each spacing: the feedback decodes, the right
+  // bits arrive, the ACK returns within the derived exchange bound and
+  // the receiver is back to searching. The feedback anchor clears the
+  // scanner's decision lag at each spacing, so clocking blocks up to the
+  // speaker latency tell the byte-identical story, and Bob's responses
+  // sit at the same absolute samples.
+  std::mt19937_64 rng(4);
+  std::vector<std::uint8_t> payload(16);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng() & 1);
+  for (const double spacing : {50.0, 25.0, 10.0}) {
+    const SpacingExchange x = exchange_at(spacing, 480, payload);
+    const SpacingExchange y = exchange_at(spacing, 4800, payload);
+    EXPECT_EQ(fingerprint(x.alice), fingerprint(y.alice)) << spacing << " Hz";
+    EXPECT_EQ(fingerprint(x.bob), fingerprint(y.bob)) << spacing << " Hz";
+    ASSERT_LE(x.bob_speaker.size(), y.bob_speaker.size());
+    EXPECT_TRUE(std::equal(x.bob_speaker.begin(), x.bob_speaker.end(),
+                           y.bob_speaker.begin()))
+        << spacing << " Hz";
+    EXPECT_NE(first_of(x.alice, core::ModemEvent::Type::kTxFeedbackReceived),
+              nullptr)
+        << spacing << " Hz";
+    const core::ModemEvent* decoded =
+        first_of(x.bob, core::ModemEvent::Type::kPacketDecoded);
+    ASSERT_NE(decoded, nullptr) << spacing << " Hz";
+    EXPECT_EQ(decoded->payload_bits, payload) << spacing << " Hz";
+    const core::ModemEvent* done =
+        first_of(x.alice, core::ModemEvent::Type::kTxComplete);
+    ASSERT_NE(done, nullptr) << spacing << " Hz";
+    EXPECT_TRUE(done->ack_received) << spacing << " Hz";
+    EXPECT_LE(done->stream_pos - x.send_clock, x.bound) << spacing << " Hz";
+    EXPECT_EQ(x.bob_state, core::Modem::RxState::kSearching)
+        << spacing << " Hz";
+  }
+}
+
+TEST(Modem, EverySendEndsWithinTheExchangeBound) {
+  // Liveness at every numerology: a send() nobody answers ends in
+  // kTxFailed, and a fixed-band send() (no feedback to wait for) ends in
+  // kTxComplete, both within the derived bound.
+  const std::vector<std::uint8_t> bits(16, 1);
+  for (const double spacing : {50.0, 25.0, 10.0}) {
+    for (const bool fixed : {false, true}) {
+      core::ModemConfig mc;
+      mc.params = phy::OfdmParams::with_spacing(spacing);
+      if (fixed) mc.fixed_band = phy::BandSelection{0, 10, false};
+      core::Modem m(mc);
+      channel::LinkConfig lc;
+      lc.site = channel::site_preset(channel::Site::kLake);
+      lc.seed = 23;
+      channel::UnderwaterChannel ch(lc);
+      const std::size_t bound = m.timing().exchange_bound(bits.size());
+      m.send(bits, 32);
+      const std::size_t block = 2400;
+      std::vector<double> speaker(block);
+      std::vector<core::ModemEvent> events;
+      while (events.empty() && m.rx_position() < bound + block) {
+        m.pull_tx(std::span<double>(speaker));
+        events = m.push(ch.ambient(block));
+      }
+      ASSERT_EQ(events.size(), 1u) << spacing << " Hz, fixed " << fixed;
+      EXPECT_EQ(events[0].type, fixed ? core::ModemEvent::Type::kTxComplete
+                                      : core::ModemEvent::Type::kTxFailed)
+          << spacing << " Hz, fixed " << fixed;
+      EXPECT_LE(events[0].stream_pos, bound) << spacing << " Hz";
+      EXPECT_TRUE(m.tx_idle()) << spacing << " Hz, fixed " << fixed;
+    }
+  }
 }
 
 TEST(ModemNetwork, ThreeNodesOnOneMedium) {

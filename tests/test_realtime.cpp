@@ -219,9 +219,10 @@ TEST(Realtime, StaysQuietOnAmbientNoise) {
   const std::vector<double> noise = ch.ambient(3 * 48000);
   const std::vector<ModemEvent> events = push_in_blocks(bob, noise);
   EXPECT_TRUE(events.empty());
-  // The raw ring stays bounded while searching (retention plus the lazy
-  // compaction slack).
-  EXPECT_LE(bob.buffered(), rc.search_buffer + (1u << 15) + 2048);
+  // The raw ring stays bounded while searching: what the scanner has yet
+  // to decide plus the lazy compaction slack.
+  EXPECT_LE(bob.buffered(),
+            phy::PreambleScanner::max_decision_lag(rc.params) + (1u << 15));
 }
 
 }  // namespace
